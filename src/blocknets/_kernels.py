@@ -2,10 +2,10 @@
 
 The inner loop of a census-mode simulation is a few hundred float
 operations per step and dominates the runtime of Monte-Carlo
-verification, so it is compiled with numba when available.  A pure
-Python/numpy twin with the exact same operation order is kept as a
-fallback and can be forced with the environment variable
-``BLOCKNETS_NO_NUMBA=1``; both paths produce bit-identical streams.
+verification, so it is compiled with numba when available.  Without
+numba the same loop runs in pure Python over list copies of the arrays;
+that fallback can be forced with the environment variable
+``BLOCKNETS_NO_NUMBA=1``, and both paths produce bit-identical streams.
 
 Step layout of the pre-drawn uniforms (one row per step):
 
@@ -27,7 +27,7 @@ STATUS_OK = 0
 STATUS_GROW = 1
 
 
-def _py_census_chunk(
+def _census_steps(
     counts,
     state_i,
     state_f,
@@ -45,20 +45,23 @@ def _py_census_chunk(
     star_out,
     record,
 ):
-    """Pure-Python twin of the numba kernel; identical operation order."""
+    """The census loop.  numba compiles it over the numpy arrays; the Python
+    backend runs it unchanged over lists (see ``_py_census_chunk``), so both
+    backends share one operation order."""
     max_deg = int(state_i[0])
     master_deg = int(state_i[1])
     n_vertices = int(state_i[2])
     total = float(state_f[0])
-    cap = counts.shape[0]
-    m = block_p.shape[0]
-    steps = u.shape[0]
-    r = ess.shape[0]
+    cap = len(counts)
+    m = len(block_p)
+    steps = len(u)
+    r = len(ess)
 
     done = steps
     status = STATUS_OK
     for j in range(steps):
-        target = u[j, 0] * total
+        row = u[j]
+        target = row[0] * total
         cls = -1
         acc = 0.0
         for k in range(1, max_deg + 1):
@@ -67,7 +70,7 @@ def _py_census_chunk(
                 cls = k
                 break
 
-        ub = u[j, 2]
+        ub = row[2]
         b = m - 1
         accp = 0.0
         for i in range(m):
@@ -105,9 +108,10 @@ def _py_census_chunk(
 
         if record:
             sacc = total - (chi * master_deg + rho)
+            xrow = x_out[j]
             for i in range(r):
                 ki = ess[i]
-                x_out[j, i] = counts[ki]
+                xrow[i] = counts[ki]
                 sacc -= (chi * ki + rho) * counts[ki]
             star_out[j] = sacc
 
@@ -118,6 +122,64 @@ def _py_census_chunk(
     return done, status
 
 
+def _py_census_chunk(
+    counts,
+    state_i,
+    state_f,
+    chi,
+    rho,
+    block_p,
+    block_d,
+    block_s,
+    block_nv,
+    nd_flat,
+    nd_off,
+    u,
+    ess,
+    x_out,
+    star_out,
+    record,
+):
+    """Python backend: run ``_census_steps`` over list copies of the arrays
+    (element access on numpy arrays costs several times more than on lists),
+    then write the mutated state back.  Python floats and ints are binary64
+    and exact integers, so the stream is bit-identical to the numba one."""
+    steps = u.shape[0]
+    cl = counts.tolist()
+    si = state_i.tolist()
+    sf = state_f.tolist()
+    if record:
+        xl = [[0] * ess.shape[0] for _ in range(steps)]
+        sl = [0.0] * steps
+    else:
+        xl, sl = [], []
+    done, status = _census_steps(
+        cl,
+        si,
+        sf,
+        float(chi),
+        float(rho),
+        block_p.tolist(),
+        block_d.tolist(),
+        block_s.tolist(),
+        block_nv.tolist(),
+        nd_flat.tolist(),
+        nd_off.tolist(),
+        u.tolist(),
+        ess.tolist(),
+        xl,
+        sl,
+        record,
+    )
+    counts[:] = cl
+    state_i[:] = si
+    state_f[:] = sf
+    if record and done:
+        x_out[:done] = xl[:done]
+        star_out[:done] = sl[:done]
+    return done, status
+
+
 _USE_NUMBA = os.environ.get("BLOCKNETS_NO_NUMBA", "").strip() not in ("1", "true", "yes")
 _numba_census_chunk = None
 
@@ -125,7 +187,7 @@ if _USE_NUMBA:
     try:
         import numba
 
-        _numba_census_chunk = numba.njit(cache=True)(_py_census_chunk)
+        _numba_census_chunk = numba.njit(cache=True)(_census_steps)
     except ImportError:  # pragma: no cover - exercised via env flag instead
         _USE_NUMBA = False
 

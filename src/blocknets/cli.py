@@ -30,7 +30,7 @@ from .growth import (
 from .model_io import BlockSetError, InternalConsistencyError, format_number, load_blockset
 from .profile import build_profile
 from .urn import build_urn
-from .verify import Tolerances, verify_model
+from .verify import Tolerances, render_table, verify_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -73,7 +73,6 @@ def analyze_dict(urn) -> dict:
             "sigma": np.asarray(urn.Sigma).tolist(),
             "irreducible": urn.irreducible,
             "balanced": urn.balanced,
-            "eigvec_condition": urn.eigvec_cond,
         },
     }
     if urn.balanced:
@@ -182,16 +181,7 @@ def cmd_report(args) -> int:
     if doc.get("schema") != "blocknets-report/1":
         print(f"not a verification report: {args.input}", file=sys.stderr)
         return EXIT_VALIDATION
-    lines = [
-        f"verification: n={doc['n']} R={doc['replicates']} seed={doc['seed']}",
-        f"{'check':<28} {'statistic':>12} {'threshold':>12}  verdict",
-    ]
-    for c in doc["checks"]:
-        lines.append(
-            f"{c['name']:<28} {c['statistic']:>12.5g} {c['threshold']:>12.5g}  {c['verdict']}"
-        )
-    lines.append(f"overall: {'PASS' if doc['passed'] else 'FAIL'}")
-    print("\n".join(lines))
+    print(render_table(doc))
     return EXIT_OK if doc["passed"] else EXIT_VERIFICATION
 
 

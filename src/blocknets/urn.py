@@ -12,13 +12,12 @@ describes linear growth and whose remaining spectrum drives fluctuations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import solve_continuous_lyapunov
 
 from .model_io import (
     BIPOLAR,
@@ -34,10 +33,7 @@ STAR = "*"
 UrnType = Union[int, str]
 
 EIGEN_VALIDATE_TOL = 1e-8
-SIGMA_PATH_AGREE_TOL = 1e-6
-QUAD_REFINE_TOL = 1e-8
-QUAD_TRUNC_TOL = 1e-12
-EIGVEC_COND_LIMIT = 1e8
+LYAPUNOV_RESIDUAL_TOL = 1e-10
 MAX_TRACKED_TYPES = 64
 
 
@@ -72,9 +68,6 @@ class UrnModel:
     v1: tuple[Num, ...]
     B: tuple[tuple[Num, ...], ...]
     Sigma: np.ndarray
-    sigma_quad: np.ndarray
-    sigma_diag: Optional[np.ndarray]
-    eigvec_cond: Optional[float]
     irreducible: bool
     balanced: bool
 
@@ -314,97 +307,13 @@ def second_moment_matrix(
     return tuple(tuple(row) for row in B)
 
 
-def _sigma_quadrature(
-    Ahat: np.ndarray,
-    C: np.ndarray,
-    lam1: float,
-    refine_tol: float = QUAD_REFINE_TOL,
-    trunc_tol: float = QUAD_TRUNC_TOL,
-) -> np.ndarray:
-    """Evaluate lam1 * integral of e^{s*Ahat} C e^{s*Ahat'} e^{-lam1 s} ds by
-    composite Simpson quadrature with interval doubling and one Richardson
-    extrapolation step.
-
-    Ahat's spectrum is {0} plus the non-dominant eigenvalues (all with
-    non-positive real part), so the integrand decays at least as fast as
-    e^{-lam1 s}; the upper limit is pushed out until the integrand's norm
-    falls below trunc_tol.
-    """
-    scale = max(1.0, float(np.max(np.abs(C))))
-
-    def integrand(s: float) -> np.ndarray:
-        W = expm(s * Ahat)
-        return (W @ C @ W.T) * math.exp(-lam1 * s)
-
-    s_max = max(1.0, 4.0 / lam1)
-    while float(np.max(np.abs(integrand(s_max)))) > trunc_tol * scale:
-        s_max *= 1.5
-        if s_max > 1e6:
-            raise InternalConsistencyError(
-                "fluctuation integrand does not decay; check the spectrum"
-            )
-
-    prev: np.ndarray | None = None
-    n = 64
-    while n <= (1 << 16):
-        h = s_max / n
-        Eh = expm(h * Ahat)
-        decay = math.exp(-lam1 * h)
-        W = np.eye(Ahat.shape[0])
-        weight = 1.0
-        total = np.zeros_like(C)
-        for j in range(n + 1):
-            coeff = 1.0 if j in (0, n) else (4.0 if j % 2 == 1 else 2.0)
-            total += coeff * weight * (W @ C @ W.T)
-            if j < n:
-                W = Eh @ W
-                weight *= decay
-        total *= lam1 * h / 3.0
-        if prev is not None and float(np.max(np.abs(total - prev))) < refine_tol:
-            return (16.0 * total - prev) / 15.0
-        prev = total
-        n *= 2
-    raise InternalConsistencyError(
-        f"quadrature for the covariance integral did not converge by n={n // 2}"
-    )
-
-
-def _sigma_eigenbasis(
-    Ahat: np.ndarray, C: np.ndarray, lam1: float
-) -> tuple[Optional[np.ndarray], float]:
-    """Covariance via dual eigenbases when Ahat is diagonalizable:
-    lam1 * sum_{j,k} (u_j' C u_k) / (lam1 - mu_j - mu_k) v_j v_k'.
-
-    All mu are <= 0 except the single 0 eigenvalue along the growth
-    direction, so every denominator is >= lam1 > 0.  Returns (Sigma,
-    condition number of the eigenvector matrix); Sigma is None when the
-    eigenbasis is too ill-conditioned to trust.
-    """
-    mu, V = np.linalg.eig(Ahat)
-    cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > EIGVEC_COND_LIMIT:
-        return None, cond
-    U = np.linalg.inv(V)  # rows satisfy U[j] @ V[:, k] = delta_jk
-    q = len(mu)
-    Sig = np.zeros_like(Ahat, dtype=complex)
-    for j in range(q):
-        uCj = U[j] @ C
-        for k in range(q):
-            num = uCj @ U[k]
-            Sig += (num / (lam1 - mu[j] - mu[k])) * np.outer(V[:, j], V[:, k])
-    Sig *= lam1
-    if float(np.max(np.abs(Sig.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(Sig.real)))):
-        raise InternalConsistencyError("eigenbasis covariance came out non-real")
-    return Sig.real, cond
-
-
 def covariance(
     A: Sequence[Sequence[Num]],
     B: Sequence[Sequence[Num]],
     acts: Sequence[Num],
     v1: Sequence[Num],
-    eigenvalues: Sequence[Num],
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[float]]:
+    lam1: Num,
+) -> np.ndarray:
     """Limit covariance of the scaled census vector.
 
     The martingale part of the census has per-step conditional covariance
@@ -420,39 +329,36 @@ def covariance(
     models; for those, Sigma coincides with the same integral projected off
     the growth direction (P_I e^{sA} B e^{sA'} P_I').
 
-    Two evaluation routes: a finite eigenbasis sum whenever the spectrum is
-    simple (always for chi > 0 with g(0) < 1) and Simpson quadrature with
-    matrix exponentials (always applicable).  When both run they must agree
-    entrywise.  Returns (Sigma, sigma_quad, sigma_diag, eigvec_cond).
+    The integral is lam1 * X, where X solves the Lyapunov equation
+    M X + X M' = -C with M = Ahat - (lam1/2) I (Janson 2004).  Ahat's
+    spectrum is 0 plus the non-dominant eigenvalues, all real and <= 0, so M
+    is stable and X is unique.  M and C are formed in the model's own
+    arithmetic (exact for rational models) and solved in binary64 by
+    Bartels-Stewart.  The solution is certified by its relative residual
+    ||M Sigma + Sigma M' + lam1 C||_F / (lam1 ||C||_F).
     """
-    Af = _to_float_matrix(A)
-    Bf = _to_float_matrix(B)
-    af = np.array([float(x) for x in acts])
-    v1f = np.array([float(x) for x in v1])
-    lam1 = float(eigenvalues[0])
-    Ahat = Af - lam1 * np.outer(v1f, af)
-    C = Bf - lam1 * lam1 * np.outer(v1f, v1f)
-
-    sigma_quad = _sigma_quadrature(Ahat, C, lam1)
-
-    sigma_diag = None
-    cond = None
-    # Ahat's closed-form spectrum: one 0 plus the non-dominant eigenvalues.
-    zero = 0 * eigenvalues[0]
-    hat_spectrum = (zero,) + tuple(eigenvalues[1:])
-    if len(set(hat_spectrum)) == len(hat_spectrum):
-        sigma_diag, cond = _sigma_eigenbasis(Ahat, C, lam1)
-        if sigma_diag is not None:
-            gap = float(np.max(np.abs(sigma_diag - sigma_quad)))
-            if gap > SIGMA_PATH_AGREE_TOL:
-                raise InternalConsistencyError(
-                    f"covariance paths disagree by {gap:.3e} "
-                    f"(> {SIGMA_PATH_AGREE_TOL})"
-                )
-
-    sigma = sigma_diag if sigma_diag is not None else sigma_quad
-    sigma = (sigma + sigma.T) / 2.0
-    return sigma, sigma_quad, sigma_diag, cond
+    q = len(acts)
+    M = _to_float_matrix(
+        [
+            [A[i][j] - lam1 * v1[i] * acts[j] - (lam1 / 2 if i == j else 0) for j in range(q)]
+            for i in range(q)
+        ]
+    )
+    C = _to_float_matrix(
+        [[B[i][j] - lam1 * lam1 * v1[i] * v1[j] for j in range(q)] for i in range(q)]
+    )
+    lamf = float(lam1)
+    X = solve_continuous_lyapunov(M, -C)
+    sigma = lamf * (X + X.T) / 2.0
+    resid = float(np.linalg.norm(M @ sigma + sigma @ M.T + lamf * C))
+    bound = lamf * float(np.linalg.norm(C))
+    if not resid <= LYAPUNOV_RESIDUAL_TOL * bound:
+        raise InternalConsistencyError(
+            f"covariance fails its Lyapunov equation: relative residual "
+            f"{resid / max(bound, np.finfo(np.float64).tiny):.3e} "
+            f"(> {LYAPUNOV_RESIDUAL_TOL:g})"
+        )
+    return sigma
 
 
 def irreducibility_check(law: ReplacementLaw) -> bool:
@@ -529,7 +435,7 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     v1 = right_eigenvector(profile)
     _check_eigen_identities(A, acts, v1, eigs[0], profile.exact)
     B = second_moment_matrix(law, acts, v1)
-    sigma, sigma_quad, sigma_diag, cond = covariance(A, B, acts, v1, eigs)
+    sigma = covariance(A, B, acts, v1, eigs[0])
     irreducible = irreducibility_check(law)
     if not irreducible:
         raise InternalConsistencyError(
@@ -545,9 +451,6 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
         v1=v1,
         B=B,
         Sigma=sigma,
-        sigma_quad=sigma_quad,
-        sigma_diag=sigma_diag,
-        eigvec_cond=cond,
         irreducible=irreducible,
         balanced=profile.balance.balanced,
     )

@@ -106,16 +106,22 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_table(self) -> str:
-        lines = [
-            f"verification: n={self.n} R={self.replicates} seed={self.seed}",
-            f"{'check':<28} {'statistic':>12} {'threshold':>12}  verdict",
-        ]
-        for c in self.checks:
-            lines.append(
-                f"{c.name:<28} {c.statistic:>12.5g} {c.threshold:>12.5g}  {c.verdict()}"
-            )
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
+        return render_table(self.to_dict())
+
+
+def render_table(doc: dict) -> str:
+    """Plain-text table of a report in its ``to_dict`` form, as printed by
+    ``verify`` and re-rendered from a saved report by ``report``."""
+    lines = [
+        f"verification: n={doc['n']} R={doc['replicates']} seed={doc['seed']}",
+        f"{'check':<28} {'statistic':>12} {'threshold':>12}  verdict",
+    ]
+    for c in doc["checks"]:
+        lines.append(
+            f"{c['name']:<28} {c['statistic']:>12.5g} {c['threshold']:>12.5g}  {c['verdict']}"
+        )
+    lines.append(f"overall: {'PASS' if doc['passed'] else 'FAIL'}")
+    return "\n".join(lines)
 
 
 def _replicate_worker(args) -> tuple[int, np.ndarray]:

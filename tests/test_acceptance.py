@@ -27,7 +27,7 @@ from blocknets import (
 from blocknets.model_io import blockset_from_dict
 from blocknets.urn import validate_spectrum
 
-from conftest import brute_force_essential, random_blockset
+from conftest import brute_force_essential, random_blockset, sigma_oracle
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -113,11 +113,8 @@ def test_structural_invariants_random_models():
         assert sym == 0.0, f"seed {seed}: Sigma not symmetric"
         assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9, f"seed {seed}: Sigma not PSD"
 
-        if float(bs.chi) > 0 and float(urn.profile.g0) < 1:
-            assert urn.sigma_diag is not None, f"seed {seed}: eigenbasis path missing"
-        if urn.sigma_diag is not None:
-            gap = float(np.max(np.abs(urn.sigma_diag - urn.sigma_quad)))
-            assert gap < 1e-6, f"seed {seed}: covariance paths differ by {gap}"
+        gap = float(np.max(np.abs(urn.Sigma - sigma_oracle(urn))))
+        assert gap < 1e-9, f"seed {seed}: Sigma differs from quadrature by {gap}"
 
         assert sum(urn.profile.g.values()) == 1, f"seed {seed}: g-mass"
     dt = time.time() - t0

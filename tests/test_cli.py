@@ -130,9 +130,11 @@ def test_verify_small_run_passes(example_paths, tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["passed"] is True
 
-    # re-render the saved report
+    # re-render the saved report: the same table verify printed
     code = main(["report", "--input", str(report)])
     assert code == 0
+    table = printed.split("report written to")[0]
+    assert capsys.readouterr().out == table
 
 
 def test_verify_negative_control_exit_code(example_paths, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,10 +18,17 @@ from blocknets import (
     eigen_closed_form,
     replacement_vector,
 )
+from blocknets import urn as urn_module
+from blocknets.cli import main
 from blocknets.model_io import blockset_from_dict
-from blocknets.urn import _to_float_matrix, build_replacement_law, validate_spectrum
+from blocknets.urn import (
+    LYAPUNOV_RESIDUAL_TOL,
+    _to_float_matrix,
+    build_replacement_law,
+    validate_spectrum,
+)
 
-from conftest import random_blockset
+from conftest import random_blockset, sigma_oracle
 
 
 @pytest.fixture(scope="module")
@@ -173,13 +181,64 @@ def test_k2_sigma_matches_hand_integral(k2):
     assert np.max(np.abs(urn.Sigma - want)) < 1e-10
 
 
-def test_sigma_paths_agree_fig1(urn1):
-    assert urn1.sigma_diag is not None
-    assert np.max(np.abs(urn1.sigma_diag - urn1.sigma_quad)) < 1e-6
+def _lyapunov_relative_residual(urn) -> float:
+    """||M Sigma + Sigma M' + lam1 C||_F / (lam1 ||C||_F), with M and C built
+    exactly from the urn's rationals."""
+    q = len(urn.types)
+    lam, a, v1 = urn.lambda1, urn.activities, urn.v1
+    M = _to_float_matrix(
+        [[urn.A[i][j] - lam * v1[i] * a[j] - (lam / 2 if i == j else 0) for j in range(q)]
+         for i in range(q)]
+    )
+    C = _to_float_matrix(
+        [[urn.B[i][j] - lam * lam * v1[i] * v1[j] for j in range(q)] for i in range(q)]
+    )
+    S, lamf = urn.Sigma, float(lam)
+    return float(np.linalg.norm(M @ S + S @ M.T + lamf * C) / (lamf * np.linalg.norm(C)))
 
 
-def test_sigma_quadrature_only_for_repeated_spectrum(urn3):
-    assert urn3.sigma_diag is None  # -1/2 repeats, so no eigenbasis route
+def test_sigma_matches_quadrature_fig1(urn1):
+    assert np.max(np.abs(urn1.Sigma - sigma_oracle(urn1))) < 1e-9
+
+
+def test_sigma_matches_quadrature_for_defective_spectrum(urn3):
+    # -1/2 is a triple eigenvalue, so A is not diagonalizable
+    assert urn3.eigenvalues[1:] == (F(-1, 2),) * 3
+    assert np.max(np.abs(urn3.Sigma - sigma_oracle(urn3))) < 1e-9
+
+
+K2_PREFERENTIAL = {
+    "kind": "hooking",
+    "chi": "1/3",
+    "rho": "1",
+    "blocks": [
+        {"name": "K2", "probability": "1", "vertices": ["h", "a"],
+         "edges": [["h", "a"]], "hook": "h"},
+    ],
+}
+
+
+@pytest.mark.parametrize("r", [10, 12])
+def test_ill_conditioned_eigenbasis_model(r, tmp_path):
+    """chi > 0 with many tracked classes: A's eigenvector matrix has a
+    condition number in the millions (2.7e6 at r=10), so Sigma must not
+    depend on diagonalizing A."""
+    doc = dict(K2_PREFERENTIAL, r=r)
+    urn = build_urn(blockset_from_dict(doc))
+    assert _lyapunov_relative_residual(urn) <= LYAPUNOV_RESIDUAL_TOL
+    assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
+    path = tmp_path / f"k2_r{r}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--input", str(path)]) == 0
+
+
+def test_sigma_residual_certificate(fig1, monkeypatch):
+    solve = urn_module.solve_continuous_lyapunov
+    monkeypatch.setattr(
+        urn_module, "solve_continuous_lyapunov", lambda a, q: 1.01 * solve(a, q)
+    )
+    with pytest.raises(InternalConsistencyError, match="Lyapunov"):
+        build_urn(fig1)
 
 
 def test_sigma_symmetric_psd(urn1, urn3):
@@ -262,6 +321,5 @@ def test_random_models_structural_invariants(seed):
             assert sum(urn.activities[i] * urn.A[i][j] for i in range(q)) == lam * urn.activities[j]
     validate_spectrum(urn.A, urn.eigenvalues)
     assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9
-    if urn.sigma_diag is not None:
-        assert np.max(np.abs(urn.sigma_diag - urn.sigma_quad)) < 1e-6
+    assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
     assert urn.irreducible
