@@ -1,12 +1,20 @@
-"""Benchmark the census-mode growth kernel: numba JIT vs pure-Python twin.
+"""Benchmark the census-mode growth kernels.
 
 Usage:
     python benchmarks/bench_growth.py [--steps N] [--repeats K]
 
-The same simulation (bundled fig1 model, fixed seed) runs through every
-available backend.  When numba is present, trajectories are asserted
-identical before timing, so the speedup is for bit-identical work; without
-numba (or with BLOCKNETS_NO_NUMBA=1) only the python backend is timed.
+Two comparisons, each on bit-identical work:
+
+* single runs (bundled fig1 model, fixed seed) through every available
+  backend of the scalar kernel.  When numba is present, trajectories are
+  asserted identical before timing; without numba (or with
+  BLOCKNETS_NO_NUMBA=1) only the python backend is timed;
+* replicates, as one ``verify`` worker grows them (fig1 and fig3, 100
+  replicates of 10^4 steps on one core): one ``simulate`` per replicate
+  against ``simulate_batch``, which grows them all in lock step (with
+  numba it runs one compiled ``simulate`` per replicate, so both times
+  agree).  Rates are reported in replicate-steps/s once the final
+  censuses of both are asserted identical.
 """
 
 from __future__ import annotations
@@ -16,7 +24,18 @@ import time
 
 import numpy as np
 
-from blocknets import backend_name, load_example, simulate
+from blocknets import (
+    backend_name,
+    build_profile,
+    census_vector,
+    load_example,
+    simulate,
+    simulate_batch,
+)
+
+# One verify worker's share at the benchmark's verify size (R=200, 2 jobs).
+REPLICATES = 100
+REPLICATE_STEPS = 10_000
 
 
 def run(backend: str, steps: int, seed: int):
@@ -25,12 +44,7 @@ def run(backend: str, steps: int, seed: int):
     return time.perf_counter() - t0, state
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--steps", type=int, default=200_000)
-    ap.add_argument("--repeats", type=int, default=3)
-    args = ap.parse_args()
-
+def compare_backends(steps: int, repeats: int) -> None:
     print(f"default backend: {backend_name()}")
     if backend_name() == "numba":
         backends = ("numba", "python")
@@ -47,13 +61,52 @@ def main() -> None:
 
     results = {}
     for backend in backends:
-        steps = args.steps if backend == backends[0] else max(args.steps // 10, 10_000)
-        best = min(run(backend, steps, seed=s)[0] for s in range(args.repeats))
-        rate = steps / best
+        n = steps if backend == backends[0] else max(steps // 10, 10_000)
+        best = min(run(backend, n, seed=s)[0] for s in range(repeats))
+        rate = n / best
         results[backend] = rate
-        print(f"{backend:>7}: {steps:>9,} steps in {best:.3f}s  ->  {rate:>12,.0f} steps/s")
+        print(f"{backend:>7}: {n:>9,} steps in {best:.3f}s  ->  {rate:>12,.0f} steps/s")
     if "numba" in results:
         print(f"speedup: {results['numba'] / results['python']:.0f}x")
+
+
+def per_replicate(bs, n: int, seeds, track) -> np.ndarray:
+    return np.array([census_vector(simulate(bs, n, seed=s), track)[0] for s in seeds])
+
+
+def batched(bs, n: int, seeds, track) -> np.ndarray:
+    return np.array([census_vector(s, track)[0] for s in simulate_batch(bs, n, seeds)])
+
+
+def compare_replicate_kernels(repeats: int) -> None:
+    replicates, steps = REPLICATES, REPLICATE_STEPS
+    print(f"\nreplicates: R={replicates}, n={steps:,} on one core ({backend_name()} backend)")
+    for name in ("fig1", "fig3"):
+        bs = load_example(name)
+        track = build_profile(bs).essential
+        seeds = [np.random.SeedSequence((42, k)) for k in range(replicates)]
+        times, samples = {}, {}
+        for label, fn in (("per-replicate", per_replicate), ("batched", batched)):
+            times[label] = np.inf
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                samples[label] = fn(bs, steps, seeds, track)
+                times[label] = min(times[label], time.perf_counter() - t0)
+        assert np.array_equal(samples["per-replicate"], samples["batched"]), "kernels diverged"
+        print(f"{name}: identical samples from both kernels")
+        for label, best in times.items():
+            rate = replicates * steps / best
+            print(f"{name} {label:>13}: {best:7.2f}s  ->  {rate:>12,.0f} replicate-steps/s")
+        print(f"{name} batched speedup: {times['per-replicate'] / times['batched']:.1f}x")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--steps", type=int, default=200_000)
+    ap.add_argument("--repeats", type=int, default=3)
+    args = ap.parse_args()
+    compare_backends(args.steps, args.repeats)
+    compare_replicate_kernels(args.repeats)
 
 
 if __name__ == "__main__":

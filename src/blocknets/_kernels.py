@@ -2,10 +2,24 @@
 
 The inner loop of a census-mode simulation is a few hundred float
 operations per step and dominates the runtime of Monte-Carlo
-verification, so it is compiled with numba when available.  Without
-numba the same loop runs in pure Python over list copies of the arrays;
-that fallback can be forced with the environment variable
-``BLOCKNETS_NO_NUMBA=1``, and both paths produce bit-identical streams.
+verification.  Two kernels advance it:
+
+* ``census_chunk`` runs one replicate through ``_census_steps``, the
+  scalar loop.  numba compiles that loop when it is installed; without
+  numba (or with ``BLOCKNETS_NO_NUMBA=1``) it runs in pure Python over
+  list copies of the arrays.  ``simulate`` uses it, and it can record
+  the tracked census after every step.
+* ``census_batch`` advances a block of replicates in lock step on one
+  replicates-by-degrees counts array, in numpy; ``verify`` uses it when
+  numba is not installed (with numba, ``simulate_batch`` runs the
+  compiled scalar loop once per replicate).  Everything that does not
+  depend on the census (the block choices, the running total activity,
+  the new vertices) is computed once per row block, and only the class
+  scan and the latch move run per step.
+
+Every route yields bit-identical states: the scans add in the same order
+(``np.cumsum`` adds sequentially, like the loop) and all comparisons are
+the same.
 
 Step layout of the pre-drawn uniforms (one row per step):
 
@@ -14,17 +28,24 @@ Step layout of the pre-drawn uniforms (one row per step):
     col 2  block selection
     col 3  out-arc index (bipolar graph mode only, discarded here)
 
-Status codes returned by the kernels: 0 = chunk finished, 1 = the counts
-array is too small for the next step (caller grows it and re-enters).
+Status codes returned by ``census_chunk``: 0 = chunk finished, 1 = the
+counts array is too small for the next step (caller grows it and
+re-enters).
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
+
 
 STATUS_OK = 0
 STATUS_GROW = 1
+
+# Columns of the class scan that census_batch tries before scanning the
+# whole active width; most latches sit in the low degree classes.
+SCAN_PREFIX = 16
 
 
 def _census_steps(
@@ -209,3 +230,105 @@ def census_chunk(*args, backend: str | None = None):
             raise RuntimeError("numba backend requested but numba is unavailable")
         return _numba_census_chunk(*args)
     return _py_census_chunk(*args)
+
+
+def block_choice(block_p, ub):
+    """The block index for each uniform in ``ub``: the first i with
+    ``ub < p_0 + ... + p_i``, else the last block.  ``np.cumsum`` adds
+    in the kernels' order, so the choices are theirs."""
+    cum = np.cumsum(block_p)
+    return np.minimum(np.searchsorted(cum, ub, side="right"), len(block_p) - 1)
+
+
+def census_batch(
+    counts, state_i, state_f, chi, rho, block_d, block_s, nd_flat, nd_off, u, b,
+):  # fmt: skip
+    """Advance R replicates by ``u.shape[1]`` steps each, in lock step:
+    every replicate takes step j before any takes j+1.
+
+    ``counts`` is (R, D) int64, ``state_i`` (R, 2) int64 holding the max
+    degree and the master degree, ``state_f`` (R,) float64 the total
+    activity, ``u`` (R, L, ncols) the next L rows of each replicate's
+    stream and ``b`` (R, L) their block choices (``block_choice``).
+    ``state_i`` and ``state_f`` are updated in place; the counts are
+    returned in a new array.  Nothing is recorded.
+
+    The census is held degree-major, ``work[k, r]``, as float64 (exact for
+    counts below 2**53), so a column of the scan is one contiguous row and
+    the weighted terms need no integer conversion.
+    """
+    R, L = u.shape[0], u.shape[1]
+    m = len(block_d)
+    # Total activity before each step: a sequential running sum, as in
+    # the scalar loop, so it carries the same bits.
+    totals = np.empty((R, L + 1))
+    totals[:, 0] = state_f
+    totals[:, 1:] = block_s[b]
+    np.cumsum(totals, axis=1, out=totals)
+    target = np.ascontiguousarray((u[:, :, 0] * totals[:, :L]).T)  # (L, R)
+    bT = np.ascontiguousarray(b.T)
+    dT = block_d[bT]  # (L, R)
+
+    # New vertices of each block as increments of its distinct degrees.
+    cols = np.unique(nd_flat)
+    inc = np.zeros((len(cols), m))
+    nd_top = np.zeros(m, dtype=np.int64)
+    for i in range(m):
+        degs = nd_flat[nd_off[i] : nd_off[i + 1]]
+        np.add.at(inc[:, i], np.searchsorted(cols, degs), 1.0)
+        nd_top[i] = degs.max(initial=0)
+
+    # Active width of the scan: no replicate has a class above it.
+    width = max(int(state_i[:, 0].max()), int(nd_top.max()), 1)
+    D = max(counts.shape[1], width + 2)
+    work = np.zeros((D, R))
+    work[: counts.shape[1]] = counts.T
+    flat = work.reshape(-1)
+    weight = (chi * np.arange(D, dtype=np.int64) + rho)[:, None]
+    reps = np.arange(R)
+    cls_all = np.empty((L, R), dtype=np.int64)
+
+    for j in range(L):
+        tj = target[j]
+        # Weights are positive, so the prefix sums only grow and a replicate
+        # whose latch lies within the scanned columns hits in the last one.
+        hi = min(SCAN_PREFIX, width)
+        cum = np.cumsum(work[1 : hi + 1] * weight[1 : hi + 1], axis=0)
+        hit = tj < cum
+        k = hit.argmax(axis=0)
+        found = hit[-1]
+        if hi < width:
+            # The replicates that missed rescan the rest of the active
+            # width, continuing their running sums.
+            miss = np.flatnonzero(~found)
+            if len(miss):
+                seg = work[hi + 1 : width + 1][:, miss] * weight[hi + 1 : width + 1]
+                seg[0] += cum[-1, miss]
+                cum = np.cumsum(seg, axis=0)
+                hit = tj[miss] < cum
+                k[miss] = hi + hit.argmax(axis=0)
+                found[miss] = hit[-1]
+        dj = dT[j]
+        cls = (k + 1) * found  # 0 where the latch is the master vertex
+        new = cls + dj
+        top = int(new.max())
+        if top >= D:
+            grown = np.zeros((max(top + 1, 2 * D), R))
+            grown[:D] = work
+            work, D = grown, grown.shape[0]
+            flat = work.reshape(-1)
+            weight = (chi * np.arange(D, dtype=np.int64) + rho)[:, None]
+        flat[cls * R + reps] -= found
+        flat[new * R + reps] += found
+        work[cols] += inc[:, bT[j]]
+        if top > width:
+            width = top
+        cls_all[j] = cls
+
+    # Bookkeeping that the scan does not read, for the whole row block.
+    master = cls_all == 0
+    moved = np.where(master, 0, cls_all + dT).max(axis=0)
+    state_i[:, 0] = np.maximum(state_i[:, 0], np.maximum(moved, nd_top[b].max(axis=1)))
+    state_i[:, 1] += np.where(master, dT, 0).sum(axis=0)
+    state_f[:] = totals[:, L]
+    return np.ascontiguousarray(work.T, dtype=np.int64)

@@ -6,8 +6,9 @@ Subcommands:
   verify    replicated Monte-Carlo run against the analytic predictions
   report    re-render a saved verification report
 
-Exit codes: 0 ok, 1 validation error, 2 verification failure,
-3 internal consistency error.
+Exit codes: 0 ok, 1 validation error (also unreadable files and a
+network outgrowing --max-vertices), 2 verification failure, 3 internal
+consistency error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import __version__
 from .growth import (
     CENSUS,
     GRAPH,
+    ResourceLimitError,
     backend_name,
     export_dot,
     simulate,
@@ -248,7 +250,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,6 +14,8 @@ Per step the stream supplies one row of uniforms: class, intra-class
 index, block, and (bipolar) arc index.  When the initial block is chosen
 at random, a single extra uniform is drawn before the step loop.
 Replicate streams are derived as ``SeedSequence((seed, replicate))``.
+``simulate_batch`` grows many replicates at once and leaves each in the
+state ``simulate`` would.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .model_io import BIPOLAR, HOOKING, Block, BlockSet, degree_of
 from .profile import essential_degrees
 
 CHUNK_ROWS = 4096
+# Rows per replicate drawn at a time by simulate_batch; small, so that a
+# batch of a hundred replicates holds well under a megabyte of draws.
+BATCH_ROWS = 256
 SPOT_CHECK_INTERVAL = 1 << 16
 DEFAULT_MAX_VERTICES = 10_000_000
 
@@ -92,10 +97,14 @@ def _build_tables(bs: BlockSet) -> _Tables:
 
 
 class _Stream:
-    """Chunk-buffered uniform stream with a documented draw order.
+    """Block-buffered uniform stream with a documented draw order.
 
-    Both modes pull whole (CHUNK_ROWS x ncols) blocks from the generator
-    and consume them row by row, so their stream positions always agree.
+    The contract is the row order: step j consumes the j-th row of ncols
+    consecutive doubles from the generator, whatever the size of the
+    blocks they were drawn in (PCG64 doubles come out one after another,
+    so ``random((4096, 3))`` equals eight ``random((512, 3))``).  Both
+    modes refill whole (CHUNK_ROWS x ncols) blocks; ``simulate_batch``
+    draws its rows straight into its own array with ``fill``.
     """
 
     def __init__(self, seed, ncols: int):
@@ -112,14 +121,11 @@ class _Stream:
         """The single pre-loop draw for a random initial block."""
         return float(self.gen.random())
 
-    def _refill(self) -> None:
-        self._buf = self.gen.random((CHUNK_ROWS, self.ncols))
-        self._pos = 0
-
     def take(self, max_rows: int) -> np.ndarray:
         """A view of up to max_rows consecutive unconsumed rows."""
         if self._pos >= self._buf.shape[0]:
-            self._refill()
+            self._buf = self.gen.random((CHUNK_ROWS, self.ncols))
+            self._pos = 0
         end = min(self._buf.shape[0], self._pos + max_rows)
         view = self._buf[self._pos : end]
         self._pos = end
@@ -127,6 +133,12 @@ class _Stream:
 
     def row(self) -> np.ndarray:
         return self.take(1)[0]
+
+    def fill(self, out: np.ndarray) -> None:
+        """Draw the next out.shape[0] rows into ``out``, past the buffer."""
+        if self._pos < self._buf.shape[0]:
+            raise RuntimeError("fill() needs a stream with no buffered rows")
+        self.gen.random(out=out)
 
 
 @dataclass
@@ -469,6 +481,25 @@ def grow_step_scripted(
     return state
 
 
+def _vertex_counts(n_vertices, tables: _Tables, b) -> np.ndarray:
+    """The vertex count after each step of the block choices ``b`` (steps
+    along the last axis; a leading axis holds replicates).  It depends only
+    on the block choices, so it is known before the census is grown."""
+    return np.asarray(n_vertices)[..., None] + np.cumsum(tables.block_nv[b], axis=-1)
+
+
+def _check_vertex_limit(nv, step: int, limit: int) -> None:
+    """Raise ResourceLimitError at the first step whose vertex count in
+    ``nv`` (from ``_vertex_counts``, steps ``step + 1, ...``) exceeds limit."""
+    over = nv > limit
+    if over.any():
+        j = int(over.reshape(-1, over.shape[-1]).any(axis=0).argmax())
+        count = int(nv[..., j].max())
+        raise ResourceLimitError(
+            f"vertex count {count} exceeds limit {limit} at step {step + j + 1}"
+        )
+
+
 def _simulate_census_fast(state: GrowthState, n: int) -> None:
     """Drive census mode through the chunked kernel."""
     t = state.tables
@@ -488,6 +519,10 @@ def _simulate_census_fast(state: GrowthState, n: int) -> None:
     remaining = n
     while remaining > 0:
         rows = state.stream.take(remaining)
+        b = _kernels.block_choice(t.block_p, rows[:, 2])
+        _check_vertex_limit(
+            _vertex_counts(state_i[2], t, b), state.step, state.max_vertices
+        )
         offset = 0
         while offset < rows.shape[0]:
             u = rows[offset:]
@@ -519,11 +554,6 @@ def _simulate_census_fast(state: GrowthState, n: int) -> None:
             if status == _kernels.STATUS_GROW:
                 state.counts = np.concatenate(
                     [state.counts, np.zeros(state.counts.shape[0], dtype=np.int64)]
-                )
-            if int(state_i[2]) > state.max_vertices:
-                raise ResourceLimitError(
-                    f"vertex count {int(state_i[2])} exceeds limit "
-                    f"{state.max_vertices}"
                 )
         state.step += rows.shape[0]
         remaining -= rows.shape[0]
@@ -583,6 +613,58 @@ def simulate(
             state.trajectory_x[state.step] = x
             state.trajectory_star[state.step] = star
     return state
+
+
+def simulate_batch(
+    bs: BlockSet,
+    n: int,
+    seeds: Sequence,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+) -> list[GrowthState]:
+    """Census-mode ``simulate`` for several seeds at once.
+
+    Each returned state equals ``simulate(bs, n, seed=s)`` for its seed:
+    the same census, degrees, vertex count, total activity (to the bit)
+    and stream position.  Nothing is recorded.  Without numba the
+    replicates grow in lock step through ``_kernels.census_batch``; with
+    numba, one compiled ``simulate`` per seed is faster.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if _kernels.backend_name() == "numba":
+        return [simulate(bs, n, seed=s, max_vertices=max_vertices) for s in seeds]
+    states = [init_state(bs, CENSUS, s, max_vertices) for s in seeds]
+    if not states:
+        return states
+    t = states[0].tables
+    counts = np.zeros((len(states), max(s.counts.shape[0] for s in states)), dtype=np.int64)
+    for r, s in enumerate(states):
+        counts[r, : s.counts.shape[0]] = s.counts
+    state_i = np.array([[s.max_deg, s.master_degree] for s in states], dtype=np.int64)
+    state_f = np.array([s.total_activity for s in states], dtype=np.float64)
+    n_vertices = np.array([s.n_vertices for s in states], dtype=np.int64)
+
+    draws = np.empty((len(states), min(n, BATCH_ROWS), t.ncols))
+    for step in range(0, n, BATCH_ROWS):
+        u = draws[:, : min(BATCH_ROWS, n - step)]
+        for r, s in enumerate(states):
+            s.stream.fill(u[r])
+        b = _kernels.block_choice(t.block_p, u[:, :, 2])
+        nv = _vertex_counts(n_vertices, t, b)
+        _check_vertex_limit(nv, step, max_vertices)
+        counts = _kernels.census_batch(
+            counts, state_i, state_f, t.chi, t.rho, t.block_d, t.block_s,
+            t.nd_flat, t.nd_off, u, b,
+        )  # fmt: skip
+        n_vertices = nv[:, -1]
+
+    for r, s in enumerate(states):
+        s.counts = counts[r].copy()
+        s.max_deg, s.master_degree = (int(v) for v in state_i[r])
+        s.n_vertices = int(n_vertices[r])
+        s.total_activity = float(state_f[r])
+        s.step = n
+    return states
 
 
 def write_trajectory_csv(path, state: GrowthState) -> None:

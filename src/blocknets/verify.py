@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .growth import CENSUS, census_vector, simulate
+from .growth import census_vector, simulate_batch
 from .model_io import BlockSet
 from .urn import UrnModel, build_urn
 
@@ -124,12 +124,11 @@ def render_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _replicate_worker(args) -> tuple[int, np.ndarray]:
-    bs, n, seed, rep, track, max_vertices = args
-    ss = np.random.SeedSequence((seed, rep))
-    state = simulate(bs, n, mode=CENSUS, seed=ss, max_vertices=max_vertices)
-    x, _ = census_vector(state, track)
-    return rep, x
+def _replicate_batch(args) -> np.ndarray:
+    bs, n, seed, reps, track, max_vertices = args
+    seeds = [np.random.SeedSequence((seed, rep)) for rep in reps]
+    states = simulate_batch(bs, n, seeds, max_vertices=max_vertices)
+    return np.array([census_vector(s, track)[0] for s in states], dtype=np.int64)
 
 
 def run_replicates(
@@ -142,20 +141,20 @@ def run_replicates(
     max_vertices: int = 10_000_000,
 ) -> np.ndarray:
     """R independent census simulations; replicate k uses the stream seeded
-    by SeedSequence((seed, k)), so results do not depend on scheduling."""
+    by SeedSequence((seed, k)), so results do not depend on scheduling.
+    The replicates are split into ``jobs`` contiguous batches, each grown
+    in lock step by one process."""
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    args = [(bs, n, seed, rep, tuple(track), max_vertices) for rep in range(replicates)]
-    out = np.zeros((replicates, len(track)), dtype=np.int64)
-    if jobs <= 1:
-        for a in args:
-            rep, x = _replicate_worker(a)
-            out[rep] = x
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rep, x in pool.map(_replicate_worker, args, chunksize=8):
-                out[rep] = x
-    return out
+    size = -(-replicates // max(jobs, 1))
+    args = [
+        (bs, n, seed, range(lo, min(lo + size, replicates)), tuple(track), max_vertices)
+        for lo in range(0, replicates, size)
+    ]
+    if len(args) == 1:
+        return _replicate_batch(args[0])
+    with ProcessPoolExecutor(max_workers=len(args)) as pool:
+        return np.concatenate(list(pool.map(_replicate_batch, args)))
 
 
 def mean_check(

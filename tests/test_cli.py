@@ -117,6 +117,21 @@ def test_simulate_dot_needs_graph_mode(example_paths, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--steps", "1000"],
+        ["simulate", "--steps", "1000", "--mode", "graph"],
+        ["verify", "--steps", "1000", "--replicates", "4", "--jobs", "2"],
+    ],
+)
+def test_vertex_limit_is_an_error_message(example_paths, capsys, command):
+    code = main(command + ["--input", example_paths["k2"], "--max-vertices", "100"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: vertex count 101 exceeds limit 100 at step 99\n"
+
+
 def test_verify_small_run_passes(example_paths, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main([

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,11 @@ from blocknets import (
     grow_step_scripted,
     init_state,
     simulate,
+    simulate_batch,
     write_trajectory_csv,
 )
+from blocknets import _kernels
+from blocknets.growth import BATCH_ROWS
 
 from conftest import random_blockset
 
@@ -78,6 +84,7 @@ def test_graph_census_coupling(name, request):
 
 
 def test_kernel_backends_agree(fig1):
+    pytest.importorskip("numba")
     a = simulate(fig1, 4000, mode="census", seed=77, record=True, backend="numba")
     b = simulate(fig1, 4000, mode="census", seed=77, record=True, backend="python")
     assert np.array_equal(a.trajectory_x, b.trajectory_x)
@@ -88,9 +95,7 @@ def test_kernel_backends_agree(fig1):
 def test_capacity_growth_mid_run(k2):
     # degree-proportional latching pushes the maximum degree well past the
     # initial counter capacity, forcing the kernel's grow-and-reenter path
-    from dataclasses import replace
-    from fractions import Fraction as F
-
+    pytest.importorskip("numba")
     pa = replace(k2, chi=F(1), rho=F(0))
     a = simulate(pa, 20_000, mode="census", seed=5, record=True, backend="numba")
     b = simulate(pa, 20_000, mode="census", seed=5, record=True, backend="python")
@@ -203,10 +208,14 @@ def test_graph_spot_check_runs(monkeypatch, fig3):
 
 
 def test_resource_limit(k2):
-    with pytest.raises(ResourceLimitError):
-        simulate(k2, 1000, mode="census", seed=0, max_vertices=100)
-    with pytest.raises(ResourceLimitError):
-        simulate(k2, 1000, mode="graph", seed=0, max_vertices=100)
+    # k2 starts with 2 vertices and adds one per step: step 99 makes 101
+    for mode in ("census", "graph"):
+        with pytest.raises(ResourceLimitError, match="vertex count 101 exceeds limit 100 at step 99$"):
+            simulate(k2, 1000, mode=mode, seed=0, max_vertices=100)
+    seeds = [np.random.SeedSequence((0, k)) for k in range(3)]
+    with pytest.raises(ResourceLimitError, match="vertex count 101 exceeds limit 100 at step 99$"):
+        simulate_batch(k2, 1000, seeds, max_vertices=100)
+    assert simulate_batch(k2, 98, seeds, max_vertices=100)[0].n_vertices == 100
 
 
 def test_random_initial_block():
@@ -227,3 +236,129 @@ def test_random_models_couple(seed):
     b = simulate(bs, 800, mode="graph", seed=seed, record=True)
     assert np.array_equal(a.trajectory_x, b.trajectory_x)
     assert np.array_equal(a.trajectory_star, b.trajectory_star)
+
+
+# ------------------------------------------------ batched = scalar kernel
+
+
+def _batch_models(fig1, fig3, k2):
+    return {
+        "fig1": fig1,
+        "fig3": fig3,
+        "k2": k2,
+        # degree-proportional latching outgrows the initial 64 columns
+        "k2-preferential": replace(k2, chi=F(1), rho=F(0)),
+        # one extra pre-loop uniform picks the initial block
+        "fig1-random-initial": replace(fig1, initial_block="random"),
+    }
+
+
+def _assert_same_state(a, b):
+    """Full census state, to the bit of the total activity, and the
+    position of the random stream."""
+    assert a.max_deg == b.max_deg
+    assert np.array_equal(a.counts[: a.max_deg + 1], b.counts[: b.max_deg + 1])
+    assert not b.counts[b.max_deg + 1 :].any()
+    assert a.master_degree == b.master_degree
+    assert a.n_vertices == b.n_vertices
+    assert a.total_activity.hex() == b.total_activity.hex()
+    assert a.step == b.step
+    assert np.array_equal(a.stream.take(5), b.stream.take(5))
+
+
+@pytest.mark.parametrize(
+    "name", ["fig1", "fig3", "k2", "k2-preferential", "fig1-random-initial"]
+)
+@pytest.mark.parametrize("n", [0, 1, BATCH_ROWS + 44])
+def test_batch_matches_scalar(name, n, fig1, fig3, k2):
+    bs = _batch_models(fig1, fig3, k2)[name]
+    seeds = [np.random.SeedSequence((31, k)) for k in range(5)]
+    batch = simulate_batch(bs, n, seeds)
+    assert len(batch) == len(seeds)
+    for seed, b in zip(seeds, batch):
+        _assert_same_state(simulate(bs, n, seed=seed), b)
+
+
+def test_batch_random_initial_blocks_differ(fig1):
+    bs = replace(fig1, initial_block="random")
+    seeds = [np.random.SeedSequence((31, k)) for k in range(12)]
+    starts = {init_state(bs, seed=s).n_vertices for s in seeds}
+    assert len(starts) > 1  # the batch really starts from different blocks
+    for seed, b in zip(seeds, simulate_batch(bs, 2 * BATCH_ROWS, seeds)):
+        _assert_same_state(simulate(bs, 2 * BATCH_ROWS, seed=seed), b)
+
+
+def test_batch_capacity_growth_mid_run(k2):
+    pa = replace(k2, chi=F(1), rho=F(0))
+    seeds = [np.random.SeedSequence((5, k)) for k in range(3)]
+    batch = simulate_batch(pa, 20_000, seeds)
+    assert max(b.max_deg for b in batch) > 64  # initial capacity
+    for seed, b in zip(seeds, batch):
+        _assert_same_state(simulate(pa, 20_000, seed=seed), b)
+
+
+@pytest.mark.parametrize("name", ["fig3", "k2-preferential"])
+def test_batch_per_replicate_route(monkeypatch, name, fig1, fig3, k2):
+    """With numba, simulate_batch runs the compiled scalar loop once per
+    replicate; the uncompiled loop stands in for it here."""
+    monkeypatch.setattr(_kernels, "_numba_census_chunk", _kernels._census_steps)
+    monkeypatch.setattr(_kernels, "backend_name", lambda: "numba")
+    bs = _batch_models(fig1, fig3, k2)[name]
+    seeds = [np.random.SeedSequence((8, k)) for k in range(3)]
+    batch = simulate_batch(bs, 1500, seeds)
+    monkeypatch.undo()
+    if name == "k2-preferential":
+        assert max(b.max_deg for b in batch) > 64
+    for seed, b in zip(seeds, batch):
+        _assert_same_state(simulate(bs, 1500, seed=seed), b)
+
+
+def test_batch_breaks_ties_like_scalar_loop():
+    """A uniform that lands exactly on a partial sum picks the next class,
+    or the next block: the lock-step scan and ``block_choice`` compare with
+    the strict ``<`` of the scalar loop.
+
+    Hand-built tables with chi=1, rho=0, so class k weighs k * counts[k]:
+    classes 1, 2 and 20 weigh 2, 2 and 20, the master (degree 8) weighs 8,
+    and the total is 32.  Class uniforms of 1/16, 1/8 and 3/4 land exactly
+    on the partial sums 2, 4 (the last column of the 16-column prefix scan)
+    and 24, and 11/16 lands inside class 20, past the prefix.  Block
+    uniforms of 1/4 land on the block probability sum 1/4.
+    """
+    chi, rho = 1.0, 0.0
+    block_p = np.array([0.25, 0.75])
+    block_d = np.array([1, 2])  # K2 hooked by its leaf; a cherry by its centre
+    block_s = np.array([2.0, 4.0])
+    block_nv = np.array([1, 2])
+    nd_flat = np.array([1, 1, 1])
+    nd_off = np.array([0, 1, 3])
+    counts0 = np.zeros(64, dtype=np.int64)
+    counts0[[1, 2, 20]] = [2, 1, 1]
+    first = [0.0, 1 / 16, 1 / 8, 11 / 16, 3 / 4]  # classes 1, 2, 20, 20, master
+    u = np.array([[[u0, 0.5, ub], [0.3, 0.5, 0.6]] for u0, ub in zip(first, [0.25, 0.0] * 3)])
+    R = len(u)
+
+    b = _kernels.block_choice(block_p, u[:, :, 2])
+    assert b[:, 0].tolist() == [1, 0, 1, 0, 1]
+    state_i = np.tile([20, 8], (R, 1))
+    state_f = np.full(R, 32.0)
+    counts = _kernels.census_batch(
+        np.tile(counts0, (R, 1)), state_i, state_f, chi, rho, block_d, block_s,
+        nd_flat, nd_off, u, b,
+    )  # fmt: skip
+
+    empty = np.empty(0, dtype=np.int64)
+    for r in range(R):
+        ref = counts0.copy()
+        ref_i = np.array([20, 8, 0], dtype=np.int64)
+        ref_f = np.array([32.0])
+        done, status = _kernels._census_steps(
+            ref, ref_i, ref_f, chi, rho, block_p, block_d, block_s, block_nv,
+            nd_flat, nd_off, u[r], empty, np.empty((0, 0), dtype=np.int64),
+            np.empty(0), False,
+        )  # fmt: skip
+        assert (done, status) == (2, _kernels.STATUS_OK)
+        assert np.array_equal(counts[r, :64], ref), r
+        assert not counts[r, 64:].any()
+        assert state_i[r].tolist() == ref_i[:2].tolist(), r
+        assert state_f[r] == ref_f[0], r

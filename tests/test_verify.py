@@ -12,10 +12,12 @@ from blocknets import (
     Tolerances,
     build_profile,
     build_urn,
+    census_vector,
     covariance_check,
     mean_check,
     normality_check,
     run_replicates,
+    simulate,
     verify_model,
     whiten_scores,
 )
@@ -40,6 +42,20 @@ def test_replicates_are_reproducible_and_schedule_free(k2):
     assert np.array_equal(a, c)
     d = run_replicates(k2, 500, 8, seed=6, track=track, jobs=1)
     assert not np.array_equal(a, d)
+
+
+def test_replicates_match_scalar_runs_for_any_jobs(fig3):
+    """Replicate k equals a lone simulate() on SeedSequence((seed, k)), however
+    the replicates are split into batches (7 = 4 + 3 = 3 + 3 + 1)."""
+    track = build_profile(fig3).essential
+    ref = np.array([
+        census_vector(simulate(fig3, 300, seed=np.random.SeedSequence((3, k))), track)[0]
+        for k in range(7)
+    ])  # fmt: skip
+    for jobs in (1, 2, 3):
+        got = run_replicates(fig3, 300, 7, seed=3, track=track, jobs=jobs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref), jobs
 
 
 def test_replicates_differ_across_indices(k2):
