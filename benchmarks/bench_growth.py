@@ -1,9 +1,9 @@
-"""Benchmark the census-mode growth kernels.
+"""Benchmark the growth kernels, in census and in graph mode.
 
 Usage:
     python benchmarks/bench_growth.py [--steps N] [--repeats K]
 
-Two comparisons, each on bit-identical work:
+Three measurements, each on bit-identical work:
 
 * single runs (bundled fig1 model, fixed seed) through every available
   backend of the scalar kernel.  When numba is present, trajectories are
@@ -14,7 +14,11 @@ Two comparisons, each on bit-identical work:
   against ``simulate_batch``, which grows them all in lock step (with
   numba it runs one compiled ``simulate`` per replicate, so both times
   agree).  Rates are reported in replicate-steps/s once the final
-  censuses of both are asserted identical.
+  censuses of both are asserted identical;
+* graph mode (fig1 and fig3, 2x10^4 steps, fixed seed), which runs the
+  census kernel and replays its choices on the multigraph.  Its census
+  trajectory is asserted equal to census mode's before it is timed, in
+  steps/s.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from blocknets import (
 # One verify worker's share at the benchmark's verify size (R=200, 2 jobs).
 REPLICATES = 100
 REPLICATE_STEPS = 10_000
+# Graph mode keeps every vertex (a few hundred bytes each); fig1 reaches
+# about 73k vertices in this many steps.
+GRAPH_STEPS = 20_000
 
 
 def run(backend: str, steps: int, seed: int):
@@ -100,6 +107,25 @@ def compare_replicate_kernels(repeats: int) -> None:
         print(f"{name} batched speedup: {times['per-replicate'] / times['batched']:.1f}x")
 
 
+def time_graph_mode(repeats: int) -> None:
+    steps = GRAPH_STEPS
+    print(f"\ngraph mode: n={steps:,} ({backend_name()} backend)")
+    for name in ("fig1", "fig3"):
+        bs = load_example(name)
+        census, graph = (
+            simulate(bs, steps, mode=mode, seed=0, record=True) for mode in ("census", "graph")
+        )
+        assert np.array_equal(census.trajectory_x, graph.trajectory_x), "modes diverged"
+        assert np.array_equal(census.trajectory_star, graph.trajectory_star), "modes diverged"
+        best = np.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            simulate(bs, steps, mode="graph", seed=0)
+            best = min(best, time.perf_counter() - t0)
+        print(f"{name}: graph trajectory equals census trajectory")
+        print(f"{name} graph: {best:7.3f}s  ->  {steps / best:>12,.0f} steps/s")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=200_000)
@@ -107,6 +133,7 @@ def main() -> None:
     args = ap.parse_args()
     compare_backends(args.steps, args.repeats)
     compare_replicate_kernels(args.repeats)
+    time_graph_mode(args.repeats)
 
 
 if __name__ == "__main__":

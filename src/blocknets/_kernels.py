@@ -1,4 +1,4 @@
-"""Census-mode growth kernels.
+"""Census growth kernels: the one decision procedure of the simulator.
 
 The inner loop of a census-mode simulation is a few hundred float
 operations per step and dominates the runtime of Monte-Carlo
@@ -7,29 +7,35 @@ verification.  Two kernels advance it:
 * ``census_chunk`` runs one replicate through ``_census_steps``, the
   scalar loop.  numba compiles that loop when it is installed; without
   numba (or with ``BLOCKNETS_NO_NUMBA=1``) it runs in pure Python over
-  list copies of the arrays.  ``simulate`` uses it, and it can record
-  the tracked census after every step.
+  list copies of the arrays.  ``simulate`` and ``grow_step`` use it in
+  both modes; it can record the tracked census after every step, and
+  it can emit the latch class it chose at each step, which graph mode
+  replays on the multigraph.
 * ``census_batch`` advances a block of replicates in lock step on one
   replicates-by-degrees counts array, in numpy; ``verify`` uses it when
   numba is not installed (with numba, ``simulate_batch`` runs the
   compiled scalar loop once per replicate).  Everything that does not
-  depend on the census (the block choices, the running total activity,
-  the new vertices) is computed once per row block, and only the class
-  scan and the latch move run per step.
+  depend on the census (the running total activity, the new vertices)
+  is computed once per row block, and only the class scan and the latch
+  move run per step.
 
-Every route yields bit-identical states: the scans add in the same order
+Both kernels take the block choices precomputed by ``block_choice``
+(one ``searchsorted`` per row block), which is also how the initial
+block is drawn; the class scan is the only choice they make.  Every
+route yields bit-identical states: the scans add in the same order
 (``np.cumsum`` adds sequentially, like the loop) and all comparisons are
 the same.
 
 Step layout of the pre-drawn uniforms (one row per step):
 
-    col 0  latch class selection
-    col 1  index inside the class (used by graph mode, discarded here)
-    col 2  block selection
-    col 3  out-arc index (bipolar graph mode only, discarded here)
+    col 0  latch class selection (the kernels' class scan)
+    col 1  index inside the class (graph mode's replay only)
+    col 2  block selection (``block_choice``, before the kernels run)
+    col 3  out-arc index (bipolar graph mode's replay only)
 
-Status codes returned by ``census_chunk``: 0 = chunk finished, 1 = the
-counts array is too small for the next step (caller grows it and
+The emitted class is the degree of the latch, or -1 for the master
+vertex.  Status codes returned by ``census_chunk``: 0 = chunk finished,
+1 = the counts array is too small for the next step (caller grows it and
 re-enters).
 """
 
@@ -54,35 +60,38 @@ def _census_steps(
     state_f,
     chi,
     rho,
-    block_p,
     block_d,
     block_s,
     block_nv,
     nd_flat,
     nd_off,
-    u,
+    u0,
+    b_in,
     ess,
     x_out,
     star_out,
+    cls_out,
     record,
 ):
-    """The census loop.  numba compiles it over the numpy arrays; the Python
-    backend runs it unchanged over lists (see ``_py_census_chunk``), so both
-    backends share one operation order."""
+    """The census loop over the class uniforms ``u0`` and block choices
+    ``b_in`` of the next steps.  It records into ``x_out``/``star_out`` when
+    ``record`` is set and writes each step's latch class into ``cls_out``
+    unless that is empty.  numba compiles it over the numpy arrays; the
+    Python backend runs it unchanged over lists (see ``_py_census_chunk``),
+    so both backends share one operation order."""
     max_deg = int(state_i[0])
     master_deg = int(state_i[1])
     n_vertices = int(state_i[2])
     total = float(state_f[0])
     cap = len(counts)
-    m = len(block_p)
-    steps = len(u)
+    steps = len(u0)
     r = len(ess)
+    emit = len(cls_out) > 0
 
     done = steps
     status = STATUS_OK
     for j in range(steps):
-        row = u[j]
-        target = row[0] * total
+        target = u0[j] * total
         cls = -1
         acc = 0.0
         for k in range(1, max_deg + 1):
@@ -91,15 +100,7 @@ def _census_steps(
                 cls = k
                 break
 
-        ub = row[2]
-        b = m - 1
-        accp = 0.0
-        for i in range(m):
-            accp += block_p[i]
-            if ub < accp:
-                b = i
-                break
-
+        b = b_in[j]
         d = block_d[b]
         need = 0
         if cls != -1 and cls + d > need:
@@ -126,6 +127,8 @@ def _census_steps(
                 max_deg = c
         n_vertices += block_nv[b]
         total += block_s[b]
+        if emit:
+            cls_out[j] = cls
 
         if record:
             sacc = total - (chi * master_deg + rho)
@@ -149,23 +152,24 @@ def _py_census_chunk(
     state_f,
     chi,
     rho,
-    block_p,
     block_d,
     block_s,
     block_nv,
     nd_flat,
     nd_off,
-    u,
+    u0,
+    b_in,
     ess,
     x_out,
     star_out,
+    cls_out,
     record,
 ):
     """Python backend: run ``_census_steps`` over list copies of the arrays
     (element access on numpy arrays costs several times more than on lists),
     then write the mutated state back.  Python floats and ints are binary64
     and exact integers, so the stream is bit-identical to the numba one."""
-    steps = u.shape[0]
+    steps = u0.shape[0]
     cl = counts.tolist()
     si = state_i.tolist()
     sf = state_f.tolist()
@@ -174,22 +178,24 @@ def _py_census_chunk(
         sl = [0.0] * steps
     else:
         xl, sl = [], []
+    kl = [0] * steps if cls_out.shape[0] else []
     done, status = _census_steps(
         cl,
         si,
         sf,
         float(chi),
         float(rho),
-        block_p.tolist(),
         block_d.tolist(),
         block_s.tolist(),
         block_nv.tolist(),
         nd_flat.tolist(),
         nd_off.tolist(),
-        u.tolist(),
+        u0.tolist(),
+        b_in.tolist(),
         ess.tolist(),
         xl,
         sl,
+        kl,
         record,
     )
     counts[:] = cl
@@ -198,6 +204,8 @@ def _py_census_chunk(
     if record and done:
         x_out[:done] = xl[:done]
         star_out[:done] = sl[:done]
+    if kl and done:
+        cls_out[:done] = kl[:done]
     return done, status
 
 

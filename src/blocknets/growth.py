@@ -6,16 +6,23 @@ produce identical census trajectories from the same seed:
 * census mode tracks only the degree census (one int64 counter per degree
   value, exact also above the tracked range) plus the master vertex's
   degree and the running total attachment weight;
-* graph mode additionally materializes the multigraph, choosing a concrete
-  vertex inside the selected degree class (and a concrete out-arc for
-  bipolar networks) with the variates census mode draws and discards.
+* graph mode additionally materializes the multigraph.  It runs the same
+  census kernel, which also emits the latch class of each step, and then
+  replays the vertex-level picks on the graph: the member of that class
+  from the step's intra-class uniform and, for bipolar networks, the
+  out-arc from its arc uniform.  The census, the master degree, the
+  vertex count, the total activity and the recorded trajectory all come
+  from the kernel, so the modes agree by construction; a recount of the
+  census from the graph every ``SPOT_CHECK_INTERVAL`` steps guards the
+  replay.
 
 Per step the stream supplies one row of uniforms: class, intra-class
 index, block, and (bipolar) arc index.  When the initial block is chosen
-at random, a single extra uniform is drawn before the step loop.
+at random, a single extra uniform is drawn before the step loop.  Every
+block choice, the initial one included, is ``_kernels.block_choice``.
 Replicate streams are derived as ``SeedSequence((seed, replicate))``.
-``simulate_batch`` grows many replicates at once and leaves each in the
-state ``simulate`` would.
+``grow_step`` is the same driver for one step; ``simulate_batch`` grows
+many replicates at once and leaves each in the state ``simulate`` would.
 """
 
 from __future__ import annotations
@@ -131,9 +138,6 @@ class _Stream:
         self._pos = end
         return view
 
-    def row(self) -> np.ndarray:
-        return self.take(1)[0]
-
     def fill(self, out: np.ndarray) -> None:
         """Draw the next out.shape[0] rows into ``out``, past the buffer."""
         if self._pos < self._buf.shape[0]:
@@ -190,6 +194,44 @@ class _GraphData:
             return sum(m for u, m in nbrs.items() if u != v) + 2 * nbrs.get(v, 0)
         return len(self.out_adj.get(v, []))
 
+    def census(self) -> dict[int, int]:
+        """Degree census of the non-pole vertices, counted from ``deg``."""
+        out: dict[int, int] = {}
+        for v, c in self.deg.items():
+            if v != self.master and v != self.master_sink:
+                out[c] = out.get(c, 0) + 1
+        return out
+
+    def attach(self, block: Block, new, d: int, latch: int, arc_index: int) -> None:
+        """Fuse ``block`` in at ``latch``, whose degree grows by d; ``new``
+        pairs each new vertex of the block with its degree.  A bipolar
+        block replaces the latch's ``arc_index``-th out-arc."""
+        old = self.deg[latch]
+        if self.kind == HOOKING:
+            vmap = {block.hook: latch}
+        else:
+            arcs = self.out_adj[latch]
+            head = arcs[arc_index]
+            last = arcs.pop()
+            if arc_index < len(arcs):
+                arcs[arc_index] = last
+            self.in_deg[head] -= 1
+            vmap = {block.north: latch, block.south: head}
+
+        for v, c in new:
+            vid = self.new_vertex()
+            vmap[v] = vid
+            self.deg[vid] = c
+            if self.kind == BIPOLAR:
+                self.in_deg.setdefault(vid, 0)
+            self.class_add(vid, c)
+        for x, y in block.edges:
+            self.add_edge(vmap[x], vmap[y])
+
+        self.deg[latch] = old + d
+        if latch != self.master and d > 0:
+            self.class_move(latch, old, old + d)
+
 
 @dataclass
 class GrowthState:
@@ -243,6 +285,15 @@ def _census_counts_of_block(block: Block, exclude: Iterable[str]) -> dict[int, i
     return out
 
 
+def _counts_array(census: dict[int, int]) -> tuple[np.ndarray, int]:
+    """The kernels' counts array for a census, and its maximum degree."""
+    max_deg = max(census) if census else 0
+    counts = np.zeros(max(64, max_deg + 2), dtype=np.int64)
+    for k, c in census.items():
+        counts[k] = c
+    return counts, max_deg
+
+
 def init_state(
     bs: BlockSet,
     mode: str = CENSUS,
@@ -258,14 +309,7 @@ def init_state(
     stream = _Stream(seed, tables.ncols)
 
     if bs.initial_block == "random":
-        u = stream.initial_uniform()
-        b0 = len(bs.blocks) - 1
-        accp = 0.0
-        for i in range(len(bs.blocks)):
-            accp += tables.block_p[i]
-            if u < accp:
-                b0 = i
-                break
+        b0 = int(_kernels.block_choice(tables.block_p, stream.initial_uniform()))
     else:
         b0 = int(bs.initial_block)
     block = bs.blocks[b0]
@@ -277,15 +321,7 @@ def init_state(
         excluded = [block.north, block.south]
         master_degree = block.outdegree(block.north)
 
-    census = _census_counts_of_block(block, excluded)
-    max_deg = max(census) if census else 0
-    counts = np.zeros(max(64, max_deg + 2), dtype=np.int64)
-    for k, c in census.items():
-        counts[k] = c
-
-    total = tables.chi * master_degree + tables.rho
-    for k in range(1, max_deg + 1):
-        total += (tables.chi * k + tables.rho) * int(counts[k])
+    counts, max_deg = _counts_array(_census_counts_of_block(block, excluded))
 
     graph = None
     if mode == GRAPH:
@@ -309,14 +345,14 @@ def init_state(
             if vid not in skip:
                 graph.class_add(vid, graph.deg[vid])
 
-    return GrowthState(
+    state = GrowthState(
         bs=bs,
         mode=mode,
         step=0,
         counts=counts,
         max_deg=max_deg,
         master_degree=master_degree,
-        total_activity=total,
+        total_activity=0.0,
         n_vertices=len(block.vertices),
         tables=tables,
         stream=stream,
@@ -324,117 +360,43 @@ def init_state(
         max_vertices=max_vertices,
         backend=backend,
     )
+    state.total_activity = state.recount_total_activity()
+    return state
 
 
-def _select_class(counts, max_deg: int, chi: float, rho: float, total: float, u0: float) -> int:
-    """Degree class of the latch: -1 means the master vertex's own class.
-
-    The scan order (ascending degree, master last) and arithmetic match the
-    census kernel exactly; this is what couples the two modes.
-    """
-    target = u0 * total
-    acc = 0.0
-    for k in range(1, max_deg + 1):
-        acc += (chi * k + rho) * counts[k]
-        if target < acc:
-            return k
-    return -1
-
-
-def _select_block(block_p, ub: float) -> int:
-    b = block_p.shape[0] - 1
-    accp = 0.0
-    for i in range(block_p.shape[0]):
-        accp += block_p[i]
-        if ub < accp:
-            return i
-    return b
-
-
-def _ensure_capacity(state: GrowthState, need: int) -> None:
-    if need >= state.counts.shape[0]:
-        grown = np.zeros(max(need + 1, 2 * state.counts.shape[0]), dtype=np.int64)
-        grown[: state.counts.shape[0]] = state.counts
-        state.counts = grown
-
-
-def _apply_census_update(state: GrowthState, cls: int, b: int) -> None:
+def _fusion(state: GrowthState, b: int) -> tuple:
+    """``_GraphData.attach``'s block, new vertices with their degrees (from
+    the kernels' tables) and latch increment for block b."""
     t = state.tables
-    d = int(t.block_d[b])
-    lo, hi = int(t.nd_off[b]), int(t.nd_off[b + 1])
-    need = max([cls + d if cls != -1 else 0] + [int(t.nd_flat[x]) for x in range(lo, hi)])
-    _ensure_capacity(state, need)
-    if cls == -1:
-        state.master_degree += d
-    elif d > 0:
-        state.counts[cls] -= 1
-        state.counts[cls + d] += 1
-        if cls + d > state.max_deg:
-            state.max_deg = cls + d
-    for x in range(lo, hi):
-        c = int(t.nd_flat[x])
-        state.counts[c] += 1
-        if c > state.max_deg:
-            state.max_deg = c
-    state.n_vertices += int(t.block_nv[b])
-    state.total_activity += float(t.block_s[b])
-    state.step += 1
-    if state.n_vertices > state.max_vertices:
-        raise ResourceLimitError(
-            f"vertex count {state.n_vertices} exceeds limit {state.max_vertices} "
-            f"at step {state.step}"
-        )
-
-
-def _apply_graph_step(state: GrowthState, latch: int, b: int, arc_index: int) -> None:
-    """Attach block b at the given latch vertex (graph mode)."""
-    g = state.graph
     block = state.bs.blocks[b]
-    d = int(state.tables.block_d[b])
-    old = g.deg[latch]
+    degs = t.nd_flat[t.nd_off[b] : t.nd_off[b + 1]].tolist()
+    return block, list(zip(block.new_vertices(), degs)), int(t.block_d[b])
 
-    if state.kind == HOOKING:
-        vmap = {block.hook: latch}
-    else:
-        arcs = g.out_adj[latch]
-        head = arcs[arc_index]
-        last = arcs.pop()
-        if arc_index < len(arcs):
-            arcs[arc_index] = last
-        g.in_deg[head] -= 1
-        vmap = {block.north: latch, block.south: head}
 
-    for v in block.new_vertices():
-        vid = g.new_vertex()
-        vmap[v] = vid
-        c = degree_of(block, v)
-        g.deg[vid] = c
-        if state.kind == BIPOLAR:
-            g.in_deg.setdefault(vid, 0)
-        g.class_add(vid, c)
-    for x, y in block.edges:
-        g.add_edge(vmap[x], vmap[y])
-
-    g.deg[latch] = old + d
-    if latch != g.master and d > 0:
-        g.class_move(latch, old, old + d)
-
-    cls = -1 if latch == g.master else old
-    _apply_census_update(state, cls, b)
-
-    if state.step % SPOT_CHECK_INTERVAL == 0:
-        _spot_check(state)
+def _replay(state: GrowthState, u: np.ndarray, b: np.ndarray, cls: np.ndarray) -> None:
+    """Apply the census kernel's choices for the rows ``u`` to the graph:
+    block ``b[j]`` at the member of class ``cls[j]`` picked by column 1 (the
+    master when the class is -1) and, bipolar, at the out-arc picked by
+    column 3."""
+    g = state.graph
+    fuse = [_fusion(state, i) for i in range(len(state.bs.blocks))]
+    bipolar = state.kind == BIPOLAR
+    for row, bj, c in zip(u.tolist(), b.tolist(), cls.tolist()):
+        if c == -1:
+            latch = g.master
+        else:
+            members = g.members[c]
+            latch = members[min(int(row[1] * len(members)), len(members) - 1)]
+        arc_index = 0
+        if bipolar:
+            outd = g.deg[latch]
+            arc_index = min(int(row[3] * outd), outd - 1)
+        g.attach(*fuse[bj], latch, arc_index)
 
 
 def _spot_check(state: GrowthState) -> None:
-    """Census must equal a recount from the adjacency structure."""
-    g = state.graph
-    recount: dict[int, int] = {}
-    skip = {g.master, g.master_sink}
-    for v, c in g.deg.items():
-        if v in skip:
-            continue
-        recount[c] = recount.get(c, 0) + 1
+    """Census must equal a recount from the graph."""
+    recount = state.graph.census()
     if recount != state.census():
         raise AssertionError(
             f"census diverged from the graph at step {state.step}: "
@@ -443,30 +405,9 @@ def _spot_check(state: GrowthState) -> None:
 
 
 def grow_step(state: GrowthState) -> GrowthState:
-    """Advance one step, consuming one row of the shared random stream."""
-    t = state.tables
-    row = state.stream.row()
-    cls = _select_class(
-        state.counts, state.max_deg, t.chi, t.rho, state.total_activity, row[0]
-    )
-    b = _select_block(t.block_p, row[2])
-
-    if state.mode == CENSUS:
-        _apply_census_update(state, cls, b)
-        return state
-
-    g = state.graph
-    if cls == -1:
-        latch = g.master
-    else:
-        members = g.members[cls]
-        idx = min(int(row[1] * len(members)), len(members) - 1)
-        latch = members[idx]
-    arc_index = 0
-    if state.kind == BIPOLAR:
-        outd = g.deg[latch]
-        arc_index = min(int(row[3] * outd), outd - 1)
-    _apply_graph_step(state, latch, b, arc_index)
+    """Advance one step, consuming one row of the shared random stream.
+    Nothing is recorded."""
+    _advance(state, 1, record=False)
     return state
 
 
@@ -477,7 +418,16 @@ def grow_step_scripted(
     randomness).  Intended for building reference networks in tests."""
     if state.mode != GRAPH:
         raise ValueError("scripted growth needs graph mode")
-    _apply_graph_step(state, latch, block_index, arc_index)
+    t, g = state.tables, state.graph
+    _check_vertex_limit(
+        _vertex_counts(state.n_vertices, t, [block_index]), state.step, state.max_vertices
+    )
+    g.attach(*_fusion(state, block_index), latch, arc_index)
+    state.counts, state.max_deg = _counts_array(g.census())
+    state.master_degree = g.deg[g.master]
+    state.n_vertices = len(g.deg)
+    state.total_activity += float(t.block_s[block_index])
+    state.step += 1
     return state
 
 
@@ -500,53 +450,57 @@ def _check_vertex_limit(nv, step: int, limit: int) -> None:
         )
 
 
-def _simulate_census_fast(state: GrowthState, n: int) -> None:
-    """Drive census mode through the chunked kernel."""
-    t = state.tables
-    record = state.trajectory_x is not None
-    ess = (
-        np.array(state.track, dtype=np.int64)
-        if state.track is not None
-        else np.empty(0, dtype=np.int64)
-    )
-    dummy_x = np.empty((0, ess.shape[0]), dtype=np.int64)
-    dummy_star = np.empty(0, dtype=np.float64)
+def _advance(state: GrowthState, n: int, record: bool) -> None:
+    """Advance ``state`` by n steps through the chunked census kernel and,
+    if ``record``, store the tracked census after each step.
+
+    In graph mode the kernel also emits each step's latch class and
+    ``_replay`` applies the steps to the graph.  Its chunks end at every
+    multiple of ``SPOT_CHECK_INTERVAL``, where ``_spot_check`` runs."""
+    t, g = state.tables, state.graph
+    ess = np.array(state.track if record else (), dtype=np.int64)
+    no_x = np.empty((0, ess.shape[0]), dtype=np.int64)
+    no_star = np.empty(0, dtype=np.float64)
     state_i = np.array(
         [state.max_deg, state.master_degree, state.n_vertices], dtype=np.int64
     )
     state_f = np.array([state.total_activity], dtype=np.float64)
 
-    remaining = n
-    while remaining > 0:
-        rows = state.stream.take(remaining)
+    end = state.step + n
+    while state.step < end:
+        want = end - state.step
+        if g is not None:
+            want = min(want, SPOT_CHECK_INTERVAL - state.step % SPOT_CHECK_INTERVAL)
+        rows = state.stream.take(want)
         b = _kernels.block_choice(t.block_p, rows[:, 2])
         _check_vertex_limit(
             _vertex_counts(state_i[2], t, b), state.step, state.max_vertices
         )
+        cls = np.empty(rows.shape[0] if g is not None else 0, dtype=np.int64)
         offset = 0
         while offset < rows.shape[0]:
-            u = rows[offset:]
             if record:
                 x_out = state.trajectory_x[state.step + 1 + offset :]
                 star_out = state.trajectory_star[state.step + 1 + offset :]
             else:
-                x_out, star_out = dummy_x, dummy_star
+                x_out, star_out = no_x, no_star
             done, status = _kernels.census_chunk(
                 state.counts,
                 state_i,
                 state_f,
                 t.chi,
                 t.rho,
-                t.block_p,
                 t.block_d,
                 t.block_s,
                 t.block_nv,
                 t.nd_flat,
                 t.nd_off,
-                u,
+                rows[offset:, 0],
+                b[offset:],
                 ess,
                 x_out,
                 star_out,
+                cls[offset:],
                 record,
                 backend=state.backend,
             )
@@ -555,13 +509,13 @@ def _simulate_census_fast(state: GrowthState, n: int) -> None:
                 state.counts = np.concatenate(
                     [state.counts, np.zeros(state.counts.shape[0], dtype=np.int64)]
                 )
+        if g is not None:
+            _replay(state, rows, b, cls)
         state.step += rows.shape[0]
-        remaining -= rows.shape[0]
-
-    state.max_deg = int(state_i[0])
-    state.master_degree = int(state_i[1])
-    state.n_vertices = int(state_i[2])
-    state.total_activity = float(state_f[0])
+        state.max_deg, state.master_degree, state.n_vertices = (int(v) for v in state_i)
+        state.total_activity = float(state_f[0])
+        if g is not None and state.step % SPOT_CHECK_INTERVAL == 0:
+            _spot_check(state)
 
 
 def census_vector(state: GrowthState, essential: Sequence[int]) -> tuple[np.ndarray, float]:
@@ -596,22 +550,16 @@ def simulate(
     if record:
         ess = tuple(track) if track is not None else essential_degrees(bs, bs.r)
         state.track = ess
+        # the kernel reads each tracked class straight from the counts
+        top = max(ess, default=0)
+        if top >= state.counts.shape[0]:
+            state.counts = np.pad(state.counts, (0, top + 1 - state.counts.shape[0]))
         state.trajectory_x = np.zeros((n + 1, len(ess)), dtype=np.int64)
         state.trajectory_star = np.zeros(n + 1, dtype=np.float64)
         x0, star0 = census_vector(state, ess)
         state.trajectory_x[0] = x0
         state.trajectory_star[0] = star0
-
-    if mode == CENSUS:
-        _simulate_census_fast(state, n)
-        return state
-
-    for _ in range(n):
-        grow_step(state)
-        if record:
-            x, star = census_vector(state, state.track)
-            state.trajectory_x[state.step] = x
-            state.trajectory_star[state.step] = star
+    _advance(state, n, record)
     return state
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from blocknets import InternalConsistencyError, load_example
+from blocknets import BlockSetError, InternalConsistencyError, load_example
 from blocknets.model_io import BIPOLAR, HOOKING, blockset_from_dict
 from blocknets.urn import _to_float_matrix
 
@@ -91,7 +91,8 @@ def random_blockset(seed: int, kind: str | None = None, r: int | None = None):
 
     Deterministic in the seed; rejection-samples until the whole pipeline
     (validation, profile, urn) accepts the model, so property tests can use
-    the result unconditionally.
+    the result unconditionally.  Only a rejection (``BlockSetError`` or
+    ``InternalConsistencyError``) draws again; any other error propagates.
     """
     from blocknets import build_profile, build_urn
 
@@ -116,7 +117,7 @@ def random_blockset(seed: int, kind: str | None = None, r: int | None = None):
             bs = blockset_from_dict(doc)
             build_urn(bs, build_profile(bs))
             return bs
-        except Exception:
+        except (BlockSetError, InternalConsistencyError):
             seed = int(rng.integers(0, 2**31))
             rng = np.random.default_rng(seed)
 

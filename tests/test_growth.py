@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -71,6 +72,19 @@ def test_zero_steps_is_initial_state(fig1):
     assert a.census() == b.census() and b.step == 0
 
 
+def _assert_census_is_graph_recount(st):
+    """The census and the master degree of a graph-mode state equal a
+    recount from the adjacency structure, independent of the kernel."""
+    g = st.graph
+    recount = {}
+    for v in g.deg:
+        if v not in (g.master, g.master_sink):
+            c = g.recount_degree(v)
+            recount[c] = recount.get(c, 0) + 1
+    assert recount == st.census()
+    assert g.recount_degree(g.master) == st.master_degree
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig3"])
 def test_graph_census_coupling(name, request):
     bs = request.getfixturevalue(name)
@@ -81,6 +95,16 @@ def test_graph_census_coupling(name, request):
     assert a.census() == b.census()
     assert a.master_degree == b.master_degree
     assert a.n_vertices == b.n_vertices
+    _assert_census_is_graph_recount(b)
+
+
+def test_track_beyond_counts_capacity(k2):
+    # class 100 lies past the initial 64 counters and is never reached
+    a = simulate(k2, 100, mode="census", seed=0, record=True, track=(1, 2, 100))
+    b = simulate(k2, 100, mode="graph", seed=0, record=True, track=(1, 2, 100))
+    assert np.array_equal(a.trajectory_x, b.trajectory_x)
+    assert np.array_equal(a.trajectory_star, b.trajectory_star)
+    assert not a.trajectory_x[:, 2].any()
 
 
 def test_kernel_backends_agree(fig1):
@@ -114,13 +138,17 @@ def test_determinism(fig3):
     assert not np.array_equal(a.trajectory_x, c.trajectory_x)
 
 
-def test_stepwise_equals_bulk(fig1):
-    bulk = simulate(fig1, 300, mode="census", seed=4)
-    st = init_state(fig1, "census", seed=4)
+@pytest.mark.parametrize("mode", ["census", "graph"])
+def test_stepwise_equals_bulk(mode, fig1):
+    bulk = simulate(fig1, 300, mode=mode, seed=4)
+    st = init_state(fig1, mode, seed=4)
     for _ in range(300):
         grow_step(st)
+    assert st.step == 300
     assert st.census() == bulk.census()
-    assert st.total_activity == bulk.total_activity
+    assert st.total_activity.hex() == bulk.total_activity.hex()
+    if mode == "graph":
+        assert export_edge_list(st) == export_edge_list(bulk)
 
 
 def test_scripted_reference_sequence(fig1):
@@ -189,6 +217,23 @@ def test_bipolar_dot_export(fig3):
     assert 'label="N"' in dot and 'label="S"' in dot
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("fig1", "a2537622455757fe"),
+        ("fig3", "748377977857fb2c"),
+        ("k2", "486a88c0620285ce"),
+        ("fig1-random-initial", "14eca469deb56cf2"),
+    ],
+)
+def test_graph_edge_list_is_pinned(name, digest, fig1, fig3, k2):
+    """The census does not see which member of a class is the latch, or
+    which out-arc a bipolar block replaces; these pinned edge lists do."""
+    bs = _batch_models(fig1, fig3, k2)[name]
+    edges = export_edge_list(simulate(bs, 200, mode="graph", seed=3))
+    assert hashlib.sha256(edges.encode()).hexdigest()[:16] == digest
+
+
 def test_trajectory_csv(tmp_path, fig1):
     st = simulate(fig1, 100, mode="census", seed=6, record=True)
     path = tmp_path / "traj.csv"
@@ -202,9 +247,27 @@ def test_trajectory_csv(tmp_path, fig1):
 def test_graph_spot_check_runs(monkeypatch, fig3):
     import blocknets.growth as growth_mod
 
+    checked = []
+
+    def counting_check(state):
+        checked.append(state.step)
+        spot_check(state)
+
+    spot_check = growth_mod._spot_check
     monkeypatch.setattr(growth_mod, "SPOT_CHECK_INTERVAL", 64)
-    st = simulate(fig3, 300, mode="graph", seed=14)  # recount fires 4 times
+    monkeypatch.setattr(growth_mod, "_spot_check", counting_check)
+    st = simulate(fig3, 300, mode="graph", seed=14)
     assert st.step == 300
+    assert checked == [64, 128, 192, 256]
+
+    # a vertex the census does not know about: the next recount catches it
+    st = simulate(fig3, 60, mode="graph", seed=14)
+    st.graph.deg[-1] = 1
+    for _ in range(3):
+        grow_step(st)
+    with pytest.raises(AssertionError, match="census diverged"):
+        grow_step(st)
+    assert checked[4:] == [64]
 
 
 def test_resource_limit(k2):
@@ -236,6 +299,7 @@ def test_random_models_couple(seed):
     b = simulate(bs, 800, mode="graph", seed=seed, record=True)
     assert np.array_equal(a.trajectory_x, b.trajectory_x)
     assert np.array_equal(a.trajectory_star, b.trajectory_star)
+    _assert_census_is_graph_recount(b)
 
 
 # ------------------------------------------------ batched = scalar kernel
@@ -315,8 +379,9 @@ def test_batch_per_replicate_route(monkeypatch, name, fig1, fig3, k2):
 
 def test_batch_breaks_ties_like_scalar_loop():
     """A uniform that lands exactly on a partial sum picks the next class,
-    or the next block: the lock-step scan and ``block_choice`` compare with
-    the strict ``<`` of the scalar loop.
+    or the next block: the lock-step scan compares with the strict ``<`` of
+    the scalar loop, and ``block_choice``, whose choices both kernels take,
+    does the same on the block probability sums.
 
     Hand-built tables with chi=1, rho=0, so class k weighs k * counts[k]:
     classes 1, 2 and 20 weigh 2, 2 and 20, the master (degree 8) weighs 8,
@@ -353,9 +418,9 @@ def test_batch_breaks_ties_like_scalar_loop():
         ref_i = np.array([20, 8, 0], dtype=np.int64)
         ref_f = np.array([32.0])
         done, status = _kernels._census_steps(
-            ref, ref_i, ref_f, chi, rho, block_p, block_d, block_s, block_nv,
-            nd_flat, nd_off, u[r], empty, np.empty((0, 0), dtype=np.int64),
-            np.empty(0), False,
+            ref, ref_i, ref_f, chi, rho, block_d, block_s, block_nv,
+            nd_flat, nd_off, u[r, :, 0], b[r], empty,
+            np.empty((0, 0), dtype=np.int64), np.empty(0), empty, False,
         )  # fmt: skip
         assert (done, status) == (2, _kernels.STATUS_OK)
         assert np.array_equal(counts[r, :64], ref), r
