@@ -40,7 +40,7 @@ from blocknets import (
 # One verify worker's share at the benchmark's verify size (R=200, 2 jobs).
 REPLICATES = 100
 REPLICATE_STEPS = 10_000
-# Graph mode keeps every vertex (a few hundred bytes each); fig1 reaches
+# Graph mode keeps every vertex (about 110-190 bytes each); fig1 reaches
 # about 73k vertices in this many steps.
 GRAPH_STEPS = 20_000
 

@@ -123,8 +123,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    bs = load_blockset(args.input)
     mode = args.mode
+    if args.export_dot and mode != GRAPH:
+        print("--export-dot needs --mode graph", file=sys.stderr)
+        return EXIT_VALIDATION
+    bs = load_blockset(args.input)
     state = simulate(
         bs,
         args.steps,
@@ -143,9 +146,6 @@ def cmd_simulate(args) -> int:
         write_trajectory_csv(args.out, state)
         print(f"trajectory written to {args.out}")
     if args.export_dot:
-        if mode != GRAPH:
-            print("--export-dot needs --mode graph", file=sys.stderr)
-            return EXIT_VALIDATION
         with open(args.export_dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(state))
         print(f"DOT snapshot written to {args.export_dot}")

@@ -16,6 +16,17 @@ produce identical census trajectories from the same seed:
   census from the graph every ``SPOT_CHECK_INTERVAL`` steps guards the
   replay.
 
+The graph store is flat.  Vertex ids are 0..n-1 in creation order, and a
+vertex's tracked degree, its position in its degree class and (bipolar)
+its out-arcs sit in lists indexed by id; each degree class is a list of
+its members.  Column 1 picks a class member and column 3 an out-arc by
+position, and both lists change by swap-remove and append, so their order
+is part of the decision procedure.  Hooking edges are never read while the
+network grows: each chunk appends its edges to an int64 edge log in one
+vectorised pass.  The writers sort the edges only at export, hooking
+edges as (min, max) pairs and bipolar arcs as (tail, head), and format
+whole blocks of rows with one ``%`` template.
+
 Per step the stream supplies one row of uniforms: class, intra-class
 index, block, and (bipolar) arc index.  When the initial block is chosen
 at random, a single extra uniform is drawn before the step loop.  Every
@@ -27,8 +38,11 @@ many replicates at once and leaves each in the state ``simulate`` would.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +55,8 @@ CHUNK_ROWS = 4096
 # batch of a hundred replicates holds well under a megabyte of draws.
 BATCH_ROWS = 256
 SPOT_CHECK_INTERVAL = 1 << 16
+# Rows the writers format per template, to bound their temporaries.
+WRITE_ROWS = 1 << 16
 DEFAULT_MAX_VERTICES = 10_000_000
 
 GRAPH = "graph"
@@ -146,91 +162,80 @@ class _Stream:
 
 
 @dataclass
+class _Fusion:
+    """Per-block constants of the graph replay.  An edge endpoint is coded
+    0 for the latch (hook or north pole), 1 for the head of the replaced
+    arc (south pole) and 2 + j for the block's j-th new vertex."""
+
+    new_degs: list  # block -> [degree of each new vertex]
+    latch_d: list  # block -> latch degree increment
+    # bipolar: block -> (heads of the north pole's arcs, [heads of each new
+    # vertex's arcs]), each in block-edge order
+    heads: list
+    # hooking: block -> its edges, padded with rows of -1 to the longest block
+    ends: np.ndarray  # int64 (m, max edges, 2)
+
+
+def _build_fusion(bs: BlockSet, t: _Tables) -> _Fusion:
+    m = len(bs.blocks)
+    heads = []
+    ends = np.full((m, max(len(b.edges) for b in bs.blocks), 2), -1, dtype=np.int64)
+    for i, b in enumerate(bs.blocks):
+        code = {v: 2 + j for j, v in enumerate(b.new_vertices())}
+        code.update({b.hook: 0} if b.kind == HOOKING else {b.north: 0, b.south: 1})
+        ends[i, : len(b.edges)] = [(code[x], code[y]) for x, y in b.edges]
+        if b.kind == BIPOLAR:
+            out: dict[str, list] = {v: [] for v in b.vertices}
+            for x, y in b.edges:
+                out[x].append(code[y])
+            heads.append((out[b.north], [out[v] for v in b.new_vertices()]))
+    return _Fusion(
+        new_degs=[t.nd_flat[t.nd_off[i] : t.nd_off[i + 1]].tolist() for i in range(m)],
+        latch_d=t.block_d.tolist(),
+        heads=heads,
+        ends=ends,
+    )
+
+
+@dataclass
 class _GraphData:
-    """Materialized multigraph (graph mode only)."""
+    """Materialized multigraph (graph mode only).  Vertex ids are 0..n-1 in
+    creation order, and every per-vertex field is a list indexed by id."""
 
     kind: str
-    next_id: int = 0
+    fusion: _Fusion
     master: int = 0
     master_sink: Optional[int] = None
-    deg: dict = field(default_factory=dict)  # vertex -> tracked degree
-    adj: dict = field(default_factory=dict)  # hooking: v -> {u: multiplicity}
-    out_adj: dict = field(default_factory=dict)  # bipolar: v -> [heads]
-    in_deg: dict = field(default_factory=dict)  # bipolar only
-    members: dict = field(default_factory=dict)  # degree -> [non-master vertices]
-    mpos: dict = field(default_factory=dict)  # vertex -> index in its class list
+    deg: list = field(default_factory=list)  # tracked degree
+    mpos: list = field(default_factory=list)  # index in its class list; -1 for a pole
+    # degree -> [non-pole vertices]
+    members: defaultdict = field(default_factory=lambda: defaultdict(list))
+    out: list = field(default_factory=list)  # bipolar: [heads], in replay order
+    ends: array = field(default_factory=lambda: array("q"))  # hooking: x0, y0, x1, ...
 
-    def new_vertex(self) -> int:
-        vid = self.next_id
-        self.next_id += 1
-        return vid
-
-    def class_add(self, v: int, c: int) -> None:
-        lst = self.members.setdefault(c, [])
-        self.mpos[v] = len(lst)
-        lst.append(v)
-
-    def class_move(self, v: int, old: int, new: int) -> None:
-        lst = self.members[old]
-        i = self.mpos[v]
-        last = lst[-1]
-        lst[i] = last
-        self.mpos[last] = i
-        lst.pop()
-        self.class_add(v, new)
-
-    def add_edge(self, x: int, y: int) -> None:
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two endpoint columns of every edge: hooking edges as logged,
+        bipolar arcs as (tail, head)."""
         if self.kind == HOOKING:
-            self.adj.setdefault(x, {})[y] = self.adj.setdefault(x, {}).get(y, 0) + 1
-            if x != y:
-                self.adj.setdefault(y, {})[x] = self.adj.setdefault(y, {}).get(x, 0) + 1
-        else:
-            self.out_adj.setdefault(x, []).append(y)
-            self.in_deg[y] = self.in_deg.get(y, 0) + 1
+            e = np.array(self.ends, dtype=np.int64).reshape(-1, 2)
+            return e[:, 0], e[:, 1]
+        tails = np.repeat(np.arange(len(self.out)), self.recount_degrees())
+        heads = np.fromiter(chain.from_iterable(self.out), np.int64, tails.shape[0])
+        return tails, heads
 
-    def recount_degree(self, v: int) -> int:
+    def recount_degrees(self) -> np.ndarray:
+        """Tracked degree of every vertex, counted from the edges: both
+        endpoints for hooking (a self-loop counts 2), tails for bipolar."""
         if self.kind == HOOKING:
-            nbrs = self.adj.get(v, {})
-            return sum(m for u, m in nbrs.items() if u != v) + 2 * nbrs.get(v, 0)
-        return len(self.out_adj.get(v, []))
+            return np.bincount(np.concatenate(self.edges()), minlength=len(self.deg))
+        return np.fromiter(map(len, self.out), np.int64, len(self.out))
 
     def census(self) -> dict[int, int]:
         """Degree census of the non-pole vertices, counted from ``deg``."""
-        out: dict[int, int] = {}
-        for v, c in self.deg.items():
-            if v != self.master and v != self.master_sink:
-                out[c] = out.get(c, 0) + 1
-        return out
-
-    def attach(self, block: Block, new, d: int, latch: int, arc_index: int) -> None:
-        """Fuse ``block`` in at ``latch``, whose degree grows by d; ``new``
-        pairs each new vertex of the block with its degree.  A bipolar
-        block replaces the latch's ``arc_index``-th out-arc."""
-        old = self.deg[latch]
-        if self.kind == HOOKING:
-            vmap = {block.hook: latch}
-        else:
-            arcs = self.out_adj[latch]
-            head = arcs[arc_index]
-            last = arcs.pop()
-            if arc_index < len(arcs):
-                arcs[arc_index] = last
-            self.in_deg[head] -= 1
-            vmap = {block.north: latch, block.south: head}
-
-        for v, c in new:
-            vid = self.new_vertex()
-            vmap[v] = vid
-            self.deg[vid] = c
-            if self.kind == BIPOLAR:
-                self.in_deg.setdefault(vid, 0)
-            self.class_add(vid, c)
-        for x, y in block.edges:
-            self.add_edge(vmap[x], vmap[y])
-
-        self.deg[latch] = old + d
-        if latch != self.master and d > 0:
-            self.class_move(latch, old, old + d)
+        deg = np.array(self.deg, dtype=np.int64)
+        deg[[v for v in (self.master, self.master_sink) if v is not None]] = -1
+        counts = np.bincount(deg[deg >= 0])
+        return {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
 
 
 @dataclass
@@ -325,25 +330,23 @@ def init_state(
 
     graph = None
     if mode == GRAPH:
-        graph = _GraphData(kind=bs.kind)
-        vmap = {v: graph.new_vertex() for v in block.vertices}
-        for x, y in block.edges:
-            graph.add_edge(vmap[x], vmap[y])
-        for v in block.vertices:
-            vid = vmap[v]
-            graph.deg[vid] = degree_of(block, v)
-            if bs.kind == BIPOLAR:
-                graph.in_deg.setdefault(vid, 0)
+        graph = _GraphData(kind=bs.kind, fusion=_build_fusion(bs, tables))
+        vid = {v: i for i, v in enumerate(block.vertices)}
+        graph.deg = [degree_of(block, v) for v in block.vertices]
+        graph.mpos = [-1] * len(block.vertices)
         if bs.kind == HOOKING:
-            graph.master = vmap[block.hook]
+            graph.master = vid[block.hook]
+            graph.ends.extend(vid[v] for edge in block.edges for v in edge)
         else:
-            graph.master = vmap[block.north]
-            graph.master_sink = vmap[block.south]
-        skip = {graph.master, graph.master_sink}
-        for v in block.vertices:
-            vid = vmap[v]
-            if vid not in skip:
-                graph.class_add(vid, graph.deg[vid])
+            graph.master, graph.master_sink = vid[block.north], vid[block.south]
+            graph.out = [[] for _ in block.vertices]
+            for x, y in block.edges:
+                graph.out[vid[x]].append(vid[y])
+        for v, c in enumerate(graph.deg):
+            if v not in (graph.master, graph.master_sink):
+                lst = graph.members[c]
+                graph.mpos[v] = len(lst)
+                lst.append(v)
 
     state = GrowthState(
         bs=bs,
@@ -364,34 +367,74 @@ def init_state(
     return state
 
 
-def _fusion(state: GrowthState, b: int) -> tuple:
-    """``_GraphData.attach``'s block, new vertices with their degrees (from
-    the kernels' tables) and latch increment for block b."""
-    t = state.tables
-    block = state.bs.blocks[b]
-    degs = t.nd_flat[t.nd_off[b] : t.nd_off[b + 1]].tolist()
-    return block, list(zip(block.new_vertices(), degs)), int(t.block_d[b])
+def _replay(
+    g: _GraphData, rows: np.ndarray, b: np.ndarray, cls: np.ndarray, before: np.ndarray
+) -> None:
+    """Apply the census kernel's choices for ``rows`` to the graph: block
+    ``b[j]`` at the member of class ``cls[j]`` picked by column 1 (the
+    master when the class is -1) and, bipolar, in place of the latch's
+    out-arc picked by column 3.  ``before[j]`` is the vertex count before
+    step j.
 
-
-def _replay(state: GrowthState, u: np.ndarray, b: np.ndarray, cls: np.ndarray) -> None:
-    """Apply the census kernel's choices for the rows ``u`` to the graph:
-    block ``b[j]`` at the member of class ``cls[j]`` picked by column 1 (the
-    master when the class is -1) and, bipolar, at the out-arc picked by
-    column 3."""
-    g = state.graph
-    fuse = [_fusion(state, i) for i in range(len(state.bs.blocks))]
-    bipolar = state.kind == BIPOLAR
-    for row, bj, c in zip(u.tolist(), b.tolist(), cls.tolist()):
+    In each step the new vertices join their classes first, then the latch
+    moves to its new class; both lists change by swap-remove and append, so
+    member positions are those column 1 indexes.  Bipolar arcs go to the
+    out-arc lists as each step is applied (column 3 indexes them); hooking
+    edges go to the edge log in one pass after the loop."""
+    f = g.fusion
+    deg, mpos, members, out, master = g.deg, g.mpos, g.members, g.out, g.master
+    bipolar = g.kind == BIPOLAR
+    picks = rows[:, 1].tolist()
+    arc_picks = rows[:, 3].tolist() if bipolar else picks  # unused by hooking
+    latches = []
+    v = len(deg)
+    for u, ua, bj, c in zip(picks, arc_picks, b.tolist(), cls.tolist()):
         if c == -1:
-            latch = g.master
+            latch = master
         else:
-            members = g.members[c]
-            latch = members[min(int(row[1] * len(members)), len(members) - 1)]
-        arc_index = 0
+            lst = members[c]
+            latch = lst[min(int(u * len(lst)), len(lst) - 1)]
+        old = deg[latch]
         if bipolar:
-            outd = g.deg[latch]
-            arc_index = min(int(row[3] * outd), outd - 1)
-        g.attach(*fuse[bj], latch, arc_index)
+            arcs = out[latch]
+            i = min(int(ua * old), old - 1)
+            vm = [latch, arcs[i]]
+            last = arcs.pop()
+            if i < len(arcs):
+                arcs[i] = last
+        for k in f.new_degs[bj]:
+            lst = members[k]
+            mpos.append(len(lst))
+            lst.append(v)
+            deg.append(k)
+            if bipolar:
+                vm.append(v)
+            v += 1
+        if bipolar:
+            north, new = f.heads[bj]
+            arcs.extend([vm[h] for h in north])
+            out.extend([[vm[h] for h in hs] for hs in new])
+        else:
+            latches.append(latch)
+        d = f.latch_d[bj]
+        deg[latch] = old + d
+        if d and latch != master:
+            lst = members[old]
+            i = mpos[latch]
+            last = lst.pop()
+            if i < len(lst):
+                lst[i] = last
+                mpos[last] = i
+            lst = members[old + d]
+            mpos[latch] = len(lst)
+            lst.append(latch)
+    if not bipolar:
+        code = f.ends[b]  # (step, edge, endpoint)
+        ends = np.where(
+            code == 0, np.array(latches)[:, None, None], code + (before[:, None, None] - 2)
+        )
+        ends = ends[code[:, :, 0] >= 0]  # without the padding rows
+        g.ends.frombytes(ends.astype(np.int64, copy=False).tobytes())
 
 
 def _spot_check(state: GrowthState) -> None:
@@ -415,14 +458,27 @@ def grow_step_scripted(
     state: GrowthState, latch: int, block_index: int, arc_index: int = 0
 ) -> GrowthState:
     """Deterministic step with explicit choices (graph mode; consumes no
-    randomness).  Intended for building reference networks in tests."""
+    randomness).  Intended for building reference networks in tests.
+
+    The choices go through ``_replay`` as the class and the uniforms that
+    pick them: member position i of L as (i + 1/2) / L, whose product with
+    L floors back to i."""
     if state.mode != GRAPH:
         raise ValueError("scripted growth needs graph mode")
     t, g = state.tables, state.graph
-    _check_vertex_limit(
-        _vertex_counts(state.n_vertices, t, [block_index]), state.step, state.max_vertices
-    )
-    g.attach(*_fusion(state, block_index), latch, arc_index)
+    if not 0 <= latch < len(g.deg) or latch == g.master_sink:
+        raise IndexError(f"vertex {latch} cannot be a latch")
+    b = np.array([block_index])
+    _check_vertex_limit(_vertex_counts(state.n_vertices, t, b), state.step, state.max_vertices)
+    row = np.zeros((1, t.ncols))
+    c = -1 if latch == g.master else g.deg[latch]
+    if c != -1:
+        row[0, 1] = (g.mpos[latch] + 0.5) / len(g.members[c])
+    if state.kind == BIPOLAR:
+        if not 0 <= arc_index < g.deg[latch]:
+            raise IndexError(f"vertex {latch} has no out-arc {arc_index}")
+        row[0, 3] = (arc_index + 0.5) / g.deg[latch]
+    _replay(g, row, b, np.array([c]), np.array([state.n_vertices]))
     state.counts, state.max_deg = _counts_array(g.census())
     state.master_degree = g.deg[g.master]
     state.n_vertices = len(g.deg)
@@ -473,9 +529,8 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
             want = min(want, SPOT_CHECK_INTERVAL - state.step % SPOT_CHECK_INTERVAL)
         rows = state.stream.take(want)
         b = _kernels.block_choice(t.block_p, rows[:, 2])
-        _check_vertex_limit(
-            _vertex_counts(state_i[2], t, b), state.step, state.max_vertices
-        )
+        nv = _vertex_counts(state_i[2], t, b)
+        _check_vertex_limit(nv, state.step, state.max_vertices)
         cls = np.empty(rows.shape[0] if g is not None else 0, dtype=np.int64)
         offset = 0
         while offset < rows.shape[0]:
@@ -510,7 +565,7 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
                     [state.counts, np.zeros(state.counts.shape[0], dtype=np.int64)]
                 )
         if g is not None:
-            _replay(state, rows, b, cls)
+            _replay(g, rows, b, cls, nv - t.block_nv[b])
         state.step += rows.shape[0]
         state.max_deg, state.master_degree, state.n_vertices = (int(v) for v in state_i)
         state.total_activity = float(state_f[0])
@@ -615,16 +670,36 @@ def simulate_batch(
     return states
 
 
+def _formatted(fmt: str, *cols: np.ndarray) -> Iterator[str]:
+    """``fmt`` % row for each row of the equal-length columns ``cols``, one
+    string per ``WRITE_ROWS`` rows."""
+    n = cols[0].shape[0]
+    for i in range(0, n, WRITE_ROWS):
+        rows = zip(*(c[i : i + WRITE_ROWS].tolist() for c in cols))
+        yield fmt * min(WRITE_ROWS, n - i) % tuple(chain.from_iterable(rows))
+
+
 def write_trajectory_csv(path, state: GrowthState) -> None:
     """CSV with columns step,k<1>,...,k<r>,star_activity."""
     if state.trajectory_x is None:
         raise ValueError("simulate with record=True before exporting a trajectory")
     ess = state.track
+    x, star = state.trajectory_x, state.trajectory_star
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step," + ",".join(f"k{k}" for k in ess) + ",star_activity\n")
-        for i in range(state.trajectory_x.shape[0]):
-            row = ",".join(str(int(x)) for x in state.trajectory_x[i])
-            fh.write(f"{i},{row},{state.trajectory_star[i]:.12g}\n")
+        row = "%d," + ",".join(["%d"] * len(ess)) + ",%.12g\n"
+        fh.writelines(_formatted(row, np.arange(x.shape[0]), *x.T, star))
+
+
+def _edge_lines(g: _GraphData, line: str) -> str:
+    """``line`` % (x, y) for every edge, sorted by x then y: hooking edges
+    as (min, max) pairs, bipolar arcs as (tail, head)."""
+    x, y = g.edges()
+    if g.kind == HOOKING:
+        x, y = np.minimum(x, y), np.maximum(x, y)
+    n = len(g.deg)
+    key = np.sort(x * n + y)  # ascending (x, y), as 0 <= y < n
+    return "".join(_formatted(line, *np.divmod(key, n)))
 
 
 def export_dot(state: GrowthState) -> str:
@@ -632,32 +707,18 @@ def export_dot(state: GrowthState) -> str:
     g = state.graph
     if g is None:
         raise ValueError("DOT export needs graph mode")
-    lines = []
     if state.kind == HOOKING:
-        lines.append("graph G {")
-        for v in sorted(g.deg):
-            label = ' [label="H"]' if v == g.master else ""
-            lines.append(f"  v{v}{label};")
-        for v in sorted(g.adj):
-            for u, mult in sorted(g.adj[v].items()):
-                if u < v:
-                    continue
-                for _ in range(mult):
-                    lines.append(f"  v{v} -- v{u};")
+        head, labels, edge = "graph G {\n", {g.master: "H"}, "  v%d -- v%d;\n"
     else:
-        lines.append("digraph G {")
-        for v in sorted(g.deg):
-            label = ""
-            if v == g.master:
-                label = ' [label="N"]'
-            elif v == g.master_sink:
-                label = ' [label="S"]'
-            lines.append(f"  v{v}{label};")
-        for v in sorted(g.out_adj):
-            for u in sorted(g.out_adj[v]):
-                lines.append(f"  v{v} -> v{u};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        head, labels, edge = "digraph G {\n", {g.master: "N", g.master_sink: "S"}, "  v%d -> v%d;\n"
+    parts, start = [head], 0
+    for v in sorted(labels) + [len(g.deg)]:
+        parts.extend(_formatted("  v%d;\n", np.arange(start, v)))
+        if v in labels:
+            parts.append(f'  v{v} [label="{labels[v]}"];\n')
+        start = v + 1
+    parts += [_edge_lines(g, edge), "}\n"]
+    return "".join(parts)
 
 
 def export_edge_list(state: GrowthState) -> str:
@@ -665,16 +726,4 @@ def export_edge_list(state: GrowthState) -> str:
     g = state.graph
     if g is None:
         raise ValueError("edge-list export needs graph mode")
-    lines = []
-    if state.kind == HOOKING:
-        for v in sorted(g.adj):
-            for u, mult in sorted(g.adj[v].items()):
-                if u < v:
-                    continue
-                for _ in range(mult):
-                    lines.append(f"{v} {u}")
-    else:
-        for v in sorted(g.out_adj):
-            for u in sorted(g.out_adj[v]):
-                lines.append(f"{v} {u}")
-    return "\n".join(lines) + "\n"
+    return _edge_lines(g, "%d %d\n") or "\n"

@@ -330,12 +330,17 @@ def verify_model(
     max_weight = max([float(prof.w(k)) for k in track] + [1.0])
     max_block = max(b.n_vertices for b in bs.blocks)
 
-    checks = [
-        mean_check(samples, predicted, n, sigma, max_weight, max_block, tol),
-        covariance_check(samples, sigma, n, tol),
-    ]
-    scores = whiten_scores(samples, predicted, n, sigma, tol.whiten_floor)
-    checks.extend(normality_check(scores, tol))
+    checks = [mean_check(samples, predicted, n, sigma, max_weight, max_block, tol)]
+    if np.any(sigma):
+        checks.append(covariance_check(samples, sigma, n, tol))
+        scores = whiten_scores(samples, predicted, n, sigma, tol.whiten_floor)
+        checks.extend(normality_check(scores, tol))
+    else:
+        # a deterministic census: the limit law is a point mass at the mean
+        why = "limit covariance is zero: no fluctuations to compare"
+        checks.append(CheckResult("covariance", None, 0.0, 0.0, why))
+        checks.append(CheckResult("normality", None, 0.0, 0.0, why))
+        scores = np.empty((samples.shape[0], 0))
 
     return VerificationReport(
         config=bs.to_dict(),

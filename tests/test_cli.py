@@ -110,11 +110,15 @@ def test_simulate_dot_export(example_paths, tmp_path):
 
 
 def test_simulate_dot_needs_graph_mode(example_paths, tmp_path):
+    out = tmp_path / "x.csv"
     code = main([
         "simulate", "--input", example_paths["fig1"], "--steps", "3",
-        "--export-dot", str(tmp_path / "x.dot"),
+        "--out", str(out), "--export-dot", str(tmp_path / "x.dot"),
     ])
     assert code == 1
+    # rejected before simulating: nothing is written
+    assert not out.exists()
+    assert not (tmp_path / "x.dot").exists()
 
 
 @pytest.mark.parametrize(
@@ -201,3 +205,40 @@ def test_internal_consistency_exit_code(tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert main(["analyze", "--input", str(p)]) == 3
     assert "internal consistency" in capsys.readouterr().err
+
+
+def test_verify_deterministic_model(tmp_path, capsys):
+    # one unit-source block tracked at r = 1: every replicate has the same
+    # census, Sigma = 0 and the limit law is a point mass at the mean
+    doc = {
+        "kind": "bipolar",
+        "chi": 0,
+        "rho": 1,
+        "r": 1,
+        "blocks": [
+            {
+                "name": "B",
+                "probability": 1,
+                "vertices": ["n", "m", "t", "b", "s"],
+                "edges": [["n", "m"], ["m", "t"], ["m", "b"], ["m", "s"],
+                          ["t", "s"], ["b", "s"]],
+                "north": "n",
+                "south": "s",
+            }
+        ],
+    }
+    p = tmp_path / "point-mass.json"
+    p.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    code = main([
+        "verify", "--input", str(p), "--steps", "2000", "--replicates", "200",
+        "--out", str(report),
+    ])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    doc = json.loads(report.read_text())
+    assert doc["sigma"] == [[0.0]]
+    verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
+    assert verdicts == {"mean": "PASS", "covariance": "SKIP", "normality": "SKIP"}
+    assert all("covariance is zero" in c["detail"] for c in doc["checks"][1:])
+    assert doc["passed"] is True

@@ -74,15 +74,16 @@ def test_zero_steps_is_initial_state(fig1):
 
 def _assert_census_is_graph_recount(st):
     """The census and the master degree of a graph-mode state equal a
-    recount from the adjacency structure, independent of the kernel."""
+    recount from the edges, independent of the kernel and of ``deg``."""
     g = st.graph
+    deg = g.recount_degrees()
+    assert deg.shape[0] == st.n_vertices
     recount = {}
-    for v in g.deg:
+    for v, c in enumerate(deg.tolist()):
         if v not in (g.master, g.master_sink):
-            c = g.recount_degree(v)
             recount[c] = recount.get(c, 0) + 1
     assert recount == st.census()
-    assert g.recount_degree(g.master) == st.master_degree
+    assert deg[g.master] == st.master_degree
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig3"])
@@ -172,6 +173,24 @@ def test_scripted_reference_sequence(fig1):
     assert len(edges) == 19
 
 
+def test_scripted_bipolar_arc_choice(fig3):
+    """Which out-arc a bipolar block replaces.  Ids 0-4 are n1, m, t, b, s1
+    of the initial block B1, so m (1) starts with the arcs to t, b, s1."""
+    st = init_state(fig3, "graph", seed=0)
+    grow_step_scripted(st, latch=1, block_index=1, arc_index=1)  # B2 for m -> b
+    grow_step_scripted(st, latch=0, block_index=0, arc_index=0)  # B1 for n1 -> m
+    # m's arcs are now t, s1 (swap-removed into place), 5, 6: B1 for m -> 6
+    grow_step_scripted(st, latch=1, block_index=0, arc_index=3)
+    assert export_edge_list(st) == (
+        "0 7\n1 2\n1 4\n1 5\n1 10\n2 4\n3 4\n5 3\n5 6\n6 3\n6 5\n"
+        "7 1\n7 8\n7 9\n8 1\n9 1\n10 6\n10 11\n10 12\n11 6\n12 6\n"
+    )
+    assert st.census() == {1: 6, 2: 2, 3: 2, 4: 1}
+    assert (st.master_degree, st.n_vertices) == (1, 13)
+    with pytest.raises(IndexError):
+        grow_step_scripted(st, latch=1, block_index=0, arc_index=4)
+
+
 def test_census_vector_identity(fig1, fig3):
     for bs in (fig1, fig3):
         prof = build_profile(bs)
@@ -190,30 +209,31 @@ def test_census_vector_identity(fig1, fig3):
 def test_hooking_graph_degree_sum(fig1):
     st = simulate(fig1, 400, mode="graph", seed=21)
     g = st.graph
-    n_edges = sum(sum(nbrs.values()) for nbrs in g.adj.values())
-    n_edges = (n_edges + sum(nbrs.get(v, 0) for v, nbrs in g.adj.items())) // 2
-    assert sum(g.deg.values()) == 2 * n_edges
-    for v in g.deg:
-        assert g.deg[v] == g.recount_degree(v)
+    x, y = g.edges()
+    assert len(g.deg) == st.n_vertices
+    assert sum(g.deg) == 2 * len(x) == 2 * len(y)
+    assert g.recount_degrees().tolist() == g.deg
+    # the recount reads the edge log, not deg: a logged self-loop counts 2
+    g.ends.extend([0, 0])
+    assert g.recount_degrees()[0] == g.deg[0] + 2
 
 
 def test_bipolar_graph_invariants(fig3):
     st = simulate(fig3, 400, mode="graph", seed=22)
     g = st.graph
-    sinks = [v for v in g.deg if g.deg[v] == 0]
+    sinks = [v for v, d in enumerate(g.deg) if d == 0]
     assert sinks == [g.master_sink]
-    assert g.in_deg[g.master] == 0
-    for v in g.deg:
-        assert g.deg[v] == g.recount_degree(v)
-    arcs = sum(len(a) for a in g.out_adj.values())
-    assert arcs == sum(g.deg.values())
+    tails, heads = g.edges()
+    assert np.bincount(heads, minlength=len(g.deg))[g.master] == 0
+    assert g.recount_degrees().tolist() == g.deg
+    assert len(tails) == sum(len(a) for a in g.out) == sum(g.deg)
 
 
 def test_bipolar_dot_export(fig3):
     st = simulate(fig3, 10, mode="graph", seed=2)
     dot = export_dot(st)
     assert dot.startswith("digraph")
-    assert dot.count(" -> ") == sum(len(a) for a in st.graph.out_adj.values())
+    assert dot.count(" -> ") == sum(len(a) for a in st.graph.out)
     assert 'label="N"' in dot and 'label="S"' in dot
 
 
@@ -232,6 +252,46 @@ def test_graph_edge_list_is_pinned(name, digest, fig1, fig3, k2):
     bs = _batch_models(fig1, fig3, k2)[name]
     edges = export_edge_list(simulate(bs, 200, mode="graph", seed=3))
     assert hashlib.sha256(edges.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("fig1", "741656e48608e54c"),
+        ("fig3", "ea92f692a64da3f6"),
+        ("k2", "f07291a21e8055d4"),
+    ],
+)
+def test_graph_dot_is_pinned(name, digest, fig1, fig3, k2):
+    """Vertex lines, pole labels and the sorted edges of the DOT export."""
+    bs = _batch_models(fig1, fig3, k2)[name]
+    dot = export_dot(simulate(bs, 200, mode="graph", seed=3))
+    assert hashlib.sha256(dot.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("name, digest", [("fig1", "a2c3497454c5b8e2"), ("fig3", "3afbd6e08f3f30d2")])
+def test_trajectory_csv_is_pinned(name, digest, tmp_path, request):
+    st = simulate(request.getfixturevalue(name), 2000, mode="census", seed=3, record=True)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, st)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3"])
+def test_writers_do_not_depend_on_write_rows(name, monkeypatch, tmp_path, request):
+    """The writers format WRITE_ROWS rows per template; the bytes must not
+    depend on where those blocks end."""
+    import blocknets.growth as growth_mod
+
+    st = simulate(request.getfixturevalue(name), 50, mode="graph", seed=5, record=True)
+
+    def outputs(path):
+        write_trajectory_csv(path, st)
+        return path.read_bytes(), export_dot(st), export_edge_list(st)
+
+    whole = outputs(tmp_path / "whole.csv")
+    monkeypatch.setattr(growth_mod, "WRITE_ROWS", 7)
+    assert outputs(tmp_path / "blocks.csv") == whole
 
 
 def test_trajectory_csv(tmp_path, fig1):
@@ -262,7 +322,10 @@ def test_graph_spot_check_runs(monkeypatch, fig3):
 
     # a vertex the census does not know about: the next recount catches it
     st = simulate(fig3, 60, mode="graph", seed=14)
-    st.graph.deg[-1] = 1
+    g = st.graph
+    g.deg.append(1)
+    g.mpos.append(-1)
+    g.out.append([])
     for _ in range(3):
         grow_step(st)
     with pytest.raises(AssertionError, match="census diverged"):
