@@ -14,6 +14,7 @@ consistency error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -187,7 +188,9 @@ def cmd_report(args) -> int:
     return EXIT_OK if doc["passed"] else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only parses."""
     ap = argparse.ArgumentParser(
         prog="blocknets",
         description="Grow block networks and verify their degree-census limit laws.",
@@ -199,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--input", required=True)
     pa.add_argument("--r", type=int, default=None, help="override tracked class count")
     pa.add_argument("--out", default=None, help="write analysis JSON here")
-    pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("simulate", help="run one growth simulation")
     ps.add_argument("--input", required=True)
@@ -209,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default=None, help="trajectory CSV path")
     ps.add_argument("--export-dot", default=None, help="DOT snapshot path (graph mode)")
     ps.add_argument("--max-vertices", type=int, default=10_000_000)
-    ps.set_defaults(func=cmd_simulate)
 
     pv = sub.add_parser("verify", help="Monte-Carlo verification of the limit law")
     pv.add_argument("--input", required=True)
@@ -232,18 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative control: scale the predicted covariance by x",
     )
     pv.add_argument("--max-vertices", type=int, default=10_000_000)
-    pv.set_defaults(func=cmd_verify)
 
     pr = sub.add_parser("report", help="render a saved verification report")
     pr.add_argument("--input", required=True)
-    pr.set_defaults(func=cmd_report)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so that a replaced cmd_* function takes effect
+    command = {
+        "analyze": cmd_analyze,
+        "simulate": cmd_simulate,
+        "verify": cmd_verify,
+        "report": cmd_report,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except BlockSetError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

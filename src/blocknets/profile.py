@@ -243,8 +243,9 @@ def _assert_profile_invariants(p: DegreeProfile) -> None:
     if any(not float(x) > 0 for x in p.limit):
         raise InternalProfileError(f"limit vector has a non-positive entry: {p.limit}")
     # The tracked classes can absorb at most the whole weight; equality means
-    # the overflow type has limit share 0, which only happens for degenerate
-    # models that the urn's irreducibility check rejects downstream.
+    # the overflow type has limit share 0.  That happens when nothing feeds
+    # the overflow type: the urn is then reducible, which the analysis
+    # reports (``irreducible: false``) without rejecting the model.
     weighted = sum(p.w(k) * x for k, x in zip(p.essential, p.limit))
     if float(weighted) > 1 + 1e-12:
         raise InternalProfileError(

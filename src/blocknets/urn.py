@@ -8,11 +8,23 @@ a special overflow type "*" with activity 1.  Drawing a ball and attaching
 a block induces a deterministic replacement vector per (type, block) pair;
 mixing over blocks gives the intensity matrix A whose dominant eigenpair
 describes linear growth and whose remaining spectrum drives fluctuations.
+
+Rational models are computed on Python ints.  Each quantity is cleared of
+its denominators once -- chi and rho share one scale, the block
+probabilities another, f and g a third, and v1, the activities, A and B
+each their own -- and every exact stage (the replacement law, A built two
+ways, the eigen-identities, B, and the Lyapunov data M and C) works on
+numerators over a known common scale.  The exact checks are therefore
+integer equalities, and Fractions are built only for the values a stage
+returns.  M and C reach binary64 as one int / int division per entry,
+which Python rounds correctly, exactly as ``float(Fraction)`` does.
+Decimal models run the same code over floats with the scale 1.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -31,28 +43,81 @@ from .profile import DegreeProfile, build_profile
 
 STAR = "*"
 UrnType = Union[int, str]
+Scale = Union[int, float]
 
 EIGEN_VALIDATE_TOL = 1e-8
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 MAX_TRACKED_TYPES = 64
 
 
+def _clear(xs: Sequence[Num]) -> tuple[list, Scale]:
+    """Numerators of xs over one common denominator d, so xs[i] == ns[i] / d.
+
+    Rationals give Python ints and an int d.  Floats pass through with
+    d = 1.0; a float scale marks binary64 arithmetic from there on.
+    """
+    if isinstance(xs[0], float):
+        return list(xs), 1.0
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = math.lcm(*[b for _, b in ratios])
+    return [a * (d // b) for a, b in ratios], d
+
+
+def _clear_matrix(m: Sequence[Sequence[Num]]) -> tuple[list[list], Scale]:
+    q = len(m[0])
+    flat, d = _clear([x for row in m for x in row])
+    return [flat[i : i + q] for i in range(0, len(flat), q)], d
+
+
+def _over(ns: Sequence, d: Scale) -> tuple[Num, ...]:
+    """The values ns[i] / d: Fractions over an int scale, floats over a
+    float one."""
+    if isinstance(d, float):
+        return tuple(n / d for n in ns)
+    return tuple(Fraction(n, d) for n in ns)
+
+
+def _over_matrix(m: Sequence[Sequence], d: Scale) -> tuple[tuple[Num, ...], ...]:
+    """``_over`` of every row.  The rows repeat few distinct numerators (A
+    has about one in ten, B is symmetric and mostly zero), so each distinct
+    one becomes a Fraction once."""
+    if isinstance(d, float):
+        return tuple(_over(row, d) for row in m)
+    distinct = list({n for row in m for n in row})
+    value = dict(zip(distinct, _over(distinct, d))).__getitem__
+    return tuple(tuple(map(value, row)) for row in m)
+
+
+def _mix(outcomes: Sequence[tuple]) -> list:
+    """Sum of P * R over the (P, R) outcomes of one urn type."""
+    acc = [0] * len(outcomes[0][1])
+    for p, vec in outcomes:
+        for i, x in enumerate(vec):
+            if x:
+                acc[i] += p * x
+    return acc
+
+
 @dataclass(frozen=True)
 class ReplacementLaw:
     """Deterministic replacement vectors per (urn type, block), mixed by the
-    block probabilities."""
+    block probabilities.
+
+    ``scaled`` holds the same outcomes on cleared denominators, in the order
+    of ``types``: per type, one (P, R) pair per block, where the probability
+    is P / prob_scale and the vector is R / vec_scale.
+    """
 
     types: tuple[UrnType, ...]
     # per type: tuple of (block_index, probability, vector of length r+1)
     outcomes: dict[UrnType, tuple[tuple[int, Num, tuple[Num, ...]], ...]]
+    scaled: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = field(repr=False)
+    prob_scale: Scale
+    vec_scale: Scale
 
     def expected(self, t: UrnType) -> tuple[Num, ...]:
-        cols = self.outcomes[t]
-        q = len(self.types)
-        acc = [0 * cols[0][1]] * q
-        for _, p, vec in cols:
-            acc = [a + p * x for a, x in zip(acc, vec)]
-        return tuple(acc)
+        outcomes = self.scaled[self.types.index(t)]
+        return _over(_mix(outcomes), self.prob_scale * self.vec_scale)
 
 
 @dataclass
@@ -97,6 +162,51 @@ def _to_float_matrix(m: Sequence[Sequence[Num]]) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m], dtype=np.float64)
 
 
+def _block_vectors(
+    bs: BlockSet, profile: DegreeProfile, block_index: int, chi, rho, one: Scale
+) -> list[tuple]:
+    """Replacement vectors of one block for every urn type, in the order
+    ``profile.essential + (STAR,)``, scaled by ``one``: chi and rho are the
+    attachment parameters times that scale."""
+    ess = profile.essential
+    r = len(ess)
+    kr = ess[-1]
+    index = {k: i for i, k in enumerate(ess)}
+    block = bs.blocks[block_index]
+    d = block.latch_increment()
+
+    base = [0] * (r + 1)
+    for v in block.new_vertices():
+        c = degree_of(block, v)
+        if c <= kr:
+            if c not in index:
+                raise InternalConsistencyError(
+                    f"new vertex degree {c} <= {kr} is not a tracked class"
+                )
+            base[index[c]] += one
+        else:
+            base[r] += chi * c + rho
+
+    vecs = []
+    for t in ess:
+        vec = list(base)
+        if d > 0:
+            vec[index[t]] -= one
+            tn = t + d
+            if tn <= kr:
+                if tn not in index:
+                    raise InternalConsistencyError(
+                        f"latch moved to untracked degree {tn} <= {kr}"
+                    )
+                vec[index[tn]] += one
+            else:
+                vec[r] += chi * tn + rho
+        vecs.append(tuple(vec))
+    base[r] += chi * d
+    vecs.append(tuple(base))
+    return vecs
+
+
 def replacement_vector(
     bs: BlockSet, profile: DegreeProfile, t: UrnType, block_index: int
 ) -> tuple[Num, ...]:
@@ -110,53 +220,33 @@ def replacement_vector(
     overflow ball is returned along with chi*d new overflow balls, the
     weight growth of the big vertex it represents.
     """
-    ess = profile.essential
-    r = len(ess)
-    kr = ess[-1]
-    index = {k: i for i, k in enumerate(ess)}
-    one = Fraction(1) if profile.exact else 1.0
-    zero = 0 * one
-    vec: list[Num] = [zero] * (r + 1)
-    block = bs.blocks[block_index]
-    d = block.latch_increment()
-
-    for v in block.new_vertices():
-        c = degree_of(block, v)
-        if c <= kr:
-            if c not in index:
-                raise InternalConsistencyError(
-                    f"new vertex degree {c} <= {kr} is not a tracked class"
-                )
-            vec[index[c]] += one
-        else:
-            vec[r] += profile.w(c)
-
-    if t == STAR:
-        vec[r] += profile.chi * d
-    elif d > 0:
-        vec[index[t]] -= one
-        tn = t + d
-        if tn <= kr:
-            if tn not in index:
-                raise InternalConsistencyError(
-                    f"latch moved to untracked degree {tn} <= {kr}"
-                )
-            vec[index[tn]] += one
-        else:
-            vec[r] += profile.w(tn)
-    return tuple(vec)
+    (chi, rho), dw = _clear((profile.chi, profile.rho))
+    vecs = _block_vectors(bs, profile, block_index, chi, rho, dw)
+    return _over(vecs[(profile.essential + (STAR,)).index(t)], dw)
 
 
 def build_replacement_law(bs: BlockSet, profile: DegreeProfile) -> ReplacementLaw:
     types: tuple[UrnType, ...] = profile.essential + (STAR,)
+    (chi, rho), dw = _clear((profile.chi, profile.rho))
+    probs, dp = _clear(bs.probabilities)
+    by_block = [
+        _block_vectors(bs, profile, i, chi, rho, dw) for i in range(len(bs.blocks))
+    ]
+    view = _over_matrix([vec for vecs in by_block for vec in vecs], dw)
+    q = len(types)
     outcomes = {
         t: tuple(
-            (i, b.probability, replacement_vector(bs, profile, t, i))
-            for i, b in enumerate(bs.blocks)
+            (i, b.probability, view[i * q + ti]) for i, b in enumerate(bs.blocks)
         )
-        for t in types
+        for ti, t in enumerate(types)
     }
-    return ReplacementLaw(types=types, outcomes=outcomes)
+    scaled = tuple(
+        tuple((p, vecs[ti]) for p, vecs in zip(probs, by_block))
+        for ti in range(len(types))
+    )
+    return ReplacementLaw(
+        types=types, outcomes=outcomes, scaled=scaled, prob_scale=dp, vec_scale=dw
+    )
 
 
 def activity_vector(profile: DegreeProfile) -> tuple[Num, ...]:
@@ -164,65 +254,74 @@ def activity_vector(profile: DegreeProfile) -> tuple[Num, ...]:
     return tuple(profile.w(k) for k in profile.essential) + (one,)
 
 
-def intensity_closed_form(profile: DegreeProfile) -> tuple[tuple[Num, ...], ...]:
-    """Entrywise closed form of the intensity matrix in terms of f, g and w."""
+def _closed_form(profile: DegreeProfile) -> tuple[list[list], Scale]:
+    """Entrywise closed form of the intensity matrix in terms of f, g and w,
+    as numerators over the scale dw^2 * dp (dw clears chi and rho, dp clears
+    f and g)."""
     ess = profile.essential
     r = len(ess)
     kr = ess[-1]
-    one = Fraction(1) if profile.exact else 1.0
-    zero = 0 * one
-    w = profile.w
-    f = profile.f
-    g = profile.g
-    g0 = profile.g0
+    (chi, rho), dw = _clear((profile.chi, profile.rho))
+    fg, dp = _clear(list(profile.f.values()) + list(profile.g.values()))
+    f = dict(zip(profile.f, fg))
+    g = dict(zip(profile.g, fg[len(f) :]))
+    g0 = g.get(0, 0)
 
-    A = [[zero] * (r + 1) for _ in range(r + 1)]
+    def w(k):
+        return chi * k + rho
+
+    A = [[0] * (r + 1) for _ in range(r + 1)]
     for i, ki in enumerate(ess):
-        fi = f.get(ki, zero)
+        fi = f.get(ki, 0)
+        row = A[i]
         for j, kj in enumerate(ess):
             if i < j:
-                A[i][j] = w(kj) * fi
+                row[j] = w(kj) * fi * dw
             elif i == j:
-                A[i][i] = w(ki) * (fi + g0 - one)
+                row[j] = w(ki) * (fi + g0 - dp) * dw
             else:
-                A[i][j] = w(kj) * (fi + g.get(ki - kj, zero))
-        A[i][r] = fi
+                row[j] = w(kj) * (fi + g.get(ki - kj, 0)) * dw
+        row[r] = fi * dw * dw
 
-    overflow_f = sum((w(k) * fk for k, fk in f.items() if k > kr), zero)
+    overflow_f = sum(w(k) * fk for k, fk in f.items() if k > kr)
     for j, kj in enumerate(ess):
         tot = overflow_f
         for m, gm in g.items():
             if kj + m > kr:
                 tot += w(kj + m) * gm
         A[r][j] = w(kj) * tot
-    A[r][r] = overflow_f + sum((profile.chi * k * gk for k, gk in g.items() if k >= 1), zero)
-    return tuple(tuple(row) for row in A)
+    A[r][r] = (overflow_f + sum(chi * k * gk for k, gk in g.items() if k >= 1)) * dw
+    return A, dw * dw * dp
 
 
 def intensity_matrix(bs: BlockSet, profile: DegreeProfile, law: ReplacementLaw | None = None):
     """Intensity matrix built two ways: column j as a_j * E(replacement from
-    type j), and from the entrywise closed form.  Both must agree; a mismatch
+    type j), and from the entrywise closed form.  Both must agree -- for
+    rational models as integers cross-multiplied onto one scale; a mismatch
     means the replacement law and the profile have diverged."""
     law = law or build_replacement_law(bs, profile)
-    acts = activity_vector(profile)
+    acts, da = _clear(activity_vector(profile))
     q = len(law.types)
-    cols = [law.expected(t) for t in law.types]
-    mixture = tuple(
-        tuple(acts[j] * cols[j][i] for j in range(q)) for i in range(q)
-    )
-    closed = intensity_closed_form(profile)
-    if profile.exact:
-        same = mixture == closed
-    else:
+    cols = [[acts[j] * x for x in _mix(law.scaled[j])] for j in range(q)]
+    dm = da * law.prob_scale * law.vec_scale
+    closed, dc = _closed_form(profile)
+    if isinstance(dc, float):
         same = np.allclose(
-            _to_float_matrix(mixture), _to_float_matrix(closed), rtol=1e-10, atol=1e-12
+            np.array(cols, dtype=np.float64).T / dm,
+            np.array(closed, dtype=np.float64) / dc,
+            rtol=1e-10,
+            atol=1e-12,
+        )
+    else:
+        same = all(
+            cols[j][i] * dc == closed[i][j] * dm for i in range(q) for j in range(q)
         )
     if not same:
         raise InternalConsistencyError(
             "intensity matrix mismatch between the replacement-law mixture "
             "and its closed form"
         )
-    return closed
+    return _over_matrix(closed, dc)
 
 
 def eigen_closed_form(profile: DegreeProfile) -> tuple[Num, ...]:
@@ -290,21 +389,21 @@ def second_moment_matrix(
     """B = sum_t v1_t * a_t * E(xi_t xi_t'), an exact finite mixture of outer
     products of the replacement vectors."""
     q = len(law.types)
-    zero = 0 * v1[0]
-    B = [[zero] * q for _ in range(q)]
-    for t_idx, t in enumerate(law.types):
-        scale = v1[t_idx] * acts[t_idx]
-        for _, p, vec in law.outcomes[t]:
+    a, da = _clear(acts)
+    v, dv = _clear(v1)
+    B = [[0] * q for _ in range(q)]
+    for t in range(q):
+        scale = v[t] * a[t]
+        for p, vec in law.scaled[t]:
             w = scale * p
-            for i in range(q):
-                if vec[i] == 0:
-                    continue
+            nonzero = [(i, x) for i, x in enumerate(vec) if x]
+            for i, xi in nonzero:
                 row = B[i]
-                vi = w * vec[i]
-                for j in range(q):
-                    if vec[j] != 0:
-                        row[j] += vi * vec[j]
-    return tuple(tuple(row) for row in B)
+                wi = w * xi
+                for j, xj in nonzero:
+                    row[j] += wi * xj
+    d = dv * da * law.prob_scale * law.vec_scale * law.vec_scale
+    return _over_matrix(B, d)
 
 
 def covariance(
@@ -332,21 +431,39 @@ def covariance(
     The integral is lam1 * X, where X solves the Lyapunov equation
     M X + X M' = -C with M = Ahat - (lam1/2) I (Janson 2004).  Ahat's
     spectrum is 0 plus the non-dominant eigenvalues, all real and <= 0, so M
-    is stable and X is unique.  M and C are formed in the model's own
-    arithmetic (exact for rational models) and solved in binary64 by
-    Bartels-Stewart.  The solution is certified by its relative residual
-    ||M Sigma + Sigma M' + lam1 C||_F / (lam1 ||C||_F).
+    is stable and X is unique.  M and C are formed exactly on integer
+    numerators over a common scale each (M over 2 dA dl dv da, C over
+    dB dl^2 dv^2, with dA, dB, dl, dv and da the denominators of A, B,
+    lam1, v1 and the activities), rounded once into binary64 and solved
+    there by Bartels-Stewart.  The solution is certified by its relative
+    residual ||M Sigma + Sigma M' + lam1 C||_F / (lam1 ||C||_F).
     """
     q = len(acts)
-    M = _to_float_matrix(
-        [
-            [A[i][j] - lam1 * v1[i] * acts[j] - (lam1 / 2 if i == j else 0) for j in range(q)]
-            for i in range(q)
-        ]
-    )
-    C = _to_float_matrix(
-        [[B[i][j] - lam1 * lam1 * v1[i] * v1[j] for j in range(q)] for i in range(q)]
-    )
+    An, dA = _clear_matrix(A)
+    Bn, dB = _clear_matrix(B)
+    a, da = _clear(acts)
+    v, dv = _clear(v1)
+    (lam,), dl = _clear((lam1,))
+
+    # M = A - lam1 v1 a' - (lam1/2) I over the scale 2 dA dl dv da
+    scale_a = 2 * dl * dv * da
+    half = lam * dA * dv * da
+    sM = dA * scale_a
+    M = []
+    for i, row in enumerate(An):
+        lv = 2 * dA * lam * v[i]
+        M.append([(x * scale_a - lv * y) / sM for x, y in zip(row, a)])
+        M[i][i] = (row[i] * scale_a - lv * a[i] - half) / sM
+    # C = B - lam1^2 v1 v1' over the scale dB dl^2 dv^2
+    scale_b = dl * dl * dv * dv
+    sC = dB * scale_b
+    C = []
+    for i, row in enumerate(Bn):
+        lv = lam * lam * v[i]
+        C.append([(x * scale_b - lv * y * dB) / sC for x, y in zip(row, v)])
+    M = np.array(M, dtype=np.float64)
+    C = np.array(C, dtype=np.float64)
+
     lamf = float(lam1)
     X = solve_continuous_lyapunov(M, -C)
     sigma = lamf * (X + X.T) / 2.0
@@ -362,47 +479,49 @@ def covariance(
 
 
 def irreducibility_check(law: ReplacementLaw) -> bool:
-    """Every type must reach every other type through positive replacement
-    entries.  The census construction guarantees this, so a False return
-    indicates a modeling bug rather than a property of the input."""
+    """Whether every type reaches every other type through positive
+    replacement entries.  Informational only: the Lyapunov route to Sigma
+    needs a simple dominant eigenvalue and the rest of the spectrum below
+    lam1 / 2, which the closed-form spectrum gives for every accepted model,
+    reducible or not (Janson 2004)."""
     q = len(law.types)
-    adj = [[False] * q for _ in range(q)]
-    for t_idx, t in enumerate(law.types):
-        for _, _, vec in law.outcomes[t]:
-            for u_idx in range(q):
-                if float(vec[u_idx]) > 0:
-                    adj[t_idx][u_idx] = True
+    succ = [
+        {u for _, vec in law.scaled[t] for u, x in enumerate(vec) if x > 0}
+        for t in range(q)
+    ]
     for start in range(q):
         seen = {start}
         stack = [start]
         while stack:
-            x = stack.pop()
-            for y in range(q):
-                if adj[x][y] and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+            for y in succ[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
         if len(seen) != q:
             return False
     return True
 
 
 def _check_eigen_identities(A, acts, v1, lam1, exact: bool) -> None:
-    """a'A = lam1 a' (activities form the left eigenvector) and A v1 = lam1 v1."""
+    """a'A = lam1 a' (activities form the left eigenvector), A v1 = lam1 v1
+    and a'v1 = 1; exact models compare integer numerators on a shared
+    scale."""
     q = len(acts)
     if exact:
+        An, dA = _clear_matrix(A)
+        a, da = _clear(acts)
+        v, dv = _clear(v1)
+        (lam,), dl = _clear((lam1,))
         for j in range(q):
-            col = sum(acts[i] * A[i][j] for i in range(q))
-            if col != lam1 * acts[j]:
+            if sum(a[i] * An[i][j] for i in range(q)) * dl != lam * a[j] * dA:
                 raise InternalConsistencyError(
                     f"activity vector is not a left eigenvector at column {j}"
                 )
         for i in range(q):
-            row = sum(A[i][j] * v1[j] for j in range(q))
-            if row != lam1 * v1[i]:
+            if sum(x * y for x, y in zip(An[i], v)) * dl != lam * v[i] * dA:
                 raise InternalConsistencyError(
                     f"dominant right eigenvector fails at row {i}"
                 )
-        if sum(a * v for a, v in zip(acts, v1)) != 1:
+        if sum(x * y for x, y in zip(a, v)) != da * dv:
             raise InternalConsistencyError("right eigenvector is not normalized")
     else:
         Af = _to_float_matrix(A)
@@ -436,11 +555,6 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     _check_eigen_identities(A, acts, v1, eigs[0], profile.exact)
     B = second_moment_matrix(law, acts, v1)
     sigma = covariance(A, B, acts, v1, eigs[0])
-    irreducible = irreducibility_check(law)
-    if not irreducible:
-        raise InternalConsistencyError(
-            "the census urn is not irreducible; the model construction is broken"
-        )
     return UrnModel(
         profile=profile,
         types=law.types,
@@ -451,6 +565,6 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
         v1=v1,
         B=B,
         Sigma=sigma,
-        irreducible=irreducible,
+        irreducible=irreducibility_check(law),
         balanced=profile.balance.balanced,
     )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from blocknets import (
     BlockSetError,
     build_profile,
+    build_urn,
     degree_profile,
     essential_degrees,
     lambda1,
@@ -183,7 +184,12 @@ def test_g_mass_and_support_properties(seed):
                 if k > kj:
                     assert p.g.get(k - kj, 0) == 0
     assert all(x > 0 for x in p.limit)
-    assert sum(p.w(k) * x for k, x in zip(p.essential, p.limit)) < 1
+    weighted = sum(p.w(k) * x for k, x in zip(p.essential, p.limit))
+    assert weighted <= 1
+    if weighted == 1:
+        # the overflow type has limit share 0, so nothing feeds it; an
+        # irreducible urn would have a strictly positive dominant vector
+        assert not build_urn(bs, p).irreducible
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -93,7 +93,7 @@ def test_spectra_goldens(urn1, urn3):
     assert urn3.eigenvalues == (F(5, 2), F(-1, 2), F(-1, 2), F(-1, 2))
 
 
-def test_degenerate_all_unit_sources_spectrum():
+def test_degenerate_all_unit_sources_spectrum(tmp_path):
     # every source has outdegree 1, so g(0)=1 and the non-dominant
     # eigenvalues collapse to zero
     doc = {
@@ -119,11 +119,45 @@ def test_degenerate_all_unit_sources_spectrum():
     urn = build_urn(bs, p)  # overflow type still reachable because deg 3 > k_1
     assert urn.irreducible
 
-    # fully tracked closure: nothing ever feeds the overflow type, which the
-    # construction reports as an internal inconsistency
+    # fully tracked closure: nothing ever feeds the overflow type, so the urn
+    # is reducible.  The census is deterministic, Sigma = 0 passes its
+    # Lyapunov certificate, and the analysis reports the reducibility.
     p2 = build_profile(bs, r=2)
-    with pytest.raises(InternalConsistencyError):
-        build_urn(bs, p2)
+    urn2 = build_urn(bs, p2)
+    assert not urn2.irreducible
+    assert np.array_equal(urn2.Sigma, np.zeros((3, 3)))
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(dict(doc, r=2)))
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["urn"]["irreducible"] is False
+
+
+def test_reducible_urn_sigma_matches_quadrature():
+    """Two unit-source bipolar blocks whose new vertices are all tracked:
+    the latch never moves and nothing feeds the overflow type, so the urn is
+    reducible, yet its census fluctuates and Sigma solves the same
+    Lyapunov equation."""
+    doc = {
+        "kind": "bipolar",
+        "chi": "1/2",
+        "rho": "1/3",
+        "r": 3,
+        "blocks": [
+            {"name": "P", "probability": "1/3", "vertices": ["n", "m", "x", "s"],
+             "edges": [["n", "m"], ["m", "x"], ["m", "s"], ["x", "s"]],
+             "north": "n", "south": "s"},
+            {"name": "Q", "probability": "2/3", "vertices": ["n", "m", "a", "b", "s"],
+             "edges": [["n", "m"], ["m", "a"], ["m", "b"], ["m", "s"], ["a", "s"],
+                       ["b", "s"]],
+             "north": "n", "south": "s"},
+        ],
+    }
+    urn = build_urn(blockset_from_dict(doc))
+    assert not urn.irreducible
+    assert _lyapunov_relative_residual(urn) <= LYAPUNOV_RESIDUAL_TOL
+    assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
+    assert np.max(np.abs(urn.sigma_census())) > 0.1
 
 
 def test_right_eigenvector_goldens(urn1, urn3):
@@ -322,4 +356,51 @@ def test_random_models_structural_invariants(seed):
     validate_spectrum(urn.A, urn.eigenvalues)
     assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9
     assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
-    assert urn.irreducible
+    # irreducible iff the off-diagonal support of A is strongly connected
+    support = (urn.A_float() > 0) | np.eye(q, dtype=bool)
+    reach = np.linalg.matrix_power(support.astype(np.int64), q - 1) > 0
+    assert urn.irreducible == bool(reach.all())
+
+
+def test_intensity_check_catches_a_wrong_replacement_vector(fig1, monkeypatch):
+    """The mixture and the closed form of A are compared exactly: one extra
+    ball in one replacement vector is a mismatch."""
+    block_vectors = urn_module._block_vectors
+
+    def wrong(bs, profile, block_index, chi, rho, one):
+        vecs = block_vectors(bs, profile, block_index, chi, rho, one)
+        if block_index == 1:
+            vecs[0] = (vecs[0][0] + one,) + vecs[0][1:]
+        return vecs
+
+    monkeypatch.setattr(urn_module, "_block_vectors", wrong)
+    with pytest.raises(InternalConsistencyError, match="intensity matrix mismatch"):
+        build_urn(fig1)
+
+
+TINY = F(1, 10**40)
+
+
+def test_eigen_identities_are_exact(urn1, urn3):
+    """Perturbations far below any float tolerance still fail the checks."""
+    check = urn_module._check_eigen_identities
+    for urn in (urn1, urn3):
+        A, a, v1, lam = urn.A, urn.activities, urn.v1, urn.lambda1
+        check(A, a, v1, lam, True)
+        with pytest.raises(InternalConsistencyError, match="right eigenvector fails at row"):
+            check(A, a, v1[:1] + (v1[1] + TINY,) + v1[2:], lam, True)
+        with pytest.raises(InternalConsistencyError, match="not a left eigenvector at column"):
+            check(A, (a[0] + TINY,) + a[1:], v1, lam, True)
+        with pytest.raises(InternalConsistencyError, match="not normalized"):
+            check(A, a, tuple(x * (1 + TINY) for x in v1), lam, True)
+
+
+def test_build_urn_checks_the_right_eigenvector(fig3, monkeypatch):
+    right = urn_module.right_eigenvector
+    monkeypatch.setattr(
+        urn_module,
+        "right_eigenvector",
+        lambda p: (right(p)[0] + TINY,) + right(p)[1:],
+    )
+    with pytest.raises(InternalConsistencyError, match="right eigenvector fails"):
+        build_urn(fig3)
