@@ -6,9 +6,9 @@ Subcommands:
   verify    replicated Monte-Carlo run against the analytic predictions
   report    re-render a saved verification report
 
-Exit codes: 0 ok, 1 validation error (also unreadable files and a
-network outgrowing --max-vertices), 2 verification failure, 3 internal
-consistency error.
+Exit codes: 0 ok, 1 validation error (also unreadable files, a network
+outgrowing --max-vertices and a model whose urn matrices overflow
+binary64), 2 verification failure, 3 internal consistency error.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def analyze_dict(urn) -> dict:
     doc = {
         "schema": "blocknets-analysis/1",
         "kind": p.kind,
-        "exact": p.exact,
+        "exact": True,
         "chi": format_number(p.chi),
         "rho": format_number(p.rho),
         "f": {str(k): format_number(v) for k, v in p.f.items()},
@@ -88,8 +88,7 @@ def analyze_dict(urn) -> dict:
 
 def _analysis_table(doc: dict) -> str:
     lines = [
-        f"kind: {doc['kind']}   chi={doc['chi']} rho={doc['rho']}   "
-        f"({'exact' if doc['exact'] else 'float'} arithmetic)",
+        f"kind: {doc['kind']}   chi={doc['chi']} rho={doc['rho']}   (exact arithmetic)",
         f"f: {doc['f']}",
         f"g: {doc['g']}",
         f"essential degrees: {doc['essential_degrees']}",
@@ -118,7 +117,7 @@ def cmd_analyze(args) -> int:
     print(_analysis_table(doc))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(json.dumps(doc, indent=2))
         print(f"analysis written to {args.out}")
     return EXIT_OK
 
@@ -256,7 +255,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (OSError, ValueError, ResourceLimitError) as exc:
+    except (OSError, ValueError, OverflowError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -6,9 +6,11 @@ their selection probabilities, and the linear attachment parameters
 chi and rho giving vertex weights w(k) = chi*k + rho.
 
 Numbers may be given as integers, as exact fraction strings "a/b", or as
-decimals.  When every parameter is exact the whole model is analyzed in
-rational arithmetic and reported values are exact; any decimal input
-switches the model to binary64 arithmetic.
+decimals.  Every number is read as an exact rational: a decimal is taken
+as written (``0.1`` is 1/10), so every model is analyzed in rational
+arithmetic and reported values are exact.  Probabilities that sum to 1
+within ``PROB_SUM_TOL`` are divided by their sum, so that they sum to 1
+exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence, Union
 
-Num = Union[Fraction, float]
+Num = Fraction
 
 HOOKING = "hooking"
 BIPOLAR = "bipolar"
@@ -41,34 +43,25 @@ class InternalConsistencyError(RuntimeError):
     """Two independent constructions of the same quantity disagree."""
 
 
-def parse_number(value) -> tuple[Num, bool]:
-    """Parse a JSON scalar into (number, is_exact).
+def parse_number(value) -> Num:
+    """Parse a JSON scalar into an exact rational.
 
-    Integers and "a/b" strings are exact rationals; floats are inexact.
+    Integers and "a/b" strings are read exactly.  A JSON decimal is read
+    through its shortest round-trip repr, so 0.1 is 1/10, as written; the
+    reprs of NaN, the infinities and booleans are not numbers and fail.
     """
-    if isinstance(value, bool):
-        raise BlockSetError("schema", f"expected a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value), True
-    if isinstance(value, float):
-        return value, False
-    if isinstance(value, str):
-        try:
-            return Fraction(value), True
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BlockSetError("schema", f"bad numeric string {value!r}: {exc}")
-    raise BlockSetError("schema", f"expected a number, got {type(value).__name__}")
+    text = value if isinstance(value, str) else repr(value)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BlockSetError(
+            "schema", f"expected a finite number or an 'a/b' string, got {value!r}"
+        ) from None
 
 
 def format_number(x: Num):
-    """JSON-friendly form: exact rationals as 'a/b' strings (ints stay ints)."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return float(x)
-
-
-def as_float(x: Num) -> float:
-    return float(x)
+    """JSON-friendly form: 'a/b' strings, with integers as ints."""
+    return int(x) if x.denominator == 1 else str(x)
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,6 @@ class BlockSet:
     rho: Num
     r: int
     initial_block: Union[int, str] = 0  # index, or "random"
-    exact: bool = True
 
     def w(self, k: int) -> Num:
         """Attachment weight of a vertex with (out)degree k."""
@@ -265,10 +257,10 @@ def validate_blockset(bs: BlockSet) -> BlockSet:
         if b.kind != bs.kind:
             raise BlockSetError("schema", "block kind does not match set kind", b.name)
         _validate_block(b)
-    total = sum(float(b.probability) for b in bs.blocks)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise BlockSetError("prob-sum", f"probabilities sum to {total!r}, expected 1")
-    if not (float(bs.chi) >= 0 and float(bs.chi) + float(bs.rho) > 0):
+    total = sum(b.probability for b in bs.blocks)
+    if total != 1:
+        raise BlockSetError("prob-sum", f"probabilities sum to {total}, expected 1")
+    if not (bs.chi >= 0 and bs.chi + bs.rho > 0):
         raise BlockSetError(
             "param-domain", f"need chi >= 0 and chi + rho > 0 (chi={bs.chi}, rho={bs.rho})"
         )
@@ -292,9 +284,8 @@ def blockset_from_dict(doc: Mapping) -> BlockSet:
     if kind not in (HOOKING, BIPOLAR):
         raise BlockSetError("schema", f"kind must be 'hooking' or 'bipolar', got {kind!r}")
 
-    chi, chi_exact = parse_number(doc.get("chi", 0))
-    rho, rho_exact = parse_number(doc.get("rho", 1))
-    exact = chi_exact and rho_exact
+    chi = parse_number(doc.get("chi", 0))
+    rho = parse_number(doc.get("rho", 1))
 
     blocks = []
     if not isinstance(blocks_doc, Sequence) or isinstance(blocks_doc, (str, bytes)):
@@ -302,12 +293,11 @@ def blockset_from_dict(doc: Mapping) -> BlockSet:
     for i, bdoc in enumerate(blocks_doc):
         name = bdoc.get("name", f"block{i}")
         try:
-            prob, prob_exact = parse_number(bdoc["probability"])
+            prob = parse_number(bdoc["probability"])
             vertices = tuple(str(v) for v in bdoc["vertices"])
             edges = tuple((str(a), str(b)) for a, b in bdoc["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise BlockSetError("schema", f"bad block entry: {exc!r}", name)
-        exact = exact and prob_exact
         blocks.append(
             Block(
                 name=str(name),
@@ -326,13 +316,12 @@ def blockset_from_dict(doc: Mapping) -> BlockSet:
         raise BlockSetError("schema", f"r must be an integer, got {r!r}")
     initial = doc.get("initial_block", 0)
 
-    # Exact mode additionally needs the probabilities to sum to 1 exactly,
-    # otherwise rational identities (e.g. the g-mass summing to 1) would fail.
-    if exact and sum(b.probability for b in blocks) != 1:
-        exact = False
-    if not exact:
-        chi, rho = float(chi), float(rho)
-        blocks = [replace(b, probability=float(b.probability)) for b in blocks]
+    # Rounded decimals (three times 0.3333333333333333) miss 1 by the digits
+    # left off; the rational identities downstream (the g-mass summing to 1)
+    # need an exact sum.
+    total = sum(b.probability for b in blocks)
+    if total != 1 and abs(total - 1) <= PROB_SUM_TOL:
+        blocks = [replace(b, probability=b.probability / total) for b in blocks]
 
     bs = BlockSet(
         kind=kind,
@@ -341,7 +330,6 @@ def blockset_from_dict(doc: Mapping) -> BlockSet:
         rho=rho,
         r=r,
         initial_block=initial,
-        exact=exact,
     )
     return validate_blockset(bs)
 

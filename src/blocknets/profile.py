@@ -17,14 +17,11 @@ used to flag balanced models.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .model_io import HOOKING, BlockSet, BlockSetError, Num
-
-DECIMAL_G_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ class DegreeProfile:
     kind: str
     chi: Num
     rho: Num
-    exact: bool
     f: Mapping[int, Num]
     g: Mapping[int, Num]
     essential: tuple[int, ...]
@@ -59,13 +55,12 @@ class DegreeProfile:
 
     @property
     def g0(self) -> Num:
-        zero = Fraction(0) if self.exact else 0.0
-        return self.g.get(0, zero)
+        return self.g.get(0, Fraction(0))
 
 
 def degree_profile(bs: BlockSet) -> tuple[dict[int, Num], dict[int, Num]]:
-    """Compute the maps f and g (finite support, rational in exact mode)."""
-    zero = Fraction(0) if bs.exact else 0.0
+    """Compute the maps f and g (finite support, rational)."""
+    zero = Fraction(0)
     f: dict[int, Num] = {}
     g: dict[int, Num] = {}
     for b in bs.blocks:
@@ -183,12 +178,7 @@ def balance_check(bs: BlockSet) -> BalanceInfo:
             s.append(2 * bs.chi * b.n_edges + bs.rho * (b.n_vertices - 1))
         else:
             s.append(bs.chi * (b.n_edges - 1) + bs.rho * (b.n_vertices - 2))
-    if bs.exact:
-        balanced = all(x == s[0] for x in s)
-    else:
-        scale = max(1.0, max(abs(float(x)) for x in s))
-        balanced = all(abs(float(x) - float(s[0])) <= 1e-12 * scale for x in s)
-    return BalanceInfo(s=tuple(s), balanced=balanced)
+    return BalanceInfo(s=tuple(s), balanced=all(x == s[0] for x in s))
 
 
 def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
@@ -196,7 +186,7 @@ def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
     f, g = degree_profile(bs)
     ess = essential_degrees(bs, bs.r if r is None else r)
     lam = lambda1(f, g, bs.chi, bs.rho)
-    if not float(lam) > 0:
+    if not lam > 0:
         raise BlockSetError("param-domain", f"growth rate must be positive, got {lam}")
     limit = limit_vector(f, g, ess, lam, bs.chi, bs.rho)
     balance = balance_check(bs)
@@ -204,7 +194,6 @@ def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
         kind=bs.kind,
         chi=bs.chi,
         rho=bs.rho,
-        exact=bs.exact,
         f=dict(sorted(f.items())),
         g=dict(sorted(g.items())),
         essential=ess,
@@ -218,11 +207,7 @@ def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
 
 def _assert_profile_invariants(p: DegreeProfile) -> None:
     gsum = sum(p.g.values())
-    if p.exact:
-        ok = gsum == 1
-    else:
-        ok = math.isclose(float(gsum), 1.0, rel_tol=0.0, abs_tol=DECIMAL_G_TOL)
-    if not ok:
+    if gsum != 1:
         raise InternalProfileError(f"g-mass is {gsum}, expected 1")
 
     kr = p.essential[-1]
@@ -240,14 +225,14 @@ def _assert_profile_invariants(p: DegreeProfile) -> None:
                     f"g({k - kj}) > 0 reaches untracked degree {k} from {kj}"
                 )
 
-    if any(not float(x) > 0 for x in p.limit):
+    if any(not x > 0 for x in p.limit):
         raise InternalProfileError(f"limit vector has a non-positive entry: {p.limit}")
     # The tracked classes can absorb at most the whole weight; equality means
     # the overflow type has limit share 0.  That happens when nothing feeds
     # the overflow type: the urn is then reducible, which the analysis
     # reports (``irreducible: false``) without rejecting the model.
     weighted = sum(p.w(k) * x for k, x in zip(p.essential, p.limit))
-    if float(weighted) > 1 + 1e-12:
+    if weighted > 1:
         raise InternalProfileError(
             f"tracked classes absorb weight fraction {weighted} > 1"
         )

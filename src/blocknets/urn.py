@@ -18,7 +18,8 @@ numerators over a known common scale.  The exact checks are therefore
 integer equalities, and Fractions are built only for the values a stage
 returns.  M and C reach binary64 as one int / int division per entry,
 which Python rounds correctly, exactly as ``float(Fraction)`` does.
-Decimal models run the same code over floats with the scale 1.0.
+Every model is rational: decimal inputs are read as the rationals they
+spell (see ``model_io``).
 """
 
 from __future__ import annotations
@@ -43,46 +44,36 @@ from .profile import DegreeProfile, build_profile
 
 STAR = "*"
 UrnType = Union[int, str]
-Scale = Union[int, float]
+Scale = int
 
 EIGEN_VALIDATE_TOL = 1e-8
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 MAX_TRACKED_TYPES = 64
 
 
-def _clear(xs: Sequence[Num]) -> tuple[list, Scale]:
-    """Numerators of xs over one common denominator d, so xs[i] == ns[i] / d.
-
-    Rationals give Python ints and an int d.  Floats pass through with
-    d = 1.0; a float scale marks binary64 arithmetic from there on.
-    """
-    if isinstance(xs[0], float):
-        return list(xs), 1.0
+def _clear(xs: Sequence[Num]) -> tuple[list[int], Scale]:
+    """Int numerators of xs over one common denominator d, so
+    xs[i] == ns[i] / d."""
     ratios = [x.as_integer_ratio() for x in xs]
     d = math.lcm(*[b for _, b in ratios])
     return [a * (d // b) for a, b in ratios], d
 
 
-def _clear_matrix(m: Sequence[Sequence[Num]]) -> tuple[list[list], Scale]:
+def _clear_matrix(m: Sequence[Sequence[Num]]) -> tuple[list[list[int]], Scale]:
     q = len(m[0])
     flat, d = _clear([x for row in m for x in row])
     return [flat[i : i + q] for i in range(0, len(flat), q)], d
 
 
-def _over(ns: Sequence, d: Scale) -> tuple[Num, ...]:
-    """The values ns[i] / d: Fractions over an int scale, floats over a
-    float one."""
-    if isinstance(d, float):
-        return tuple(n / d for n in ns)
+def _over(ns: Sequence[int], d: Scale) -> tuple[Num, ...]:
+    """The values ns[i] / d as Fractions."""
     return tuple(Fraction(n, d) for n in ns)
 
 
-def _over_matrix(m: Sequence[Sequence], d: Scale) -> tuple[tuple[Num, ...], ...]:
+def _over_matrix(m: Sequence[Sequence[int]], d: Scale) -> tuple[tuple[Num, ...], ...]:
     """``_over`` of every row.  The rows repeat few distinct numerators (A
     has about one in ten, B is symmetric and mostly zero), so each distinct
     one becomes a Fraction once."""
-    if isinstance(d, float):
-        return tuple(_over(row, d) for row in m)
     distinct = list({n for row in m for n in row})
     value = dict(zip(distinct, _over(distinct, d))).__getitem__
     return tuple(tuple(map(value, row)) for row in m)
@@ -250,8 +241,7 @@ def build_replacement_law(bs: BlockSet, profile: DegreeProfile) -> ReplacementLa
 
 
 def activity_vector(profile: DegreeProfile) -> tuple[Num, ...]:
-    one = Fraction(1) if profile.exact else 1.0
-    return tuple(profile.w(k) for k in profile.essential) + (one,)
+    return tuple(profile.w(k) for k in profile.essential) + (Fraction(1),)
 
 
 def _closed_form(profile: DegreeProfile) -> tuple[list[list], Scale]:
@@ -296,27 +286,16 @@ def _closed_form(profile: DegreeProfile) -> tuple[list[list], Scale]:
 
 def intensity_matrix(bs: BlockSet, profile: DegreeProfile, law: ReplacementLaw | None = None):
     """Intensity matrix built two ways: column j as a_j * E(replacement from
-    type j), and from the entrywise closed form.  Both must agree -- for
-    rational models as integers cross-multiplied onto one scale; a mismatch
-    means the replacement law and the profile have diverged."""
+    type j), and from the entrywise closed form.  Both must agree as
+    integers cross-multiplied onto one scale; a mismatch means the
+    replacement law and the profile have diverged."""
     law = law or build_replacement_law(bs, profile)
     acts, da = _clear(activity_vector(profile))
     q = len(law.types)
     cols = [[acts[j] * x for x in _mix(law.scaled[j])] for j in range(q)]
     dm = da * law.prob_scale * law.vec_scale
     closed, dc = _closed_form(profile)
-    if isinstance(dc, float):
-        same = np.allclose(
-            np.array(cols, dtype=np.float64).T / dm,
-            np.array(closed, dtype=np.float64) / dc,
-            rtol=1e-10,
-            atol=1e-12,
-        )
-    else:
-        same = all(
-            cols[j][i] * dc == closed[i][j] * dm for i in range(q) for j in range(q)
-        )
-    if not same:
+    if any(cols[j][i] * dc != closed[i][j] * dm for i in range(q) for j in range(q)):
         raise InternalConsistencyError(
             "intensity matrix mismatch between the replacement-law mixture "
             "and its closed form"
@@ -326,9 +305,8 @@ def intensity_matrix(bs: BlockSet, profile: DegreeProfile, law: ReplacementLaw |
 
 def eigen_closed_form(profile: DegreeProfile) -> tuple[Num, ...]:
     """Exact spectrum: the growth rate plus w_k*(g(0)-1) per tracked class."""
-    one = Fraction(1) if profile.exact else 1.0
     g0 = profile.g0
-    return (profile.lambda1,) + tuple(profile.w(k) * (g0 - one) for k in profile.essential)
+    return (profile.lambda1,) + tuple(profile.w(k) * (g0 - 1) for k in profile.essential)
 
 
 def validate_spectrum(A: Sequence[Sequence[Num]], closed: Sequence[Num]) -> None:
@@ -377,9 +355,8 @@ def right_eigenvector(profile: DegreeProfile) -> tuple[Num, ...]:
     The first r entries are the limit vector; the overflow entry makes the
     activity-weighted total equal 1.
     """
-    one = Fraction(1) if profile.exact else 1.0
     head = profile.limit
-    tail = one - sum(profile.w(k) * x for k, x in zip(profile.essential, head))
+    tail = 1 - sum(profile.w(k) * x for k, x in zip(profile.essential, head))
     return head + (tail,)
 
 
@@ -501,40 +478,24 @@ def irreducibility_check(law: ReplacementLaw) -> bool:
     return True
 
 
-def _check_eigen_identities(A, acts, v1, lam1, exact: bool) -> None:
+def _check_eigen_identities(A, acts, v1, lam1) -> None:
     """a'A = lam1 a' (activities form the left eigenvector), A v1 = lam1 v1
-    and a'v1 = 1; exact models compare integer numerators on a shared
-    scale."""
+    and a'v1 = 1, compared as integer numerators on a shared scale."""
     q = len(acts)
-    if exact:
-        An, dA = _clear_matrix(A)
-        a, da = _clear(acts)
-        v, dv = _clear(v1)
-        (lam,), dl = _clear((lam1,))
-        for j in range(q):
-            if sum(a[i] * An[i][j] for i in range(q)) * dl != lam * a[j] * dA:
-                raise InternalConsistencyError(
-                    f"activity vector is not a left eigenvector at column {j}"
-                )
-        for i in range(q):
-            if sum(x * y for x, y in zip(An[i], v)) * dl != lam * v[i] * dA:
-                raise InternalConsistencyError(
-                    f"dominant right eigenvector fails at row {i}"
-                )
-        if sum(x * y for x, y in zip(a, v)) != da * dv:
-            raise InternalConsistencyError("right eigenvector is not normalized")
-    else:
-        Af = _to_float_matrix(A)
-        af = np.array([float(x) for x in acts])
-        v1f = np.array([float(x) for x in v1])
-        lamf = float(lam1)
-        scale = max(1.0, float(np.max(np.abs(Af))))
-        if float(np.max(np.abs(af @ Af - lamf * af))) > 1e-10 * scale:
-            raise InternalConsistencyError("activity vector is not a left eigenvector")
-        if float(np.max(np.abs(Af @ v1f - lamf * v1f))) > 1e-10 * scale:
-            raise InternalConsistencyError("dominant right eigenvector check failed")
-        if abs(float(af @ v1f) - 1.0) > 1e-10:
-            raise InternalConsistencyError("right eigenvector is not normalized")
+    An, dA = _clear_matrix(A)
+    a, da = _clear(acts)
+    v, dv = _clear(v1)
+    (lam,), dl = _clear((lam1,))
+    for j in range(q):
+        if sum(a[i] * An[i][j] for i in range(q)) * dl != lam * a[j] * dA:
+            raise InternalConsistencyError(
+                f"activity vector is not a left eigenvector at column {j}"
+            )
+    for i in range(q):
+        if sum(x * y for x, y in zip(An[i], v)) * dl != lam * v[i] * dA:
+            raise InternalConsistencyError(f"dominant right eigenvector fails at row {i}")
+    if sum(x * y for x, y in zip(a, v)) != da * dv:
+        raise InternalConsistencyError("right eigenvector is not normalized")
 
 
 def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
@@ -552,7 +513,7 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     eigs = eigen_closed_form(profile)
     validate_spectrum(A, eigs)
     v1 = right_eigenvector(profile)
-    _check_eigen_identities(A, acts, v1, eigs[0], profile.exact)
+    _check_eigen_identities(A, acts, v1, eigs[0])
     B = second_moment_matrix(law, acts, v1)
     sigma = covariance(A, B, acts, v1, eigs[0])
     return UrnModel(

@@ -191,31 +191,42 @@ def test_internal_consistency_exit_code(example_paths, capsys):
     assert "exceeds the supported maximum 64" in err
 
 
+# one unit-source block tracked at r = 1: every replicate has the same
+# census, Sigma = 0 and the limit law is a point mass at the mean
+POINT_MASS = {
+    "kind": "bipolar",
+    "chi": 0,
+    "rho": 1,
+    "r": 1,
+    "blocks": [
+        {
+            "name": "B",
+            "probability": 1,
+            "vertices": ["n", "m", "t", "b", "s"],
+            "edges": [["n", "m"], ["m", "t"], ["m", "b"], ["m", "s"],
+                      ["t", "s"], ["b", "s"]],
+            "north": "n",
+            "south": "s",
+        }
+    ],
+}
+
+
+def _example_doc(name: str) -> dict:
+    data = resources.files("blocknets.data").joinpath(f"{name}.json").read_text("utf-8")
+    return json.loads(data)
+
+
+def _write_model(path, doc, **fields):
+    path.write_text(json.dumps({**doc, **fields}))
+    return str(path)
+
+
 def test_verify_deterministic_model(tmp_path, capsys):
-    # one unit-source block tracked at r = 1: every replicate has the same
-    # census, Sigma = 0 and the limit law is a point mass at the mean
-    doc = {
-        "kind": "bipolar",
-        "chi": 0,
-        "rho": 1,
-        "r": 1,
-        "blocks": [
-            {
-                "name": "B",
-                "probability": 1,
-                "vertices": ["n", "m", "t", "b", "s"],
-                "edges": [["n", "m"], ["m", "t"], ["m", "b"], ["m", "s"],
-                          ["t", "s"], ["b", "s"]],
-                "north": "n",
-                "south": "s",
-            }
-        ],
-    }
-    p = tmp_path / "point-mass.json"
-    p.write_text(json.dumps(doc))
+    p = _write_model(tmp_path / "point-mass.json", POINT_MASS)
     report = tmp_path / "report.json"
     code = main([
-        "verify", "--input", str(p), "--steps", "2000", "--replicates", "200",
+        "verify", "--input", p, "--steps", "2000", "--replicates", "200",
         "--out", str(report),
     ])
     printed = capsys.readouterr().out
@@ -226,6 +237,47 @@ def test_verify_deterministic_model(tmp_path, capsys):
     assert verdicts == {"mean": "PASS", "covariance": "SKIP", "normality": "SKIP"}
     assert all("covariance is zero" in c["detail"] for c in doc["checks"][1:])
     assert doc["passed"] is True
+
+
+def test_decimal_point_mass_analyzes_as_its_fraction_twin(tmp_path):
+    """Binary64 cannot hold 0.3 and 0.7, but they are read as 3/10 and 7/10:
+    Sigma is exactly 0 and the analysis is the twin's, byte for byte."""
+    outs = []
+    for tag, chi, rho in (("decimal", 0.3, 0.7), ("fraction", "3/10", "7/10")):
+        model = _write_model(tmp_path / f"{tag}.json", POINT_MASS, chi=chi, rho=rho)
+        out = tmp_path / f"{tag}.out.json"
+        assert main(["analyze", "--input", model, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["urn"]["sigma"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", ["chi", "rho", "probability"])
+def test_non_finite_input_is_a_schema_error(field, value, tmp_path, capsys):
+    doc = _example_doc("k2")
+    if field == "probability":
+        doc["blocks"][0]["probability"] = value
+    else:
+        doc[field] = value
+    model = _write_model(tmp_path / "k2.json", doc)
+    assert main(["analyze", "--input", model]) == 1
+    assert "validation error: schema" in capsys.readouterr().err
+
+
+def test_subnormal_decimal_is_an_exact_rational(tmp_path):
+    model = _write_model(tmp_path / "k2.json", _example_doc("k2"), rho=1e-320)
+    out = tmp_path / "out.json"
+    assert main(["analyze", "--input", model, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rho"] == f"1/{10**320}"
+
+
+def test_binary64_overflow_is_an_error_message(tmp_path, capsys):
+    """chi = 10^300 is a valid rational, but the urn's M and C overflow
+    binary64 on their way to the Lyapunov solve."""
+    model = _write_model(tmp_path / "k2.json", _example_doc("k2"), chi="1e300", r=3)
+    assert main(["analyze", "--input", model]) == 1
+    assert capsys.readouterr().err.startswith("error: integer division result too large")
 
 
 K2_PREFERENTIAL_R12 = {

@@ -25,7 +25,6 @@ def test_fig1_parses_as_four_hooking_blocks(fig1):
     assert fig1.kind == "hooking"
     assert len(fig1.blocks) == 4
     assert fig1.probabilities == (F(1, 6), F(1, 3), F(1, 6), F(1, 3))
-    assert fig1.exact
     assert fig1.chi == 1 and fig1.rho == 0
 
 
@@ -149,29 +148,53 @@ def test_bipolar_pole_rules():
         blockset_from_dict(loop_on_pole)
 
 
-def test_decimal_inputs_switch_to_float_mode():
-    doc = {
-        "kind": "hooking",
-        "chi": 0.5,
-        "rho": 1,
-        "r": 2,
-        "blocks": [
-            {
-                "name": "K2",
-                "probability": 1,
-                "vertices": ["h", "a"],
-                "edges": [["h", "a"]],
-                "hook": "h",
-            }
-        ],
-    }
-    bs = blockset_from_dict(doc)
-    assert not bs.exact
-    assert isinstance(bs.chi, float) and isinstance(bs.blocks[0].probability, float)
+DECIMAL_K2 = {
+    "kind": "hooking",
+    "chi": 0.5,
+    "rho": 0.1,
+    "r": 2,
+    "blocks": [
+        {
+            "name": "K2",
+            "probability": 1.0,
+            "vertices": ["h", "a"],
+            "edges": [["h", "a"]],
+            "hook": "h",
+        }
+    ],
+}
+
+
+def _with_probabilities(bs, probs) -> dict:
+    doc = bs.to_dict()
+    for entry, p in zip(doc["blocks"], probs):
+        entry["probability"] = p
+    return doc
+
+
+def test_decimal_inputs_are_read_as_written(fig1):
+    bs = blockset_from_dict(DECIMAL_K2)
+    assert bs.chi == F(1, 2) and bs.rho == F(1, 10)
+    assert bs.blocks[0].probability == 1
+    assert all(type(x) is F for x in (bs.chi, bs.rho, bs.blocks[0].probability))
+
+    # fig1's probabilities as binary64 decimals miss 1 by a rounding step
+    # and are divided by their sum
+    floats = [float(p) for p in fig1.probabilities]
+    written = [F(repr(p)) for p in floats]
+    assert sum(written) == F("0.99999999999999992")
+    rescaled = blockset_from_dict(_with_probabilities(fig1, floats))
+    assert sum(rescaled.probabilities) == 1
+    assert rescaled.probabilities == tuple(p / sum(written) for p in written)
+
+    # a sum that is off by more than the tolerance is still an error
+    off = [floats[0] - 1e-6] + floats[1:]
+    with pytest.raises(BlockSetError, match="prob-sum"):
+        blockset_from_dict(_with_probabilities(fig1, off))
 
 
 def test_roundtrip_identity(fig1, fig3, k2):
-    for bs in (fig1, fig3, k2):
+    for bs in (fig1, fig3, k2, blockset_from_dict(DECIMAL_K2)):
         again = parse_blockset(bs.to_json())
         assert again == bs
         assert parse_blockset(again.to_json()) == again

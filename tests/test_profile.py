@@ -114,6 +114,9 @@ def test_chi_zero_equal_vertex_counts_is_balanced():
     }
     p = build_profile(blockset_from_dict(doc))
     assert p.balance.balanced and p.balance.s == (F(2), F(2))
+    # the triangle's extra edge weighs 2 chi: balance is an exact equality
+    p = build_profile(blockset_from_dict({**doc, "chi": 1e-40}))
+    assert not p.balance.balanced and p.balance.s[1] - p.balance.s[0] == F(2, 10**40)
 
 
 def test_mean_activity_increment_equals_lambda1(fig1, fig3):

@@ -19,7 +19,7 @@ from blocknets import (
     replacement_vector,
 )
 from blocknets import urn as urn_module
-from blocknets.cli import main
+from blocknets.cli import analyze_dict, main
 from blocknets.model_io import blockset_from_dict
 from blocknets.urn import (
     LYAPUNOV_RESIDUAL_TOL,
@@ -318,29 +318,28 @@ def test_validate_spectrum_catches_wrong_claim(urn1):
         validate_spectrum(urn1.A, (F(31, 3), F(-1), F(-3), F(-4)))
 
 
-def test_decimal_mode_end_to_end():
-    doc = {
-        "kind": "hooking",
-        "chi": 0.5,
-        "rho": 0.25,
-        "r": 3,
-        "blocks": [
-            {"name": "P", "probability": 0.5, "vertices": ["h", "a", "b"],
-             "edges": [["h", "a"], ["a", "b"]], "hook": "h"},
-            {"name": "S", "probability": 0.5, "vertices": ["h", "a", "b", "c"],
-             "edges": [["h", "a"], ["h", "b"], ["h", "c"]], "hook": "h"},
-        ],
-    }
-    bs = blockset_from_dict(doc)
-    assert not bs.exact
-    urn = build_urn(bs)
-    assert isinstance(urn.lambda1, float)
-    assert abs(sum(urn.profile.g.values()) - 1.0) < 1e-12
-    af, v1f = urn.activities_float(), urn.v1_float()
-    Af = urn.A_float()
-    assert np.max(np.abs(af @ Af - float(urn.lambda1) * af)) < 1e-9
-    assert np.max(np.abs(Af @ v1f - float(urn.lambda1) * v1f)) < 1e-9
-    assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9
+def test_decimal_document_equals_its_fraction_twin():
+    """Decimals are the rationals they spell: a model written with them and
+    the same model written as "a/b" strings are one model."""
+
+    def doc(chi, rho, p):
+        return {
+            "kind": "hooking",
+            "chi": chi,
+            "rho": rho,
+            "r": 3,
+            "blocks": [
+                {"name": "P", "probability": p, "vertices": ["h", "a", "b"],
+                 "edges": [["h", "a"], ["a", "b"]], "hook": "h"},
+                {"name": "S", "probability": p, "vertices": ["h", "a", "b", "c"],
+                 "edges": [["h", "a"], ["h", "b"], ["h", "c"]], "hook": "h"},
+            ],
+        }
+
+    decimal = blockset_from_dict(doc(0.3, 0.25, 0.5))
+    twin = blockset_from_dict(doc("3/10", "1/4", "1/2"))
+    assert decimal == twin
+    assert analyze_dict(build_urn(decimal)) == analyze_dict(build_urn(twin))
 
 
 @settings(max_examples=25, deadline=None)
@@ -350,9 +349,8 @@ def test_random_models_structural_invariants(seed):
     urn = build_urn(bs)
     q = len(urn.types)
     lam = urn.lambda1
-    if bs.exact:
-        for j in range(q):
-            assert sum(urn.activities[i] * urn.A[i][j] for i in range(q)) == lam * urn.activities[j]
+    for j in range(q):
+        assert sum(urn.activities[i] * urn.A[i][j] for i in range(q)) == lam * urn.activities[j]
     validate_spectrum(urn.A, urn.eigenvalues)
     assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9
     assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
@@ -386,13 +384,13 @@ def test_eigen_identities_are_exact(urn1, urn3):
     check = urn_module._check_eigen_identities
     for urn in (urn1, urn3):
         A, a, v1, lam = urn.A, urn.activities, urn.v1, urn.lambda1
-        check(A, a, v1, lam, True)
+        check(A, a, v1, lam)
         with pytest.raises(InternalConsistencyError, match="right eigenvector fails at row"):
-            check(A, a, v1[:1] + (v1[1] + TINY,) + v1[2:], lam, True)
+            check(A, a, v1[:1] + (v1[1] + TINY,) + v1[2:], lam)
         with pytest.raises(InternalConsistencyError, match="not a left eigenvector at column"):
-            check(A, (a[0] + TINY,) + a[1:], v1, lam, True)
+            check(A, (a[0] + TINY,) + a[1:], v1, lam)
         with pytest.raises(InternalConsistencyError, match="not normalized"):
-            check(A, a, tuple(x * (1 + TINY) for x in v1), lam, True)
+            check(A, a, tuple(x * (1 + TINY) for x in v1), lam)
 
 
 def test_build_urn_checks_the_right_eigenvector(fig3, monkeypatch):
