@@ -1,24 +1,21 @@
 """Benchmark the growth kernels, in census and in graph mode.
 
 Usage:
-    python benchmarks/bench_growth.py [--steps N] [--repeats K]
+    python benchmarks/bench_growth.py [--repeats K]
 
-Three measurements, each on bit-identical work:
+Two measurements, each on bit-identical work:
 
-* single runs (bundled fig1 model, fixed seed) through every available
-  backend of the scalar kernel.  When numba is present, trajectories are
-  asserted identical before timing; without numba (or with
-  BLOCKNETS_NO_NUMBA=1) only the python backend is timed;
 * replicates, as one ``verify`` worker grows them (fig1 and fig3, 100
   replicates of 10^4 steps on one core): one ``simulate`` per replicate
-  against ``simulate_batch``, which grows them all in lock step (with
-  numba it runs one compiled ``simulate`` per replicate, so both times
-  agree).  Rates are reported in replicate-steps/s once the final
-  censuses of both are asserted identical;
+  against ``simulate_batch``, which grows them all in lock step.  Rates
+  are reported in replicate-steps/s once the final censuses of both are
+  asserted identical;
 * graph mode (fig1 and fig3, 2x10^4 steps, fixed seed), which runs the
   census kernel and replays its choices on the multigraph.  Its census
   trajectory is asserted equal to census mode's before it is timed, in
   steps/s.
+
+Single-run census steps/s is perfbench's ``census.record_steps_per_s``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import time
 import numpy as np
 
 from blocknets import (
-    backend_name,
     build_profile,
     census_vector,
     load_example,
@@ -45,38 +41,6 @@ REPLICATE_STEPS = 10_000
 GRAPH_STEPS = 20_000
 
 
-def run(backend: str, steps: int, seed: int):
-    t0 = time.perf_counter()
-    state = simulate(load_example("fig1"), steps, mode="census", seed=seed, backend=backend)
-    return time.perf_counter() - t0, state
-
-
-def compare_backends(steps: int, repeats: int) -> None:
-    print(f"default backend: {backend_name()}")
-    if backend_name() == "numba":
-        backends = ("numba", "python")
-        a, b = (
-            simulate(load_example("fig1"), 5_000, mode="census", seed=0, record=True, backend=be)
-            for be in backends
-        )
-        assert np.array_equal(a.trajectory_x, b.trajectory_x), "backends diverged"
-        print("backends produce identical trajectories; timing...")
-        run("numba", 1_000, seed=0)  # absorb JIT compilation
-    else:
-        backends = ("python",)
-        print("numba is absent or disabled (BLOCKNETS_NO_NUMBA): timing the python backend only")
-
-    results = {}
-    for backend in backends:
-        n = steps if backend == backends[0] else max(steps // 10, 10_000)
-        best = min(run(backend, n, seed=s)[0] for s in range(repeats))
-        rate = n / best
-        results[backend] = rate
-        print(f"{backend:>7}: {n:>9,} steps in {best:.3f}s  ->  {rate:>12,.0f} steps/s")
-    if "numba" in results:
-        print(f"speedup: {results['numba'] / results['python']:.0f}x")
-
-
 def per_replicate(bs, n: int, seeds, track) -> np.ndarray:
     return np.array([census_vector(simulate(bs, n, seed=s), track)[0] for s in seeds])
 
@@ -87,7 +51,7 @@ def batched(bs, n: int, seeds, track) -> np.ndarray:
 
 def compare_replicate_kernels(repeats: int) -> None:
     replicates, steps = REPLICATES, REPLICATE_STEPS
-    print(f"\nreplicates: R={replicates}, n={steps:,} on one core ({backend_name()} backend)")
+    print(f"replicates: R={replicates}, n={steps:,} on one core")
     for name in ("fig1", "fig3"):
         bs = load_example(name)
         track = build_profile(bs).essential
@@ -109,7 +73,7 @@ def compare_replicate_kernels(repeats: int) -> None:
 
 def time_graph_mode(repeats: int) -> None:
     steps = GRAPH_STEPS
-    print(f"\ngraph mode: n={steps:,} ({backend_name()} backend)")
+    print(f"\ngraph mode: n={steps:,}")
     for name in ("fig1", "fig3"):
         bs = load_example(name)
         census, graph = (
@@ -128,10 +92,8 @@ def time_graph_mode(repeats: int) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--steps", type=int, default=200_000)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
-    compare_backends(args.steps, args.repeats)
     compare_replicate_kernels(args.repeats)
     time_graph_mode(args.repeats)
 

@@ -5,24 +5,21 @@ operations per step and dominates the runtime of Monte-Carlo
 verification.  Two kernels advance it:
 
 * ``census_chunk`` runs one replicate through ``_census_steps``, the
-  scalar loop.  numba compiles that loop when it is installed; without
-  numba (or with ``BLOCKNETS_NO_NUMBA=1``) it runs in pure Python over
-  list copies of the arrays.  ``simulate`` and ``grow_step`` use it in
-  both modes; it can record the tracked census after every step, and
-  it can emit the latch class it chose at each step, which graph mode
-  replays on the multigraph.
+  scalar loop, in pure Python over list copies of the arrays.
+  ``simulate`` and ``grow_step`` use it in both modes; it can record the
+  tracked census after every step, and it can emit the latch class it
+  chose at each step, which graph mode replays on the multigraph.
 * ``census_batch`` advances a block of replicates in lock step on one
-  replicates-by-degrees counts array, in numpy; ``verify`` uses it when
-  numba is not installed (with numba, ``simulate_batch`` runs the
-  compiled scalar loop once per replicate).  Everything that does not
-  depend on the census (the running total activity, the new vertices)
-  is computed once per row block, and only the class scan and the latch
-  move run per step.
+  replicates-by-degrees counts array, in numpy; ``verify`` uses it
+  through ``simulate_batch``.  Everything that does not depend on the
+  census (the running total activity, the new vertices) is computed once
+  per row block, and only the class scan and the latch move run per
+  step.
 
 Both kernels take the block choices precomputed by ``block_choice``
 (one ``searchsorted`` per row block), which is also how the initial
-block is drawn; the class scan is the only choice they make.  Every
-route yields bit-identical states: the scans add in the same order
+block is drawn; the class scan is the only choice they make.  Both
+yield bit-identical states: the scans add in the same order
 (``np.cumsum`` adds sequentially, like the loop) and all comparisons are
 the same.
 
@@ -34,20 +31,13 @@ Step layout of the pre-drawn uniforms (one row per step):
     col 3  out-arc index (bipolar graph mode's replay only)
 
 The emitted class is the degree of the latch, or -1 for the master
-vertex.  Status codes returned by ``census_chunk``: 0 = chunk finished,
-1 = the counts array is too small for the next step (caller grows it and
-re-enters).
+vertex.  Both kernels grow the counts array when a step would reach
+past its end, so no caller has to.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-STATUS_OK = 0
-STATUS_GROW = 1
 
 # Columns of the class scan that census_batch tries before scanning the
 # whole active width; most latches sit in the low degree classes.
@@ -74,23 +64,19 @@ def _census_steps(
     record,
 ):
     """The census loop over the class uniforms ``u0`` and block choices
-    ``b_in`` of the next steps.  It records into ``x_out``/``star_out`` when
-    ``record`` is set and writes each step's latch class into ``cls_out``
-    unless that is empty.  numba compiles it over the numpy arrays; the
-    Python backend runs it unchanged over lists (see ``_py_census_chunk``),
-    so both backends share one operation order."""
-    max_deg = int(state_i[0])
-    master_deg = int(state_i[1])
-    n_vertices = int(state_i[2])
-    total = float(state_f[0])
+    ``b_in`` of the next steps, on lists.  It records into
+    ``x_out``/``star_out`` when ``record`` is set, writes each step's latch
+    class into ``cls_out`` unless that is empty, and doubles ``counts`` in
+    place whenever a step would reach past its end."""
+    max_deg = state_i[0]
+    master_deg = state_i[1]
+    n_vertices = state_i[2]
+    total = state_f[0]
     cap = len(counts)
-    steps = len(u0)
     r = len(ess)
     emit = len(cls_out) > 0
 
-    done = steps
-    status = STATUS_OK
-    for j in range(steps):
+    for j in range(len(u0)):
         target = u0[j] * total
         cls = -1
         acc = 0.0
@@ -108,10 +94,9 @@ def _census_steps(
         for t in range(nd_off[b], nd_off[b + 1]):
             if nd_flat[t] > need:
                 need = nd_flat[t]
-        if need >= cap:
-            done = j
-            status = STATUS_GROW
-            break
+        while need >= cap:
+            counts.extend([0] * cap)
+            cap = len(counts)
 
         if cls == -1:
             master_deg += d
@@ -143,10 +128,9 @@ def _census_steps(
     state_i[1] = master_deg
     state_i[2] = n_vertices
     state_f[0] = total
-    return done, status
 
 
-def _py_census_chunk(
+def census_chunk(
     counts,
     state_i,
     state_f,
@@ -165,10 +149,10 @@ def _py_census_chunk(
     cls_out,
     record,
 ):
-    """Python backend: run ``_census_steps`` over list copies of the arrays
-    (element access on numpy arrays costs several times more than on lists),
-    then write the mutated state back.  Python floats and ints are binary64
-    and exact integers, so the stream is bit-identical to the numba one."""
+    """Run ``_census_steps`` over list copies of the arrays (element access
+    on numpy arrays costs several times more than on lists), then write the
+    state, the recorded rows and the emitted classes back.  Returns the
+    counts as a new array, grown if the steps needed it."""
     steps = u0.shape[0]
     cl = counts.tolist()
     si = state_i.tolist()
@@ -179,7 +163,7 @@ def _py_census_chunk(
     else:
         xl, sl = [], []
     kl = [0] * steps if cls_out.shape[0] else []
-    done, status = _census_steps(
+    _census_steps(
         cl,
         si,
         sf,
@@ -198,46 +182,14 @@ def _py_census_chunk(
         kl,
         record,
     )
-    counts[:] = cl
     state_i[:] = si
     state_f[:] = sf
-    if record and done:
-        x_out[:done] = xl[:done]
-        star_out[:done] = sl[:done]
-    if kl and done:
-        cls_out[:done] = kl[:done]
-    return done, status
-
-
-_USE_NUMBA = os.environ.get("BLOCKNETS_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-_numba_census_chunk = None
-
-if _USE_NUMBA:
-    try:
-        import numba
-
-        _numba_census_chunk = numba.njit(cache=True)(_census_steps)
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        _USE_NUMBA = False
-
-
-def backend_name() -> str:
-    """Which census kernel is active: 'numba' or 'python'."""
-    return "numba" if (_USE_NUMBA and _numba_census_chunk is not None) else "python"
-
-
-def census_chunk(*args, backend: str | None = None):
-    """Run one chunk of census-mode growth steps.
-
-    ``backend`` forces 'numba' or 'python' for benchmarking; by default the
-    module-level selection (env flag + availability) applies.
-    """
-    use = backend or backend_name()
-    if use == "numba":
-        if _numba_census_chunk is None:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        return _numba_census_chunk(*args)
-    return _py_census_chunk(*args)
+    if record:
+        x_out[:steps] = xl
+        star_out[:steps] = sl
+    if kl:
+        cls_out[:] = kl
+    return np.array(cl, dtype=np.int64)
 
 
 def block_choice(block_p, ub):

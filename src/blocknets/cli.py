@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (OSError, ValueError, OverflowError, ResourceLimitError) as exc:
+    except (OSError, ValueError, OverflowError, FloatingPointError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -68,7 +68,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def backend_name() -> str:
-    return _kernels.backend_name()
+    """The census kernel in use: always the Python loop of ``_kernels``."""
+    return "python"
 
 
 @dataclass
@@ -257,7 +258,6 @@ class GrowthState:
     trajectory_x: Optional[np.ndarray] = None
     trajectory_star: Optional[np.ndarray] = None
     max_vertices: int = DEFAULT_MAX_VERTICES
-    backend: Optional[str] = None
 
     @property
     def kind(self) -> str:
@@ -304,7 +304,6 @@ def init_state(
     mode: str = CENSUS,
     seed=0,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    backend: Optional[str] = None,
 ) -> GrowthState:
     """State holding a copy of the initial block, master vertices marked and
     excluded from the census."""
@@ -361,7 +360,6 @@ def init_state(
         stream=stream,
         graph=graph,
         max_vertices=max_vertices,
-        backend=backend,
     )
     state.total_activity = state.recount_total_activity()
     return state
@@ -532,38 +530,30 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
         nv = _vertex_counts(state_i[2], t, b)
         _check_vertex_limit(nv, state.step, state.max_vertices)
         cls = np.empty(rows.shape[0] if g is not None else 0, dtype=np.int64)
-        offset = 0
-        while offset < rows.shape[0]:
-            if record:
-                x_out = state.trajectory_x[state.step + 1 + offset :]
-                star_out = state.trajectory_star[state.step + 1 + offset :]
-            else:
-                x_out, star_out = no_x, no_star
-            done, status = _kernels.census_chunk(
-                state.counts,
-                state_i,
-                state_f,
-                t.chi,
-                t.rho,
-                t.block_d,
-                t.block_s,
-                t.block_nv,
-                t.nd_flat,
-                t.nd_off,
-                rows[offset:, 0],
-                b[offset:],
-                ess,
-                x_out,
-                star_out,
-                cls[offset:],
-                record,
-                backend=state.backend,
-            )
-            offset += done
-            if status == _kernels.STATUS_GROW:
-                state.counts = np.concatenate(
-                    [state.counts, np.zeros(state.counts.shape[0], dtype=np.int64)]
-                )
+        if record:
+            x_out = state.trajectory_x[state.step + 1 :]
+            star_out = state.trajectory_star[state.step + 1 :]
+        else:
+            x_out, star_out = no_x, no_star
+        state.counts = _kernels.census_chunk(
+            state.counts,
+            state_i,
+            state_f,
+            t.chi,
+            t.rho,
+            t.block_d,
+            t.block_s,
+            t.block_nv,
+            t.nd_flat,
+            t.nd_off,
+            rows[:, 0],
+            b,
+            ess,
+            x_out,
+            star_out,
+            cls,
+            record,
+        )
         if g is not None:
             _replay(g, rows, b, cls, nv - t.block_nv[b])
         state.step += rows.shape[0]
@@ -592,7 +582,6 @@ def simulate(
     record: bool = False,
     track: Optional[Sequence[int]] = None,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    backend: Optional[str] = None,
 ) -> GrowthState:
     """Run n growth steps; deterministic given (bs, n, mode, seed).
 
@@ -601,7 +590,7 @@ def simulate(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    state = init_state(bs, mode, seed, max_vertices=max_vertices, backend=backend)
+    state = init_state(bs, mode, seed, max_vertices=max_vertices)
     if record:
         ess = tuple(track) if track is not None else essential_degrees(bs, bs.r)
         state.track = ess
@@ -628,14 +617,11 @@ def simulate_batch(
 
     Each returned state equals ``simulate(bs, n, seed=s)`` for its seed:
     the same census, degrees, vertex count, total activity (to the bit)
-    and stream position.  Nothing is recorded.  Without numba the
-    replicates grow in lock step through ``_kernels.census_batch``; with
-    numba, one compiled ``simulate`` per seed is faster.
+    and stream position.  Nothing is recorded.  The replicates grow in
+    lock step through ``_kernels.census_batch``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if _kernels.backend_name() == "numba":
-        return [simulate(bs, n, seed=s, max_vertices=max_vertices) for s in seeds]
     states = [init_state(bs, CENSUS, s, max_vertices) for s in seeds]
     if not states:
         return states

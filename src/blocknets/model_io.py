@@ -34,6 +34,7 @@ class BlockSetError(ValueError):
 
     def __init__(self, rule: str, message: str, block: str | None = None):
         self.rule = rule
+        self.message = message
         self.block = block
         where = f" [block {block!r}]" if block else ""
         super().__init__(f"{rule}{where}: {message}")
@@ -291,11 +292,15 @@ def blockset_from_dict(doc: Mapping) -> BlockSet:
     if not isinstance(blocks_doc, Sequence) or isinstance(blocks_doc, (str, bytes)):
         raise BlockSetError("schema", "'blocks' must be a list")
     for i, bdoc in enumerate(blocks_doc):
+        if not isinstance(bdoc, Mapping):
+            raise BlockSetError("schema", f"block {i} must be an object, got {bdoc!r}")
         name = bdoc.get("name", f"block{i}")
         try:
             prob = parse_number(bdoc["probability"])
             vertices = tuple(str(v) for v in bdoc["vertices"])
             edges = tuple((str(a), str(b)) for a, b in bdoc["edges"])
+        except BlockSetError as exc:
+            raise BlockSetError(exc.rule, exc.message, name) from None
         except (KeyError, TypeError, ValueError) as exc:
             raise BlockSetError("schema", f"bad block entry: {exc!r}", name)
         blocks.append(

@@ -383,6 +383,21 @@ def second_moment_matrix(
     return _over_matrix(B, d)
 
 
+def _binary64(name: str, m: Sequence[Sequence[int]], d: Scale) -> np.ndarray:
+    """The matrix ``m / d``, each entry rounded once into binary64.  Raises
+    FloatingPointError when a nonzero entry rounds below the normal range:
+    a subnormal keeps too few digits for the solve, and a residual built
+    from such entries underflows, so its certificate would pass vacuously."""
+    out = np.array([[x / d for x in row] for row in m], dtype=np.float64)
+    for i, j in np.argwhere(np.abs(out) < np.finfo(np.float64).tiny).tolist():
+        if m[i][j]:
+            raise FloatingPointError(
+                f"covariance: {name}[{i}][{j}] is nonzero but rounds to {out[i, j]:.3g} in "
+                f"binary64, below its normal range; Sigma cannot be solved there"
+            )
+    return out
+
+
 def covariance(
     A: Sequence[Sequence[Num]],
     B: Sequence[Sequence[Num]],
@@ -411,8 +426,9 @@ def covariance(
     is stable and X is unique.  M and C are formed exactly on integer
     numerators over a common scale each (M over 2 dA dl dv da, C over
     dB dl^2 dv^2, with dA, dB, dl, dv and da the denominators of A, B,
-    lam1, v1 and the activities), rounded once into binary64 and solved
-    there by Bartels-Stewart.  The solution is certified by its relative
+    lam1, v1 and the activities), rounded once into binary64 (where no
+    nonzero entry may fall below the normal range) and solved there by
+    Bartels-Stewart.  The solution is certified by its relative
     residual ||M Sigma + Sigma M' + lam1 C||_F / (lam1 ||C||_F).
     """
     q = len(acts)
@@ -425,21 +441,19 @@ def covariance(
     # M = A - lam1 v1 a' - (lam1/2) I over the scale 2 dA dl dv da
     scale_a = 2 * dl * dv * da
     half = lam * dA * dv * da
-    sM = dA * scale_a
     M = []
     for i, row in enumerate(An):
         lv = 2 * dA * lam * v[i]
-        M.append([(x * scale_a - lv * y) / sM for x, y in zip(row, a)])
-        M[i][i] = (row[i] * scale_a - lv * a[i] - half) / sM
+        M.append([x * scale_a - lv * y for x, y in zip(row, a)])
+        M[i][i] -= half
+    M = _binary64("M", M, dA * scale_a)
     # C = B - lam1^2 v1 v1' over the scale dB dl^2 dv^2
     scale_b = dl * dl * dv * dv
-    sC = dB * scale_b
     C = []
     for i, row in enumerate(Bn):
         lv = lam * lam * v[i]
-        C.append([(x * scale_b - lv * y * dB) / sC for x, y in zip(row, v)])
-    M = np.array(M, dtype=np.float64)
-    C = np.array(C, dtype=np.float64)
+        C.append([x * scale_b - lv * y * dB for x, y in zip(row, v)])
+    C = _binary64("C", C, dB * scale_b)
 
     lamf = float(lam1)
     X = solve_continuous_lyapunov(M, -C)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from blocknets import load_blockset
 from blocknets.cli import main
 
 
@@ -265,11 +267,34 @@ def test_non_finite_input_is_a_schema_error(field, value, tmp_path, capsys):
     assert "validation error: schema" in capsys.readouterr().err
 
 
-def test_subnormal_decimal_is_an_exact_rational(tmp_path):
+def test_subnormal_decimal_is_an_exact_rational(tmp_path, capsys):
+    """rho = 1e-320 is read as exactly 1/10^320, but M's entries then round
+    to subnormals, where the Lyapunov residual would certify any Sigma."""
     model = _write_model(tmp_path / "k2.json", _example_doc("k2"), rho=1e-320)
-    out = tmp_path / "out.json"
-    assert main(["analyze", "--input", model, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["rho"] == f"1/{10**320}"
+    assert load_blockset(model).rho == Fraction(1, 10**320)
+    assert main(["analyze", "--input", model]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: covariance: M[0][0] is nonzero but rounds to")
+    assert "below its normal range" in err and len(err.splitlines()) == 1
+
+
+def test_non_object_block_is_a_schema_error(tmp_path, capsys):
+    model = _write_model(tmp_path / "k2.json", _example_doc("k2"), blocks=["oops"])
+    assert main(["analyze", "--input", model]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: schema: block 0 must be an object, got 'oops'\n"
+    )
+
+
+def test_bad_block_number_names_the_block_once(tmp_path, capsys):
+    doc = _example_doc("k2")
+    doc["blocks"][0]["probability"] = float("nan")
+    model = _write_model(tmp_path / "k2.json", doc)
+    assert main(["analyze", "--input", model]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: schema [block 'K2']: "
+        "expected a finite number or an 'a/b' string, got nan\n"
+    )
 
 
 def test_binary64_overflow_is_an_error_message(tmp_path, capsys):
