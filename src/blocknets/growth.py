@@ -5,7 +5,8 @@ produce identical census trajectories from the same seed:
 
 * census mode tracks only the degree census (one int64 counter per degree
   value, exact also above the tracked range) plus the master vertex's
-  degree and the running total attachment weight;
+  degree and the running total attachment weight, as an exact integer
+  scaled by S, the least common denominator of chi and rho;
 * graph mode additionally materializes the multigraph.  It runs the same
   census kernel, which also emits the latch class of each step, and then
   replays the vertex-level picks on the graph: the member of that class
@@ -38,6 +39,7 @@ many replicates at once and leaves each in the state ``simulate`` would.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -74,50 +76,59 @@ def backend_name() -> str:
 
 @dataclass
 class _Tables:
-    """Per-model constants consumed by the step kernels."""
+    """Per-model constants consumed by the step kernels.  Activities are
+    integers scaled by ``scan.scale``."""
 
     kind: str
-    chi: float
-    rho: float
     block_p: np.ndarray  # float64[m]
     block_d: np.ndarray  # int64[m], latch degree increment
-    block_s: np.ndarray  # float64[m], total-activity increment
     block_nv: np.ndarray  # int64[m], new vertices per attachment
     nd_flat: np.ndarray  # int64, new-vertex degrees, all blocks concatenated
     nd_off: np.ndarray  # int64[m+1]
     ncols: int
+    scan: _kernels.ScanTables  # the same model as the scalar kernel reads it
+
+    def weight(self, k: int) -> int:
+        """S * (chi * k + rho), the scaled attachment weight of degree k."""
+        return self.scan.chi_s * k + self.scan.rho_s
 
 
 def _build_tables(bs: BlockSet) -> _Tables:
-    m = len(bs.blocks)
-    block_p = np.array([float(b.probability) for b in bs.blocks], dtype=np.float64)
-    block_d = np.array([b.latch_increment() for b in bs.blocks], dtype=np.int64)
-    block_nv = np.array([len(b.new_vertices()) for b in bs.blocks], dtype=np.int64)
-    chi, rho = float(bs.chi), float(bs.rho)
-    degs: list[int] = []
-    off = [0]
-    s = np.empty(m, dtype=np.float64)
-    for i, b in enumerate(bs.blocks):
-        new_degs = [degree_of(b, v) for v in b.new_vertices()]
-        degs.extend(new_degs)
-        off.append(len(degs))
-        # activity gained per attachment: full weight of each new vertex
-        # plus chi * (latch increment) for the relabelled latch
-        s[i] = chi * int(block_d[i])
-        for c in new_degs:
-            s[i] += chi * c + rho
+    scale = math.lcm(bs.chi.denominator, bs.rho.denominator)
+    chi_s, rho_s = int(bs.chi * scale), int(bs.rho * scale)
+    d = [b.latch_increment() for b in bs.blocks]
+    new_degs = [[degree_of(b, v) for v in b.new_vertices()] for b in bs.blocks]
+    degs = [c for nd in new_degs for c in nd]
+    off = np.cumsum([0] + [len(nd) for nd in new_degs]).tolist()
+    # activity gained per attachment: full weight of each new vertex plus
+    # chi * (latch increment) for the relabelled latch
+    block_s = [chi_s * di + sum(chi_s * c + rho_s for c in nd) for di, nd in zip(d, new_degs)]
+    scan = _kernels.ScanTables(
+        scale, chi_s, rho_s, [], d, block_s, [len(nd) for nd in new_degs], degs, off
+    )
     return _Tables(
         kind=bs.kind,
-        chi=chi,
-        rho=rho,
-        block_p=block_p,
-        block_d=block_d,
-        block_s=s,
-        block_nv=block_nv,
+        block_p=np.array([float(b.probability) for b in bs.blocks], dtype=np.float64),
+        block_d=np.array(d, dtype=np.int64),
+        block_nv=np.array(scan.block_nv, dtype=np.int64),
         nd_flat=np.array(degs, dtype=np.int64),
         nd_off=np.array(off, dtype=np.int64),
         ncols=4 if bs.kind == BIPOLAR else 3,
+        scan=scan,
     )
+
+
+def _check_activity_limit(t: _Tables, activity: int, n: int) -> None:
+    """Raise ResourceLimitError unless the scaled total activity stays
+    below ``_kernels.ACTIVITY_LIMIT`` for n more steps from ``activity``,
+    which keeps every class scan exact in binary64."""
+    bound = activity + n * max(t.scan.block_s)
+    if bound >= _kernels.ACTIVITY_LIMIT:
+        raise ResourceLimitError(
+            f"total activity scaled by S, the least common denominator of chi "
+            f"and rho, could reach 2**{bound.bit_length() - 1} in {n} steps; "
+            f"exact latch weights need it below 2**{_kernels.ACTIVITY_LIMIT.bit_length() - 1}"
+        )
 
 
 class _Stream:
@@ -192,7 +203,7 @@ def _build_fusion(bs: BlockSet, t: _Tables) -> _Fusion:
             heads.append((out[b.north], [out[v] for v in b.new_vertices()]))
     return _Fusion(
         new_degs=[t.nd_flat[t.nd_off[i] : t.nd_off[i + 1]].tolist() for i in range(m)],
-        latch_d=t.block_d.tolist(),
+        latch_d=t.scan.block_d,
         heads=heads,
         ends=ends,
     )
@@ -249,7 +260,7 @@ class GrowthState:
     counts: np.ndarray  # int64, counts[k] = non-master vertices of degree k
     max_deg: int
     master_degree: int
-    total_activity: float
+    activity: int  # S * total attachment weight, S = tables.scan.scale
     n_vertices: int
     tables: _Tables
     stream: _Stream
@@ -263,6 +274,11 @@ class GrowthState:
     def kind(self) -> str:
         return self.bs.kind
 
+    @property
+    def total_activity(self) -> float:
+        """Total attachment weight, the exact ``activity / S`` rounded once."""
+        return self.activity / self.tables.scan.scale
+
     def census(self) -> dict[int, int]:
         """Degree census of the non-master vertices as a plain dict."""
         return {
@@ -271,12 +287,14 @@ class GrowthState:
             if self.counts[k]
         }
 
+    def recount_activity(self) -> int:
+        """``activity`` recounted from the census and the master degree."""
+        w = self.tables.weight
+        counts = self.counts.tolist()
+        return w(self.master_degree) + sum(w(k) * counts[k] for k in range(1, self.max_deg + 1))
+
     def recount_total_activity(self) -> float:
-        t = self.tables
-        total = t.chi * self.master_degree + t.rho
-        for k in range(1, self.max_deg + 1):
-            total += (t.chi * k + t.rho) * int(self.counts[k])
-        return total
+        return self.recount_activity() / self.tables.scan.scale
 
 
 def _census_counts_of_block(block: Block, exclude: Iterable[str]) -> dict[int, int]:
@@ -354,14 +372,14 @@ def init_state(
         counts=counts,
         max_deg=max_deg,
         master_degree=master_degree,
-        total_activity=0.0,
+        activity=0,
         n_vertices=len(block.vertices),
         tables=tables,
         stream=stream,
         graph=graph,
         max_vertices=max_vertices,
     )
-    state.total_activity = state.recount_total_activity()
+    state.activity = state.recount_activity()
     return state
 
 
@@ -480,7 +498,7 @@ def grow_step_scripted(
     state.counts, state.max_deg = _counts_array(g.census())
     state.master_degree = g.deg[g.master]
     state.n_vertices = len(g.deg)
-    state.total_activity += float(t.block_s[block_index])
+    state.activity += t.scan.block_s[block_index]
     state.step += 1
     return state
 
@@ -512,13 +530,11 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
     ``_replay`` applies the steps to the graph.  Its chunks end at every
     multiple of ``SPOT_CHECK_INTERVAL``, where ``_spot_check`` runs."""
     t, g = state.tables, state.graph
+    _check_activity_limit(t, state.activity, n)
     ess = np.array(state.track if record else (), dtype=np.int64)
     no_x = np.empty((0, ess.shape[0]), dtype=np.int64)
     no_star = np.empty(0, dtype=np.float64)
-    state_i = np.array(
-        [state.max_deg, state.master_degree, state.n_vertices], dtype=np.int64
-    )
-    state_f = np.array([state.total_activity], dtype=np.float64)
+    si = [state.max_deg, state.master_degree, state.n_vertices, state.activity]
 
     end = state.step + n
     while state.step < end:
@@ -527,7 +543,7 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
             want = min(want, SPOT_CHECK_INTERVAL - state.step % SPOT_CHECK_INTERVAL)
         rows = state.stream.take(want)
         b = _kernels.block_choice(t.block_p, rows[:, 2])
-        nv = _vertex_counts(state_i[2], t, b)
+        nv = _vertex_counts(si[2], t, b)
         _check_vertex_limit(nv, state.step, state.max_vertices)
         cls = np.empty(rows.shape[0] if g is not None else 0, dtype=np.int64)
         if record:
@@ -536,29 +552,12 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
         else:
             x_out, star_out = no_x, no_star
         state.counts = _kernels.census_chunk(
-            state.counts,
-            state_i,
-            state_f,
-            t.chi,
-            t.rho,
-            t.block_d,
-            t.block_s,
-            t.block_nv,
-            t.nd_flat,
-            t.nd_off,
-            rows[:, 0],
-            b,
-            ess,
-            x_out,
-            star_out,
-            cls,
-            record,
+            state.counts, si, t.scan, rows[:, 0], b, ess, x_out, star_out, cls, record
         )
         if g is not None:
             _replay(g, rows, b, cls, nv - t.block_nv[b])
         state.step += rows.shape[0]
-        state.max_deg, state.master_degree, state.n_vertices = (int(v) for v in state_i)
-        state.total_activity = float(state_f[0])
+        state.max_deg, state.master_degree, state.n_vertices, state.activity = si
         if g is not None and state.step % SPOT_CHECK_INTERVAL == 0:
             _spot_check(state)
 
@@ -567,11 +566,11 @@ def census_vector(state: GrowthState, essential: Sequence[int]) -> tuple[np.ndar
     """Counts of the tracked degree classes plus the aggregate attachment
     weight carried by everything else (overflow degrees and the master)."""
     x = np.array([int(state.counts[k]) if k <= state.max_deg else 0 for k in essential])
-    t = state.tables
-    star = state.total_activity - (t.chi * state.master_degree + t.rho)
-    for k, xi in zip(essential, x):
-        star -= (t.chi * k + t.rho) * int(xi)
-    return x, star
+    w = state.tables.weight
+    star = state.activity - w(state.master_degree)
+    for k, xi in zip(essential, x.tolist()):
+        star -= w(k) * xi
+    return x, star / state.tables.scan.scale
 
 
 def simulate(
@@ -616,9 +615,9 @@ def simulate_batch(
     """Census-mode ``simulate`` for several seeds at once.
 
     Each returned state equals ``simulate(bs, n, seed=s)`` for its seed:
-    the same census, degrees, vertex count, total activity (to the bit)
-    and stream position.  Nothing is recorded.  The replicates grow in
-    lock step through ``_kernels.census_batch``.
+    the same census, degrees, vertex count, total activity and stream
+    position.  Nothing is recorded.  The replicates grow in lock step
+    through ``_kernels.census_batch``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -626,11 +625,13 @@ def simulate_batch(
     if not states:
         return states
     t = states[0].tables
+    _check_activity_limit(t, max(s.activity for s in states), n)
+    block_s = np.array(t.scan.block_s, dtype=np.float64)
     counts = np.zeros((len(states), max(s.counts.shape[0] for s in states)), dtype=np.int64)
     for r, s in enumerate(states):
         counts[r, : s.counts.shape[0]] = s.counts
     state_i = np.array([[s.max_deg, s.master_degree] for s in states], dtype=np.int64)
-    state_f = np.array([s.total_activity for s in states], dtype=np.float64)
+    state_f = np.array([s.activity for s in states], dtype=np.float64)
     n_vertices = np.array([s.n_vertices for s in states], dtype=np.int64)
 
     draws = np.empty((len(states), min(n, BATCH_ROWS), t.ncols))
@@ -642,7 +643,7 @@ def simulate_batch(
         nv = _vertex_counts(n_vertices, t, b)
         _check_vertex_limit(nv, step, max_vertices)
         counts = _kernels.census_batch(
-            counts, state_i, state_f, t.chi, t.rho, t.block_d, t.block_s,
+            counts, state_i, state_f, t.scan.chi_s, t.scan.rho_s, t.block_d, block_s,
             t.nd_flat, t.nd_off, u, b,
         )  # fmt: skip
         n_vertices = nv[:, -1]
@@ -651,7 +652,7 @@ def simulate_batch(
         s.counts = counts[r].copy()
         s.max_deg, s.master_degree = (int(v) for v in state_i[r])
         s.n_vertices = int(n_vertices[r])
-        s.total_activity = float(state_f[r])
+        s.activity = int(state_f[r])
         s.step = n
     return states
 

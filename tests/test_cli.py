@@ -139,6 +139,25 @@ def test_vertex_limit_is_an_error_message(example_paths, capsys, command):
     assert err == "error: vertex count 101 exceeds limit 100 at step 99\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--steps", "1000"],
+        ["verify", "--steps", "1000", "--replicates", "4", "--jobs", "2"],
+    ],
+)
+def test_activity_limit_is_an_error_message(tmp_path, capsys, command):
+    """fig1 with rho = 1e-300 scales its weights by S = 10^300, past the
+    exact range of the census kernels."""
+    model = _write_model(tmp_path / "fig1.json", _example_doc("fig1"), rho=1e-300)
+    assert main(command + ["--input", model]) == 1
+    assert capsys.readouterr().err == (
+        "error: total activity scaled by S, the least common denominator of chi "
+        "and rho, could reach 2**1010 in 1000 steps; exact latch weights need it "
+        "below 2**52\n"
+    )
+
+
 def test_verify_small_run_passes(example_paths, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main([

@@ -339,6 +339,63 @@ def test_resource_limit(k2):
     assert simulate_batch(k2, 98, seeds, max_vertices=100)[0].n_vertices == 100
 
 
+def test_fractional_weights_do_not_drift(fig1):
+    """With chi = 1/3 and rho = 1/7 the kernel weighs degree k by the
+    integer 21 * (chi * k + rho), so its running total is exactly the
+    recount from the census; a binary64 running total had drifted by
+    -1.07e-6 from it at this point."""
+    bs = replace(fig1, chi=F(1, 3), rho=F(1, 7))
+    st = simulate(bs, 200_000, seed=0)
+    S = 21
+    w = lambda k: S * (bs.chi * k + bs.rho)
+    recount = w(st.master_degree) + sum(w(k) * c for k, c in st.census().items())
+    assert recount.denominator == 1
+    assert st.activity == recount
+    assert st.total_activity == float(recount / S)
+
+
+def _forbid_draws(monkeypatch):
+    import blocknets.growth as growth_mod
+
+    def drawn(*args):
+        raise AssertionError("a step was drawn")
+
+    monkeypatch.setattr(growth_mod._Stream, "take", drawn)
+    monkeypatch.setattr(growth_mod._Stream, "fill", drawn)
+
+
+def test_activity_limit_rejects_before_drawing(fig1, monkeypatch):
+    """rho = 10^-300 makes S = 10^300, and with chi = 1 the scaled weights
+    are about 10^300 * k: far past the 2**52 that keeps the scans exact."""
+    bs = replace(fig1, rho=F(1, 10**300))
+    message = (
+        "total activity scaled by S, the least common denominator of chi and rho, "
+        "could reach 2**1007 in 100 steps; exact latch weights need it below 2**52"
+    )
+    st = init_state(bs, seed=0)
+    _forbid_draws(monkeypatch)
+    for run in (
+        lambda: simulate(bs, 100, seed=0),
+        lambda: simulate(bs, 100, mode="graph", seed=0),
+        lambda: simulate_batch(bs, 100, [0, 1]),
+    ):
+        with pytest.raises(ResourceLimitError) as err:
+            run()
+        assert str(err.value) == message
+    with pytest.raises(ResourceLimitError, match="in 1 steps"):
+        grow_step(st)
+    assert st.step == 0
+
+
+def test_activity_limit_counts_scaled_weights(k2):
+    """chi = 0 and rho = 10^-300 also make S = 10^300, but every scaled
+    weight is 1: the run is exact, and grows exactly like k2."""
+    tiny = replace(k2, rho=F(1, 10**300))
+    a, b = simulate(tiny, 2000, seed=1), simulate(k2, 2000, seed=1)
+    assert a.census() == b.census() and a.activity == b.activity == 2002
+    assert a.total_activity == 2002 / 10**300
+
+
 def test_random_initial_block():
     bs = random_blockset(5, kind="hooking")
     if len(bs.blocks) > 1:
@@ -372,6 +429,10 @@ def _batch_models(fig1, fig3, k2):
         "k2-preferential": replace(k2, chi=F(1), rho=F(0)),
         # one extra pre-loop uniform picks the initial block
         "fig1-random-initial": replace(fig1, initial_block="random"),
+        # fractional weights, scaled to integers by S = 21, 2 and 6
+        "fig1-fractional": replace(fig1, chi=F(1, 3), rho=F(1, 7)),
+        "k2-half": replace(k2, chi=F(1), rho=F(-1, 2)),
+        "random-fractional": random_blockset(504),
     }
 
 
@@ -383,22 +444,47 @@ def _assert_same_state(a, b):
     assert not b.counts[b.max_deg + 1 :].any()
     assert a.master_degree == b.master_degree
     assert a.n_vertices == b.n_vertices
+    assert a.activity == b.activity
     assert a.total_activity.hex() == b.total_activity.hex()
     assert a.step == b.step
     assert np.array_equal(a.stream.take(5), b.stream.take(5))
 
 
 @pytest.mark.parametrize(
-    "name", ["fig1", "fig3", "k2", "k2-preferential", "fig1-random-initial"]
+    "name",
+    [
+        "fig1",
+        "fig3",
+        "k2",
+        "k2-preferential",
+        "fig1-random-initial",
+        "fig1-fractional",
+        "k2-half",
+        "random-fractional",
+    ],
 )
 @pytest.mark.parametrize("n", [0, 1, BATCH_ROWS + 44])
 def test_batch_matches_scalar(name, n, fig1, fig3, k2):
     bs = _batch_models(fig1, fig3, k2)[name]
+    if name == "random-fractional":
+        assert (bs.chi, bs.rho) == (F(1, 2), F(1, 3))
     seeds = [np.random.SeedSequence((31, k)) for k in range(5)]
     batch = simulate_batch(bs, n, seeds)
     assert len(batch) == len(seeds)
     for seed, b in zip(seeds, batch):
         _assert_same_state(simulate(bs, n, seed=seed), b)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3", "fig1-fractional"])
+def test_batch_matches_scalar_past_a_short_prefix(name, monkeypatch, fig1, fig3, k2):
+    """With a 2-column prefix most latches come from the rescan past it,
+    and new vertices of degree 3 are added to the census per step instead
+    of through the pending rows."""
+    monkeypatch.setattr(_kernels, "SCAN_PREFIX", 2)
+    bs = _batch_models(fig1, fig3, k2)[name]
+    seeds = [np.random.SeedSequence((37, k)) for k in range(4)]
+    for seed, b in zip(seeds, simulate_batch(bs, BATCH_ROWS + 44, seeds)):
+        _assert_same_state(simulate(bs, BATCH_ROWS + 44, seed=seed), b)
 
 
 def test_batch_random_initial_blocks_differ(fig1):
@@ -419,51 +505,74 @@ def test_batch_capacity_growth_mid_run(k2):
         _assert_same_state(simulate(pa, 20_000, seed=seed), b)
 
 
+# (S, S * chi, S * rho, census, master degree, targets, classes the targets pick)
+_TIES = [
+    # chi=1, rho=0: classes 1, 2 and 20 weigh 2, 2 and 20 and the master
+    # (degree 8) 8, total 32.  Partial sum 4 is the last column of the
+    # 16-column prefix; 24 is the sum of every class, reached by the rescan
+    # past the prefix.
+    (1, 1, 0, {1: 2, 2: 1, 20: 1}, 8, [0, 2, 4, 22, 24], [1, 2, 20, 20, -1]),
+    # a target on a partial sum inside the rescan: classes 20 and 22 weigh
+    # 20 and 22, so 24 picks class 22; the master weighs 18
+    (1, 1, 0, {1: 2, 2: 1, 20: 1, 22: 1}, 18, [24, 45, 46], [22, 22, -1]),
+    # every class inside the prefix: a target on the sum of every class (14)
+    # reaches the sentinel row and picks the master
+    (1, 1, 0, {1: 2, 2: 1, 5: 2}, 2, [14, 4, 13, 15], [-1, 5, 5, -1]),
+    # chi = 1/3, rho = 1/7, S = 21: degree k weighs 7k + 3, so classes 1, 2
+    # and 3 weigh 20, 17 and 24 and the master (degree 5) 38
+    (21, 7, 3, {1: 2, 2: 1, 3: 1}, 5, [20, 37, 61, 0], [2, 3, -1, 1]),
+]
+
+
 def test_batch_breaks_ties_like_scalar_loop():
-    """A uniform that lands exactly on a partial sum picks the next class,
-    or the next block: the lock-step scan compares with the strict ``<`` of
-    the scalar loop, and ``block_choice``, whose choices both kernels take,
-    does the same on the block probability sums.
+    """A uniform whose target lands exactly on a partial sum picks the next
+    class, or the master past the last one, and a uniform on a block
+    probability sum picks the next block: the lock-step scan compares the
+    same integer partial sums with the strict ``<`` of the scalar loop, and
+    ``block_choice``, whose choices both kernels take, does the same on the
+    block probability sums.
 
-    Hand-built tables with chi=1, rho=0, so class k weighs k * counts[k]:
-    classes 1, 2 and 20 weigh 2, 2 and 20, the master (degree 8) weighs 8,
-    and the total is 32.  Class uniforms of 1/16, 1/8 and 3/4 land exactly
-    on the partial sums 2, 4 (the last column of the 16-column prefix scan)
-    and 24, and 11/16 lands inside class 20, past the prefix.  Block
-    uniforms of 1/4 land on the block probability sum 1/4.
+    Hand-built tables: block 0 is K2 hooked by its leaf, block 1 a cherry
+    hooked by its centre, each new vertex of degree 1.  Each replicate's
+    first step has one of the targets of ``_TIES``; its block uniform
+    alternates between 1/4, on the block probability sum, and 0.
     """
-    chi, rho = 1.0, 0.0
     block_p = np.array([0.25, 0.75])
-    block_d = np.array([1, 2])  # K2 hooked by its leaf; a cherry by its centre
-    block_s = np.array([2.0, 4.0])
-    block_nv = np.array([1, 2])
-    nd_flat = np.array([1, 1, 1])
-    nd_off = np.array([0, 1, 3])
-    counts0 = np.zeros(64, dtype=np.int64)
-    counts0[[1, 2, 20]] = [2, 1, 1]
-    first = [0.0, 1 / 16, 1 / 8, 11 / 16, 3 / 4]  # classes 1, 2, 20, 20, master
-    u = np.array([[[u0, 0.5, ub], [0.3, 0.5, 0.6]] for u0, ub in zip(first, [0.25, 0.0] * 3)])
-    R = len(u)
-
-    b = _kernels.block_choice(block_p, u[:, :, 2])
-    assert b[:, 0].tolist() == [1, 0, 1, 0, 1]
-    state_i = np.tile([20, 8], (R, 1))
-    state_f = np.full(R, 32.0)
-    counts = _kernels.census_batch(
-        np.tile(counts0, (R, 1)), state_i, state_f, chi, rho, block_d, block_s,
-        nd_flat, nd_off, u, b,
-    )  # fmt: skip
-
     empty = np.empty(0, dtype=np.int64)
-    for r in range(R):
-        ref_i = np.array([20, 8, 0], dtype=np.int64)
-        ref_f = np.array([32.0])
-        ref = _kernels.census_chunk(
-            counts0, ref_i, ref_f, chi, rho, block_d, block_s, block_nv,
-            nd_flat, nd_off, u[r, :, 0], b[r], empty,
-            np.empty((0, 0), dtype=np.int64), np.empty(0), empty, False,
+    for scale, chi_s, rho_s, census, master, targets, classes in _TIES:
+        w1 = chi_s + rho_s
+        tab = _kernels.ScanTables(
+            scale, chi_s, rho_s, [], [1, 2], [chi_s + w1, 2 * chi_s + 2 * w1], [1, 2],
+            [1, 1, 1], [0, 1, 3],
         )  # fmt: skip
-        assert np.array_equal(counts[r, :64], ref), r
-        assert not counts[r, 64:].any()
-        assert state_i[r].tolist() == ref_i[:2].tolist(), r
-        assert state_f[r] == ref_f[0], r
+        w = lambda k: chi_s * k + rho_s
+        total = w(master) + sum(w(k) * c for k, c in census.items())
+        first = [t / total for t in targets]
+        assert [u * total for u in first] == targets  # the targets are exact
+        counts0 = np.zeros(64, dtype=np.int64)
+        counts0[list(census)] = list(census.values())
+        top, R = max(census), len(targets)
+        u = np.array([[[u0, 0.5, ub], [0.3, 0.5, 0.6]] for u0, ub in zip(first, [0.25, 0.0] * R)])
+
+        b = _kernels.block_choice(block_p, u[:, :, 2])
+        assert b[:, 0].tolist() == ([1, 0] * R)[:R]
+        state_i = np.tile([top, master], (R, 1))
+        state_f = np.full(R, float(total))
+        counts = _kernels.census_batch(
+            np.tile(counts0, (R, 1)), state_i, state_f, chi_s, rho_s,
+            np.array(tab.block_d), np.array(tab.block_s, dtype=np.float64),
+            np.array(tab.nd_flat), np.array(tab.nd_off), u, b,
+        )  # fmt: skip
+
+        for r in range(R):
+            ref_state = [top, master, 0, total]
+            cls = np.empty(2, dtype=np.int64)
+            ref = _kernels.census_chunk(
+                counts0, ref_state, tab, u[r, :, 0], b[r], empty,
+                np.empty((0, 0), dtype=np.int64), np.empty(0), cls, False,
+            )  # fmt: skip
+            assert cls[0] == classes[r], (census, r)
+            assert np.array_equal(counts[r, :64], ref), (census, r)
+            assert not counts[r, 64:].any()
+            assert state_i[r].tolist() == ref_state[:2], (census, r)
+            assert state_f[r] == ref_state[3], (census, r)
