@@ -13,11 +13,16 @@ Rational models are computed on Python ints.  Each quantity is cleared of
 its denominators once -- chi and rho share one scale, the block
 probabilities another, f and g a third, and v1, the activities, A and B
 each their own -- and every exact stage (the replacement law, A built two
-ways, the eigen-identities, B, and the Lyapunov data M and C) works on
+ways, the eigen-identities, the spectrum certificate, B, and the Lyapunov
+data M and C with their images T and C~ in a triangular basis) works on
 numerators over a known common scale.  The exact checks are therefore
 integer equalities, and Fractions are built only for the values a stage
-returns.  M and C reach binary64 as one int / int division per entry,
-which Python rounds correctly, exactly as ``float(Fraction)`` does.
+returns.  The spectrum is proved, not computed: one change of basis that
+mixes only the overflow row and column makes A triangular (see
+``validate_spectrum``), and the same basis makes Sigma's Lyapunov equation
+solvable by forward substitution (see ``covariance``).  M, C, T and C~
+reach binary64 as one int / int division per entry, which Python rounds
+correctly, exactly as ``float(Fraction)`` does.
 Every model is rational: decimal inputs are read as the rationals they
 spell (see ``model_io``).
 """
@@ -27,10 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .model_io import (
     BIPOLAR,
@@ -46,7 +51,6 @@ STAR = "*"
 UrnType = Union[int, str]
 Scale = int
 
-EIGEN_VALIDATE_TOL = 1e-8
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 MAX_TRACKED_TYPES = 64
 
@@ -309,43 +313,45 @@ def eigen_closed_form(profile: DegreeProfile) -> tuple[Num, ...]:
     return (profile.lambda1,) + tuple(profile.w(k) * (g0 - 1) for k in profile.essential)
 
 
-def validate_spectrum(A: Sequence[Sequence[Num]], closed: Sequence[Num]) -> None:
-    """The closed-form multiset must match the numeric spectrum of A.
+def validate_spectrum(
+    A: Sequence[Sequence[Num]], acts: Sequence[Num], claims: Sequence[Num]
+) -> None:
+    """Prove that A's spectrum is the claimed one, exactly.
 
-    Simple eigenvalues are compared value-by-value at the validation
-    tolerance.  A repeated eigenvalue of a defective matrix is only
-    determined numerically to about eps^(1/multiplicity), so those are
-    certified through their backward error instead: sigma_min(A - lam*I)
-    bounds the norm of the smallest perturbation of A that has lam in its
-    spectrum, and must sit below the same tolerance.
+    The types are ordered (k_1 .. k_r, *), so the activities are
+    a = (w, a_*); f is A's * column on the tracked rows.  With
+    S^-1 = [[I, 0], [w'/a_*, 1]] and a'A = lam1 a' (``_check_eigen_identities``,
+    which must pass first), S^-1 A S = [[A_TT - f w'/a_*, f], [0, lam1]].  Its
+    * entry is (a'A)_* / a_*, so the spectrum is that value plus the diagonal
+    of A_TT - f w'/a_* -- provided this block is lower triangular.  This
+    checks, as integer numerators cross-multiplied onto one scale, that the
+    block is zero above the diagonal, that its diagonal equals claims[1:], and
+    that the * entry equals claims[0].  Defective spectra need nothing extra.
     """
-    Af = _to_float_matrix(A)
-    scale = max(1.0, float(np.max(np.abs(Af))) * Af.shape[0])
-    numeric = np.sort_complex(np.linalg.eigvals(Af))
-    want = sorted(float(x) for x in closed)
-    mult: dict[float, int] = {}
-    for x in want:
-        mult[x] = mult.get(x, 0) + 1
-
-    eps = np.finfo(np.float64).eps
-    tol_pair = []
-    for x in want:
-        m = mult[x]
-        tol_pair.append(
-            EIGEN_VALIDATE_TOL * scale if m == 1 else 10.0 * (eps * scale) ** (1.0 / m)
+    q = len(acts)
+    r = q - 1
+    An, dA = _clear_matrix(A)
+    a, _ = _clear(acts)
+    c, dc = _clear(claims)
+    if len(c) != q:
+        raise InternalConsistencyError(f"{len(c)} claimed eigenvalues for {q} urn types")
+    ar = a[r]
+    if sum(a[i] * An[i][r] for i in range(q)) * dc != c[0] * dA * ar:
+        raise InternalConsistencyError(
+            f"claimed dominant eigenvalue {claims[0]} is not (a'A)_* / a_*"
         )
-    got = numeric[np.argsort(numeric.real)]
-    for lam_num, lam_closed, tau in zip(got, want, tol_pair):
-        if abs(lam_num - lam_closed) > tau:
+    for i in range(r):
+        row, fi = An[i], An[i][r]
+        for j in range(i + 1, r):
+            if row[j] * ar != fi * a[j]:
+                raise InternalConsistencyError(
+                    f"spectrum certificate: A_TT - f w' is nonzero above the "
+                    f"diagonal at [{i}][{j}]"
+                )
+        if (row[i] * ar - fi * a[i]) * dc != c[i + 1] * dA * ar:
             raise InternalConsistencyError(
-                f"numeric eigenvalue {lam_num} does not match closed-form "
-                f"{lam_closed} (tolerance {tau:.2e})"
-            )
-    for lam_closed, m in mult.items():
-        smin = float(np.linalg.svd(Af - lam_closed * np.eye(Af.shape[0]), compute_uv=False)[-1])
-        if smin > EIGEN_VALIDATE_TOL * scale:
-            raise InternalConsistencyError(
-                f"claimed eigenvalue {lam_closed} has backward error {smin:.2e}"
+                f"spectrum certificate: diagonal entry {i} of A_TT - f w' is not "
+                f"the claimed eigenvalue {claims[i + 1]}"
             )
 
 
@@ -398,6 +404,26 @@ def _binary64(name: str, m: Sequence[Sequence[int]], d: Scale) -> np.ndarray:
     return out
 
 
+def _lower_lyapunov(T: list[list[float]], Q: list[list[float]]) -> list[list[float]]:
+    """The symmetric Y with T Y + Y T' = Q, for lower-triangular T with every
+    t_ii + t_jj nonzero and symmetric Q.
+
+    Row i of the equation is (T + t_ii I) y_i = q_i - sum_{k<i} t_ik y_k, a
+    triangular system once the rows before it are known: its first i entries
+    are the earlier rows' column i, by symmetry, and the rest follow by
+    forward substitution (Bartels-Stewart, with T in place of a Schur form).
+    Plain float arithmetic: each entry is one division of a sequential sum."""
+    q = len(T)
+    Y = [[0.0] * q for _ in range(q)]
+    for i in range(q):
+        Ti, Yi, Qi, tii = T[i][:i], Y[i], Q[i], T[i][i]
+        for j in range(i, q):
+            Tj = T[j]
+            x = Qi[j] - sum(map(mul, Ti, Y[j])) - sum(map(mul, Tj[:j], Yi))
+            Yi[j] = Y[j][i] = x / (tii + Tj[j])
+    return Y
+
+
 def covariance(
     A: Sequence[Sequence[Num]],
     B: Sequence[Sequence[Num]],
@@ -421,43 +447,82 @@ def covariance(
     the growth direction (P_I e^{sA} B e^{sA'} P_I').
 
     The integral is lam1 * X, where X solves the Lyapunov equation
-    M X + X M' = -C with M = Ahat - (lam1/2) I (Janson 2004).  Ahat's
-    spectrum is 0 plus the non-dominant eigenvalues, all real and <= 0, so M
-    is stable and X is unique.  M and C are formed exactly on integer
-    numerators over a common scale each (M over 2 dA dl dv da, C over
-    dB dl^2 dv^2, with dA, dB, dl, dv and da the denominators of A, B,
-    lam1, v1 and the activities), rounded once into binary64 (where no
-    nonzero entry may fall below the normal range) and solved there by
-    Bartels-Stewart.  The solution is certified by its relative
-    residual ||M Sigma + Sigma M' + lam1 C||_F / (lam1 ||C||_F).
+    M X + X M' = -C with M = Ahat - (lam1/2) I (Janson 2004).  It is solved
+    in the basis of ``validate_spectrum``: with the types ordered
+    (k_1 .. k_r, *) and S^-1 = [[I, 0], [w'/a_*, 1]], a'S = a_* e_*' and
+    S^-1 v1 = (v1_T, 1/a_*), so T = S^-1 M S is
+    [[A_TT - f w'/a_* - (lam1/2) I, f - lam1 v1_T a_*], [0, -lam1/2]]: lower
+    triangular once * is ordered first.  Then T Y + Y T' = -S^-1 C S^-T is
+    solved by ``_lower_lyapunov`` and X = S Y S'.
+
+    M, C, T and C~ = S^-1 C S^-T are formed exactly on integer numerators over
+    a common scale each (M over 2 dA dl dv da, C over dB dl^2 dv^2, with dA,
+    dB, dl, dv and da the denominators of A, B, lam1, v1 and the activities;
+    T over a further a_*, and C~ differs from C only in its * row and
+    column) and each entry is rounded once into binary64, where no nonzero
+    entry may fall below the normal range.  Every t_ii must be negative,
+    checked exactly, so every t_ii + t_jj < 0 and Y is unique.  The solution
+    is certified by its relative residual
+    ||M Sigma + Sigma M' + lam1 C||_F / (lam1 ||C||_F) on M and C.
     """
     q = len(acts)
+    r = q - 1
     An, dA = _clear_matrix(A)
     Bn, dB = _clear_matrix(B)
     a, da = _clear(acts)
     v, dv = _clear(v1)
     (lam,), dl = _clear((lam1,))
+    ar = a[r]
 
     # M = A - lam1 v1 a' - (lam1/2) I over the scale 2 dA dl dv da
     scale_a = 2 * dl * dv * da
     half = lam * dA * dv * da
-    M = []
+    Mn = []
     for i, row in enumerate(An):
         lv = 2 * dA * lam * v[i]
-        M.append([x * scale_a - lv * y for x, y in zip(row, a)])
-        M[i][i] -= half
-    M = _binary64("M", M, dA * scale_a)
+        Mn.append([x * scale_a - lv * y for x, y in zip(row, a)])
+        Mn[i][i] -= half
+    dM = dA * scale_a
+    M = _binary64("M", Mn, dM)
     # C = B - lam1^2 v1 v1' over the scale dB dl^2 dv^2
     scale_b = dl * dl * dv * dv
-    C = []
+    Cn = []
     for i, row in enumerate(Bn):
         lv = lam * lam * v[i]
-        C.append([x * scale_b - lv * y * dB for x, y in zip(row, v)])
-    C = _binary64("C", C, dB * scale_b)
+        Cn.append([x * scale_b - lv * y * dB for x, y in zip(row, v)])
+    dC = dB * scale_b
+    C = _binary64("C", Cn, dC)
 
+    # T with * first, on and below its diagonal, over dM a_*: the * column is
+    # M's, tracked columns lose w_j/a_* times it, and t_** = (a'M)_* / a_*
+    Tn = [[sum(map(mul, a, (row[r] for row in Mn)))] + [0] * r]
+    for i, row in enumerate(Mn[:r]):
+        m = row[r]
+        Tn.append([m * ar] + [x * ar - m * y for x, y in zip(row[: i + 1], a)] + [0] * (r - 1 - i))
+    for i in range(q):
+        if Tn[i][i] >= 0:
+            raise InternalConsistencyError(
+                f"covariance: T[{i}][{i}] (* first) is not negative, so the "
+                f"Lyapunov equation has no unique solution"
+            )
+    T = _binary64("T", Tn, dM * ar).tolist()
+    # C~'s * column, * first, over dC a_*^2: C S^-T adds C_TT w/a_* to the *
+    # column, and S^-1 adds w'/a_* times the tracked rows to the * row
+    col = [row[r] * ar + sum(map(mul, row, a[:r])) for row in Cn]
+    star = [sum(map(mul, col, a))] + [x * ar for x in col[:r]]
+    star = (-_binary64("C~", [star], dC * ar * ar)[0]).tolist()
+    Q = [star] + [[x] + row for x, row in zip(star[1:], (-C[:r, :r]).tolist())]
+
+    Y = _lower_lyapunov(T, Q)
+    # Sigma = lam1 S Y S' with S = [[I, 0], [-w'/a_*, 1]]: only * moves
+    u = [x / ar for x in a[:r]]
     lamf = float(lam1)
-    X = solve_continuous_lyapunov(M, -C)
-    sigma = lamf * (X + X.T) / 2.0
+    sigma = np.empty((q, q))
+    sigma[:r, :r] = lamf * np.array(Y)[1:, 1:]
+    xs = [row[0] - math.fsum(map(mul, row[1:], u)) for row in Y[1:]]
+    sigma[:r, r] = sigma[r, :r] = lamf * np.array(xs)
+    sigma[r, r] = lamf * (Y[0][0] - math.fsum((*map(mul, Y[0][1:], u), *map(mul, xs, u))))
+
     resid = float(np.linalg.norm(M @ sigma + sigma @ M.T + lamf * C))
     bound = lamf * float(np.linalg.norm(C))
     if not resid <= LYAPUNOV_RESIDUAL_TOL * bound:
@@ -525,9 +590,9 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     acts = activity_vector(profile)
     A = intensity_matrix(bs, profile, law)
     eigs = eigen_closed_form(profile)
-    validate_spectrum(A, eigs)
     v1 = right_eigenvector(profile)
     _check_eigen_identities(A, acts, v1, eigs[0])
+    validate_spectrum(A, acts, eigs)
     B = second_moment_matrix(law, acts, v1)
     sigma = covariance(A, B, acts, v1, eigs[0])
     return UrnModel(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,72 @@ def sigma_oracle(urn) -> np.ndarray:
     Ahat = urn.A_float() - lam1 * np.outer(v1f, af)
     C = _to_float_matrix(urn.B) - lam1 * lam1 * np.outer(v1f, v1f)
     return sigma_quadrature(Ahat, C, lam1)
+
+
+def sigma_exact(urn) -> list[list[Fraction]]:
+    """Exact rational Sigma of an urn, and a proof that it is the one.
+
+    Runs ``urn.covariance``'s forward substitution on Fractions: in the
+    basis S^-1 = [[I, 0], [w'/a_*, 1]] with * ordered first,
+    T = S^-1 M S is lower triangular and T Y + Y T' = -lam1 S^-1 C S^-T is
+    solved entry by entry, then Sigma = S Y S'.  The exact residual
+    M Sigma + Sigma M' + lam1 C is then asserted to be zero, so the result
+    is the unique solution whatever basis produced it."""
+    q = len(urn.types)
+    r = q - 1
+    lam, a, v, A, B = urn.lambda1, urn.activities, urn.v1, urn.A, urn.B
+    M = [[A[i][j] - lam * v[i] * a[j] - (lam / 2 if i == j else 0) for j in range(q)]
+         for i in range(q)]
+    C = [[B[i][j] - lam * lam * v[i] * v[j] for j in range(q)] for i in range(q)]
+    u = [x / a[r] for x in a[:r]]
+    eye = [[Fraction(int(i == j)) for j in range(q)] for i in range(q)]
+    S, S_inv = eye[:r] + [[-x for x in u] + [Fraction(1)]], eye[:r] + [u + [Fraction(1)]]
+
+    def mul(X, Y):
+        out = []
+        for row in X:
+            acc = [Fraction(0)] * q
+            for k, x in enumerate(row):
+                if x:
+                    for j, y in enumerate(Y[k]):
+                        if y:
+                            acc[j] += x * y
+            out.append(acc)
+        return out
+
+    def transpose(X):
+        return [list(col) for col in zip(*X)]
+
+    order = [r] + list(range(r))
+    T = mul(S_inv, mul(M, S))
+    K = mul(S_inv, mul(C, transpose(S_inv)))
+    T = [[T[i][j] for j in order] for i in order]
+    K = [[lam * K[i][j] for j in order] for i in order]
+    assert all(T[i][j] == 0 for i in range(q) for j in range(i + 1, q)), "T not triangular"
+    Y = [[Fraction(0)] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(q):
+            acc = -K[i][j]
+            acc -= sum(T[i][k] * Y[k][j] for k in range(i) if T[i][k])
+            acc -= sum(T[j][k] * Y[i][k] for k in range(j) if T[j][k])
+            Y[i][j] = acc / (T[i][i] + T[j][j])
+    Y = [[Y[order.index(i)][order.index(j)] for j in range(q)] for i in range(q)]
+    sigma = mul(S, mul(Y, transpose(S)))
+    assert sigma == transpose(sigma), "Sigma not symmetric"
+    MS = mul(M, sigma)  # (Sigma M')[i][j] = MS[j][i] for symmetric Sigma
+    for i in range(q):
+        for j in range(q):
+            res = MS[i][j] + MS[j][i] + lam * C[i][j]
+            assert res == 0, f"exact Lyapunov residual is {res} at [{i}][{j}]"
+    return sigma
+
+
+def sigma_relative_error(sigma: np.ndarray, exact) -> float:
+    """max |Sigma - exact| / max |exact| (0 when both are zero)."""
+    big = max(abs(x) for row in exact for x in row)
+    gap = max(abs(Fraction(float(sigma[i][j])) - x)
+              for i, row in enumerate(exact) for j, x in enumerate(row))
+    return float(gap / big) if big else float(gap)
 
 
 def brute_force_essential(bs, r: int, depth: int = 6) -> tuple[int, ...]:

@@ -107,7 +107,7 @@ def test_structural_invariants_random_models():
             row = sum(urn.A[i][j] * urn.v1[j] for j in range(q))
             assert row == lam * urn.v1[i], f"seed {seed}: right eigen identity"
 
-        validate_spectrum(urn.A, urn.eigenvalues)
+        validate_spectrum(urn.A, urn.activities, urn.eigenvalues)
 
         sym = float(np.max(np.abs(urn.Sigma - urn.Sigma.T)))
         assert sym == 0.0, f"seed {seed}: Sigma not symmetric"

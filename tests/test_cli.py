@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+import blocknets
 from blocknets import load_blockset
 from blocknets.cli import main
 
@@ -324,6 +328,15 @@ def test_binary64_overflow_is_an_error_message(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: integer division result too large")
 
 
+@pytest.mark.parametrize("r", [47, 64])
+def test_fig1_analyzes_beyond_a_float_eigensolve(r, example_paths, capsys):
+    """fig1's A is so far from normal that a float eigensolve misses its
+    claimed eigenvalues from r = 47 on; the exact spectrum certificate does
+    not, so every r up to the cap analyzes."""
+    assert main(["analyze", "--input", example_paths["fig1"], "--r", str(r)]) == 0
+    assert "lambda1 = 31/3" in capsys.readouterr().out
+
+
 K2_PREFERENTIAL_R12 = {
     "kind": "hooking",
     "chi": "1/3",
@@ -339,17 +352,20 @@ K2_PREFERENTIAL_R12 = {
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("fig1", "9e03e8238216a8d7"),
-        ("fig3", "e9df218a3906bb9b"),
-        ("k2", "be0df0864c9910f1"),
-        ("k2-preferential-r12", "303cb2b0262cfdd0"),
+        ("fig1", "381e8e7fcfb30649"),
+        ("fig3", "d4f89ddd5754d422"),
+        ("k2", "589d031054c40511"),
+        ("k2-preferential-r12", "5b08a3f86407f159"),
     ],
+    ids=["fig1", "fig3", "k2", "k2-preferential-r12"],
 )
 def test_analysis_json_is_pinned(name, digest, example_paths, tmp_path):
     """The whole analysis: every exact rational in its printed form and the
-    binary64 bits of Sigma.  Sigma comes from a LAPACK solve, so another
-    numpy/scipy build may round it differently; the digests were taken with
-    numpy 2.4 and scipy 1.17 on x86-64."""
+    binary64 bits of Sigma.  Sigma is a forward substitution in Python
+    floats, whose sums another Python version may round differently (3.12
+    compensates ``sum``); the digests were taken with CPython 3.11 on
+    x86-64.  Each pinned Sigma is within a few units in the last place of
+    the exact rational Sigma (``test_urn.test_sigma_is_exact_to_rounding``)."""
     if name in example_paths:
         model = example_paths[name]
     else:
@@ -383,3 +399,18 @@ def test_main_reuses_one_parser(example_paths, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("blocknets.cli.cmd_report", lambda args: 7)
     assert main(["report", "--input", str(a)]) == 7
+
+
+def test_import_loads_no_scipy():
+    """The package and its command line load no scipy module: scipy.linalg
+    used to be most of every command's start-up time and memory."""
+    code = (
+        "import sys, blocknets, blocknets.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    src = os.path.dirname(os.path.dirname(blocknets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"

@@ -25,10 +25,13 @@ from blocknets.urn import (
     LYAPUNOV_RESIDUAL_TOL,
     _to_float_matrix,
     build_replacement_law,
+    covariance,
     validate_spectrum,
 )
 
-from conftest import random_blockset, sigma_oracle
+from conftest import random_blockset, sigma_exact, sigma_oracle, sigma_relative_error
+
+TINY = F(1, 10**40)
 
 
 @pytest.fixture(scope="module")
@@ -267,9 +270,9 @@ def test_ill_conditioned_eigenbasis_model(r, tmp_path):
 
 
 def test_sigma_residual_certificate(fig1, monkeypatch):
-    solve = urn_module.solve_continuous_lyapunov
+    solve = urn_module._lower_lyapunov
     monkeypatch.setattr(
-        urn_module, "solve_continuous_lyapunov", lambda a, q: 1.01 * solve(a, q)
+        urn_module, "_lower_lyapunov", lambda t, q: [[1.01 * x for x in row] for row in solve(t, q)]
     )
     with pytest.raises(InternalConsistencyError, match="Lyapunov"):
         build_urn(fig1)
@@ -313,9 +316,59 @@ def test_irreducibility_examples(urn1, urn3, k2):
     assert build_urn(k2).irreducible
 
 
-def test_validate_spectrum_catches_wrong_claim(urn1):
-    with pytest.raises(InternalConsistencyError):
-        validate_spectrum(urn1.A, (F(31, 3), F(-1), F(-3), F(-4)))
+def _with_entry(A, i, j, delta):
+    return tuple(
+        tuple(x + delta if (a, b) == (i, j) else x for b, x in enumerate(row))
+        for a, row in enumerate(A)
+    )
+
+
+def test_validate_spectrum_catches_wrong_claim(urn1, urn3):
+    with pytest.raises(InternalConsistencyError, match="claimed eigenvalue -4"):
+        validate_spectrum(urn1.A, urn1.activities, (F(31, 3), F(-1), F(-3), F(-4)))
+    for urn in (urn1, urn3):
+        A, a, eigs = urn.A, urn.activities, urn.eigenvalues
+        validate_spectrum(A, a, eigs)
+        with pytest.raises(InternalConsistencyError, match="claimed eigenvalue"):
+            validate_spectrum(A, a, eigs[:2] + (eigs[2] + TINY,) + eigs[3:])
+        with pytest.raises(InternalConsistencyError, match="dominant eigenvalue"):
+            validate_spectrum(A, a, (eigs[0] + TINY,) + eigs[1:])
+
+
+def test_spectrum_certificate_catches_a_perturbed_A(urn1, urn3):
+    """A change far below any float tolerance in an entry of A above or on
+    the tracked diagonal breaks the triangular form or its diagonal."""
+    for urn in (urn1, urn3):
+        A, a, eigs = urn.A, urn.activities, urn.eigenvalues
+        with pytest.raises(InternalConsistencyError, match=r"above the diagonal at \[0\]\[2\]"):
+            validate_spectrum(_with_entry(A, 0, 2, TINY), a, eigs)
+        with pytest.raises(InternalConsistencyError, match="diagonal entry 1"):
+            validate_spectrum(_with_entry(A, 1, 1, TINY), a, eigs)
+
+
+def test_covariance_refuses_an_unstable_triangular_basis(urn1):
+    """Each t_ii must be negative, checked on the integers.  With lam1 added
+    to A[0][0], the first tracked class has t = -1 + lam1/2 > 0; with lam1
+    claimed to be 0, t_** = (a'A)_* / a_* = 31/3 > 0."""
+    u = urn1
+    with pytest.raises(InternalConsistencyError, match=r"T\[1\]\[1\] \(\* first\) is not negative"):
+        covariance(_with_entry(u.A, 0, 0, u.lambda1), u.B, u.activities, u.v1, u.lambda1)
+    with pytest.raises(InternalConsistencyError, match=r"T\[0\]\[0\] \(\* first\) is not negative"):
+        covariance(u.A, u.B, u.activities, u.v1, F(0))
+
+
+@pytest.mark.parametrize(
+    "name, r", [("fig1", None), ("fig3", None), ("k2", None), ("k2-preferential", 12), ("fig1", 47)]
+)
+def test_sigma_is_exact_to_rounding(name, r, fig1, fig3, k2):
+    """The pinned analyses' Sigma, and fig1 at the first r where a float
+    eigensolve failed, are the exact rational Sigma to within a few units in
+    the last place."""
+    bs = {"fig1": fig1, "fig3": fig3, "k2": k2}.get(name) or blockset_from_dict(
+        dict(K2_PREFERENTIAL, r=r)
+    )
+    urn = build_urn(bs, build_profile(bs, r))
+    assert sigma_relative_error(urn.Sigma, sigma_exact(urn)) < 1e-14
 
 
 def test_decimal_document_equals_its_fraction_twin():
@@ -351,7 +404,7 @@ def test_random_models_structural_invariants(seed):
     lam = urn.lambda1
     for j in range(q):
         assert sum(urn.activities[i] * urn.A[i][j] for i in range(q)) == lam * urn.activities[j]
-    validate_spectrum(urn.A, urn.eigenvalues)
+    validate_spectrum(urn.A, urn.activities, urn.eigenvalues)
     assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9
     assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
     # irreducible iff the off-diagonal support of A is strongly connected
@@ -374,9 +427,6 @@ def test_intensity_check_catches_a_wrong_replacement_vector(fig1, monkeypatch):
     monkeypatch.setattr(urn_module, "_block_vectors", wrong)
     with pytest.raises(InternalConsistencyError, match="intensity matrix mismatch"):
         build_urn(fig1)
-
-
-TINY = F(1, 10**40)
 
 
 def test_eigen_identities_are_exact(urn1, urn3):
