@@ -97,7 +97,7 @@ def _build_tables(bs: BlockSet) -> _Tables:
     scale = math.lcm(bs.chi.denominator, bs.rho.denominator)
     chi_s, rho_s = int(bs.chi * scale), int(bs.rho * scale)
     d = [b.latch_increment() for b in bs.blocks]
-    new_degs = [[degree_of(b, v) for v in b.new_vertices()] for b in bs.blocks]
+    new_degs = [b.new_degrees() for b in bs.blocks]
     degs = [c for nd in new_degs for c in nd]
     off = np.cumsum([0] + [len(nd) for nd in new_degs]).tolist()
     # activity gained per attachment: full weight of each new vertex plus

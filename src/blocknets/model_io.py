@@ -121,6 +121,10 @@ class Block:
             return tuple(v for v in self.vertices if v != self.hook)
         return tuple(v for v in self.vertices if v not in (self.north, self.south))
 
+    def new_degrees(self) -> tuple[int, ...]:
+        """``degree_of`` each of ``new_vertices()``, in that order."""
+        return tuple(degree_of(self, v) for v in self.new_vertices())
+
     def latch_increment(self) -> int:
         """How much the latch's tracked degree grows on attachment."""
         if self.kind == HOOKING:
@@ -138,10 +142,6 @@ class BlockSet:
     rho: Num
     r: int
     initial_block: Union[int, str] = 0  # index, or "random"
-
-    def w(self, k: int) -> Num:
-        """Attachment weight of a vertex with (out)degree k."""
-        return self.chi * k + self.rho
 
     @property
     def probabilities(self) -> tuple[Num, ...]:

@@ -64,32 +64,11 @@ def degree_profile(bs: BlockSet) -> tuple[dict[int, Num], dict[int, Num]]:
     f: dict[int, Num] = {}
     g: dict[int, Num] = {}
     for b in bs.blocks:
-        if bs.kind == HOOKING:
-            for v in b.new_vertices():
-                k = b.degree(v)
-                f[k] = f.get(k, zero) + b.probability
-            kh = b.degree(b.hook)
-            g[kh] = g.get(kh, zero) + b.probability
-        else:
-            for v in b.new_vertices():
-                k = b.outdegree(v)
-                f[k] = f.get(k, zero) + b.probability
-            kh = b.outdegree(b.north) - 1
-            g[kh] = g.get(kh, zero) + b.probability
+        for k in b.new_degrees():
+            f[k] = f.get(k, zero) + b.probability
+        d = b.latch_increment()
+        g[d] = g.get(d, zero) + b.probability
     return f, g
-
-
-def _base_and_increments(bs: BlockSet) -> tuple[set[int], set[int]]:
-    """Seed degrees of newly added vertices, and latch-degree increments."""
-    base: set[int] = set()
-    incs: set[int] = set()
-    for b in bs.blocks:
-        if bs.kind == HOOKING:
-            base.update(b.degree(v) for v in b.new_vertices())
-        else:
-            base.update(b.outdegree(v) for v in b.new_vertices())
-        incs.add(b.latch_increment())
-    return base, incs
 
 
 def essential_degrees(bs: BlockSet, r: int) -> tuple[int, ...]:
@@ -103,8 +82,8 @@ def essential_degrees(bs: BlockSet, r: int) -> tuple[int, ...]:
     """
     if r < 1:
         raise BlockSetError("param-domain", f"r must be >= 1, got {r}")
-    base, incs = _base_and_increments(bs)
-    incs = {d for d in incs if d > 0}
+    base = {k for b in bs.blocks for k in b.new_degrees()}
+    incs = {d for d in (b.latch_increment() for b in bs.blocks) if d > 0}
     if not base:
         raise BlockSetError(
             "degree-base-empty",

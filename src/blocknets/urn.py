@@ -11,18 +11,22 @@ describes linear growth and whose remaining spectrum drives fluctuations.
 
 Rational models are computed on Python ints.  Each quantity is cleared of
 its denominators once -- chi and rho share one scale, the block
-probabilities another, f and g a third, and v1, the activities, A and B
-each their own -- and every exact stage (the replacement law, A built two
-ways, the eigen-identities, the spectrum certificate, B, and the Lyapunov
-data M and C with their images T and C~ in a triangular basis) works on
-numerators over a known common scale.  The exact checks are therefore
-integer equalities, and Fractions are built only for the values a stage
-returns.  The spectrum is proved, not computed: one change of basis that
-mixes only the overflow row and column makes A triangular (see
-``validate_spectrum``), and the same basis makes Sigma's Lyapunov equation
-solvable by forward substitution (see ``covariance``).  M, C, T and C~
-reach binary64 as one int / int division per entry, which Python rounds
-correctly, exactly as ``float(Fraction)`` does.
+probabilities another, f and g a third, and the activities, v1, lambda1
+and the claimed spectrum each their own -- and passes between the stages
+as a ``(numerators, scale)`` pair: a list of ints (rows of ints for a
+matrix) and one int scale, so that x[i] == ns[i] / scale.  Every exact
+stage (the replacement law, A built two ways, the eigen-identities, the
+spectrum certificate, B, and the Lyapunov data M and C with their images T
+and C~ in a triangular basis) takes and returns such pairs, so the exact
+checks are integer equalities.  Fractions are built only for values handed
+to callers: A and B become Fractions once, in ``build_urn``, for the
+returned ``UrnModel``.  The spectrum
+is proved, not computed: one change of basis that mixes only the overflow
+row and column makes A triangular (see ``validate_spectrum``), and the
+same basis makes Sigma's Lyapunov equation solvable by forward
+substitution (see ``covariance``).  M, C, T and C~ reach binary64 as one
+int / int division per entry, which Python rounds correctly, exactly as
+``float(Fraction)`` does.
 Every model is rational: decimal inputs are read as the rationals they
 spell (see ``model_io``).
 """
@@ -37,36 +41,26 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model_io import (
-    BIPOLAR,
-    HOOKING,
-    BlockSet,
-    InternalConsistencyError,
-    Num,
-    degree_of,
-)
+from .model_io import BlockSet, InternalConsistencyError, Num
 from .profile import DegreeProfile, build_profile
 
 STAR = "*"
 UrnType = Union[int, str]
 Scale = int
+# A vector or a matrix as int numerators over one scale: x[i] == ns[i] / d.
+Cleared = tuple[list[int], Scale]
+ClearedMatrix = tuple[list[list[int]], Scale]
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 MAX_TRACKED_TYPES = 64
 
 
-def _clear(xs: Sequence[Num]) -> tuple[list[int], Scale]:
+def _clear(xs: Sequence[Num]) -> Cleared:
     """Int numerators of xs over one common denominator d, so
     xs[i] == ns[i] / d."""
     ratios = [x.as_integer_ratio() for x in xs]
     d = math.lcm(*[b for _, b in ratios])
     return [a * (d // b) for a, b in ratios], d
-
-
-def _clear_matrix(m: Sequence[Sequence[Num]]) -> tuple[list[list[int]], Scale]:
-    q = len(m[0])
-    flat, d = _clear([x for row in m for x in row])
-    return [flat[i : i + q] for i in range(0, len(flat), q)], d
 
 
 def _over(ns: Sequence[int], d: Scale) -> tuple[Num, ...]:
@@ -83,10 +77,10 @@ def _over_matrix(m: Sequence[Sequence[int]], d: Scale) -> tuple[tuple[Num, ...],
     return tuple(tuple(map(value, row)) for row in m)
 
 
-def _mix(outcomes: Sequence[tuple]) -> list:
-    """Sum of P * R over the (P, R) outcomes of one urn type."""
-    acc = [0] * len(outcomes[0][1])
-    for p, vec in outcomes:
+def _mix(draws: Sequence[tuple]) -> list:
+    """Sum of P * R over the (P, R) pairs of one urn type."""
+    acc = [0] * len(draws[0][1])
+    for p, vec in draws:
         for i, x in enumerate(vec):
             if x:
                 acc[i] += p * x
@@ -98,21 +92,19 @@ class ReplacementLaw:
     """Deterministic replacement vectors per (urn type, block), mixed by the
     block probabilities.
 
-    ``scaled`` holds the same outcomes on cleared denominators, in the order
-    of ``types``: per type, one (P, R) pair per block, where the probability
-    is P / prob_scale and the vector is R / vec_scale.
+    ``scaled`` holds them on cleared denominators, in the order of
+    ``types``: per type, one (P, R) pair per block, in block order, where the
+    probability is P / prob_scale and the vector (of length r+1) is
+    R / vec_scale.
     """
 
     types: tuple[UrnType, ...]
-    # per type: tuple of (block_index, probability, vector of length r+1)
-    outcomes: dict[UrnType, tuple[tuple[int, Num, tuple[Num, ...]], ...]]
     scaled: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = field(repr=False)
     prob_scale: Scale
     vec_scale: Scale
 
     def expected(self, t: UrnType) -> tuple[Num, ...]:
-        outcomes = self.scaled[self.types.index(t)]
-        return _over(_mix(outcomes), self.prob_scale * self.vec_scale)
+        return _over(_mix(self.scaled[self.types.index(t)]), self.prob_scale * self.vec_scale)
 
 
 @dataclass
@@ -171,8 +163,7 @@ def _block_vectors(
     d = block.latch_increment()
 
     base = [0] * (r + 1)
-    for v in block.new_vertices():
-        c = degree_of(block, v)
+    for c in block.new_degrees():
         if c <= kr:
             if c not in index:
                 raise InternalConsistencyError(
@@ -227,21 +218,11 @@ def build_replacement_law(bs: BlockSet, profile: DegreeProfile) -> ReplacementLa
     by_block = [
         _block_vectors(bs, profile, i, chi, rho, dw) for i in range(len(bs.blocks))
     ]
-    view = _over_matrix([vec for vecs in by_block for vec in vecs], dw)
-    q = len(types)
-    outcomes = {
-        t: tuple(
-            (i, b.probability, view[i * q + ti]) for i, b in enumerate(bs.blocks)
-        )
-        for ti, t in enumerate(types)
-    }
     scaled = tuple(
         tuple((p, vecs[ti]) for p, vecs in zip(probs, by_block))
         for ti in range(len(types))
     )
-    return ReplacementLaw(
-        types=types, outcomes=outcomes, scaled=scaled, prob_scale=dp, vec_scale=dw
-    )
+    return ReplacementLaw(types=types, scaled=scaled, prob_scale=dp, vec_scale=dw)
 
 
 def activity_vector(profile: DegreeProfile) -> tuple[Num, ...]:
@@ -288,15 +269,18 @@ def _closed_form(profile: DegreeProfile) -> tuple[list[list], Scale]:
     return A, dw * dw * dp
 
 
-def intensity_matrix(bs: BlockSet, profile: DegreeProfile, law: ReplacementLaw | None = None):
+def intensity_matrix(
+    profile: DegreeProfile, law: ReplacementLaw, acts: Cleared
+) -> ClearedMatrix:
     """Intensity matrix built two ways: column j as a_j * E(replacement from
     type j), and from the entrywise closed form.  Both must agree as
     integers cross-multiplied onto one scale; a mismatch means the
-    replacement law and the profile have diverged."""
-    law = law or build_replacement_law(bs, profile)
-    acts, da = _clear(activity_vector(profile))
+    replacement law and the profile have diverged.  ``acts`` is the
+    activity vector as a (numerators, scale) pair; A is returned as the
+    closed form's rows of int numerators and their scale."""
+    a, da = acts
     q = len(law.types)
-    cols = [[acts[j] * x for x in _mix(law.scaled[j])] for j in range(q)]
+    cols = [[a[j] * x for x in _mix(law.scaled[j])] for j in range(q)]
     dm = da * law.prob_scale * law.vec_scale
     closed, dc = _closed_form(profile)
     if any(cols[j][i] * dc != closed[i][j] * dm for i in range(q) for j in range(q)):
@@ -304,7 +288,7 @@ def intensity_matrix(bs: BlockSet, profile: DegreeProfile, law: ReplacementLaw |
             "intensity matrix mismatch between the replacement-law mixture "
             "and its closed form"
         )
-    return _over_matrix(closed, dc)
+    return closed, dc
 
 
 def eigen_closed_form(profile: DegreeProfile) -> tuple[Num, ...]:
@@ -313,10 +297,10 @@ def eigen_closed_form(profile: DegreeProfile) -> tuple[Num, ...]:
     return (profile.lambda1,) + tuple(profile.w(k) * (g0 - 1) for k in profile.essential)
 
 
-def validate_spectrum(
-    A: Sequence[Sequence[Num]], acts: Sequence[Num], claims: Sequence[Num]
-) -> None:
-    """Prove that A's spectrum is the claimed one, exactly.
+def validate_spectrum(A: ClearedMatrix, acts: Cleared, claims: Cleared) -> None:
+    """Prove that A's spectrum is the claimed one, exactly.  A, the
+    activities and the claimed eigenvalues (dominant first) are each a
+    (numerators, scale) pair.
 
     The types are ordered (k_1 .. k_r, *), so the activities are
     a = (w, a_*); f is A's * column on the tracked rows.  With
@@ -328,17 +312,15 @@ def validate_spectrum(
     block is zero above the diagonal, that its diagonal equals claims[1:], and
     that the * entry equals claims[0].  Defective spectra need nothing extra.
     """
-    q = len(acts)
+    (An, dA), (a, _), (c, dc) = A, acts, claims
+    q = len(a)
     r = q - 1
-    An, dA = _clear_matrix(A)
-    a, _ = _clear(acts)
-    c, dc = _clear(claims)
     if len(c) != q:
         raise InternalConsistencyError(f"{len(c)} claimed eigenvalues for {q} urn types")
     ar = a[r]
     if sum(a[i] * An[i][r] for i in range(q)) * dc != c[0] * dA * ar:
         raise InternalConsistencyError(
-            f"claimed dominant eigenvalue {claims[0]} is not (a'A)_* / a_*"
+            f"claimed dominant eigenvalue {Fraction(c[0], dc)} is not (a'A)_* / a_*"
         )
     for i in range(r):
         row, fi = An[i], An[i][r]
@@ -351,7 +333,7 @@ def validate_spectrum(
         if (row[i] * ar - fi * a[i]) * dc != c[i + 1] * dA * ar:
             raise InternalConsistencyError(
                 f"spectrum certificate: diagonal entry {i} of A_TT - f w' is not "
-                f"the claimed eigenvalue {claims[i + 1]}"
+                f"the claimed eigenvalue {Fraction(c[i + 1], dc)}"
             )
 
 
@@ -366,14 +348,12 @@ def right_eigenvector(profile: DegreeProfile) -> tuple[Num, ...]:
     return head + (tail,)
 
 
-def second_moment_matrix(
-    law: ReplacementLaw, acts: Sequence[Num], v1: Sequence[Num]
-) -> tuple[tuple[Num, ...], ...]:
+def second_moment_matrix(law: ReplacementLaw, acts: Cleared, v1: Cleared) -> ClearedMatrix:
     """B = sum_t v1_t * a_t * E(xi_t xi_t'), an exact finite mixture of outer
-    products of the replacement vectors."""
+    products of the replacement vectors.  The activities and v1 come, and B
+    is returned, as (numerators, scale) pairs."""
     q = len(law.types)
-    a, da = _clear(acts)
-    v, dv = _clear(v1)
+    (a, da), (v, dv) = acts, v1
     B = [[0] * q for _ in range(q)]
     for t in range(q):
         scale = v[t] * a[t]
@@ -385,8 +365,7 @@ def second_moment_matrix(
                 wi = w * xi
                 for j, xj in nonzero:
                     row[j] += wi * xj
-    d = dv * da * law.prob_scale * law.vec_scale * law.vec_scale
-    return _over_matrix(B, d)
+    return B, dv * da * law.prob_scale * law.vec_scale * law.vec_scale
 
 
 def _binary64(name: str, m: Sequence[Sequence[int]], d: Scale) -> np.ndarray:
@@ -425,13 +404,15 @@ def _lower_lyapunov(T: list[list[float]], Q: list[list[float]]) -> list[list[flo
 
 
 def covariance(
-    A: Sequence[Sequence[Num]],
-    B: Sequence[Sequence[Num]],
-    acts: Sequence[Num],
-    v1: Sequence[Num],
-    lam1: Num,
+    A: ClearedMatrix,
+    B: ClearedMatrix,
+    acts: Cleared,
+    v1: Cleared,
+    lam1: tuple[int, Scale],
 ) -> np.ndarray:
-    """Limit covariance of the scaled census vector.
+    """Limit covariance of the scaled census vector.  A, B, the activities,
+    v1 and lam1 are each a (numerators, scale) pair; for lam1 the numerator
+    is one int.
 
     The martingale part of the census has per-step conditional covariance
     C = B - lam1^2 v1 v1' (the second moment of a replacement drawn from the
@@ -457,7 +438,7 @@ def covariance(
 
     M, C, T and C~ = S^-1 C S^-T are formed exactly on integer numerators over
     a common scale each (M over 2 dA dl dv da, C over dB dl^2 dv^2, with dA,
-    dB, dl, dv and da the denominators of A, B, lam1, v1 and the activities;
+    dB, dl, dv and da the scales of A, B, lam1, v1 and the activities;
     T over a further a_*, and C~ differs from C only in its * row and
     column) and each entry is rounded once into binary64, where no nonzero
     entry may fall below the normal range.  Every t_ii must be negative,
@@ -465,13 +446,9 @@ def covariance(
     is certified by its relative residual
     ||M Sigma + Sigma M' + lam1 C||_F / (lam1 ||C||_F) on M and C.
     """
-    q = len(acts)
+    (An, dA), (Bn, dB), (a, da), (v, dv), (lam, dl) = A, B, acts, v1, lam1
+    q = len(a)
     r = q - 1
-    An, dA = _clear_matrix(A)
-    Bn, dB = _clear_matrix(B)
-    a, da = _clear(acts)
-    v, dv = _clear(v1)
-    (lam,), dl = _clear((lam1,))
     ar = a[r]
 
     # M = A - lam1 v1 a' - (lam1/2) I over the scale 2 dA dl dv da
@@ -516,7 +493,7 @@ def covariance(
     Y = _lower_lyapunov(T, Q)
     # Sigma = lam1 S Y S' with S = [[I, 0], [-w'/a_*, 1]]: only * moves
     u = [x / ar for x in a[:r]]
-    lamf = float(lam1)
+    lamf = lam / dl
     sigma = np.empty((q, q))
     sigma[:r, :r] = lamf * np.array(Y)[1:, 1:]
     xs = [row[0] - math.fsum(map(mul, row[1:], u)) for row in Y[1:]]
@@ -557,14 +534,14 @@ def irreducibility_check(law: ReplacementLaw) -> bool:
     return True
 
 
-def _check_eigen_identities(A, acts, v1, lam1) -> None:
+def _check_eigen_identities(
+    A: ClearedMatrix, acts: Cleared, v1: Cleared, lam1: tuple[int, Scale]
+) -> None:
     """a'A = lam1 a' (activities form the left eigenvector), A v1 = lam1 v1
-    and a'v1 = 1, compared as integer numerators on a shared scale."""
-    q = len(acts)
-    An, dA = _clear_matrix(A)
-    a, da = _clear(acts)
-    v, dv = _clear(v1)
-    (lam,), dl = _clear((lam1,))
+    and a'v1 = 1, compared as integer numerators on a shared scale.  Each
+    argument is a (numerators, scale) pair."""
+    (An, dA), (a, da), (v, dv), (lam, dl) = A, acts, v1, lam1
+    q = len(a)
     for j in range(q):
         if sum(a[i] * An[i][j] for i in range(q)) * dl != lam * a[j] * dA:
             raise InternalConsistencyError(
@@ -579,7 +556,10 @@ def _check_eigen_identities(A, acts, v1, lam1) -> None:
 
 def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     """Assemble the full urn model for a block set, running every internal
-    consistency check along the way."""
+    consistency check along the way.  The activities, v1, lam1 and the
+    closed-form spectrum are cleared here, once each, and every stage gets
+    them as (numerators, scale) pairs; A and B become Fractions only here,
+    for the returned ``UrnModel``."""
     profile = profile or build_profile(bs)
     if profile.r > MAX_TRACKED_TYPES:
         raise InternalConsistencyError(
@@ -588,22 +568,23 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
         )
     law = build_replacement_law(bs, profile)
     acts = activity_vector(profile)
-    A = intensity_matrix(bs, profile, law)
     eigs = eigen_closed_form(profile)
     v1 = right_eigenvector(profile)
-    _check_eigen_identities(A, acts, v1, eigs[0])
-    validate_spectrum(A, acts, eigs)
-    B = second_moment_matrix(law, acts, v1)
-    sigma = covariance(A, B, acts, v1, eigs[0])
+    a, v, lam = _clear(acts), _clear(v1), eigs[0].as_integer_ratio()
+    A = intensity_matrix(profile, law, a)
+    _check_eigen_identities(A, a, v, lam)
+    validate_spectrum(A, a, _clear(eigs))
+    B = second_moment_matrix(law, a, v)
+    sigma = covariance(A, B, a, v, lam)
     return UrnModel(
         profile=profile,
         types=law.types,
         activities=acts,
         law=law,
-        A=A,
+        A=_over_matrix(*A),
         eigenvalues=eigs,
         v1=v1,
-        B=B,
+        B=_over_matrix(*B),
         Sigma=sigma,
         irreducible=irreducibility_check(law),
         balanced=profile.balance.balanced,

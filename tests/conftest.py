@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from blocknets import BlockSetError, InternalConsistencyError, load_example
 from blocknets.model_io import BIPOLAR, HOOKING, blockset_from_dict
-from blocknets.urn import _to_float_matrix
+from blocknets.urn import _clear, _to_float_matrix
 
 QUAD_REFINE_TOL = 1e-8
 QUAD_TRUNC_TOL = 1e-12
@@ -176,6 +176,14 @@ def sigma_quadrature(
     raise InternalConsistencyError(
         f"quadrature for the covariance integral did not converge by n={n // 2}"
     )
+
+
+def clear_matrix(m) -> tuple[list[list[int]], int]:
+    """A rational matrix as the (rows of int numerators, scale) pair that the
+    urn's exact stages take, cleared with ``urn._clear``."""
+    q = len(m[0])
+    flat, d = _clear([x for row in m for x in row])
+    return [flat[i : i + q] for i in range(0, len(flat), q)], d
 
 
 def sigma_oracle(urn) -> np.ndarray:

@@ -25,9 +25,9 @@ from blocknets import (
     whiten_scores,
 )
 from blocknets.model_io import blockset_from_dict
-from blocknets.urn import validate_spectrum
+from blocknets.urn import _clear, validate_spectrum
 
-from conftest import brute_force_essential, random_blockset, sigma_oracle
+from conftest import brute_force_essential, clear_matrix, random_blockset, sigma_oracle
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -107,7 +107,7 @@ def test_structural_invariants_random_models():
             row = sum(urn.A[i][j] * urn.v1[j] for j in range(q))
             assert row == lam * urn.v1[i], f"seed {seed}: right eigen identity"
 
-        validate_spectrum(urn.A, urn.activities, urn.eigenvalues)
+        validate_spectrum(clear_matrix(urn.A), _clear(urn.activities), _clear(urn.eigenvalues))
 
         sym = float(np.max(np.abs(urn.Sigma - urn.Sigma.T)))
         assert sym == 0.0, f"seed {seed}: Sigma not symmetric"

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from importlib import resources
 
@@ -414,3 +415,40 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+def _load_benchmark_tracing():
+    """The benchmark's ``perfbench/tracing.py``, compiled from its text into a
+    fresh module, so that nothing is written beside it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        code = compile(fh.read(), path, "exec")
+    mod = types.ModuleType("perfbench_tracing")
+    exec(code, mod.__dict__)
+    return mod
+
+
+def test_benchmark_trace_sites_resolve_and_record_every_stage(example_paths, capsys):
+    """The benchmark times each layer by wrapping the functions that one
+    module looks up in another, by name.  A stage that is renamed, or called
+    around its module global, would read 0 there without any error.  So
+    every site must resolve, and one analyze of fig1 under the wrappers must
+    record a span at each layer it passes through."""
+    tracing = _load_benchmark_tracing()
+    for mod, attr, _, _ in tracing._sites():
+        assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr} is gone"
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        assert main(["analyze", "--input", example_paths["fig1"]]) == 0
+    names = {s["name"] for s in tracer.spans}
+    want = {
+        "model_io.load",
+        "profile.build",
+        "urn.build",
+        "urn.law",
+        "urn.intensity",
+        "urn.spectrum",
+        "urn.second_moment",
+        "urn.sigma",
+    }
+    assert want <= names, f"no span for {sorted(want - names)}"

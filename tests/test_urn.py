@@ -23,13 +23,24 @@ from blocknets.cli import analyze_dict, main
 from blocknets.model_io import blockset_from_dict
 from blocknets.urn import (
     LYAPUNOV_RESIDUAL_TOL,
+    _clear,
+    _over_matrix,
     _to_float_matrix,
+    activity_vector,
     build_replacement_law,
     covariance,
+    intensity_matrix,
+    second_moment_matrix,
     validate_spectrum,
 )
 
-from conftest import random_blockset, sigma_exact, sigma_oracle, sigma_relative_error
+from conftest import (
+    clear_matrix,
+    random_blockset,
+    sigma_exact,
+    sigma_oracle,
+    sigma_relative_error,
+)
 
 TINY = F(1, 10**40)
 
@@ -188,9 +199,9 @@ def test_activity_change_equals_balance_constant(fig1, fig3):
         p = build_profile(bs)
         law = build_replacement_law(bs, p)
         acts = [p.w(k) for k in p.essential] + [F(1)]
-        for t in law.types:
-            for b_idx, _, vec in law.outcomes[t]:
-                change = sum(a * x for a, x in zip(acts, vec))
+        for draws in law.scaled:
+            for b_idx, (_, vec) in enumerate(draws):
+                change = sum(a * x for a, x in zip(acts, vec)) / law.vec_scale
                 assert change == p.balance.s[b_idx]
 
 
@@ -205,11 +216,33 @@ def test_single_outcome_second_moment_is_outer_product(k2):
     # B_t is the outer product of its expectation
     p = build_profile(k2, r=1)
     law = build_replacement_law(k2, p)
-    for t in law.types:
-        ((_, prob, vec),) = law.outcomes[t]
-        assert prob == 1
-        exp = law.expected(t)
-        assert exp == vec
+    for ti, t in enumerate(law.types):
+        ((prob, _),) = law.scaled[ti]
+        assert prob == law.prob_scale
+        assert law.expected(t) == replacement_vector(k2, p, t, 0)
+    urn = build_urn(k2, p)
+    q = len(urn.types)
+    exp = [law.expected(t) for t in urn.types]
+    weight = [urn.v1[t] * urn.activities[t] for t in range(q)]
+    assert [list(row) for row in urn.B] == [
+        [sum(weight[t] * exp[t][i] * exp[t][j] for t in range(q)) for j in range(q)]
+        for i in range(q)
+    ]
+
+
+def test_stages_return_int_numerators_over_a_scale(urn1, urn3):
+    """intensity_matrix and second_moment_matrix hand on rows of ints over
+    one int scale; the urn's Fraction A and B are those values."""
+    for urn in (urn1, urn3):
+        p, law = urn.profile, urn.law
+        acts, v1 = _clear(activity_vector(p)), _clear(urn.v1)
+        for (rows, d), want in (
+            (intensity_matrix(p, law, acts), urn.A),
+            (second_moment_matrix(law, acts, v1), urn.B),
+        ):
+            assert type(d) is int and d > 0
+            assert all(type(x) is int for row in rows for x in row)
+            assert _over_matrix(rows, d) == want
 
 
 def test_k2_sigma_matches_hand_integral(k2):
@@ -325,25 +358,27 @@ def _with_entry(A, i, j, delta):
 
 def test_validate_spectrum_catches_wrong_claim(urn1, urn3):
     with pytest.raises(InternalConsistencyError, match="claimed eigenvalue -4"):
-        validate_spectrum(urn1.A, urn1.activities, (F(31, 3), F(-1), F(-3), F(-4)))
+        validate_spectrum(
+            clear_matrix(urn1.A), _clear(urn1.activities), _clear((F(31, 3), F(-1), F(-3), F(-4)))
+        )
     for urn in (urn1, urn3):
-        A, a, eigs = urn.A, urn.activities, urn.eigenvalues
-        validate_spectrum(A, a, eigs)
+        A, a, eigs = clear_matrix(urn.A), _clear(urn.activities), urn.eigenvalues
+        validate_spectrum(A, a, _clear(eigs))
         with pytest.raises(InternalConsistencyError, match="claimed eigenvalue"):
-            validate_spectrum(A, a, eigs[:2] + (eigs[2] + TINY,) + eigs[3:])
+            validate_spectrum(A, a, _clear(eigs[:2] + (eigs[2] + TINY,) + eigs[3:]))
         with pytest.raises(InternalConsistencyError, match="dominant eigenvalue"):
-            validate_spectrum(A, a, (eigs[0] + TINY,) + eigs[1:])
+            validate_spectrum(A, a, _clear((eigs[0] + TINY,) + eigs[1:]))
 
 
 def test_spectrum_certificate_catches_a_perturbed_A(urn1, urn3):
     """A change far below any float tolerance in an entry of A above or on
     the tracked diagonal breaks the triangular form or its diagonal."""
     for urn in (urn1, urn3):
-        A, a, eigs = urn.A, urn.activities, urn.eigenvalues
+        A, a, eigs = urn.A, _clear(urn.activities), _clear(urn.eigenvalues)
         with pytest.raises(InternalConsistencyError, match=r"above the diagonal at \[0\]\[2\]"):
-            validate_spectrum(_with_entry(A, 0, 2, TINY), a, eigs)
+            validate_spectrum(clear_matrix(_with_entry(A, 0, 2, TINY)), a, eigs)
         with pytest.raises(InternalConsistencyError, match="diagonal entry 1"):
-            validate_spectrum(_with_entry(A, 1, 1, TINY), a, eigs)
+            validate_spectrum(clear_matrix(_with_entry(A, 1, 1, TINY)), a, eigs)
 
 
 def test_covariance_refuses_an_unstable_triangular_basis(urn1):
@@ -351,10 +386,12 @@ def test_covariance_refuses_an_unstable_triangular_basis(urn1):
     to A[0][0], the first tracked class has t = -1 + lam1/2 > 0; with lam1
     claimed to be 0, t_** = (a'A)_* / a_* = 31/3 > 0."""
     u = urn1
+    A, B, a, v1 = clear_matrix(u.A), clear_matrix(u.B), _clear(u.activities), _clear(u.v1)
+    lam = u.lambda1.as_integer_ratio()
     with pytest.raises(InternalConsistencyError, match=r"T\[1\]\[1\] \(\* first\) is not negative"):
-        covariance(_with_entry(u.A, 0, 0, u.lambda1), u.B, u.activities, u.v1, u.lambda1)
+        covariance(clear_matrix(_with_entry(u.A, 0, 0, u.lambda1)), B, a, v1, lam)
     with pytest.raises(InternalConsistencyError, match=r"T\[0\]\[0\] \(\* first\) is not negative"):
-        covariance(u.A, u.B, u.activities, u.v1, F(0))
+        covariance(A, B, a, v1, F(0).as_integer_ratio())
 
 
 @pytest.mark.parametrize(
@@ -404,7 +441,7 @@ def test_random_models_structural_invariants(seed):
     lam = urn.lambda1
     for j in range(q):
         assert sum(urn.activities[i] * urn.A[i][j] for i in range(q)) == lam * urn.activities[j]
-    validate_spectrum(urn.A, urn.activities, urn.eigenvalues)
+    validate_spectrum(clear_matrix(urn.A), _clear(urn.activities), _clear(urn.eigenvalues))
     assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9
     assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
     # irreducible iff the off-diagonal support of A is strongly connected
@@ -433,14 +470,15 @@ def test_eigen_identities_are_exact(urn1, urn3):
     """Perturbations far below any float tolerance still fail the checks."""
     check = urn_module._check_eigen_identities
     for urn in (urn1, urn3):
-        A, a, v1, lam = urn.A, urn.activities, urn.v1, urn.lambda1
-        check(A, a, v1, lam)
+        A, a, v1 = clear_matrix(urn.A), urn.activities, urn.v1
+        lam = urn.lambda1.as_integer_ratio()
+        check(A, _clear(a), _clear(v1), lam)
         with pytest.raises(InternalConsistencyError, match="right eigenvector fails at row"):
-            check(A, a, v1[:1] + (v1[1] + TINY,) + v1[2:], lam)
+            check(A, _clear(a), _clear(v1[:1] + (v1[1] + TINY,) + v1[2:]), lam)
         with pytest.raises(InternalConsistencyError, match="not a left eigenvector at column"):
-            check(A, (a[0] + TINY,) + a[1:], v1, lam)
+            check(A, _clear((a[0] + TINY,) + a[1:]), _clear(v1), lam)
         with pytest.raises(InternalConsistencyError, match="not normalized"):
-            check(A, a, tuple(x * (1 + TINY) for x in v1), lam)
+            check(A, _clear(a), _clear(tuple(x * (1 + TINY) for x in v1)), lam)
 
 
 def test_build_urn_checks_the_right_eigenvector(fig3, monkeypatch):
