@@ -30,7 +30,14 @@ from .growth import (
     simulate,
     write_trajectory_csv,
 )
-from .model_io import BlockSetError, InternalConsistencyError, format_number, load_blockset
+from .model_io import (
+    BlockSetError,
+    InternalConsistencyError,
+    format_json,
+    format_number,
+    format_ratio,
+    load_blockset,
+)
 from .profile import build_profile
 from .urn import build_urn
 from .verify import Tolerances, render_table, verify_model
@@ -42,7 +49,11 @@ EXIT_INTERNAL = 3
 
 
 def _fmt_matrix(m) -> list[list]:
-    return [[format_number(x) for x in row] for row in m]
+    """Rows of int numerators over one scale, in ``format_number``'s form.
+    The rows repeat few distinct numerators, so each is formatted once."""
+    rows, d = m
+    text = {n: format_ratio(n, d) for n in {n for row in rows for n in row}}.__getitem__
+    return [list(map(text, row)) for row in rows]
 
 
 def _fmt_vector(v) -> list:
@@ -69,10 +80,10 @@ def analyze_dict(urn) -> dict:
         "urn": {
             "types": [t if isinstance(t, str) else int(t) for t in urn.types],
             "activities": _fmt_vector(urn.activities),
-            "intensity_matrix": _fmt_matrix(urn.A),
+            "intensity_matrix": _fmt_matrix(urn.A_cleared),
             "eigenvalues": _fmt_vector(urn.eigenvalues),
             "v1": _fmt_vector(urn.v1),
-            "second_moment": _fmt_matrix(urn.B),
+            "second_moment": _fmt_matrix(urn.B_cleared),
             "sigma": np.asarray(urn.Sigma).tolist(),
             "irreducible": urn.irreducible,
             "balanced": urn.balanced,
@@ -117,7 +128,7 @@ def cmd_analyze(args) -> int:
     print(_analysis_table(doc))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2))
+            fh.write(format_json(doc))
         print(f"analysis written to {args.out}")
     return EXIT_OK
 

@@ -16,9 +16,11 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence, Union
 
 Num = Fraction
@@ -63,6 +65,61 @@ def parse_number(value) -> Num:
 def format_number(x: Num):
     """JSON-friendly form: 'a/b' strings, with integers as ints."""
     return int(x) if x.denominator == 1 else str(x)
+
+
+def format_ratio(n: int, d: int):
+    """``format_number`` of n / d for ints n and d > 0, without building a
+    Fraction."""
+    c = math.gcd(n, d)
+    return n // c if c == d else f"{n // c}/{d // c}"
+
+
+def _json_scalar(x) -> str:
+    """``json.dumps`` of one value that is not a list, tuple or dict; those
+    raise TypeError, like any other type JSON cannot hold.  Floats are tried
+    first: no other type the encoder accepts is one."""
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json_key(k) -> str:
+    return encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))
+
+
+def format_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.  With an indent the
+    standard library encodes in pure Python, one generator step per
+    fragment; here a list of scalars is one join, and only a list that
+    holds a container is written one value at a time."""
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_json_key(k)}: {format_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + sep.join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = sep.join(map(_json_scalar, obj))
+        except TypeError:
+            body = sep.join([format_json(x, inner) for x in obj])
+        return "[" + inner + body + pad + "]"
+    return _json_scalar(obj)
 
 
 @dataclass(frozen=True)

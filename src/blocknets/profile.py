@@ -12,16 +12,43 @@ From these follow the essential degrees (values attainable by at least
 two non-master vertices), the linear growth rate ``lambda1``, the limit
 vector of degree-class proportions, and the per-block activity increments
 used to flag balanced models.
+
+Everything is computed on Python ints.  ``build_profile`` clears chi and
+rho of their denominators once (one scale dw) and the block probabilities
+once (one scale dp); f and g are then numerators over dp, lambda1 over
+dw*dp, and the limit vector comes from a forward substitution with a
+running scale.  The profile keeps these ``(numerators, scale)`` pairs for
+the urn (``DegreeProfile.pairs``) and builds its public Fraction fields
+from them once.  The exported functions ``degree_profile``, ``lambda1``
+and ``limit_vector`` are Fraction views of the same integer routines.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .model_io import HOOKING, BlockSet, BlockSetError, Num
+
+Scale = int
+# A vector as int numerators over one scale: x[i] == ns[i] / d.
+Cleared = tuple[list[int], Scale]
+
+
+def _clear(xs: Sequence[Num]) -> Cleared:
+    """Int numerators of xs over one common denominator d, so
+    xs[i] == ns[i] / d."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = math.lcm(*[b for _, b in ratios])
+    return [a * (d // b) for a, b in ratios], d
+
+
+def _over(ns: Sequence[int], d: Scale) -> tuple[Num, ...]:
+    """The values ns[i] / d as Fractions."""
+    return tuple(Fraction(n, d) for n in ns)
 
 
 @dataclass(frozen=True)
@@ -30,6 +57,30 @@ class BalanceInfo:
 
     s: tuple[Num, ...]
     balanced: bool
+
+
+@dataclass(frozen=True)
+class ProfilePairs:
+    """A profile's exact values as int numerators over int scales.
+
+    chi and rho are ``weights`` over ``dw``, and ``w(k)`` is the numerator of
+    chi*k + rho over dw; the block probabilities, f and g are over ``dp``;
+    ``lambda1`` is over dw*dp; ``limit`` is the limit vector as a
+    (numerators, scale) pair.
+    """
+
+    weights: tuple[int, int]
+    dw: Scale
+    probabilities: tuple[int, ...]
+    dp: Scale
+    f: dict[int, int]
+    g: dict[int, int]
+    lambda1: int
+    limit: Cleared
+
+    def w(self, k: int) -> int:
+        chi, rho = self.weights
+        return chi * k + rho
 
 
 @dataclass(frozen=True)
@@ -45,6 +96,7 @@ class DegreeProfile:
     lambda1: Num
     limit: tuple[Num, ...]
     balance: BalanceInfo
+    pairs: ProfilePairs = field(repr=False, compare=False)
 
     def w(self, k: int) -> Num:
         return self.chi * k + self.rho
@@ -58,16 +110,25 @@ class DegreeProfile:
         return self.g.get(0, Fraction(0))
 
 
+def _degree_numerators(
+    bs: BlockSet, probs: Sequence[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """f and g as numerators over the scale of the block probabilities
+    ``probs``, keyed in order of first appearance."""
+    f: dict[int, int] = {}
+    g: dict[int, int] = {}
+    for b, p in zip(bs.blocks, probs):
+        for k in b.new_degrees():
+            f[k] = f.get(k, 0) + p
+        d = b.latch_increment()
+        g[d] = g.get(d, 0) + p
+    return f, g
+
+
 def degree_profile(bs: BlockSet) -> tuple[dict[int, Num], dict[int, Num]]:
     """Compute the maps f and g (finite support, rational)."""
-    zero = Fraction(0)
-    f: dict[int, Num] = {}
-    g: dict[int, Num] = {}
-    for b in bs.blocks:
-        for k in b.new_degrees():
-            f[k] = f.get(k, zero) + b.probability
-        d = b.latch_increment()
-        g[d] = g.get(d, zero) + b.probability
+    probs, dp = _clear(bs.probabilities)
+    f, g = (dict(zip(m, _over(m.values(), dp))) for m in _degree_numerators(bs, probs))
     return f, g
 
 
@@ -110,11 +171,63 @@ def essential_degrees(bs: BlockSet, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _lambda1(f: Mapping[int, int], g: Mapping[int, int], chi: int, rho: int) -> int:
+    """Numerator of lambda1 over dw*dp, for f and g over dp and chi and rho
+    over dw."""
+    total = sum((chi * k + rho) * fk for k, fk in f.items())
+    return total + sum(chi * k * gk for k, gk in g.items() if k >= 1)
+
+
+def _split(f: Mapping[int, Num], g: Mapping[int, Num], *more: Num):
+    """f, g and further values cleared onto one scale: (f, g, more, scale)
+    with f and g as numerator dicts."""
+    ns, d = _clear([*f.values(), *g.values(), *more])
+    nf, ng = len(f), len(f) + len(g)
+    return dict(zip(f, ns)), dict(zip(g, ns[nf:ng])), ns[ng:], d
+
+
 def lambda1(f: Mapping[int, Num], g: Mapping[int, Num], chi: Num, rho: Num) -> Num:
     """Expected change per step of the total attachment weight."""
-    total = sum((chi * k + rho) * fk for k, fk in f.items())
-    total += sum(chi * k * gk for k, gk in g.items() if k >= 1)
-    return total
+    (c, rh), dw = _clear((chi, rho))
+    fn, gn, _, dp = _split(f, g)
+    return Fraction(_lambda1(fn, gn, c, rh), dw * dp)
+
+
+def _limit(
+    f: Mapping[int, int],
+    g: Mapping[int, int],
+    dp: Scale,
+    essential: tuple[int, ...],
+    lam: int,
+    chi: int,
+    rho: int,
+    dw: Scale,
+) -> Cleared:
+    """The limit vector as a (numerators, scale) pair, for f and g over dp,
+    lam over dw*dp and chi and rho over dw.
+
+    Class i solves nu_i = (f_i + sum_j w_j g(k_i - k_j) nu_j) / (lam + w_i (1 - g0))
+    over the classes j before it.  With the earlier nu_j = n_j / s, that is
+    (f_i dw s + sum_j w_j g(k_i - k_j) n_j) / (s D_i) in numerators, where
+    D_i = lam + w_i (dp - g0): the running scale s takes the factor D_i and
+    the earlier numerators with it.  One gcd reduces the result."""
+    g0 = g.get(0, 0)
+    jumps = [(m, gm) for m, gm in g.items() if m > 0]
+    index = {k: i for i, k in enumerate(essential)}
+    ns: list[int] = []
+    s = 1
+    for k in essential:
+        acc = f.get(k, 0) * dw * s
+        for m, gm in jumps:
+            j = index.get(k - m)
+            if j is not None:
+                acc += (chi * (k - m) + rho) * gm * ns[j]
+        d = lam + (chi * k + rho) * (dp - g0)
+        ns = [n * d for n in ns]
+        ns.append(acc)
+        s *= d
+    c = math.gcd(s, *ns)
+    return [n // c for n in ns], s // c
 
 
 def limit_vector(
@@ -128,18 +241,9 @@ def limit_vector(
     """Limit proportions (up to the factor lambda1) of the tracked degree
     classes, by forward substitution.  The same recursion covers both
     network kinds; hooking sets simply have g(0) = 0."""
-    zero = 0 * lam
-    g0 = g.get(0, zero)
-    out: list[Num] = []
-    for i, k in enumerate(essential):
-        acc = f.get(k, zero)
-        for j in range(i):
-            kj = essential[j]
-            gjump = g.get(k - kj, zero)
-            if gjump:
-                acc += (chi * kj + rho) * gjump * out[j]
-        out.append(acc / (lam + (chi * k + rho) * (1 - g0)))
-    return tuple(out)
+    (c, rh), dw = _clear((chi, rho))
+    fn, gn, (ln,), dp = _split(f, g, lam * dw)
+    return _over(*_limit(fn, gn, dp, essential, ln, c, rh, dw))
 
 
 def balance_check(bs: BlockSet) -> BalanceInfo:
@@ -162,58 +266,74 @@ def balance_check(bs: BlockSet) -> BalanceInfo:
 
 def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
     """Assemble the full profile and assert its structural invariants."""
-    f, g = degree_profile(bs)
+    (chi, rho), dw = _clear((bs.chi, bs.rho))
+    probs, dp = _clear(bs.probabilities)
+    f, g = (dict(sorted(m.items())) for m in _degree_numerators(bs, probs))
     ess = essential_degrees(bs, bs.r if r is None else r)
-    lam = lambda1(f, g, bs.chi, bs.rho)
+    lam = _lambda1(f, g, chi, rho)
     if not lam > 0:
-        raise BlockSetError("param-domain", f"growth rate must be positive, got {lam}")
-    limit = limit_vector(f, g, ess, lam, bs.chi, bs.rho)
-    balance = balance_check(bs)
+        raise BlockSetError(
+            "param-domain", f"growth rate must be positive, got {Fraction(lam, dw * dp)}"
+        )
+    pairs = ProfilePairs(
+        weights=(chi, rho),
+        dw=dw,
+        probabilities=tuple(probs),
+        dp=dp,
+        f=f,
+        g=g,
+        lambda1=lam,
+        limit=_limit(f, g, dp, ess, lam, chi, rho, dw),
+    )
     prof = DegreeProfile(
         kind=bs.kind,
         chi=bs.chi,
         rho=bs.rho,
-        f=dict(sorted(f.items())),
-        g=dict(sorted(g.items())),
+        f=dict(zip(f, _over(f.values(), dp))),
+        g=dict(zip(g, _over(g.values(), dp))),
         essential=ess,
-        lambda1=lam,
-        limit=limit,
-        balance=balance,
+        lambda1=Fraction(lam, dw * dp),
+        limit=_over(*pairs.limit),
+        balance=balance_check(bs),
+        pairs=pairs,
     )
     _assert_profile_invariants(prof)
     return prof
 
 
 def _assert_profile_invariants(p: DegreeProfile) -> None:
-    gsum = sum(p.g.values())
-    if gsum != 1:
-        raise InternalProfileError(f"g-mass is {gsum}, expected 1")
+    """The identities a profile satisfies, checked on its integer pairs."""
+    x = p.pairs
+    gsum = sum(x.g.values())
+    if gsum != x.dp:
+        raise InternalProfileError(f"g-mass is {Fraction(gsum, x.dp)}, expected 1")
 
     kr = p.essential[-1]
     ess = set(p.essential)
     for k in range(1, kr + 1):
         if k in ess:
             continue
-        if p.f.get(k):
+        if x.f.get(k):
             raise InternalProfileError(
                 f"f({k}) = {p.f[k]} but {k} is not among the tracked degrees"
             )
         for kj in p.essential:
-            if k > kj and p.g.get(k - kj):
+            if k > kj and x.g.get(k - kj):
                 raise InternalProfileError(
                     f"g({k - kj}) > 0 reaches untracked degree {k} from {kj}"
                 )
 
-    if any(not x > 0 for x in p.limit):
+    ns, s = x.limit
+    if any(not n > 0 for n in ns):
         raise InternalProfileError(f"limit vector has a non-positive entry: {p.limit}")
     # The tracked classes can absorb at most the whole weight; equality means
     # the overflow type has limit share 0.  That happens when nothing feeds
     # the overflow type: the urn is then reducible, which the analysis
     # reports (``irreducible: false``) without rejecting the model.
-    weighted = sum(p.w(k) * x for k, x in zip(p.essential, p.limit))
-    if weighted > 1:
+    weighted = sum(x.w(k) * n for k, n in zip(p.essential, ns))
+    if weighted > x.dw * s:
         raise InternalProfileError(
-            f"tracked classes absorb weight fraction {weighted} > 1"
+            f"tracked classes absorb weight fraction {Fraction(weighted, x.dw * s)} > 1"
         )
 
 

@@ -9,18 +9,19 @@ a block induces a deterministic replacement vector per (type, block) pair;
 mixing over blocks gives the intensity matrix A whose dominant eigenpair
 describes linear growth and whose remaining spectrum drives fluctuations.
 
-Rational models are computed on Python ints.  Each quantity is cleared of
-its denominators once -- chi and rho share one scale, the block
-probabilities another, f and g a third, and the activities, v1, lambda1
-and the claimed spectrum each their own -- and passes between the stages
-as a ``(numerators, scale)`` pair: a list of ints (rows of ints for a
-matrix) and one int scale, so that x[i] == ns[i] / scale.  Every exact
-stage (the replacement law, A built two ways, the eigen-identities, the
-spectrum certificate, B, and the Lyapunov data M and C with their images T
-and C~ in a triangular basis) takes and returns such pairs, so the exact
-checks are integer equalities.  Fractions are built only for values handed
-to callers: A and B become Fractions once, in ``build_urn``, for the
-returned ``UrnModel``.  The spectrum
+Rational models are computed on Python ints.  Every exact value passes
+between the stages as a ``(numerators, scale)`` pair: a list of ints (rows
+of ints for a matrix) and one int scale, so that x[i] == ns[i] / scale.
+The inputs come from the profile's pairs (``DegreeProfile.pairs``), where
+chi and rho, the block probabilities, f, g, lambda1 and the limit vector
+were cleared of their denominators once; the activities, v1 and the
+claimed spectrum are integer expressions in them.  Every exact stage (the
+replacement law, A built two ways, the eigen-identities, the spectrum
+certificate, B, and the Lyapunov data M and C with their images T and C~
+in a triangular basis) takes and returns such pairs, so the exact checks
+are integer equalities.  Fractions are built only in the public views:
+the ``UrnModel``'s activities, spectrum and v1, its A and B on first
+access, and the exported functions that return rationals.  The spectrum
 is proved, not computed: one change of basis that mixes only the overflow
 row and column makes A triangular (see ``validate_spectrum``), and the
 same basis makes Sigma's Lyapunov equation solvable by forward
@@ -33,6 +34,7 @@ spell (see ``model_io``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,30 +44,15 @@ from typing import Sequence, Union
 import numpy as np
 
 from .model_io import BlockSet, InternalConsistencyError, Num
-from .profile import DegreeProfile, build_profile
+from .profile import Cleared, DegreeProfile, Scale, _over, build_profile
 
 STAR = "*"
 UrnType = Union[int, str]
-Scale = int
-# A vector or a matrix as int numerators over one scale: x[i] == ns[i] / d.
-Cleared = tuple[list[int], Scale]
+# A matrix as rows of int numerators over one scale: m[i][j] == ns[i][j] / d.
 ClearedMatrix = tuple[list[list[int]], Scale]
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 MAX_TRACKED_TYPES = 64
-
-
-def _clear(xs: Sequence[Num]) -> Cleared:
-    """Int numerators of xs over one common denominator d, so
-    xs[i] == ns[i] / d."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    d = math.lcm(*[b for _, b in ratios])
-    return [a * (d // b) for a, b in ratios], d
-
-
-def _over(ns: Sequence[int], d: Scale) -> tuple[Num, ...]:
-    """The values ns[i] / d as Fractions."""
-    return tuple(Fraction(n, d) for n in ns)
 
 
 def _over_matrix(m: Sequence[Sequence[int]], d: Scale) -> tuple[tuple[Num, ...], ...]:
@@ -109,19 +96,31 @@ class ReplacementLaw:
 
 @dataclass
 class UrnModel:
-    """Intensity matrix, eigenstructure and limit covariance of the census urn."""
+    """Intensity matrix, eigenstructure and limit covariance of the census urn.
+
+    A and B are kept as the (rows of int numerators, scale) pairs that the
+    stages computed; ``A`` and ``B`` are their Fraction views, built on
+    first access."""
 
     profile: DegreeProfile
     types: tuple[UrnType, ...]
     activities: tuple[Num, ...]
     law: ReplacementLaw
-    A: tuple[tuple[Num, ...], ...]
+    A_cleared: ClearedMatrix = field(repr=False)
     eigenvalues: tuple[Num, ...]  # closed form, dominant first
     v1: tuple[Num, ...]
-    B: tuple[tuple[Num, ...], ...]
+    B_cleared: ClearedMatrix = field(repr=False)
     Sigma: np.ndarray
     irreducible: bool
     balanced: bool
+
+    @functools.cached_property
+    def A(self) -> tuple[tuple[Num, ...], ...]:
+        return _over_matrix(*self.A_cleared)
+
+    @functools.cached_property
+    def B(self) -> tuple[tuple[Num, ...], ...]:
+        return _over_matrix(*self.B_cleared)
 
     @property
     def r(self) -> int:
@@ -132,7 +131,8 @@ class UrnModel:
         return self.eigenvalues[0]
 
     def A_float(self) -> np.ndarray:
-        return _to_float_matrix(self.A)
+        rows, d = self.A_cleared
+        return np.array([[x / d for x in row] for row in rows], dtype=np.float64)
 
     def v1_float(self) -> np.ndarray:
         return np.array([float(x) for x in self.v1])
@@ -143,10 +143,6 @@ class UrnModel:
     def sigma_census(self) -> np.ndarray:
         """Covariance restricted to the tracked degree coordinates."""
         return self.Sigma[: self.r, : self.r]
-
-
-def _to_float_matrix(m: Sequence[Sequence[Num]]) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m], dtype=np.float64)
 
 
 def _block_vectors(
@@ -206,40 +202,43 @@ def replacement_vector(
     overflow ball is returned along with chi*d new overflow balls, the
     weight growth of the big vertex it represents.
     """
-    (chi, rho), dw = _clear((profile.chi, profile.rho))
-    vecs = _block_vectors(bs, profile, block_index, chi, rho, dw)
-    return _over(vecs[(profile.essential + (STAR,)).index(t)], dw)
+    x = profile.pairs
+    vecs = _block_vectors(bs, profile, block_index, *x.weights, x.dw)
+    return _over(vecs[(profile.essential + (STAR,)).index(t)], x.dw)
 
 
 def build_replacement_law(bs: BlockSet, profile: DegreeProfile) -> ReplacementLaw:
     types: tuple[UrnType, ...] = profile.essential + (STAR,)
-    (chi, rho), dw = _clear((profile.chi, profile.rho))
-    probs, dp = _clear(bs.probabilities)
+    x = profile.pairs
     by_block = [
-        _block_vectors(bs, profile, i, chi, rho, dw) for i in range(len(bs.blocks))
+        _block_vectors(bs, profile, i, *x.weights, x.dw) for i in range(len(bs.blocks))
     ]
     scaled = tuple(
-        tuple((p, vecs[ti]) for p, vecs in zip(probs, by_block))
+        tuple((p, vecs[ti]) for p, vecs in zip(x.probabilities, by_block))
         for ti in range(len(types))
     )
-    return ReplacementLaw(types=types, scaled=scaled, prob_scale=dp, vec_scale=dw)
+    return ReplacementLaw(types=types, scaled=scaled, prob_scale=x.dp, vec_scale=x.dw)
+
+
+def _activities(profile: DegreeProfile) -> Cleared:
+    """The activities (w_k per tracked class, then 1 for *) over dw."""
+    x = profile.pairs
+    return [x.w(k) for k in profile.essential] + [x.dw], x.dw
 
 
 def activity_vector(profile: DegreeProfile) -> tuple[Num, ...]:
-    return tuple(profile.w(k) for k in profile.essential) + (Fraction(1),)
+    return _over(*_activities(profile))
 
 
 def _closed_form(profile: DegreeProfile) -> tuple[list[list], Scale]:
     """Entrywise closed form of the intensity matrix in terms of f, g and w,
-    as numerators over the scale dw^2 * dp (dw clears chi and rho, dp clears
-    f and g)."""
+    as numerators over the scale dw^2 * dp (the profile's pairs: dw clears
+    chi and rho, and f and g are over dp, the block probabilities' scale)."""
     ess = profile.essential
     r = len(ess)
     kr = ess[-1]
-    (chi, rho), dw = _clear((profile.chi, profile.rho))
-    fg, dp = _clear(list(profile.f.values()) + list(profile.g.values()))
-    f = dict(zip(profile.f, fg))
-    g = dict(zip(profile.g, fg[len(f) :]))
+    x = profile.pairs
+    (chi, rho), dw, dp, f, g = x.weights, x.dw, x.dp, x.f, x.g
     g0 = g.get(0, 0)
 
     def w(k):
@@ -291,10 +290,17 @@ def intensity_matrix(
     return closed, dc
 
 
+def _eigenvalues(profile: DegreeProfile) -> Cleared:
+    """The closed-form spectrum over dw*dp: lambda1, then w_k*(g(0)-1) per
+    tracked class."""
+    x = profile.pairs
+    g0 = x.g.get(0, 0)
+    return [x.lambda1] + [x.w(k) * (g0 - x.dp) for k in profile.essential], x.dw * x.dp
+
+
 def eigen_closed_form(profile: DegreeProfile) -> tuple[Num, ...]:
     """Exact spectrum: the growth rate plus w_k*(g(0)-1) per tracked class."""
-    g0 = profile.g0
-    return (profile.lambda1,) + tuple(profile.w(k) * (g0 - 1) for k in profile.essential)
+    return _over(*_eigenvalues(profile))
 
 
 def validate_spectrum(A: ClearedMatrix, acts: Cleared, claims: Cleared) -> None:
@@ -337,15 +343,22 @@ def validate_spectrum(A: ClearedMatrix, acts: Cleared, claims: Cleared) -> None:
             )
 
 
-def right_eigenvector(profile: DegreeProfile) -> tuple[Num, ...]:
-    """Dominant right eigenvector, normalized against the activity vector.
+def _right_eigenvector(profile: DegreeProfile) -> Cleared:
+    """Dominant right eigenvector, normalized against the activity vector,
+    over dw*s where s is the limit vector's scale.
 
     The first r entries are the limit vector; the overflow entry makes the
     activity-weighted total equal 1.
     """
-    head = profile.limit
-    tail = 1 - sum(profile.w(k) * x for k, x in zip(profile.essential, head))
-    return head + (tail,)
+    x = profile.pairs
+    ns, s = x.limit
+    tail = x.dw * s - sum(x.w(k) * n for k, n in zip(profile.essential, ns))
+    return [n * x.dw for n in ns] + [tail], x.dw * s
+
+
+def right_eigenvector(profile: DegreeProfile) -> tuple[Num, ...]:
+    """Dominant right eigenvector, normalized against the activity vector."""
+    return _over(*_right_eigenvector(profile))
 
 
 def second_moment_matrix(law: ReplacementLaw, acts: Cleared, v1: Cleared) -> ClearedMatrix:
@@ -522,16 +535,22 @@ def irreducibility_check(law: ReplacementLaw) -> bool:
         {u for _, vec in law.scaled[t] for u, x in enumerate(vec) if x > 0}
         for t in range(q)
     ]
-    for start in range(q):
-        seen = {start}
-        stack = [start]
+    pred: list[set[int]] = [set() for _ in range(q)]
+    for t, out in enumerate(succ):
+        for u in out:
+            pred[u].add(t)
+
+    def reaches_all(adj: list[set[int]]) -> bool:
+        seen = {0}
+        stack = [0]
         while stack:
-            for y in succ[stack.pop()] - seen:
+            for y in adj[stack.pop()] - seen:
                 seen.add(y)
                 stack.append(y)
-        if len(seen) != q:
-            return False
-    return True
+        return len(seen) == q
+
+    # strongly connected iff type 0 reaches every type and every type reaches 0
+    return reaches_all(succ) and reaches_all(pred)
 
 
 def _check_eigen_identities(
@@ -557,9 +576,9 @@ def _check_eigen_identities(
 def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     """Assemble the full urn model for a block set, running every internal
     consistency check along the way.  The activities, v1, lam1 and the
-    closed-form spectrum are cleared here, once each, and every stage gets
-    them as (numerators, scale) pairs; A and B become Fractions only here,
-    for the returned ``UrnModel``."""
+    closed-form spectrum come from the profile's pairs, and every stage gets
+    them as (numerators, scale) pairs; A and B stay pairs in the returned
+    ``UrnModel``."""
     profile = profile or build_profile(bs)
     if profile.r > MAX_TRACKED_TYPES:
         raise InternalConsistencyError(
@@ -567,24 +586,22 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
             f"{MAX_TRACKED_TYPES}"
         )
     law = build_replacement_law(bs, profile)
-    acts = activity_vector(profile)
-    eigs = eigen_closed_form(profile)
-    v1 = right_eigenvector(profile)
-    a, v, lam = _clear(acts), _clear(v1), eigs[0].as_integer_ratio()
+    a, v, eigs = _activities(profile), _right_eigenvector(profile), _eigenvalues(profile)
+    lam = eigs[0][0], eigs[1]
     A = intensity_matrix(profile, law, a)
     _check_eigen_identities(A, a, v, lam)
-    validate_spectrum(A, a, _clear(eigs))
+    validate_spectrum(A, a, eigs)
     B = second_moment_matrix(law, a, v)
     sigma = covariance(A, B, a, v, lam)
     return UrnModel(
         profile=profile,
         types=law.types,
-        activities=acts,
+        activities=_over(*a),
         law=law,
-        A=_over_matrix(*A),
-        eigenvalues=eigs,
-        v1=v1,
-        B=_over_matrix(*B),
+        A_cleared=A,
+        eigenvalues=_over(*eigs),
+        v1=_over(*v),
+        B_cleared=B,
         Sigma=sigma,
         irreducible=irreducibility_check(law),
         balanced=profile.balance.balanced,

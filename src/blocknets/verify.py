@@ -10,7 +10,6 @@ and all thresholds are configurable.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .growth import census_vector, simulate_batch
-from .model_io import BlockSet
+from .model_io import BlockSet, format_json
 from .urn import UrnModel, build_urn
 
 
@@ -103,7 +102,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return format_json(self.to_dict())
 
     def to_table(self) -> str:
         return render_table(self.to_dict())

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from blocknets import BlockSetError, InternalConsistencyError, load_example
 from blocknets.model_io import BIPOLAR, HOOKING, blockset_from_dict
-from blocknets.urn import _clear, _to_float_matrix
-
-QUAD_REFINE_TOL = 1e-8
-QUAD_TRUNC_TOL = 1e-12
+from blocknets.profile import _clear
 
 
 @pytest.fixture(scope="session")
@@ -123,77 +118,12 @@ def random_blockset(seed: int, kind: str | None = None, r: int | None = None):
             rng = np.random.default_rng(seed)
 
 
-def sigma_quadrature(
-    Ahat: np.ndarray,
-    C: np.ndarray,
-    lam1: float,
-    refine_tol: float = QUAD_REFINE_TOL,
-    trunc_tol: float = QUAD_TRUNC_TOL,
-) -> np.ndarray:
-    """Evaluate lam1 * integral of e^{s*Ahat} C e^{s*Ahat'} e^{-lam1 s} ds by
-    composite Simpson quadrature with interval doubling and one Richardson
-    extrapolation step.
-
-    Ahat's spectrum is {0} plus the non-dominant eigenvalues (all with
-    non-positive real part), so the integrand decays at least as fast as
-    e^{-lam1 s}; the upper limit is pushed out until the integrand's norm
-    falls below trunc_tol.
-    """
-    scale = max(1.0, float(np.max(np.abs(C))))
-
-    def integrand(s: float) -> np.ndarray:
-        W = expm(s * Ahat)
-        return (W @ C @ W.T) * math.exp(-lam1 * s)
-
-    s_max = max(1.0, 4.0 / lam1)
-    while float(np.max(np.abs(integrand(s_max)))) > trunc_tol * scale:
-        s_max *= 1.5
-        if s_max > 1e6:
-            raise InternalConsistencyError(
-                "fluctuation integrand does not decay; check the spectrum"
-            )
-
-    prev: np.ndarray | None = None
-    n = 64
-    while n <= (1 << 16):
-        h = s_max / n
-        Eh = expm(h * Ahat)
-        decay = math.exp(-lam1 * h)
-        W = np.eye(Ahat.shape[0])
-        weight = 1.0
-        total = np.zeros_like(C)
-        for j in range(n + 1):
-            coeff = 1.0 if j in (0, n) else (4.0 if j % 2 == 1 else 2.0)
-            total += coeff * weight * (W @ C @ W.T)
-            if j < n:
-                W = Eh @ W
-                weight *= decay
-        total *= lam1 * h / 3.0
-        if prev is not None and float(np.max(np.abs(total - prev))) < refine_tol:
-            return (16.0 * total - prev) / 15.0
-        prev = total
-        n *= 2
-    raise InternalConsistencyError(
-        f"quadrature for the covariance integral did not converge by n={n // 2}"
-    )
-
-
 def clear_matrix(m) -> tuple[list[list[int]], int]:
     """A rational matrix as the (rows of int numerators, scale) pair that the
-    urn's exact stages take, cleared with ``urn._clear``."""
+    urn's exact stages take, cleared with ``profile._clear``."""
     q = len(m[0])
     flat, d = _clear([x for row in m for x in row])
     return [flat[i : i + q] for i in range(0, len(flat), q)], d
-
-
-def sigma_oracle(urn) -> np.ndarray:
-    """Independent reference for urn.Sigma: the covariance integral itself,
-    evaluated by quadrature from the urn's float A, B, a and v1."""
-    af, v1f = urn.activities_float(), urn.v1_float()
-    lam1 = float(urn.lambda1)
-    Ahat = urn.A_float() - lam1 * np.outer(v1f, af)
-    C = _to_float_matrix(urn.B) - lam1 * lam1 * np.outer(v1f, v1f)
-    return sigma_quadrature(Ahat, C, lam1)
 
 
 def sigma_exact(urn) -> list[list[Fraction]]:

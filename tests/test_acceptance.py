@@ -25,9 +25,16 @@ from blocknets import (
     whiten_scores,
 )
 from blocknets.model_io import blockset_from_dict
-from blocknets.urn import _clear, validate_spectrum
+from blocknets.profile import _clear
+from blocknets.urn import validate_spectrum
 
-from conftest import brute_force_essential, clear_matrix, random_blockset, sigma_oracle
+from conftest import (
+    brute_force_essential,
+    clear_matrix,
+    random_blockset,
+    sigma_exact,
+    sigma_relative_error,
+)
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -113,8 +120,8 @@ def test_structural_invariants_random_models():
         assert sym == 0.0, f"seed {seed}: Sigma not symmetric"
         assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9, f"seed {seed}: Sigma not PSD"
 
-        gap = float(np.max(np.abs(urn.Sigma - sigma_oracle(urn))))
-        assert gap < 1e-9, f"seed {seed}: Sigma differs from quadrature by {gap}"
+        err = sigma_relative_error(urn.Sigma, sigma_exact(urn))
+        assert err < 1e-13, f"seed {seed}: Sigma is {err:.3g} relative off exact"
 
         assert sum(urn.profile.g.values()) == 1, f"seed {seed}: g-mass"
     dt = time.time() - t0

@@ -14,8 +14,10 @@ from importlib import resources
 import pytest
 
 import blocknets
-from blocknets import load_blockset
+from blocknets import cli, load_blockset
 from blocknets.cli import main
+
+from conftest import random_blockset
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +377,43 @@ def test_analysis_json_is_pinned(name, digest, example_paths, tmp_path):
     out = tmp_path / "analysis.json"
     assert main(["analyze", "--input", str(model), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+# SHA-256 over the analysis JSON of random_blockset(10_000 + s), s < 100,
+# taken with CPython 3.11 on x86-64 (see test_analysis_json_is_pinned)
+RANDOM_ANALYSES_SHA256 = "a967d4d7c139111f312873e2c3729e22e379ef274115d3533c39a1a5e632048e"
+
+
+def test_random_model_analyses_are_pinned(tmp_path, capsys):
+    """Every byte of 100 analyses, Sigma's bits included, as written before
+    the exact stages moved onto integer pairs and the JSON writer replaced
+    ``json.dumps``."""
+    model, out = tmp_path / "model.json", tmp_path / "analysis.json"
+    digest = hashlib.sha256()
+    for s in range(100):
+        model.write_text(random_blockset(10_000 + s).to_json())
+        assert main(["analyze", "--input", str(model), "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == RANDOM_ANALYSES_SHA256
+
+
+def test_analyze_builds_no_fraction_matrices(example_paths, monkeypatch, capsys):
+    """analyze writes A and B from their integer rows: the urn's Fraction
+    views stay unbuilt, and once built they are the values written."""
+    urns = []
+
+    def keep(*args):
+        urns.append(blocknets.build_urn(*args))
+        return urns[-1]
+
+    monkeypatch.setattr(cli, "build_urn", keep)
+    assert main(["analyze", "--input", example_paths["fig3"]]) == 0
+    (urn,) = urns
+    assert "A" not in vars(urn) and "B" not in vars(urn)
+    doc = cli.analyze_dict(urn)
+    assert "A" not in vars(urn) and "B" not in vars(urn)
+    for key, m in (("intensity_matrix", urn.A), ("second_moment", urn.B)):
+        assert doc["urn"][key] == [[blocknets.model_io.format_number(x) for x in row] for row in m]
 
 
 def test_main_reuses_one_parser(example_paths, tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocknets import (
@@ -16,7 +16,7 @@ from blocknets import (
     parse_blockset,
     reverse_bipolar,
 )
-from blocknets.model_io import blockset_from_dict
+from blocknets.model_io import blockset_from_dict, format_json, format_number, format_ratio
 
 from conftest import random_blockset
 
@@ -251,3 +251,39 @@ def test_reverse_single_arc_block():
 def test_reverse_rejects_hooking(fig1):
     with pytest.raises(BlockSetError):
         reverse_bipolar(fig1)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and the infinities included
+    | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")])
+    | st.text()  # non-ASCII and control characters included
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"": [[], {}, [[]]], "\u00e9\x00\n\"": [-0.0, float("nan"), float("-inf"), None]})
+@example([1, True, 1.0, "1", [1, [True, [None]]], {"1": {}}])
+def test_format_json_is_json_dumps_with_indent_2(obj):
+    assert format_json(obj) == json.dumps(obj, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(), st.integers(1, 10**30))
+@example(0, 7)
+@example(-6, 4)
+@example(12, 4)
+def test_format_ratio_is_format_number_of_the_fraction(n, d):
+    got = format_ratio(n, d)
+    assert got == format_number(F(n, d)) and type(got) is type(format_number(F(n, d)))
+

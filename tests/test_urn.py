@@ -21,28 +21,24 @@ from blocknets import (
 from blocknets import urn as urn_module
 from blocknets.cli import analyze_dict, main
 from blocknets.model_io import blockset_from_dict
+from blocknets.profile import _clear, _over
 from blocknets.urn import (
     LYAPUNOV_RESIDUAL_TOL,
-    _clear,
     _over_matrix,
-    _to_float_matrix,
     activity_vector,
     build_replacement_law,
     covariance,
     intensity_matrix,
+    irreducibility_check,
     second_moment_matrix,
     validate_spectrum,
 )
 
-from conftest import (
-    clear_matrix,
-    random_blockset,
-    sigma_exact,
-    sigma_oracle,
-    sigma_relative_error,
-)
+from conftest import clear_matrix, random_blockset, sigma_exact, sigma_relative_error
 
 TINY = F(1, 10**40)
+# Sigma against the exact rational Sigma: a few units in the last place
+SIGMA_EXACT_TOL = 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -107,26 +103,29 @@ def test_spectra_goldens(urn1, urn3):
     assert urn3.eigenvalues == (F(5, 2), F(-1, 2), F(-1, 2), F(-1, 2))
 
 
+# every source has outdegree 1, so g(0)=1 and the non-dominant eigenvalues
+# collapse to zero
+UNIT_SOURCE = {
+    "kind": "bipolar",
+    "chi": 0,
+    "rho": 1,
+    "r": 1,
+    "blocks": [
+        {
+            "name": "B",
+            "probability": 1,
+            "vertices": ["n", "m", "t", "b", "s"],
+            "edges": [["n", "m"], ["m", "t"], ["m", "b"], ["m", "s"],
+                      ["t", "s"], ["b", "s"]],
+            "north": "n",
+            "south": "s",
+        }
+    ],
+}
+
+
 def test_degenerate_all_unit_sources_spectrum(tmp_path):
-    # every source has outdegree 1, so g(0)=1 and the non-dominant
-    # eigenvalues collapse to zero
-    doc = {
-        "kind": "bipolar",
-        "chi": 0,
-        "rho": 1,
-        "r": 1,
-        "blocks": [
-            {
-                "name": "B",
-                "probability": 1,
-                "vertices": ["n", "m", "t", "b", "s"],
-                "edges": [["n", "m"], ["m", "t"], ["m", "b"], ["m", "s"],
-                          ["t", "s"], ["b", "s"]],
-                "north": "n",
-                "south": "s",
-            }
-        ],
-    }
+    doc = UNIT_SOURCE
     bs = blockset_from_dict(doc)
     p = build_profile(bs, r=1)
     assert eigen_closed_form(p) == (F(3), F(0))
@@ -147,30 +146,32 @@ def test_degenerate_all_unit_sources_spectrum(tmp_path):
     assert json.loads(out.read_text())["urn"]["irreducible"] is False
 
 
-def test_reducible_urn_sigma_matches_quadrature():
-    """Two unit-source bipolar blocks whose new vertices are all tracked:
-    the latch never moves and nothing feeds the overflow type, so the urn is
-    reducible, yet its census fluctuates and Sigma solves the same
-    Lyapunov equation."""
-    doc = {
-        "kind": "bipolar",
-        "chi": "1/2",
-        "rho": "1/3",
-        "r": 3,
-        "blocks": [
-            {"name": "P", "probability": "1/3", "vertices": ["n", "m", "x", "s"],
-             "edges": [["n", "m"], ["m", "x"], ["m", "s"], ["x", "s"]],
-             "north": "n", "south": "s"},
-            {"name": "Q", "probability": "2/3", "vertices": ["n", "m", "a", "b", "s"],
-             "edges": [["n", "m"], ["m", "a"], ["m", "b"], ["m", "s"], ["a", "s"],
-                       ["b", "s"]],
-             "north": "n", "south": "s"},
-        ],
-    }
-    urn = build_urn(blockset_from_dict(doc))
+# Two unit-source bipolar blocks whose new vertices are all tracked: the
+# latch never moves and nothing feeds the overflow type.
+REDUCIBLE = {
+    "kind": "bipolar",
+    "chi": "1/2",
+    "rho": "1/3",
+    "r": 3,
+    "blocks": [
+        {"name": "P", "probability": "1/3", "vertices": ["n", "m", "x", "s"],
+         "edges": [["n", "m"], ["m", "x"], ["m", "s"], ["x", "s"]],
+         "north": "n", "south": "s"},
+        {"name": "Q", "probability": "2/3", "vertices": ["n", "m", "a", "b", "s"],
+         "edges": [["n", "m"], ["m", "a"], ["m", "b"], ["m", "s"], ["a", "s"],
+                   ["b", "s"]],
+         "north": "n", "south": "s"},
+    ],
+}
+
+
+def test_reducible_urn_sigma_matches_exact():
+    """The ``REDUCIBLE`` urn is reducible, yet its census fluctuates and
+    Sigma solves the same Lyapunov equation."""
+    urn = build_urn(blockset_from_dict(REDUCIBLE))
     assert not urn.irreducible
     assert _lyapunov_relative_residual(urn) <= LYAPUNOV_RESIDUAL_TOL
-    assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
+    assert sigma_relative_error(urn.Sigma, sigma_exact(urn)) < SIGMA_EXACT_TOL
     assert np.max(np.abs(urn.sigma_census())) > 0.1
 
 
@@ -206,7 +207,7 @@ def test_activity_change_equals_balance_constant(fig1, fig3):
 
 
 def test_second_moment_properties(urn1):
-    Bf = _to_float_matrix(urn1.B)
+    Bf = np.array(urn1.B, dtype=float)
     assert np.allclose(Bf, Bf.T)
     assert np.linalg.eigvalsh(Bf).min() > -1e-12
 
@@ -256,25 +257,27 @@ def _lyapunov_relative_residual(urn) -> float:
     exactly from the urn's rationals."""
     q = len(urn.types)
     lam, a, v1 = urn.lambda1, urn.activities, urn.v1
-    M = _to_float_matrix(
+    M = np.array(
         [[urn.A[i][j] - lam * v1[i] * a[j] - (lam / 2 if i == j else 0) for j in range(q)]
-         for i in range(q)]
+         for i in range(q)],
+        dtype=float,
     )
-    C = _to_float_matrix(
-        [[urn.B[i][j] - lam * lam * v1[i] * v1[j] for j in range(q)] for i in range(q)]
+    C = np.array(
+        [[urn.B[i][j] - lam * lam * v1[i] * v1[j] for j in range(q)] for i in range(q)],
+        dtype=float,
     )
     S, lamf = urn.Sigma, float(lam)
     return float(np.linalg.norm(M @ S + S @ M.T + lamf * C) / (lamf * np.linalg.norm(C)))
 
 
-def test_sigma_matches_quadrature_fig1(urn1):
-    assert np.max(np.abs(urn1.Sigma - sigma_oracle(urn1))) < 1e-9
+def test_sigma_matches_exact_fig1(urn1):
+    assert sigma_relative_error(urn1.Sigma, sigma_exact(urn1)) < SIGMA_EXACT_TOL
 
 
-def test_sigma_matches_quadrature_for_defective_spectrum(urn3):
+def test_sigma_matches_exact_for_defective_spectrum(urn3):
     # -1/2 is a triple eigenvalue, so A is not diagonalizable
     assert urn3.eigenvalues[1:] == (F(-1, 2),) * 3
-    assert np.max(np.abs(urn3.Sigma - sigma_oracle(urn3))) < 1e-9
+    assert sigma_relative_error(urn3.Sigma, sigma_exact(urn3)) < SIGMA_EXACT_TOL
 
 
 K2_PREFERENTIAL = {
@@ -296,7 +299,7 @@ def test_ill_conditioned_eigenbasis_model(r, tmp_path):
     doc = dict(K2_PREFERENTIAL, r=r)
     urn = build_urn(blockset_from_dict(doc))
     assert _lyapunov_relative_residual(urn) <= LYAPUNOV_RESIDUAL_TOL
-    assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
+    assert sigma_relative_error(urn.Sigma, sigma_exact(urn)) < SIGMA_EXACT_TOL
     path = tmp_path / f"k2_r{r}.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", "--input", str(path)]) == 0
@@ -443,7 +446,7 @@ def test_random_models_structural_invariants(seed):
         assert sum(urn.activities[i] * urn.A[i][j] for i in range(q)) == lam * urn.activities[j]
     validate_spectrum(clear_matrix(urn.A), _clear(urn.activities), _clear(urn.eigenvalues))
     assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9
-    assert np.max(np.abs(urn.Sigma - sigma_oracle(urn))) < 1e-9
+    assert sigma_relative_error(urn.Sigma, sigma_exact(urn)) < SIGMA_EXACT_TOL
     # irreducible iff the off-diagonal support of A is strongly connected
     support = (urn.A_float() > 0) | np.eye(q, dtype=bool)
     reach = np.linalg.matrix_power(support.astype(np.int64), q - 1) > 0
@@ -482,11 +485,55 @@ def test_eigen_identities_are_exact(urn1, urn3):
 
 
 def test_build_urn_checks_the_right_eigenvector(fig3, monkeypatch):
-    right = urn_module.right_eigenvector
-    monkeypatch.setattr(
-        urn_module,
-        "right_eigenvector",
-        lambda p: (right(p)[0] + TINY,) + right(p)[1:],
-    )
+    right = urn_module._right_eigenvector
+
+    def perturbed(p):
+        v1 = _over(*right(p))
+        return _clear((v1[0] + TINY,) + v1[1:])
+
+    monkeypatch.setattr(urn_module, "_right_eigenvector", perturbed)
     with pytest.raises(InternalConsistencyError, match="right eigenvector fails"):
         build_urn(fig3)
+
+
+def _strongly_connected_from_every_start(law) -> bool:
+    """The definition: from every type, a search over the positive
+    replacement entries reaches every type."""
+    q = len(law.types)
+    succ = [
+        {u for _, vec in law.scaled[t] for u, x in enumerate(vec) if x > 0}
+        for t in range(q)
+    ]
+    for start in range(q):
+        seen, stack = {start}, [start]
+        while stack:
+            for y in succ[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
+        if len(seen) != q:
+            return False
+    return True
+
+
+def test_irreducibility_check_matches_every_start_search(fig1, fig3, k2):
+    """One forward and one backward search from type 0 decide strong
+    connectivity exactly as a search from every type does."""
+    models = [fig1, fig3, k2] + [
+        blockset_from_dict(doc) for doc in (REDUCIBLE, dict(UNIT_SOURCE, r=2))
+    ]
+    models += [random_blockset(10_000 + s) for s in range(100)]
+    laws = [build_replacement_law(bs, build_profile(bs)) for bs in models]
+    # Every type of a block-set urn feeds type 0, the smallest new-vertex
+    # degree, so only a hand-made law needs the backward search: 0 -> 1 -> 2
+    # -> 1 reaches every type from 0, but 0 from no other type.
+    laws.append(
+        urn_module.ReplacementLaw(
+            types=(1, 2, STAR),
+            scaled=(((1, (0, 1, 0)),), ((1, (0, 0, 1)),), ((1, (0, 1, 0)),)),
+            prob_scale=1,
+            vec_scale=1,
+        )
+    )
+    verdicts = [irreducibility_check(law) for law in laws]
+    assert verdicts == [_strongly_connected_from_every_start(law) for law in laws]
+    assert verdicts[:5] == [True, True, True, False, False] and verdicts[-1] is False
