@@ -5,16 +5,24 @@ operations per step and dominates the runtime of Monte-Carlo
 verification.  Two kernels advance it:
 
 * ``census_chunk`` runs one replicate through ``_census_steps``, the
-  scalar loop, in pure Python over lists (``ScanTables`` holds the
-  model's).  ``simulate`` and ``grow_step`` use it in both modes; it can
-  record the tracked census after every step, and it can emit the latch
-  class it chose at each step, which graph mode replays on the multigraph.
+  scalar loop, in pure Python over lists.  ``simulate`` and ``grow_step``
+  use it in both modes; it can record the tracked census after every
+  step, and it can emit the latch class it chose at each step, which
+  graph mode replays on the multigraph.
 * ``census_batch`` advances a block of replicates in lock step on one
   degrees-by-replicates array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Everything that does not depend on the census (the
   running total activity, the new vertices, the master degree and the
   maximum degree) is computed once per row block, and only the class
   scan and the latch move run per step.
+
+Both kernels, ``block_choice`` and graph mode's replay read one model
+table, ``tab``, which ``growth._build_tables`` builds once per
+``simulate`` or ``simulate_batch`` call.  It holds each per-block fact
+once: the latch increment, the scaled activity increment, the new-vertex
+count and degrees, and for the lock-step kernel the same new vertices as
+counts of their distinct degrees.  The scalar loop reads lists; numpy
+arrays serve only numpy code that indexes them by block choices.
 
 Both kernels take the block choices precomputed by ``block_choice``
 (one ``searchsorted`` per row block), which is also how the initial
@@ -42,8 +50,6 @@ past its end, so no caller has to.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Columns of the class scan that census_batch computes for every
@@ -59,38 +65,27 @@ SERIAL_GEMM = 2**17
 ACTIVITY_LIMIT = 2**52
 
 
-class ScanTables(NamedTuple):
-    """A model as the scalar kernel reads it: Python ints and lists,
-    built once per model.  Weights are scaled by ``scale`` (S)."""
-
-    scale: int  # S, the least common denominator of chi and rho
-    chi_s: int  # S * chi
-    rho_s: int  # S * rho
-    # float(S * (chi * k + rho)) for k < len(weight), exact below
-    # ACTIVITY_LIMIT; the kernel fills it as the counts grow
-    weight: list
-    block_d: list  # latch degree increment per block
-    block_s: list  # S * total-activity increment per block
-    block_nv: list  # new vertices per block
-    nd_flat: list  # new-vertex degrees, all blocks concatenated
-    nd_off: list  # block i's new vertices are nd_flat[nd_off[i]:nd_off[i+1]]
+def _grow(counts, tab, need):
+    """Double the counts list in place until degree ``need`` fits, and extend
+    the table's weights to its length.  Returns the new length."""
+    while need >= len(counts):
+        counts.extend([0] * len(counts))
+    w = tab.weights
+    w.extend(float(tab.chi_s * k + tab.rho_s) for k in range(len(w), len(counts)))
+    return len(counts)
 
 
 def _census_steps(counts, state, tab, u0, b_in, ess, x_out, star_out, cls_out, record):
     """The census loop over the class uniforms ``u0`` and block choices
     ``b_in`` of the next steps, on lists.  ``state`` is [max degree,
-    master degree, vertex count, S * total activity], updated in place.
-    It records into ``x_out``/``star_out`` when ``record`` is set, writes
-    each step's latch class into ``cls_out`` unless that is empty, and
-    doubles ``counts`` in place whenever a step would reach past its
-    end."""
-    max_deg, master_deg, n_vertices, total = state
-    chi_s, rho_s, weight, scale = tab.chi_s, tab.rho_s, tab.weight, tab.scale
-    block_d, block_s, block_nv = tab.block_d, tab.block_s, tab.block_nv
-    nd_flat, nd_off = tab.nd_flat, tab.nd_off
-    cap = len(counts)
-    if len(weight) < cap:
-        weight.extend(float(chi_s * k + rho_s) for k in range(len(weight), cap))
+    master degree, S * total activity], updated in place.  It records into
+    ``x_out``/``star_out`` when ``record`` is set, writes each step's
+    latch class into ``cls_out`` unless that is empty, and doubles
+    ``counts`` in place whenever a step would reach past its end."""
+    max_deg, master_deg, total = state
+    chi_s, rho_s, weight, scale = tab.chi_s, tab.rho_s, tab.weights, tab.scale
+    block_d, block_s, new_degs = tab.block_d, tab.block_s, tab.new_degs
+    cap = _grow(counts, tab, tab.new_max)  # every new vertex fits from here on
     r = len(ess)
     emit = len(cls_out) > 0
 
@@ -108,30 +103,20 @@ def _census_steps(counts, state, tab, u0, b_in, ess, x_out, star_out, cls_out, r
 
         b = b_in[j]
         d = block_d[b]
-        need = 0
-        if cls != -1 and cls + d > need:
-            need = cls + d
-        for t in range(nd_off[b], nd_off[b + 1]):
-            if nd_flat[t] > need:
-                need = nd_flat[t]
-        while need >= cap:
-            counts.extend([0] * cap)
-            weight.extend(float(chi_s * k + rho_s) for k in range(len(weight), 2 * cap))
-            cap = len(counts)
-
         if cls == -1:
             master_deg += d
         elif d > 0:
+            k = cls + d
+            if k >= cap:
+                cap = _grow(counts, tab, k)
             counts[cls] -= 1
-            counts[cls + d] += 1
-            if cls + d > max_deg:
-                max_deg = cls + d
-        for t in range(nd_off[b], nd_off[b + 1]):
-            c = nd_flat[t]
+            counts[k] += 1
+            if k > max_deg:
+                max_deg = k
+        for c in new_degs[b]:
             counts[c] += 1
             if c > max_deg:
                 max_deg = c
-        n_vertices += block_nv[b]
         total += block_s[b]
         if emit:
             cls_out[j] = cls
@@ -145,7 +130,7 @@ def _census_steps(counts, state, tab, u0, b_in, ess, x_out, star_out, cls_out, r
                 sacc -= (chi_s * ki + rho_s) * counts[ki]
             star_out[j] = sacc / scale
 
-    state[:] = max_deg, master_deg, n_vertices, total
+    state[:] = max_deg, master_deg, total
 
 
 def census_chunk(counts, state, tab, u0, b_in, ess, x_out, star_out, cls_out, record):
@@ -171,17 +156,14 @@ def census_chunk(counts, state, tab, u0, b_in, ess, x_out, star_out, cls_out, re
     return np.array(cl, dtype=np.int64)
 
 
-def block_choice(block_p, ub):
+def block_choice(tab, ub):
     """The block index for each uniform in ``ub``: the first i with
-    ``ub < p_0 + ... + p_i``, else the last block.  ``np.cumsum`` adds
-    in the kernels' order, so the choices are theirs."""
-    cum = np.cumsum(block_p)
-    return np.minimum(np.searchsorted(cum, ub, side="right"), len(block_p) - 1)
+    ``ub < p_0 + ... + p_i`` (``tab.cum_p``, summed by ``np.cumsum`` in
+    the kernels' order), else the last block."""
+    return np.minimum(np.searchsorted(tab.cum_p, ub, side="right"), len(tab.cum_p) - 1)
 
 
-def census_batch(
-    counts, state_i, state_f, chi_s, rho_s, block_d, block_s, nd_flat, nd_off, u, b,
-):  # fmt: skip
+def census_batch(counts, state_i, state_f, tab, u, b):
     """Advance R replicates by ``u.shape[1]`` steps each, in lock step:
     every replicate takes step j before any takes j+1.
 
@@ -190,9 +172,9 @@ def census_batch(
     total activity (an exact integer below ``ACTIVITY_LIMIT``), ``u``
     (R, L, ncols) the next L rows of each replicate's stream and ``b``
     (R, L) their block choices (``block_choice``).  Degree k weighs
-    ``chi_s * k + rho_s`` and block i adds ``block_s[i]`` (float64) to
-    the total.  ``state_i`` and ``state_f`` are updated in place; the
-    counts are returned in a new array.  Nothing is recorded.
+    ``tab.chi_s * k + tab.rho_s`` and block i adds ``tab.s_a[i]`` to the
+    total.  ``state_i`` and ``state_f`` are updated in place; the counts
+    are returned in a new array.  Nothing is recorded.
 
     The census is held degree-major as float64, ``work[row, r]``, so a
     column of the scan is one contiguous row.  Its rows are, in order:
@@ -220,32 +202,30 @@ def census_batch(
     # Total activity before each step, and each step's class target.
     totals = np.empty((R, L + 1))
     totals[:, 0] = state_f
-    totals[:, 1:] = block_s[b]
+    totals[:, 1:] = tab.s_a[b]
     np.cumsum(totals, axis=1, out=totals)
     target = np.ascontiguousarray((u[:, :, 0] * totals[:, :L]).T)  # (L, R)
     bT = np.ascontiguousarray(b.T)
 
-    # New vertices of each block as counts of its distinct degrees: the low
-    # ones go to the pending rows, the rest are added to the census per step.
-    cols, inv = np.unique(nd_flat, return_inverse=True)
-    inc = np.zeros((len(cols), len(block_d)), dtype=np.int64)
-    np.add.at(inc, (inv, np.repeat(np.arange(len(block_d)), np.diff(nd_off))), 1)
-    nd_top = int(cols.max(initial=0))
+    # New vertices of each block as counts of its distinct degrees
+    # (``tab.inc``): the low ones go to the pending rows, the rest are added
+    # to the census per step.
+    cols, inc = tab.degrees, tab.inc
     low = cols <= SCAN_PREFIX
     nlow = int(low.sum())
     pending = np.zeros((nlow, L + 1, R), dtype=np.min_scalar_type(L * int(inc.max(initial=0))))
     np.cumsum(inc[low].astype(pending.dtype)[:, bT], axis=1, out=pending[:, 1:])
     high, inc_high = cols[~low], inc[~low]
 
-    dmax = int(block_d.max())
+    dmax = max(tab.block_d)
     trash = nlow  # the master's class row
     base = nlow + dmax + 1  # row of degree 0
-    width = max(int(state_i[:, 0].max()), nd_top, 1)  # no class lies above it
+    width = max(int(state_i[:, 0].max()), tab.new_max, 1)  # no class lies above it
     D = base + max(counts.shape[1], width + 2, SCAN_PREFIX + 1)
     work = np.zeros((D, R))
     work[base : base + counts.shape[1]] = counts.T
     flat = work.reshape(-1)
-    weight = chi_s * np.arange(D - base, dtype=np.float64) + rho_s  # by degree
+    weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s  # by degree
 
     # Prefix sums of degrees 1..SCAN_PREFIX, then the sentinel.
     W = base + SCAN_PREFIX + 1  # leading rows of work that the product reads
@@ -262,7 +242,7 @@ def census_batch(
     # is the master's.
     hit_row = np.append(np.arange(base + 1, W), trash) * R
     reps = np.arange(R)
-    moveR = block_d[bT] * R  # (L, R) flat offset of each latch move
+    moveR = tab.d_a[bT] * R  # (L, R) flat offset of each latch move
 
     for j in range(L):
         tj = target[j]
@@ -292,7 +272,7 @@ def census_batch(
                 work, D = grown, grown.shape[0]
                 flat = work.reshape(-1)
                 products = [(work[:W, s], prefix[:, s]) for s in spans]
-                weight = chi_s * np.arange(D - base, dtype=np.float64) + rho_s
+                weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s
         flat[at] += 1.0
         if len(high):
             work[base + high] += inc_high[:, bT[j]]

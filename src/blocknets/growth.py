@@ -17,6 +17,12 @@ produce identical census trajectories from the same seed:
   census from the graph every ``SPOT_CHECK_INTERVAL`` steps guards the
   replay.
 
+Both rules of growth change the census through three facts of each block:
+the latch's degree increment, the degrees of its new vertices and its
+activity increment.  ``_build_tables`` puts them, with the block
+probabilities and the replay's edge codes, in one ``_Tables`` per
+``simulate`` or ``simulate_batch`` call, which every kernel reads.
+
 The graph store is flat.  Vertex ids are 0..n-1 in creation order, and a
 vertex's tracked degree, its position in its degree class and (bipolar)
 its out-arcs sit in lists indexed by id; each degree class is a list of
@@ -29,7 +35,8 @@ edges as (min, max) pairs and bipolar arcs as (tail, head), and format
 whole blocks of rows with one ``%`` template.
 
 Per step the stream supplies one row of uniforms: class, intra-class
-index, block, and (bipolar) arc index.  When the initial block is chosen
+index, block, and (bipolar) arc index, drawn by ``_Stream.fill`` straight
+into the driver's array.  When the initial block is chosen
 at random, a single extra uniform is drawn before the step loop.  Every
 block choice, the initial one included, is ``_kernels.block_choice``.
 Replicate streams are derived as ``SeedSequence((seed, replicate))``.
@@ -76,21 +83,41 @@ def backend_name() -> str:
 
 @dataclass
 class _Tables:
-    """Per-model constants consumed by the step kernels.  Activities are
-    integers scaled by ``scan.scale``."""
+    """One model's growth constants, read by both census kernels,
+    ``block_choice`` and the graph replay.  Each per-block fact is held
+    once: as a list where the scalar loops read it, as a numpy array where
+    numpy code indexes it with arrays of block choices, and as both (the
+    ``*_a`` copies) where both do.  Activities are integers scaled by S."""
 
-    kind: str
-    block_p: np.ndarray  # float64[m]
-    block_d: np.ndarray  # int64[m], latch degree increment
-    block_nv: np.ndarray  # int64[m], new vertices per attachment
-    nd_flat: np.ndarray  # int64, new-vertex degrees, all blocks concatenated
-    nd_off: np.ndarray  # int64[m+1]
-    ncols: int
-    scan: _kernels.ScanTables  # the same model as the scalar kernel reads it
+    ncols: int  # uniforms per step
+    scale: int  # S, the least common denominator of chi and rho
+    chi_s: int  # S * chi
+    rho_s: int  # S * rho
+    cum_p: np.ndarray  # float64[m], cumulative block probabilities
+    block_d: list  # latch degree increment per block
+    block_s: list  # S * total-activity increment per block
+    block_nv: np.ndarray  # int64[m], new vertices per block
+    new_degs: list  # block -> [degree of each new vertex]
+    new_max: int  # the largest new-vertex degree, 0 if none
+    d_a: np.ndarray  # int64 block_d
+    s_a: np.ndarray  # float64 block_s
+    # the lock-step kernel's new vertices: inc[i, b] of degree degrees[i]
+    degrees: np.ndarray  # int64, distinct new-vertex degrees, ascending
+    inc: np.ndarray  # int64 (len(degrees), m)
+    # Edge endpoints of the replay, coded 0 for the latch (hook or north
+    # pole), 1 for the head of the replaced arc (south pole) and 2 + j for
+    # the block's j-th new vertex.  bipolar: block -> (heads of the north
+    # pole's arcs, [heads of each new vertex's arcs]), in block-edge order;
+    # hooking: block -> its edges, padded with rows of -1 to the longest.
+    heads: list
+    ends: np.ndarray  # int64 (m, max edges, 2)
+    # float(S * (chi * k + rho)) for k < len(weights), exact below
+    # ACTIVITY_LIMIT; the scalar kernel extends it as the counts grow
+    weights: list = field(default_factory=list)
 
     def weight(self, k: int) -> int:
         """S * (chi * k + rho), the scaled attachment weight of degree k."""
-        return self.scan.chi_s * k + self.scan.rho_s
+        return self.chi_s * k + self.rho_s
 
 
 def _build_tables(bs: BlockSet) -> _Tables:
@@ -98,100 +125,13 @@ def _build_tables(bs: BlockSet) -> _Tables:
     chi_s, rho_s = int(bs.chi * scale), int(bs.rho * scale)
     d = [b.latch_increment() for b in bs.blocks]
     new_degs = [b.new_degrees() for b in bs.blocks]
-    degs = [c for nd in new_degs for c in nd]
-    off = np.cumsum([0] + [len(nd) for nd in new_degs]).tolist()
     # activity gained per attachment: full weight of each new vertex plus
     # chi * (latch increment) for the relabelled latch
     block_s = [chi_s * di + sum(chi_s * c + rho_s for c in nd) for di, nd in zip(d, new_degs)]
-    scan = _kernels.ScanTables(
-        scale, chi_s, rho_s, [], d, block_s, [len(nd) for nd in new_degs], degs, off
-    )
-    return _Tables(
-        kind=bs.kind,
-        block_p=np.array([float(b.probability) for b in bs.blocks], dtype=np.float64),
-        block_d=np.array(d, dtype=np.int64),
-        block_nv=np.array(scan.block_nv, dtype=np.int64),
-        nd_flat=np.array(degs, dtype=np.int64),
-        nd_off=np.array(off, dtype=np.int64),
-        ncols=4 if bs.kind == BIPOLAR else 3,
-        scan=scan,
-    )
-
-
-def _check_activity_limit(t: _Tables, activity: int, n: int) -> None:
-    """Raise ResourceLimitError unless the scaled total activity stays
-    below ``_kernels.ACTIVITY_LIMIT`` for n more steps from ``activity``,
-    which keeps every class scan exact in binary64."""
-    bound = activity + n * max(t.scan.block_s)
-    if bound >= _kernels.ACTIVITY_LIMIT:
-        raise ResourceLimitError(
-            f"total activity scaled by S, the least common denominator of chi "
-            f"and rho, could reach 2**{bound.bit_length() - 1} in {n} steps; "
-            f"exact latch weights need it below 2**{_kernels.ACTIVITY_LIMIT.bit_length() - 1}"
-        )
-
-
-class _Stream:
-    """Block-buffered uniform stream with a documented draw order.
-
-    The contract is the row order: step j consumes the j-th row of ncols
-    consecutive doubles from the generator, whatever the size of the
-    blocks they were drawn in (PCG64 doubles come out one after another,
-    so ``random((4096, 3))`` equals eight ``random((512, 3))``).  Both
-    modes refill whole (CHUNK_ROWS x ncols) blocks; ``simulate_batch``
-    draws its rows straight into its own array with ``fill``.
-    """
-
-    def __init__(self, seed, ncols: int):
-        if isinstance(seed, np.random.SeedSequence):
-            ss = seed
-        else:
-            ss = np.random.SeedSequence(seed)
-        self.gen = np.random.Generator(np.random.PCG64(ss))
-        self.ncols = ncols
-        self._buf = np.empty((0, ncols))
-        self._pos = 0
-
-    def initial_uniform(self) -> float:
-        """The single pre-loop draw for a random initial block."""
-        return float(self.gen.random())
-
-    def take(self, max_rows: int) -> np.ndarray:
-        """A view of up to max_rows consecutive unconsumed rows."""
-        if self._pos >= self._buf.shape[0]:
-            self._buf = self.gen.random((CHUNK_ROWS, self.ncols))
-            self._pos = 0
-        end = min(self._buf.shape[0], self._pos + max_rows)
-        view = self._buf[self._pos : end]
-        self._pos = end
-        return view
-
-    def fill(self, out: np.ndarray) -> None:
-        """Draw the next out.shape[0] rows into ``out``, past the buffer."""
-        if self._pos < self._buf.shape[0]:
-            raise RuntimeError("fill() needs a stream with no buffered rows")
-        self.gen.random(out=out)
-
-
-@dataclass
-class _Fusion:
-    """Per-block constants of the graph replay.  An edge endpoint is coded
-    0 for the latch (hook or north pole), 1 for the head of the replaced
-    arc (south pole) and 2 + j for the block's j-th new vertex."""
-
-    new_degs: list  # block -> [degree of each new vertex]
-    latch_d: list  # block -> latch degree increment
-    # bipolar: block -> (heads of the north pole's arcs, [heads of each new
-    # vertex's arcs]), each in block-edge order
-    heads: list
-    # hooking: block -> its edges, padded with rows of -1 to the longest block
-    ends: np.ndarray  # int64 (m, max edges, 2)
-
-
-def _build_fusion(bs: BlockSet, t: _Tables) -> _Fusion:
-    m = len(bs.blocks)
+    degrees = sorted({c for nd in new_degs for c in nd})
+    inc = np.array([[nd.count(c) for nd in new_degs] for c in degrees], dtype=np.int64)
     heads = []
-    ends = np.full((m, max(len(b.edges) for b in bs.blocks), 2), -1, dtype=np.int64)
+    ends = np.full((len(d), max(len(b.edges) for b in bs.blocks), 2), -1, dtype=np.int64)
     for i, b in enumerate(bs.blocks):
         code = {v: 2 + j for j, v in enumerate(b.new_vertices())}
         code.update({b.hook: 0} if b.kind == HOOKING else {b.north: 0, b.south: 1})
@@ -201,12 +141,67 @@ def _build_fusion(bs: BlockSet, t: _Tables) -> _Fusion:
             for x, y in b.edges:
                 out[x].append(code[y])
             heads.append((out[b.north], [out[v] for v in b.new_vertices()]))
-    return _Fusion(
-        new_degs=[t.nd_flat[t.nd_off[i] : t.nd_off[i + 1]].tolist() for i in range(m)],
-        latch_d=t.scan.block_d,
+    return _Tables(
+        ncols=4 if bs.kind == BIPOLAR else 3,
+        scale=scale,
+        chi_s=chi_s,
+        rho_s=rho_s,
+        cum_p=np.cumsum([float(b.probability) for b in bs.blocks]),
+        block_d=d,
+        block_s=block_s,
+        block_nv=np.array([len(nd) for nd in new_degs], dtype=np.int64),
+        new_degs=new_degs,
+        new_max=max(degrees, default=0),
+        d_a=np.array(d, dtype=np.int64),
+        # clamped: _check_activity_limit refuses a larger increment before
+        # any step, and a huge S must not overflow the conversion
+        s_a=np.array([min(x, _kernels.ACTIVITY_LIMIT) for x in block_s], dtype=np.float64),
+        degrees=np.array(degrees, dtype=np.int64),
+        inc=inc.reshape(len(degrees), len(d)),
         heads=heads,
         ends=ends,
     )
+
+
+def _check_activity_limit(t: _Tables, activity: int, n: int) -> None:
+    """Raise ResourceLimitError unless the scaled total activity stays
+    below ``_kernels.ACTIVITY_LIMIT`` for n more steps from ``activity``,
+    which keeps every class scan exact in binary64."""
+    bound = activity + n * max(t.block_s)
+    if bound >= _kernels.ACTIVITY_LIMIT:
+        raise ResourceLimitError(
+            f"total activity scaled by S, the least common denominator of chi "
+            f"and rho, could reach 2**{bound.bit_length() - 1} in {n} steps; "
+            f"exact latch weights need it below 2**{_kernels.ACTIVITY_LIMIT.bit_length() - 1}"
+        )
+
+
+class _Stream:
+    """Uniform stream with a documented draw order.
+
+    The contract is the row order: step j consumes the j-th row of ncols
+    consecutive doubles from the generator, whatever the size of the
+    blocks they were drawn in (PCG64 doubles come out one after another,
+    so ``random((4096, 3))`` equals eight ``random((512, 3))``).  Every
+    step's row is drawn by ``fill`` into the caller's array: ``simulate``
+    and ``grow_step`` reuse one of at most CHUNK_ROWS rows, and
+    ``simulate_batch`` one of BATCH_ROWS rows per replicate.
+    """
+
+    def __init__(self, seed):
+        if isinstance(seed, np.random.SeedSequence):
+            ss = seed
+        else:
+            ss = np.random.SeedSequence(seed)
+        self.gen = np.random.Generator(np.random.PCG64(ss))
+
+    def initial_uniform(self) -> float:
+        """The single pre-loop draw for a random initial block."""
+        return float(self.gen.random())
+
+    def fill(self, out: np.ndarray) -> None:
+        """Draw the next out.shape[0] rows into ``out``."""
+        self.gen.random(out=out)
 
 
 @dataclass
@@ -215,7 +210,6 @@ class _GraphData:
     creation order, and every per-vertex field is a list indexed by id."""
 
     kind: str
-    fusion: _Fusion
     master: int = 0
     master_sink: Optional[int] = None
     deg: list = field(default_factory=list)  # tracked degree
@@ -260,7 +254,7 @@ class GrowthState:
     counts: np.ndarray  # int64, counts[k] = non-master vertices of degree k
     max_deg: int
     master_degree: int
-    activity: int  # S * total attachment weight, S = tables.scan.scale
+    activity: int  # S * total attachment weight, S = tables.scale
     n_vertices: int
     tables: _Tables
     stream: _Stream
@@ -277,7 +271,7 @@ class GrowthState:
     @property
     def total_activity(self) -> float:
         """Total attachment weight, the exact ``activity / S`` rounded once."""
-        return self.activity / self.tables.scan.scale
+        return self.activity / self.tables.scale
 
     def census(self) -> dict[int, int]:
         """Degree census of the non-master vertices as a plain dict."""
@@ -294,7 +288,7 @@ class GrowthState:
         return w(self.master_degree) + sum(w(k) * counts[k] for k in range(1, self.max_deg + 1))
 
     def recount_total_activity(self) -> float:
-        return self.recount_activity() / self.tables.scan.scale
+        return self.recount_activity() / self.tables.scale
 
 
 def _census_counts_of_block(block: Block, exclude: Iterable[str]) -> dict[int, int]:
@@ -327,11 +321,15 @@ def init_state(
     excluded from the census."""
     if mode not in (GRAPH, CENSUS):
         raise ValueError(f"mode must be 'graph' or 'census', got {mode!r}")
-    tables = _build_tables(bs)
-    stream = _Stream(seed, tables.ncols)
+    return _new_state(bs, _build_tables(bs), mode, seed, max_vertices)
 
+
+def _new_state(bs: BlockSet, tables: _Tables, mode: str, seed, max_vertices: int) -> GrowthState:
+    """``init_state`` on the model table ``tables`` of ``bs``, which states
+    grown together share."""
+    stream = _Stream(seed)
     if bs.initial_block == "random":
-        b0 = int(_kernels.block_choice(tables.block_p, stream.initial_uniform()))
+        b0 = int(_kernels.block_choice(tables, stream.initial_uniform()))
     else:
         b0 = int(bs.initial_block)
     block = bs.blocks[b0]
@@ -347,7 +345,7 @@ def init_state(
 
     graph = None
     if mode == GRAPH:
-        graph = _GraphData(kind=bs.kind, fusion=_build_fusion(bs, tables))
+        graph = _GraphData(kind=bs.kind)
         vid = {v: i for i, v in enumerate(block.vertices)}
         graph.deg = [degree_of(block, v) for v in block.vertices]
         graph.mpos = [-1] * len(block.vertices)
@@ -384,7 +382,7 @@ def init_state(
 
 
 def _replay(
-    g: _GraphData, rows: np.ndarray, b: np.ndarray, cls: np.ndarray, before: np.ndarray
+    g: _GraphData, t: _Tables, rows: np.ndarray, b: np.ndarray, cls: np.ndarray, before: np.ndarray
 ) -> None:
     """Apply the census kernel's choices for ``rows`` to the graph: block
     ``b[j]`` at the member of class ``cls[j]`` picked by column 1 (the
@@ -397,7 +395,6 @@ def _replay(
     member positions are those column 1 indexes.  Bipolar arcs go to the
     out-arc lists as each step is applied (column 3 indexes them); hooking
     edges go to the edge log in one pass after the loop."""
-    f = g.fusion
     deg, mpos, members, out, master = g.deg, g.mpos, g.members, g.out, g.master
     bipolar = g.kind == BIPOLAR
     picks = rows[:, 1].tolist()
@@ -418,7 +415,7 @@ def _replay(
             last = arcs.pop()
             if i < len(arcs):
                 arcs[i] = last
-        for k in f.new_degs[bj]:
+        for k in t.new_degs[bj]:
             lst = members[k]
             mpos.append(len(lst))
             lst.append(v)
@@ -427,12 +424,12 @@ def _replay(
                 vm.append(v)
             v += 1
         if bipolar:
-            north, new = f.heads[bj]
+            north, new = t.heads[bj]
             arcs.extend([vm[h] for h in north])
             out.extend([[vm[h] for h in hs] for hs in new])
         else:
             latches.append(latch)
-        d = f.latch_d[bj]
+        d = t.block_d[bj]
         deg[latch] = old + d
         if d and latch != master:
             lst = members[old]
@@ -445,7 +442,7 @@ def _replay(
             mpos[latch] = len(lst)
             lst.append(latch)
     if not bipolar:
-        code = f.ends[b]  # (step, edge, endpoint)
+        code = t.ends[b]  # (step, edge, endpoint)
         ends = np.where(
             code == 0, np.array(latches)[:, None, None], code + (before[:, None, None] - 2)
         )
@@ -494,11 +491,11 @@ def grow_step_scripted(
         if not 0 <= arc_index < g.deg[latch]:
             raise IndexError(f"vertex {latch} has no out-arc {arc_index}")
         row[0, 3] = (arc_index + 0.5) / g.deg[latch]
-    _replay(g, row, b, np.array([c]), np.array([state.n_vertices]))
+    _replay(g, t, row, b, np.array([c]), np.array([state.n_vertices]))
     state.counts, state.max_deg = _counts_array(g.census())
     state.master_degree = g.deg[g.master]
     state.n_vertices = len(g.deg)
-    state.activity += t.scan.block_s[block_index]
+    state.activity += t.block_s[block_index]
     state.step += 1
     return state
 
@@ -534,16 +531,18 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
     ess = np.array(state.track if record else (), dtype=np.int64)
     no_x = np.empty((0, ess.shape[0]), dtype=np.int64)
     no_star = np.empty(0, dtype=np.float64)
-    si = [state.max_deg, state.master_degree, state.n_vertices, state.activity]
+    si = [state.max_deg, state.master_degree, state.activity]
+    draws = np.empty((min(n, CHUNK_ROWS), t.ncols))
 
     end = state.step + n
     while state.step < end:
-        want = end - state.step
+        want = min(end - state.step, CHUNK_ROWS)
         if g is not None:
             want = min(want, SPOT_CHECK_INTERVAL - state.step % SPOT_CHECK_INTERVAL)
-        rows = state.stream.take(want)
-        b = _kernels.block_choice(t.block_p, rows[:, 2])
-        nv = _vertex_counts(si[2], t, b)
+        rows = draws[:want]
+        state.stream.fill(rows)
+        b = _kernels.block_choice(t, rows[:, 2])
+        nv = _vertex_counts(state.n_vertices, t, b)
         _check_vertex_limit(nv, state.step, state.max_vertices)
         cls = np.empty(rows.shape[0] if g is not None else 0, dtype=np.int64)
         if record:
@@ -552,12 +551,13 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
         else:
             x_out, star_out = no_x, no_star
         state.counts = _kernels.census_chunk(
-            state.counts, si, t.scan, rows[:, 0], b, ess, x_out, star_out, cls, record
+            state.counts, si, t, rows[:, 0], b, ess, x_out, star_out, cls, record
         )
         if g is not None:
-            _replay(g, rows, b, cls, nv - t.block_nv[b])
+            _replay(g, t, rows, b, cls, nv - t.block_nv[b])
         state.step += rows.shape[0]
-        state.max_deg, state.master_degree, state.n_vertices, state.activity = si
+        state.max_deg, state.master_degree, state.activity = si
+        state.n_vertices = int(nv[-1])
         if g is not None and state.step % SPOT_CHECK_INTERVAL == 0:
             _spot_check(state)
 
@@ -570,7 +570,7 @@ def census_vector(state: GrowthState, essential: Sequence[int]) -> tuple[np.ndar
     star = state.activity - w(state.master_degree)
     for k, xi in zip(essential, x.tolist()):
         star -= w(k) * xi
-    return x, star / state.tables.scan.scale
+    return x, star / state.tables.scale
 
 
 def simulate(
@@ -621,12 +621,11 @@ def simulate_batch(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    states = [init_state(bs, CENSUS, s, max_vertices) for s in seeds]
+    t = _build_tables(bs)
+    states = [_new_state(bs, t, CENSUS, s, max_vertices) for s in seeds]
     if not states:
         return states
-    t = states[0].tables
     _check_activity_limit(t, max(s.activity for s in states), n)
-    block_s = np.array(t.scan.block_s, dtype=np.float64)
     counts = np.zeros((len(states), max(s.counts.shape[0] for s in states)), dtype=np.int64)
     for r, s in enumerate(states):
         counts[r, : s.counts.shape[0]] = s.counts
@@ -639,13 +638,10 @@ def simulate_batch(
         u = draws[:, : min(BATCH_ROWS, n - step)]
         for r, s in enumerate(states):
             s.stream.fill(u[r])
-        b = _kernels.block_choice(t.block_p, u[:, :, 2])
+        b = _kernels.block_choice(t, u[:, :, 2])
         nv = _vertex_counts(n_vertices, t, b)
         _check_vertex_limit(nv, step, max_vertices)
-        counts = _kernels.census_batch(
-            counts, state_i, state_f, t.scan.chi_s, t.scan.rho_s, t.block_d, block_s,
-            t.nd_flat, t.nd_off, u, b,
-        )  # fmt: skip
+        counts = _kernels.census_batch(counts, state_i, state_f, t, u, b)
         n_vertices = nv[:, -1]
 
     for r, s in enumerate(states):

@@ -39,11 +39,17 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Tolerances":
+        """Defaults overridden by the numbers of a JSON object ``doc``."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"tolerances must be a JSON object, got {type(doc).__name__}")
         base = cls()
-        known = set(base.__dataclass_fields__)
-        bad = set(doc) - known
+        bad = set(doc) - set(base.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown tolerance keys: {sorted(bad)}")
+        for key, value in doc.items():
+            # a NaN gate passes every comparison, so it is refused too
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+                raise ValueError(f"tolerance {key!r} must be a number, got {value!r}")
         return cls(**{**asdict(base), **doc})
 
 
@@ -311,6 +317,8 @@ def verify_model(
     (negative controls: a healthy pipeline must then fail the corresponding
     checks).
     """
+    if n < 1:
+        raise ValueError(f"verify needs at least 1 step, got {n}")
     urn = urn or build_urn(bs)
     prof = urn.profile
     track = prof.essential

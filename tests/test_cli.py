@@ -15,6 +15,7 @@ import pytest
 
 import blocknets
 from blocknets import cli, load_blockset
+from blocknets import verify as verify_mod
 from blocknets.cli import main
 
 from conftest import random_blockset
@@ -206,8 +207,38 @@ def test_verify_tolerance_override(example_paths, tmp_path):
     assert code == 2  # unreasonably tight gate must fail
 
 
-def test_report_rejects_other_json(example_paths):
-    assert main(["report", "--input", example_paths["fig1"]]) == 1
+def test_report_rejects_other_json(example_paths, tmp_path, capsys):
+    paths = [example_paths["fig1"]]
+    for i, text in enumerate(("[]", '"x"', '{"schema": "blocknets-report/1"}')):
+        paths.append(str(tmp_path / f"other{i}.json"))
+        (tmp_path / f"other{i}.json").write_text(text)
+    for path in paths:
+        assert main(["report", "--input", path]) == 1, path
+        assert capsys.readouterr().err == f"not a verification report: {path}\n"
+
+
+def test_verify_refuses_zero_steps(example_paths, capsys, monkeypatch):
+    """``--steps 0`` is refused before any replicate is grown."""
+    monkeypatch.setattr(verify_mod, "run_replicates", None)  # not reached
+    assert main(["verify", "--input", example_paths["k2"], "--steps", "0"]) == 1
+    assert capsys.readouterr().err == "error: verify needs at least 1 step, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"mean_z": "x"}', "tolerance 'mean_z' must be a number, got 'x'"),
+        ("[1]", "tolerances must be a JSON object, got list"),
+    ],
+)
+def test_verify_rejects_bad_tolerances(example_paths, tmp_path, capsys, monkeypatch, text, message):
+    """A bad ``--tolerances`` file is refused before any replicate is grown."""
+    monkeypatch.setattr(verify_mod, "run_replicates", None)  # not reached
+    tolfile = tmp_path / "tol.json"
+    tolfile.write_text(text)
+    args = ["verify", "--input", example_paths["k2"], "--tolerances", str(tolfile)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_internal_consistency_exit_code(example_paths, capsys):

@@ -23,7 +23,9 @@ from blocknets import (
     write_trajectory_csv,
 )
 from blocknets import _kernels
+from blocknets import growth as growth_mod
 from blocknets.growth import BATCH_ROWS
+from blocknets.model_io import blockset_from_dict
 
 from conftest import random_blockset
 
@@ -276,8 +278,6 @@ def test_trajectory_csv_is_pinned(name, digest, tmp_path, request):
 def test_writers_do_not_depend_on_write_rows(name, monkeypatch, tmp_path, request):
     """The writers format WRITE_ROWS rows per template; the bytes must not
     depend on where those blocks end."""
-    import blocknets.growth as growth_mod
-
     st = simulate(request.getfixturevalue(name), 50, mode="graph", seed=5, record=True)
 
     def outputs(path):
@@ -300,8 +300,6 @@ def test_trajectory_csv(tmp_path, fig1):
 
 
 def test_graph_spot_check_runs(monkeypatch, fig3):
-    import blocknets.growth as growth_mod
-
     checked = []
 
     def counting_check(state):
@@ -355,12 +353,9 @@ def test_fractional_weights_do_not_drift(fig1):
 
 
 def _forbid_draws(monkeypatch):
-    import blocknets.growth as growth_mod
-
     def drawn(*args):
         raise AssertionError("a step was drawn")
 
-    monkeypatch.setattr(growth_mod._Stream, "take", drawn)
     monkeypatch.setattr(growth_mod._Stream, "fill", drawn)
 
 
@@ -447,7 +442,10 @@ def _assert_same_state(a, b):
     assert a.activity == b.activity
     assert a.total_activity.hex() == b.total_activity.hex()
     assert a.step == b.step
-    assert np.array_equal(a.stream.take(5), b.stream.take(5))
+    rows_a, rows_b = np.empty((5, a.tables.ncols)), np.empty((5, b.tables.ncols))
+    a.stream.fill(rows_a)
+    b.stream.fill(rows_b)
+    assert np.array_equal(rows_a, rows_b)
 
 
 @pytest.mark.parametrize(
@@ -505,6 +503,16 @@ def test_batch_capacity_growth_mid_run(k2):
         _assert_same_state(simulate(pa, 20_000, seed=seed), b)
 
 
+def test_batch_builds_the_model_table_once(fig1, monkeypatch):
+    """Every replicate of ``simulate_batch`` reads one model table."""
+    calls = []
+    build = growth_mod._build_tables
+    monkeypatch.setattr(growth_mod, "_build_tables", lambda bs: calls.append(bs) or build(bs))
+    states = simulate_batch(fig1, 10, list(range(8)))
+    assert len(calls) == 1
+    assert all(s.tables is states[0].tables for s in states)
+
+
 # (S, S * chi, S * rho, census, master degree, targets, classes the targets pick)
 _TIES = [
     # chi=1, rho=0: classes 1, 2 and 20 weigh 2, 2 and 20 and the master
@@ -524,6 +532,23 @@ _TIES = [
 ]
 
 
+def _ties_model(scale, chi_s, rho_s):
+    """K2 hooked by its leaf (p = 1/4) and a cherry hooked by its centre
+    (p = 3/4), with chi = chi_s / S and rho = rho_s / S."""
+    k2 = {"name": "K2", "probability": "1/4", "hook": "h"}
+    cherry = {"name": "cherry", "probability": "3/4", "hook": "c"}
+    return blockset_from_dict({
+        "kind": "hooking",
+        "chi": f"{chi_s}/{scale}",
+        "rho": f"{rho_s}/{scale}",
+        "r": 2,
+        "blocks": [
+            {**k2, "vertices": ["h", "a"], "edges": [["h", "a"]]},
+            {**cherry, "vertices": ["c", "a", "b"], "edges": [["c", "a"], ["c", "b"]]},
+        ],
+    })  # fmt: skip
+
+
 def test_batch_breaks_ties_like_scalar_loop():
     """A uniform whose target lands exactly on a partial sum picks the next
     class, or the master past the last one, and a uniform on a block
@@ -532,20 +557,17 @@ def test_batch_breaks_ties_like_scalar_loop():
     ``block_choice``, whose choices both kernels take, does the same on the
     block probability sums.
 
-    Hand-built tables: block 0 is K2 hooked by its leaf, block 1 a cherry
-    hooked by its centre, each new vertex of degree 1.  Each replicate's
-    first step has one of the targets of ``_TIES``; its block uniform
-    alternates between 1/4, on the block probability sum, and 0.
+    The tables are ``_ties_model``'s: block 0 adds one vertex of degree 1
+    and moves the latch up 1, block 1 adds two and moves it up 2.  Each
+    replicate's first step has one of the targets of ``_TIES``; its block
+    uniform alternates between 1/4, on the block probability sum, and 0.
     """
-    block_p = np.array([0.25, 0.75])
     empty = np.empty(0, dtype=np.int64)
     for scale, chi_s, rho_s, census, master, targets, classes in _TIES:
-        w1 = chi_s + rho_s
-        tab = _kernels.ScanTables(
-            scale, chi_s, rho_s, [], [1, 2], [chi_s + w1, 2 * chi_s + 2 * w1], [1, 2],
-            [1, 1, 1], [0, 1, 3],
-        )  # fmt: skip
-        w = lambda k: chi_s * k + rho_s
+        tab = growth_mod._build_tables(_ties_model(scale, chi_s, rho_s))
+        assert (tab.scale, tab.chi_s, tab.rho_s) == (scale, chi_s, rho_s)
+        assert (tab.block_d, tab.new_degs) == ([1, 2], [(1,), (1, 1)])
+        w = tab.weight
         total = w(master) + sum(w(k) * c for k, c in census.items())
         first = [t / total for t in targets]
         assert [u * total for u in first] == targets  # the targets are exact
@@ -554,18 +576,14 @@ def test_batch_breaks_ties_like_scalar_loop():
         top, R = max(census), len(targets)
         u = np.array([[[u0, 0.5, ub], [0.3, 0.5, 0.6]] for u0, ub in zip(first, [0.25, 0.0] * R)])
 
-        b = _kernels.block_choice(block_p, u[:, :, 2])
+        b = _kernels.block_choice(tab, u[:, :, 2])
         assert b[:, 0].tolist() == ([1, 0] * R)[:R]
         state_i = np.tile([top, master], (R, 1))
         state_f = np.full(R, float(total))
-        counts = _kernels.census_batch(
-            np.tile(counts0, (R, 1)), state_i, state_f, chi_s, rho_s,
-            np.array(tab.block_d), np.array(tab.block_s, dtype=np.float64),
-            np.array(tab.nd_flat), np.array(tab.nd_off), u, b,
-        )  # fmt: skip
+        counts = _kernels.census_batch(np.tile(counts0, (R, 1)), state_i, state_f, tab, u, b)
 
         for r in range(R):
-            ref_state = [top, master, 0, total]
+            ref_state = [top, master, total]
             cls = np.empty(2, dtype=np.int64)
             ref = _kernels.census_chunk(
                 counts0, ref_state, tab, u[r, :, 0], b[r], empty,
@@ -575,4 +593,4 @@ def test_batch_breaks_ties_like_scalar_loop():
             assert np.array_equal(counts[r, :64], ref), (census, r)
             assert not counts[r, 64:].any()
             assert state_i[r].tolist() == ref_state[:2], (census, r)
-            assert state_f[r] == ref_state[3], (census, r)
+            assert state_f[r] == ref_state[2], (census, r)

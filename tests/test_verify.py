@@ -176,3 +176,13 @@ def test_tolerances_from_dict():
     assert t.mean_z == 6.0 and t.cov_frobenius == 0.20
     with pytest.raises(ValueError):
         Tolerances.from_dict({"nope": 1})
+    for doc, message in [
+        ({"mean_z": "x"}, "tolerance 'mean_z' must be a number, got 'x'"),
+        ({"skew_limit": True}, "tolerance 'skew_limit' must be a number, got True"),
+        ({"kurt_limit": None}, "tolerance 'kurt_limit' must be a number, got None"),
+        ({"mean_z": float("nan")}, "tolerance 'mean_z' must be a number, got nan"),
+        ([1], "tolerances must be a JSON object, got list"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Tolerances.from_dict(doc)
+        assert str(err.value) == message
