@@ -6,9 +6,10 @@ verification.  Two kernels advance it:
 
 * ``census_chunk`` runs one replicate through ``_census_steps``, the
   scalar loop, in pure Python over lists.  ``simulate`` and ``grow_step``
-  use it in both modes; it can record the tracked census after every
-  step, and it can emit the latch class it chose at each step, which
-  graph mode replays on the multigraph.
+  use it in both modes.  It only advances the counts and, when asked,
+  emits the latch class it chose at each step, from which graph mode
+  replays the steps on the multigraph and ``growth._record_rows``
+  rebuilds a recorded trajectory in numpy.
 * ``census_batch`` advances a block of replicates in lock step on one
   degrees-by-replicates array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Everything that does not depend on the census (the
@@ -75,18 +76,15 @@ def _grow(counts, tab, need):
     return len(counts)
 
 
-def _census_steps(counts, state, tab, u0, b_in, ess, x_out, star_out, cls_out, record):
+def _census_steps(counts, state, tab, u0, b_in, cls_out):
     """The census loop over the class uniforms ``u0`` and block choices
     ``b_in`` of the next steps, on lists.  ``state`` is [max degree,
-    master degree, S * total activity], updated in place.  It records into
-    ``x_out``/``star_out`` when ``record`` is set, writes each step's
-    latch class into ``cls_out`` unless that is empty, and doubles
+    master degree, S * total activity], updated in place.  It writes each
+    step's latch class into ``cls_out`` unless that is empty, and doubles
     ``counts`` in place whenever a step would reach past its end."""
     max_deg, master_deg, total = state
-    chi_s, rho_s, weight, scale = tab.chi_s, tab.rho_s, tab.weights, tab.scale
-    block_d, block_s, new_degs = tab.block_d, tab.block_s, tab.new_degs
+    weight, block_d, block_s, new_degs = tab.weights, tab.block_d, tab.block_s, tab.new_degs
     cap = _grow(counts, tab, tab.new_max)  # every new vertex fits from here on
-    r = len(ess)
     emit = len(cls_out) > 0
 
     for j in range(len(u0)):
@@ -121,36 +119,18 @@ def _census_steps(counts, state, tab, u0, b_in, ess, x_out, star_out, cls_out, r
         if emit:
             cls_out[j] = cls
 
-        if record:
-            sacc = total - (chi_s * master_deg + rho_s)
-            xrow = x_out[j]
-            for i in range(r):
-                ki = ess[i]
-                xrow[i] = counts[ki]
-                sacc -= (chi_s * ki + rho_s) * counts[ki]
-            star_out[j] = sacc / scale
-
     state[:] = max_deg, master_deg, total
 
 
-def census_chunk(counts, state, tab, u0, b_in, ess, x_out, star_out, cls_out, record):
+def census_chunk(counts, state, tab, u0, b_in, cls_out):
     """Run ``_census_steps`` over list copies of the arrays (element access
     on numpy arrays costs several times more than on lists), then write the
-    recorded rows and the emitted classes back.  ``state`` is the list of
-    ``_census_steps``.  Returns the counts as a new array, grown if the
-    steps needed it."""
-    steps = u0.shape[0]
+    emitted classes into ``cls_out`` unless it is empty.  ``state`` is the
+    list of ``_census_steps``.  Returns the counts as a new array, grown if
+    the steps needed it."""
     cl = counts.tolist()
-    if record:
-        xl = [[0] * ess.shape[0] for _ in range(steps)]
-        sl = [0.0] * steps
-    else:
-        xl, sl = [], []
-    kl = [0] * steps if cls_out.shape[0] else []
-    _census_steps(cl, state, tab, u0.tolist(), b_in.tolist(), ess.tolist(), xl, sl, kl, record)
-    if record:
-        x_out[:steps] = xl
-        star_out[:steps] = sl
+    kl = [0] * cls_out.shape[0]
+    _census_steps(cl, state, tab, u0.tolist(), b_in.tolist(), kl)
     if kl:
         cls_out[:] = kl
     return np.array(cl, dtype=np.int64)

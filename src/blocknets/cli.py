@@ -188,6 +188,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
+def _is_check(c) -> bool:
+    """Whether ``c`` is a ``checks`` entry as ``render_table`` reads it."""
+    return (
+        isinstance(c, dict)
+        and isinstance(c.get("name"), str)
+        and isinstance(c.get("verdict"), str)
+        and all(
+            isinstance(c.get(k), (int, float)) and not isinstance(c.get(k), bool)
+            for k in ("statistic", "threshold")
+        )
+    )
+
+
 def cmd_report(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -195,6 +208,8 @@ def cmd_report(args) -> int:
         isinstance(doc, dict)
         and doc.get("schema") == "blocknets-report/1"
         and {"n", "replicates", "seed", "checks", "passed"} <= doc.keys()  # what it renders
+        and isinstance(doc["checks"], list)
+        and all(map(_is_check, doc["checks"]))
     ):
         print(f"not a verification report: {args.input}", file=sys.stderr)
         return EXIT_VALIDATION

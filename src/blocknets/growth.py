@@ -12,10 +12,13 @@ produce identical census trajectories from the same seed:
   replays the vertex-level picks on the graph: the member of that class
   from the step's intra-class uniform and, for bipolar networks, the
   out-arc from its arc uniform.  The census, the master degree, the
-  vertex count, the total activity and the recorded trajectory all come
-  from the kernel, so the modes agree by construction; a recount of the
-  census from the graph every ``SPOT_CHECK_INTERVAL`` steps guards the
-  replay.
+  vertex count and the total activity all come from the kernel, so the
+  modes agree by construction; a recount of the census from the graph
+  every ``SPOT_CHECK_INTERVAL`` steps guards the replay.
+
+A recorded trajectory is rebuilt after each chunk of steps from the
+latch classes that the kernel emits and the chunk's block choices, in a
+few numpy operations on whole columns (``_record_rows``), in either mode.
 
 Both rules of growth change the census through three facts of each block:
 the latch's degree increment, the degrees of its new vertices and its
@@ -462,7 +465,12 @@ def _spot_check(state: GrowthState) -> None:
 
 def grow_step(state: GrowthState) -> GrowthState:
     """Advance one step, consuming one row of the shared random stream.
-    Nothing is recorded."""
+    Nothing is recorded.
+
+    It serves tests and stepping by hand.  Each call is one chunk of
+    ``_advance``, so it pays the chunk's numpy set-up (a draw, a block
+    choice, the vertex-limit check and list copies of the counts) for a
+    single step: many times the cost of a step inside ``simulate``."""
     _advance(state, 1, record=False)
     return state
 
@@ -523,14 +531,14 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
     """Advance ``state`` by n steps through the chunked census kernel and,
     if ``record``, store the tracked census after each step.
 
-    In graph mode the kernel also emits each step's latch class and
-    ``_replay`` applies the steps to the graph.  Its chunks end at every
-    multiple of ``SPOT_CHECK_INTERVAL``, where ``_spot_check`` runs."""
+    The kernel emits each step's latch class in graph mode, where
+    ``_replay`` applies the steps to the graph, and when recording, where
+    ``_record_rows`` rebuilds the chunk's trajectory rows.  Graph-mode
+    chunks end at every multiple of ``SPOT_CHECK_INTERVAL``, where
+    ``_spot_check`` runs."""
     t, g = state.tables, state.graph
     _check_activity_limit(t, state.activity, n)
-    ess = np.array(state.track if record else (), dtype=np.int64)
-    no_x = np.empty((0, ess.shape[0]), dtype=np.int64)
-    no_star = np.empty(0, dtype=np.float64)
+    emit = g is not None or record
     si = [state.max_deg, state.master_degree, state.activity]
     draws = np.empty((min(n, CHUNK_ROWS), t.ncols))
 
@@ -544,22 +552,51 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
         b = _kernels.block_choice(t, rows[:, 2])
         nv = _vertex_counts(state.n_vertices, t, b)
         _check_vertex_limit(nv, state.step, state.max_vertices)
-        cls = np.empty(rows.shape[0] if g is not None else 0, dtype=np.int64)
-        if record:
-            x_out = state.trajectory_x[state.step + 1 :]
-            star_out = state.trajectory_star[state.step + 1 :]
-        else:
-            x_out, star_out = no_x, no_star
-        state.counts = _kernels.census_chunk(
-            state.counts, si, t, rows[:, 0], b, ess, x_out, star_out, cls, record
-        )
+        cls = np.empty(rows.shape[0] if emit else 0, dtype=np.int64)
+        state.counts = _kernels.census_chunk(state.counts, si, t, rows[:, 0], b, cls)
         if g is not None:
             _replay(g, t, rows, b, cls, nv - t.block_nv[b])
+        if record:
+            _record_rows(state, cls, b)
         state.step += rows.shape[0]
         state.max_deg, state.master_degree, state.activity = si
         state.n_vertices = int(nv[-1])
         if g is not None and state.step % SPOT_CHECK_INTERVAL == 0:
             _spot_check(state)
+
+
+def _record_rows(state: GrowthState, cls: np.ndarray, b: np.ndarray) -> None:
+    """Write the trajectory rows of the chunk of steps after ``state.step``,
+    whose latch classes are ``cls`` and block choices ``b``; ``state`` still
+    holds the master degree and activity from before the chunk.
+
+    The tracked census changes only by a latch's move from ``cls`` to
+    ``cls + d`` and by the block's new vertices, so each row is the
+    previous one plus a cumulative sum of those events; the master degree
+    moves by d whenever the class is -1.  The star activity is the exact
+    total less the master's and the tracked classes' weights.  Each of
+    these is an integer below ACTIVITY_LIMIT (an unoccupied class's weight
+    is multiplied by 0), exact in binary64, so the numerator is exact and
+    each row is rounded once, by the division."""
+    t, s = state.tables, state.step
+    ess = np.array(state.track, dtype=np.int64)
+    new_x = np.array([[nd.count(k) for k in state.track] for nd in t.new_degs], dtype=np.int64)
+    w_ess = np.array([t.weight(k) for k in state.track], dtype=np.float64)
+    d = t.d_a[b]
+    x = state.trajectory_x[s + 1 : s + 1 + b.shape[0]]
+    events = new_x[b]
+    events -= cls[:, None] == ess
+    events += np.where(cls >= 0, cls + d, -1)[:, None] == ess
+    np.cumsum(events, axis=0, out=x)
+    x += state.trajectory_x[s]
+    master = state.master_degree + np.cumsum(np.where(cls < 0, d, 0))
+    total = state.activity + np.cumsum(t.s_a[b])
+    num = total - (t.chi_s * master + t.rho_s) - x @ w_ess
+    star = state.trajectory_star[s + 1 : s + 1 + b.shape[0]]
+    if t.scale < 2**53:  # exact in binary64, so num / S rounds like int / int
+        np.divide(num, t.scale, out=star)
+    else:
+        star[:] = [v / t.scale for v in num.astype(np.int64).tolist()]
 
 
 def census_vector(state: GrowthState, essential: Sequence[int]) -> tuple[np.ndarray, float]:
@@ -593,10 +630,6 @@ def simulate(
     if record:
         ess = tuple(track) if track is not None else essential_degrees(bs, bs.r)
         state.track = ess
-        # the kernel reads each tracked class straight from the counts
-        top = max(ess, default=0)
-        if top >= state.counts.shape[0]:
-            state.counts = np.pad(state.counts, (0, top + 1 - state.counts.shape[0]))
         state.trajectory_x = np.zeros((n + 1, len(ess)), dtype=np.int64)
         state.trajectory_star = np.zeros(n + 1, dtype=np.float64)
         x0, star0 = census_vector(state, ess)

@@ -208,8 +208,15 @@ def test_verify_tolerance_override(example_paths, tmp_path):
 
 
 def test_report_rejects_other_json(example_paths, tmp_path, capsys):
+    head = '{"schema": "blocknets-report/1", "n": 1, "replicates": 2, "seed": 0, "passed": true, '
+    malformed = (
+        '"checks": [{}]}',
+        '"checks": [{"name": "mean", "passed": "yes"}]}',
+        '"checks": [{"name": "mean", "verdict": "PASS", "statistic": "x", "threshold": 1}]}',
+    )
+    texts = ["[]", '"x"', '{"schema": "blocknets-report/1"}', *(head + m for m in malformed)]
     paths = [example_paths["fig1"]]
-    for i, text in enumerate(("[]", '"x"', '{"schema": "blocknets-report/1"}')):
+    for i, text in enumerate(texts):
         paths.append(str(tmp_path / f"other{i}.json"))
         (tmp_path / f"other{i}.json").write_text(text)
     for path in paths:
@@ -296,6 +303,7 @@ def test_verify_deterministic_model(tmp_path, capsys):
     assert verdicts == {"mean": "PASS", "covariance": "SKIP", "normality": "SKIP"}
     assert all("covariance is zero" in c["detail"] for c in doc["checks"][1:])
     assert doc["passed"] is True
+    assert main(["report", "--input", str(report)]) == 0  # SKIP entries render
 
 
 def test_decimal_point_mass_analyzes_as_its_fraction_twin(tmp_path):

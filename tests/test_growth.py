@@ -24,8 +24,9 @@ from blocknets import (
 )
 from blocknets import _kernels
 from blocknets import growth as growth_mod
-from blocknets.growth import BATCH_ROWS
+from blocknets.growth import BATCH_ROWS, CHUNK_ROWS
 from blocknets.model_io import blockset_from_dict
+from blocknets.profile import essential_degrees
 
 from conftest import random_blockset
 
@@ -108,6 +109,34 @@ def test_track_beyond_counts_capacity(k2):
     assert np.array_equal(a.trajectory_x, b.trajectory_x)
     assert np.array_equal(a.trajectory_star, b.trajectory_star)
     assert not a.trajectory_x[:, 2].any()
+
+
+@pytest.mark.parametrize("mode", ["census", "graph"])
+@pytest.mark.parametrize(
+    "name, chi, rho",
+    [("fig1", F(1, 3), F(1, 7)), ("fig3", F(1, 3), F(1, 7)), ("fig1", F(1, 2**53 + 1), F(0))],
+    ids=["hooking", "bipolar", "hooking-S-past-2**53"],
+)
+def test_recorded_trajectory_across_chunks(name, chi, rho, mode, request):
+    """The trajectory rows rebuilt after each chunk from the emitted latch
+    classes continue across chunk boundaries: a shorter run's trajectory is
+    a prefix of a longer one's, and each last row is ``census_vector`` of
+    the final state, whose star activity divides the exact integer once.
+    S = 21 makes that division inexact; S past 2**53 is not a binary64
+    integer.  Class 10**4 is tracked and never reached."""
+    bs = replace(request.getfixturevalue(name), chi=chi, rho=rho)
+    track = essential_degrees(bs, bs.r) + (10**4,)
+    n1, n2 = CHUNK_ROWS + 1000, 2 * CHUNK_ROWS + 300
+    a = simulate(bs, n1, mode=mode, seed=17, record=True, track=track)
+    b = simulate(bs, n2, mode=mode, seed=17, record=True, track=track)
+    assert np.array_equal(a.trajectory_x, b.trajectory_x[: n1 + 1])
+    assert np.array_equal(a.trajectory_star, b.trajectory_star[: n1 + 1])
+    for st in (a, b):
+        x, star = census_vector(st, track)
+        assert np.array_equal(st.trajectory_x[-1], x)
+        assert st.trajectory_star[-1] == star
+    assert not b.trajectory_x[:, -1].any()
+    assert b.trajectory_x[:, :-1].any(axis=0).all()
 
 
 def test_capacity_growth_mid_run(k2, tmp_path):
@@ -562,7 +591,6 @@ def test_batch_breaks_ties_like_scalar_loop():
     replicate's first step has one of the targets of ``_TIES``; its block
     uniform alternates between 1/4, on the block probability sum, and 0.
     """
-    empty = np.empty(0, dtype=np.int64)
     for scale, chi_s, rho_s, census, master, targets, classes in _TIES:
         tab = growth_mod._build_tables(_ties_model(scale, chi_s, rho_s))
         assert (tab.scale, tab.chi_s, tab.rho_s) == (scale, chi_s, rho_s)
@@ -585,10 +613,7 @@ def test_batch_breaks_ties_like_scalar_loop():
         for r in range(R):
             ref_state = [top, master, total]
             cls = np.empty(2, dtype=np.int64)
-            ref = _kernels.census_chunk(
-                counts0, ref_state, tab, u[r, :, 0], b[r], empty,
-                np.empty((0, 0), dtype=np.int64), np.empty(0), cls, False,
-            )  # fmt: skip
+            ref = _kernels.census_chunk(counts0, ref_state, tab, u[r, :, 0], b[r], cls)
             assert cls[0] == classes[r], (census, r)
             assert np.array_equal(counts[r, :64], ref), (census, r)
             assert not counts[r, 64:].any()
