@@ -14,8 +14,10 @@ verification.  Two kernels advance it:
   degrees-by-replicates array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Everything that does not depend on the census (the
   running total activity, the new vertices, the master degree and the
-  maximum degree) is computed once per row block, and only the class
-  scan and the latch move run per step.
+  maximum degree) is computed once per row block.  Only the scan of the
+  low degree classes and the latch move run per step; the latches that
+  lie past them, a tenth of the steps on fig1, are resolved after the row
+  block, in a few rounds that each serve every replicate at once.
 
 Both kernels, ``block_choice`` and graph mode's replay read one model
 table, ``tab``, which ``growth._build_tables`` builds once per
@@ -159,24 +161,55 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     The census is held degree-major as float64, ``work[row, r]``, so a
     column of the scan is one contiguous row.  Its rows are, in order:
 
+    * junk rows 0..dmax, where the step loop moves a deferred latch (see
+      below); nothing reads them;
     * one pending row per distinct new-vertex degree c <= SCAN_PREFIX,
       holding the vertices of degree c that the row block's earlier steps
-      added (a cumulative term, computed once per row block and folded
-      into the counts at its end);
+      added.  ``pending`` holds this cumulative term for every new-vertex
+      degree, computed once per row block and folded into the counts at
+      its end;
     * trash rows 0..dmax: the master's class is the first, so its move is
       the same -1/+1 as any latch's, and the master degree is read off
       these rows at the end of the row block;
     * the degrees 0, 1, 2, ... from row ``base`` on.
 
-    The first SCAN_PREFIX partial sums are one ``matmul`` of a
-    lower-triangular weight matrix with the leading rows (a pending row
-    weighs like its degree), followed by a row of ``inf`` that every
-    target is below.  A replicate that reaches it rescans the degrees
-    past the prefix, continuing its partial sum, and latches to the
-    master if its target is not below the last one either.  A latch may
-    leave a degree row at -1 while its vertex still sits in a pending
-    row, so the partial sums add signed terms; every term and partial sum
-    is an integer of magnitude at most twice the scaled total, and exact.
+    The step loop scans only the prefix.  Its SCAN_PREFIX partial sums are
+    one ``matmul`` of a lower-triangular weight matrix with the pending,
+    trash and degree rows up to SCAN_PREFIX (a pending row weighs like its
+    degree, a trash row nothing), followed by a row of ``inf`` that every
+    target is below.  A latch may leave a degree row at -1 while its
+    vertex still sits in a pending row, so these sums add signed terms;
+    every term and partial sum is an integer of magnitude at most twice
+    the scaled total, and exact.  A replicate whose target is not below
+    the last prefix sum reaches the ``inf`` row: the loop keeps that sum
+    (``last``) and moves the latch in the junk rows, which marks the step
+    as deferred.
+
+    After the loop, the deferred latches are resolved in rounds.  Round m
+    takes every replicate's m-th deferred step, in lock step over the
+    replicates.  It continues the scan past the prefix from the kept sum
+    and latches to the master if the target is not below the last sum
+    either.  It scans in blocks of SCAN_PREFIX degrees: one ``matmul``
+    gives each block's weighted sum, and only the first block whose end
+    passes the target is scanned row by row.  This is exact:
+
+    * a deferred latch moves only degree rows past the prefix, or trash
+      rows, and the prefix scan reads neither, so every prefix outcome of
+      the loop stands;
+    * a round sees the degrees past the prefix as they stood at its step.
+      The rows hold the row block's start, every addition the step loop
+      made past the prefix, and the replicate's earlier deferred latches,
+      applied by the earlier rounds.  The round takes away the additions
+      made at its step or after: prefix hits that moved a latch past the
+      prefix, kept as a per-step cumulative table (``later``).  New
+      vertices of a degree past the prefix join the rows only at the end
+      of the row block, so the round adds those from the steps before its
+      own (``pending``);
+    * so every term past the prefix is a count times a weight, a
+      non-negative integer, and every sum, in whatever order ``matmul``
+      adds it, an integer below ``ACTIVITY_LIMIT``.  The partial sums
+      grow with the degree, so the first block whose end passes the
+      target holds the first degree that does.
     """
     R, L = u.shape[0], u.shape[1]
     # Total activity before each step, and each step's class target.
@@ -184,84 +217,137 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     totals[:, 0] = state_f
     totals[:, 1:] = tab.s_a[b]
     np.cumsum(totals, axis=1, out=totals)
-    target = np.ascontiguousarray((u[:, :, 0] * totals[:, :L]).T)  # (L, R)
-    bT = np.ascontiguousarray(b.T)
+    target = np.empty((L, R))
+    np.multiply(u[:, :, 0].T, totals[:, :L].T, out=target)
+    state_f[:] = totals[:, L]
+    del totals
+    # Each step's block choice, then its latch move d * R, and once the
+    # step is taken, the flat index of the row its latch moved to.
+    moved = b.T.copy()
 
     # New vertices of each block as counts of its distinct degrees
-    # (``tab.inc``): the low ones go to the pending rows, the rest are added
-    # to the census per step.
+    # (``tab.inc``), cumulated over the row block's steps: the low ones are
+    # copied into the pending rows per step, the rest are read by the rounds.
     cols, inc = tab.degrees, tab.inc
-    low = cols <= SCAN_PREFIX
-    nlow = int(low.sum())
-    pending = np.zeros((nlow, L + 1, R), dtype=np.min_scalar_type(L * int(inc.max(initial=0))))
-    np.cumsum(inc[low].astype(pending.dtype)[:, bT], axis=1, out=pending[:, 1:])
-    high, inc_high = cols[~low], inc[~low]
+    nlow = int((cols <= SCAN_PREFIX).sum())
+    pending = np.zeros((len(cols), L + 1, R), dtype=np.min_scalar_type(L * int(inc.max(initial=0))))
+    np.cumsum(np.take(inc.astype(pending.dtype), moved, axis=1), axis=1, out=pending[:, 1:])
+    high = cols[nlow:]
+    np.take(tab.d_a, moved, out=moved)
+    moved *= R
 
     dmax = max(tab.block_d)
-    trash = nlow  # the master's class row
-    base = nlow + dmax + 1  # row of degree 0
-    width = max(int(state_i[:, 0].max()), tab.new_max, 1)  # no class lies above it
-    D = base + max(counts.shape[1], width + 2, SCAN_PREFIX + 1)
+    pend = dmax + 1  # first pending row, after the junk rows
+    trash = pend + nlow  # the master's class row
+    base = trash + dmax + 1  # row of degree 0
+    # No class lies above width.  It covers every degree a prefix hit or a
+    # new vertex can reach, and at least one past the prefix.
+    width = max(int(state_i[:, 0].max()), tab.new_max, SCAN_PREFIX + dmax + 1)
+    # The rounds read whole blocks of SCAN_PREFIX degrees, up to width.
+    D = base + max(counts.shape[1], width + SCAN_PREFIX)
     work = np.zeros((D, R))
     work[base : base + counts.shape[1]] = counts.T
     flat = work.reshape(-1)
     weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s  # by degree
 
     # Prefix sums of degrees 1..SCAN_PREFIX, then the sentinel.
-    W = base + SCAN_PREFIX + 1  # leading rows of work that the product reads
-    tri = np.zeros((SCAN_PREFIX, W))
-    tri[:, base + 1 :] = np.tril(np.ones((SCAN_PREFIX, SCAN_PREFIX))) * weight[1 : SCAN_PREFIX + 1]
-    tri[:, :nlow] = tri[:, base + cols[low]]
+    W = base + SCAN_PREFIX + 1  # row of the first degree past the prefix
+    tri = np.zeros((SCAN_PREFIX, W - pend))
+    tri[:, base + 1 - pend :] = np.tril(np.ones((SCAN_PREFIX, SCAN_PREFIX))) * weight[1 : SCAN_PREFIX + 1]
+    tri[:, :nlow] = tri[:, base - pend + cols[:nlow]]
     cum = np.empty((SCAN_PREFIX + 1, R))
     cum[SCAN_PREFIX] = np.inf
     prefix = cum[:SCAN_PREFIX]
     span = max(1, SERIAL_GEMM // tri.size)  # replicates per product
     spans = [slice(s, s + span) for s in range(0, R, span)]
-    products = [(work[:W, s], prefix[:, s]) for s in spans]
+    products = [(work[pend:W, s], prefix[:, s]) for s in spans]
     # Flat index of each prefix hit's row in replicate 0; the sentinel's
-    # is the master's.
-    hit_row = np.append(np.arange(base + 1, W), trash) * R
+    # is the first junk row.
+    hit_row = np.append(np.arange(base + 1, W), 0) * R
     reps = np.arange(R)
-    moveR = tab.d_a[bT] * R  # (L, R) flat offset of each latch move
+    last = np.empty((L, R))  # each step's last prefix sum
 
     for j in range(L):
-        tj = target[j]
-        work[:nlow] = pending[:, j]
+        work[pend:trash] = pending[:nlow, j]
         for win, out in products:
             np.matmul(tri, win, out=out)
-        k = (tj < cum).argmax(axis=0)
-        at = hit_row[k]
-        if width > SCAN_PREFIX:
-            miss = np.flatnonzero(k == SCAN_PREFIX)
-            if len(miss):
-                seg = work[W : base + width + 1][:, miss]
-                seg *= weight[SCAN_PREFIX + 1 : width + 1, None]
-                seg[0] += prefix[-1, miss]
-                hit = tj[miss] < np.cumsum(seg, axis=0, out=seg)
-                found = hit[-1]
-                at[miss] = np.where(found, W + hit.argmax(axis=0), trash) * R
+        last[j] = prefix[-1]
+        at = hit_row[(target[j] < cum).argmax(axis=0)]
         at += reps
         flat[at] -= 1.0
-        at += moveR[j]
-        top = int(at.max()) // R - base
-        if top > width:
-            width = top
-            if base + top >= D:
-                grown = np.zeros((max(base + top + 1, 2 * D - base), R))
-                grown[:D] = work
-                work, D = grown, grown.shape[0]
-                flat = work.reshape(-1)
-                products = [(work[:W, s], prefix[:, s]) for s in spans]
-                weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s
-        flat[at] += 1.0
-        if len(high):
-            work[base + high] += inc_high[:, bT[j]]
+        moved[j] += at
+        flat[moved[j]] += 1.0
+
+    # The deferred steps, whose latch moved in the junk rows, as flat
+    # indices j * R + r in step order.
+    deferred = np.flatnonzero(moved < pend * R)
+    if len(deferred):
+        # later[g, j, r]: the prefix hits of replicate r that moved its latch
+        # to degree SCAN_PREFIX + 1 + g at step j or after.
+        up = np.flatnonzero(moved >= W * R)
+        later = None
+        if len(up):
+            later = np.zeros((dmax, L, R), dtype=np.min_scalar_type(L))
+            j, r = np.divmod(up, R)
+            later[moved.flat[up] // R - W, j, r] = 1
+            np.cumsum(later[:, ::-1], axis=1, out=later[:, ::-1])
+        # Round m takes each replicate's m-th deferred step.
+        j, r = np.divmod(deferred, R)
+        order = np.argsort(r, kind="stable")
+        nth = np.arange(len(order)) - np.searchsorted(r[order], r[order])
+        order = order[np.argsort(nth, kind="stable")]
+        j, r = j[order], r[order]
+        # Per deferred step, in round order: its target, kept prefix sum and
+        # latch move, the prefix hits past the prefix from it on, and the new
+        # vertices past the prefix from before it.
+        tj, kept, move = target[j, r], last[j, r], tab.d_a[b[r, j]] * R
+        gone = None if later is None else later[:, j, r]
+        born = pending[nlow:, j, r]
+        del target, last, moved, later  # the rounds read none of the step tables
+        sizes = np.bincount(nth)
+        ends = np.cumsum(sizes)
+        for lo, hi in zip(ends - sizes, ends):
+            m, rm = slice(lo, hi), r[lo:hi]
+            # The counts past the prefix at each one's step, in nb blocks of
+            # SCAN_PREFIX degrees (rows past width are zero).
+            nb = -(-(width - SCAN_PREFIX) // SCAN_PREFIX)
+            seg = work[W : W + nb * SCAN_PREFIX, rm]
+            if gone is not None:
+                seg[:dmax] -= gone[:, m]
+            if len(high):
+                seg[high - SCAN_PREFIX - 1] += born[:, m]
+            seg = seg.reshape(nb, SCAN_PREFIX, -1)
+            wb = weight[SCAN_PREFIX + 1 : SCAN_PREFIX + 1 + nb * SCAN_PREFIX].reshape(nb, 1, -1)
+            # Partial sums at each block's start and at the last one's end,
+            # then the first block that passes the target, scanned row by row.
+            sums = np.empty((nb + 1, hi - lo))
+            sums[0] = kept[m]
+            np.matmul(wb, seg, out=sums[1:, None])
+            np.cumsum(sums, axis=0, out=sums)
+            i = (tj[m] < sums[1:]).argmax(axis=0)
+            col = np.arange(hi - lo)
+            inner = seg[i, :, col] * wb[i, 0]
+            inner[:, 0] += sums[i, col]
+            hit = tj[m, None] < np.cumsum(inner, axis=1, out=inner)
+            at = np.where(hit[:, -1], W + i * SCAN_PREFIX + hit.argmax(axis=1), trash) * R + rm
+            flat[at] -= 1.0
+            at += move[m]
+            top = int(at.max()) // R - base
+            if top > width:
+                width = top
+                if base + width + SCAN_PREFIX > D:
+                    grown = np.zeros((max(base + width + SCAN_PREFIX, 2 * D - base), R))
+                    grown[:D] = work
+                    work, D = grown, grown.shape[0]
+                    flat = work.reshape(-1)
+                    weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s
+            flat[at] += 1.0
 
     # Bookkeeping that the scan does not read, for the whole row block.
-    work[base + cols[low]] += pending[:, L]
+    work[base + cols] += pending[:, L]
     state_i[:, 1] += (np.arange(dmax + 1) @ work[trash:base]).astype(np.int64)
     census = np.ascontiguousarray(work[base:].T, dtype=np.int64)
-    top = (census != 0) * np.arange(census.shape[1])
-    np.maximum(state_i[:, 0], top.max(axis=1), out=state_i[:, 0])
-    state_f[:] = totals[:, L]
+    occupied = census[:, ::-1] != 0  # the highest degree first
+    top = np.where(occupied.any(axis=1), census.shape[1] - 1 - occupied.argmax(axis=1), 0)
+    np.maximum(state_i[:, 0], top, out=state_i[:, 0])
     return census

@@ -199,19 +199,20 @@ def mean_check(
 
 
 def _jackknife_cov_se(samples: np.ndarray) -> np.ndarray:
-    """Delete-one jackknife standard error of each sample-covariance entry."""
+    """Delete-one jackknife standard error of each sample-covariance entry.
+
+    With the centred samples z_l and c = Z'Z / (R-1), deleting replicate l
+    leaves the covariance (R-1)/(R-2) c - R/((R-1)(R-2)) z_l z_l', so the
+    spread of the R delete-one covariances needs only Z'Z and the squares'
+    (Z*Z)'(Z*Z), never the R x d x d stack of them."""
     x = samples.astype(np.float64)
-    R, r = x.shape
-    s1 = x.sum(axis=0)
-    s2 = x.T @ x
-    covs = np.zeros((R, r, r))
-    for l in range(R):
-        xl = x[l]
-        mean_l = (s1 - xl) / (R - 1)
-        m2 = s2 - np.outer(xl, xl)
-        covs[l] = (m2 - (R - 1) * np.outer(mean_l, mean_l)) / (R - 2)
-    bar = covs.mean(axis=0)
-    return np.sqrt((R - 1) / R * ((covs - bar) ** 2).sum(axis=0))
+    R = x.shape[0]
+    z = x - x.mean(axis=0)
+    g = z.T @ z
+    z *= z
+    h = z.T @ z  # sum over l of z_li^2 z_lj^2
+    a = R / ((R - 1) * (R - 2))
+    return a * np.sqrt((R - 1) / R * np.maximum(h - g * g / R, 0.0))
 
 
 def covariance_check(
@@ -319,6 +320,12 @@ def verify_model(
     """
     if n < 1:
         raise ValueError(f"verify needs at least 1 step, got {n}")
+    # A NaN mean error passes every gate, and a covariance scaled by 0, inf
+    # or NaN skips its gate or breaks the whitening: refuse them up front.
+    if not math.isfinite(perturb_mean):
+        raise ValueError(f"--perturb-mean must be finite, got {perturb_mean}")
+    if not (math.isfinite(perturb_cov) and perturb_cov > 0):
+        raise ValueError(f"--perturb-cov must be finite and > 0, got {perturb_cov}")
     urn = urn or build_urn(bs)
     prof = urn.profile
     track = prof.essential

@@ -231,6 +231,31 @@ def test_verify_refuses_zero_steps(example_paths, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: verify needs at least 1 step, got 0\n"
 
 
+def _no_replicates(*args, **kwargs):
+    raise AssertionError("no replicate may be simulated")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--perturb-mean", "nan", "--perturb-mean must be finite, got nan"),
+        ("--perturb-mean", "inf", "--perturb-mean must be finite, got inf"),
+        ("--perturb-cov", "0", "--perturb-cov must be finite and > 0, got 0.0"),
+        ("--perturb-cov", "-2", "--perturb-cov must be finite and > 0, got -2.0"),
+        ("--perturb-cov", "inf", "--perturb-cov must be finite and > 0, got inf"),
+        ("--perturb-cov", "nan", "--perturb-cov must be finite and > 0, got nan"),
+    ],
+)
+def test_verify_refuses_bad_perturbations(example_paths, capsys, monkeypatch, flag, value, message):
+    """A negative control that could not fail its gate is refused before
+    any replicate is grown: a NaN mean error passed the mean gate, a zero
+    scale skipped the covariance gate, and an infinite or NaN one died in
+    the whitening after every replicate had run."""
+    monkeypatch.setattr(verify_mod, "run_replicates", _no_replicates)
+    assert main(["verify", "--input", example_paths["fig1"], flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocknets import (
     ResourceLimitError,
@@ -457,7 +459,28 @@ def _batch_models(fig1, fig3, k2):
         "fig1-fractional": replace(fig1, chi=F(1, 3), rho=F(1, 7)),
         "k2-half": replace(k2, chi=F(1), rho=F(-1, 2)),
         "random-fractional": random_blockset(504),
+        # a star of 17 leaves hooked at a leaf adds a vertex of degree 17,
+        # past the 16-column prefix
+        "star-17": _star_model(17),
     }
+
+
+def _star_model(leaves):
+    """K2 hooked by a leaf (p = 1/2) and a star of ``leaves`` leaves hooked
+    at a leaf (p = 1/2), with chi = 1 and rho = 0."""
+    star = [f"v{i}" for i in range(1, leaves)]
+    return blockset_from_dict({
+        "kind": "hooking",
+        "chi": 1,
+        "rho": 0,
+        "r": 2,
+        "blocks": [
+            {"name": "K2", "probability": "1/2", "vertices": ["h", "a"],
+             "edges": [["h", "a"]], "hook": "h"},
+            {"name": "star", "probability": "1/2", "vertices": ["h", "c", *star],
+             "edges": [["c", "h"], *(["c", v] for v in star)], "hook": "h"},
+        ],
+    })  # fmt: skip
 
 
 def _assert_same_state(a, b):
@@ -488,6 +511,7 @@ def _assert_same_state(a, b):
         "fig1-fractional",
         "k2-half",
         "random-fractional",
+        "star-17",
     ],
 )
 @pytest.mark.parametrize("n", [0, 1, BATCH_ROWS + 44])
@@ -504,14 +528,34 @@ def test_batch_matches_scalar(name, n, fig1, fig3, k2):
 
 @pytest.mark.parametrize("name", ["fig1", "fig3", "fig1-fractional"])
 def test_batch_matches_scalar_past_a_short_prefix(name, monkeypatch, fig1, fig3, k2):
-    """With a 2-column prefix most latches come from the rescan past it,
-    and new vertices of degree 3 are added to the census per step instead
-    of through the pending rows."""
+    """With a 2-column prefix most latches are deferred past it to the
+    rounds, which read the new vertices of degree 3 from the pending table
+    instead of the pending rows."""
     monkeypatch.setattr(_kernels, "SCAN_PREFIX", 2)
     bs = _batch_models(fig1, fig3, k2)[name]
     seeds = [np.random.SeedSequence((37, k)) for k in range(4)]
     for seed, b in zip(seeds, simulate_batch(bs, BATCH_ROWS + 44, seeds)):
         _assert_same_state(simulate(bs, BATCH_ROWS + 44, seed=seed), b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    prefix=st.integers(1, 4),
+    replicates=st.integers(1, 6),
+    n=st.integers(0, BATCH_ROWS + 44),
+)
+def test_batch_matches_scalar_on_random_models(seed, prefix, replicates, n):
+    """Over random models, with a prefix of 1 to 4 columns so that most
+    latches are deferred past it, the lock-step kernel grows each replicate
+    exactly as ``simulate`` does."""
+    bs = random_blockset(seed)
+    seeds = [np.random.SeedSequence((seed, k)) for k in range(replicates)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "SCAN_PREFIX", prefix)
+        batch = simulate_batch(bs, n, seeds)
+    for s, b in zip(seeds, batch):
+        _assert_same_state(simulate(bs, n, seed=s), b)
 
 
 def test_batch_random_initial_blocks_differ(fig1):
@@ -546,10 +590,10 @@ def test_batch_builds_the_model_table_once(fig1, monkeypatch):
 _TIES = [
     # chi=1, rho=0: classes 1, 2 and 20 weigh 2, 2 and 20 and the master
     # (degree 8) 8, total 32.  Partial sum 4 is the last column of the
-    # 16-column prefix; 24 is the sum of every class, reached by the rescan
+    # 16-column prefix; 24 is the sum of every class, reached by the scan
     # past the prefix.
     (1, 1, 0, {1: 2, 2: 1, 20: 1}, 8, [0, 2, 4, 22, 24], [1, 2, 20, 20, -1]),
-    # a target on a partial sum inside the rescan: classes 20 and 22 weigh
+    # a target on a partial sum past the prefix: classes 20 and 22 weigh
     # 20 and 22, so 24 picks class 22; the master weighs 18
     (1, 1, 0, {1: 2, 2: 1, 20: 1, 22: 1}, 18, [24, 45, 46], [22, 22, -1]),
     # every class inside the prefix: a target on the sum of every class (14)
@@ -619,3 +663,61 @@ def test_batch_breaks_ties_like_scalar_loop():
             assert not counts[r, 64:].any()
             assert state_i[r].tolist() == ref_state[:2], (census, r)
             assert state_f[r] == ref_state[2], (census, r)
+
+
+# (census, master degree, [(target, block) per step], classes the targets pick),
+# under chi = 1, rho = 0 (degree k weighs k) and ``_ties_model``'s blocks:
+# block 0 moves the latch up 1 and adds one vertex of degree 1, block 1
+# moves it up 2 and adds two.
+_DEFERRED = [
+    # Step 0 lands past the 16-column prefix, on the partial sum through
+    # degree 17 (18 + 17 = 35): degree 18 is empty at step 0, so it picks
+    # degree 20, but step 1's prefix hit moves the vertex of degree 16 to
+    # 18, and against the row block's end it would pick 18.  Step 2 lands
+    # on the partial sum through 17 again (5 + 17 = 22), which only that
+    # vertex of degree 18 passes.
+    ({1: 2, 16: 1, 17: 1, 20: 1}, 4, [(35, 0), (10, 1), (22, 0)], [20, 16, 18]),
+    # No degree past the prefix is occupied: targets on the sum of every
+    # class pick the master, before and after a prefix hit.
+    ({1: 2, 2: 1, 5: 2}, 2, [(14, 1), (5, 0), (18, 0)], [-1, 2, -1]),
+]
+
+
+@pytest.mark.parametrize("cases", [[0, 1], [1]], ids=["both", "master-only"])
+def test_batch_resolves_deferred_latches_in_step_order(cases):
+    """A latch past the prefix is resolved after the row block's steps,
+    against the degrees past the prefix as they stood at its own step: the
+    prefix hits of later steps are taken away, and the replicate's earlier
+    deferred latches are applied.  Each replicate's steps are taken with the
+    exact targets of ``_DEFERRED`` and compared with the scalar loop."""
+    tab = growth_mod._build_tables(_ties_model(1, 1, 0))
+    R, L = len(cases), 3
+    counts0 = np.zeros((R, 64), dtype=np.int64)
+    state_i = np.zeros((R, 2), dtype=np.int64)
+    state_f = np.zeros(R)
+    u = np.zeros((R, L, 3))
+    start = []
+    for r, case in enumerate(cases):
+        census, master, steps, _ = _DEFERRED[case]
+        counts0[r, list(census)] = list(census.values())
+        total = tab.weight(master) + sum(tab.weight(k) * c for k, c in census.items())
+        start.append([max(census), master, total])
+        state_i[r] = start[r][:2]
+        state_f[r] = total
+        for j, (t, block) in enumerate(steps):
+            u[r, j] = t / total, 0.5, [0.1, 0.5][block]
+            assert u[r, j, 0] * total == t  # the target is exact
+            total += tab.block_s[block]
+    b = _kernels.block_choice(tab, u[:, :, 2])
+    assert b.tolist() == [[block for _, block in _DEFERRED[c][2]] for c in cases]
+    counts = _kernels.census_batch(counts0, state_i, state_f, tab, u, b)
+
+    for r, case in enumerate(cases):
+        ref_state = start[r]
+        cls = np.empty(L, dtype=np.int64)
+        ref = _kernels.census_chunk(counts0[r], ref_state, tab, u[r, :, 0], b[r], cls)
+        assert cls.tolist() == _DEFERRED[case][3]
+        assert np.array_equal(counts[r, :64], ref), case
+        assert not counts[r, 64:].any()
+        assert state_i[r].tolist() == ref_state[:2], case
+        assert state_f[r] == ref_state[2], case

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from blocknets import (
     verify_model,
     whiten_scores,
 )
-from blocknets.verify import _ks_statistic
+from blocknets.verify import _jackknife_cov_se, _ks_statistic
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,53 @@ def test_normality_check_on_synthetic_data():
     results = normality_check(shifted)
     ks = next(r for r in results if r.name == "normality-ks")
     assert not ks.passed
+
+
+def _jackknife_loop(samples: np.ndarray) -> np.ndarray:
+    """The delete-one jackknife written out: all R covariances with one
+    replicate left out, from the raw second moments, then their spread."""
+    x = samples.astype(np.float64)
+    R, r = x.shape
+    s1 = x.sum(axis=0)
+    s2 = x.T @ x
+    covs = np.zeros((R, r, r))
+    for l in range(R):
+        xl = x[l]
+        mean_l = (s1 - xl) / (R - 1)
+        m2 = s2 - np.outer(xl, xl)
+        covs[l] = (m2 - (R - 1) * np.outer(mean_l, mean_l)) / (R - 2)
+    bar = covs.mean(axis=0)
+    return np.sqrt((R - 1) / R * ((covs - bar) ** 2).sum(axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 8, 64])
+def test_jackknife_cov_se_matches_the_delete_one_loop(d):
+    """The closed form equals the loop over delete-one covariances.  The
+    counts are correlated and near 100: the loop's raw second moments lose
+    digits to cancellation as the counts grow (see the exact test below)."""
+    rng = np.random.default_rng(d)
+    x = rng.poisson(60, (200, 1)) + rng.poisson(40, (200, d))
+    np.testing.assert_allclose(_jackknife_cov_se(x), _jackknife_loop(x), rtol=1e-12, atol=0)
+
+
+def test_jackknife_cov_se_is_exact_for_large_counts():
+    """Against the jackknife in rational arithmetic, on counts near 10^4."""
+    rng = np.random.default_rng(1)
+    x = rng.poisson(10**4, (30, 1)) + rng.poisson(50, (30, 3))
+    R, d = x.shape
+    rows = [[Fraction(int(v)) for v in row] for row in x.tolist()]
+    exact = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            covs = []
+            for l in range(R):
+                rest = rows[:l] + rows[l + 1 :]
+                mi = sum(row[i] for row in rest) / (R - 1)
+                mj = sum(row[j] for row in rest) / (R - 1)
+                covs.append(sum((row[i] - mi) * (row[j] - mj) for row in rest) / (R - 2))
+            bar = sum(covs) / R
+            exact[i, j] = math.sqrt(Fraction(R - 1, R) * sum((c - bar) ** 2 for c in covs))
+    np.testing.assert_allclose(_jackknife_cov_se(x), exact, rtol=1e-13, atol=0)
 
 
 def test_ks_statistic_matches_definition():
