@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .growth import (
     CENSUS,
+    DEFAULT_MAX_VERTICES,
     GRAPH,
     ResourceLimitError,
     backend_name,
@@ -34,7 +35,6 @@ from .model_io import (
     BlockSetError,
     InternalConsistencyError,
     format_json,
-    format_number,
     format_ratio,
     load_blockset,
 )
@@ -57,32 +57,37 @@ def _fmt_matrix(m) -> list[list]:
 
 
 def _fmt_vector(v) -> list:
-    return [format_number(x) for x in v]
+    """Int numerators over one scale, in ``format_number``'s form."""
+    ns, d = v
+    return [format_ratio(n, d) for n in ns]
 
 
 def analyze_dict(urn) -> dict:
-    p = urn.profile
+    """The analysis document.  Every rational is written from its integer
+    pair; no Fraction view is built."""
+    p, x = urn.profile, urn.profile.pairs
+    (chi, rho), dw, dp = x.weights, x.dw, x.dp
     doc = {
         "schema": "blocknets-analysis/1",
         "kind": p.kind,
         "exact": True,
-        "chi": format_number(p.chi),
-        "rho": format_number(p.rho),
-        "f": {str(k): format_number(v) for k, v in p.f.items()},
-        "g": {str(k): format_number(v) for k, v in p.g.items()},
+        "chi": format_ratio(chi, dw),
+        "rho": format_ratio(rho, dw),
+        "f": {str(k): format_ratio(n, dp) for k, n in x.f.items()},
+        "g": {str(k): format_ratio(n, dp) for k, n in x.g.items()},
         "essential_degrees": list(p.essential),
-        "lambda1": format_number(p.lambda1),
-        "limit_vector": _fmt_vector(p.limit),
+        "lambda1": format_ratio(x.lambda1, dw * dp),
+        "limit_vector": _fmt_vector(x.limit),
         "balance": {
-            "s": _fmt_vector(p.balance.s),
+            "s": _fmt_vector(p.balance.increments),
             "balanced": p.balance.balanced,
         },
         "urn": {
             "types": [t if isinstance(t, str) else int(t) for t in urn.types],
-            "activities": _fmt_vector(urn.activities),
+            "activities": _fmt_vector(urn.activities_cleared),
             "intensity_matrix": _fmt_matrix(urn.A_cleared),
-            "eigenvalues": _fmt_vector(urn.eigenvalues),
-            "v1": _fmt_vector(urn.v1),
+            "eigenvalues": _fmt_vector(urn.eigenvalues_cleared),
+            "v1": _fmt_vector(urn.v1_cleared),
             "second_moment": _fmt_matrix(urn.B_cleared),
             "sigma": np.asarray(urn.Sigma).tolist(),
             "irreducible": urn.irreducible,
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mode", choices=[GRAPH, CENSUS], default=CENSUS)
     ps.add_argument("--out", default=None, help="trajectory CSV path")
     ps.add_argument("--export-dot", default=None, help="DOT snapshot path (graph mode)")
-    ps.add_argument("--max-vertices", type=int, default=10_000_000)
+    ps.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
 
     pv = sub.add_parser("verify", help="Monte-Carlo verification of the limit law")
     pv.add_argument("--input", required=True)
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="negative control: scale the predicted covariance by x",
     )
-    pv.add_argument("--max-vertices", type=int, default=10_000_000)
+    pv.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
 
     pr = sub.add_parser("report", help="render a saved verification report")
     pr.add_argument("--input", required=True)

@@ -49,7 +49,6 @@ many replicates at once and leaves each in the state ``simulate`` would.
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -60,7 +59,7 @@ import numpy as np
 
 from . import _kernels
 from .model_io import BIPOLAR, HOOKING, Block, BlockSet, degree_of
-from .profile import essential_degrees
+from .profile import _clear, activity_increments, essential_degrees
 
 CHUNK_ROWS = 4096
 # Rows per replicate drawn at a time by simulate_batch; small, so that a
@@ -124,13 +123,10 @@ class _Tables:
 
 
 def _build_tables(bs: BlockSet) -> _Tables:
-    scale = math.lcm(bs.chi.denominator, bs.rho.denominator)
-    chi_s, rho_s = int(bs.chi * scale), int(bs.rho * scale)
+    (chi_s, rho_s), scale = _clear((bs.chi, bs.rho))
     d = [b.latch_increment() for b in bs.blocks]
     new_degs = [b.new_degrees() for b in bs.blocks]
-    # activity gained per attachment: full weight of each new vertex plus
-    # chi * (latch increment) for the relabelled latch
-    block_s = [chi_s * di + sum(chi_s * c + rho_s for c in nd) for di, nd in zip(d, new_degs)]
+    block_s = activity_increments(bs, chi_s, rho_s)
     degrees = sorted({c for nd in new_degs for c in nd})
     inc = np.array([[nd.count(c) for nd in new_degs] for c in degrees], dtype=np.int64)
     heads = []

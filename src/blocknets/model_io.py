@@ -324,9 +324,11 @@ def validate_blockset(bs: BlockSet) -> BlockSet:
         )
     if bs.r < 1:
         raise BlockSetError("param-domain", f"r must be >= 1, got {bs.r}")
-    if bs.initial_block != "random":
-        if not isinstance(bs.initial_block, int) or not (0 <= bs.initial_block < len(bs.blocks)):
-            raise BlockSetError("param-domain", f"bad initial_block {bs.initial_block!r}")
+    ib = bs.initial_block
+    if ib != "random":
+        # bool is an int, but ``true`` is not a block index
+        if isinstance(ib, bool) or not isinstance(ib, int) or not 0 <= ib < len(bs.blocks):
+            raise BlockSetError("param-domain", f"bad initial_block {ib!r}")
     return bs
 
 
@@ -356,6 +358,10 @@ def blockset_from_dict(doc: Mapping) -> BlockSet:
             prob = parse_number(bdoc["probability"])
             vertices = tuple(str(v) for v in bdoc["vertices"])
             edges = tuple((str(a), str(b)) for a, b in bdoc["edges"])
+            # hook and poles name vertices, so they are read as vertex ids
+            hook, north, south = (
+                None if bdoc.get(k) is None else str(bdoc[k]) for k in ("hook", "north", "south")
+            )
         except BlockSetError as exc:
             raise BlockSetError(exc.rule, exc.message, name) from None
         except (KeyError, TypeError, ValueError) as exc:
@@ -367,14 +373,15 @@ def blockset_from_dict(doc: Mapping) -> BlockSet:
                 vertices=vertices,
                 edges=edges,
                 probability=prob,
-                hook=bdoc.get("hook"),
-                north=bdoc.get("north"),
-                south=bdoc.get("south"),
+                hook=hook,
+                north=north,
+                south=south,
             )
         )
 
     r = doc.get("r", 3)
-    if not isinstance(r, int):
+    # bool is an int, but ``true`` is not a class count
+    if isinstance(r, bool) or not isinstance(r, int):
         raise BlockSetError("schema", f"r must be an integer, got {r!r}")
     initial = doc.get("initial_block", 0)
 

@@ -16,22 +16,23 @@ used to flag balanced models.
 Everything is computed on Python ints.  ``build_profile`` clears chi and
 rho of their denominators once (one scale dw) and the block probabilities
 once (one scale dp); f and g are then numerators over dp, lambda1 over
-dw*dp, and the limit vector comes from a forward substitution with a
-running scale.  The profile keeps these ``(numerators, scale)`` pairs for
-the urn (``DegreeProfile.pairs``) and builds its public Fraction fields
-from them once.  The exported functions ``degree_profile``, ``lambda1``
-and ``limit_vector`` are Fraction views of the same integer routines.
+dw*dp, the activity increments over dw, and the limit vector comes from a
+forward substitution with a running scale.  The profile holds only these
+``(numerators, scale)`` pairs (``DegreeProfile.pairs`` and
+``BalanceInfo.increments``); its chi, rho, f, g, lambda1 and limit, and the
+increments s, are Fraction views built from them on first access.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .model_io import HOOKING, BlockSet, BlockSetError, Num
+from .model_io import BlockSet, BlockSetError, Num
 
 Scale = int
 # A vector as int numerators over one scale: x[i] == ns[i] / d.
@@ -53,10 +54,15 @@ def _over(ns: Sequence[int], d: Scale) -> tuple[Num, ...]:
 
 @dataclass(frozen=True)
 class BalanceInfo:
-    """Per-block total-activity increments s_i and whether they all agree."""
+    """Per-block total-activity increments s_i, as a (numerators, scale)
+    pair, and whether they all agree.  ``s`` is their Fraction view."""
 
-    s: tuple[Num, ...]
+    increments: Cleared
     balanced: bool
+
+    @functools.cached_property
+    def s(self) -> tuple[Num, ...]:
+        return _over(*self.increments)
 
 
 @dataclass(frozen=True)
@@ -85,29 +91,46 @@ class ProfilePairs:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """All closed-form degree analytics for one block set."""
+    """All closed-form degree analytics for one block set.
+
+    The exact values are held once, as the integer ``pairs``; chi, rho, f,
+    g, lambda1 and limit are their Fraction views, built on first access."""
 
     kind: str
-    chi: Num
-    rho: Num
-    f: Mapping[int, Num]
-    g: Mapping[int, Num]
     essential: tuple[int, ...]
-    lambda1: Num
-    limit: tuple[Num, ...]
     balance: BalanceInfo
-    pairs: ProfilePairs = field(repr=False, compare=False)
+    pairs: ProfilePairs
+
+    @functools.cached_property
+    def chi(self) -> Num:
+        return Fraction(self.pairs.weights[0], self.pairs.dw)
+
+    @functools.cached_property
+    def rho(self) -> Num:
+        return Fraction(self.pairs.weights[1], self.pairs.dw)
+
+    @functools.cached_property
+    def f(self) -> Mapping[int, Num]:
+        return dict(zip(self.pairs.f, _over(self.pairs.f.values(), self.pairs.dp)))
+
+    @functools.cached_property
+    def g(self) -> Mapping[int, Num]:
+        return dict(zip(self.pairs.g, _over(self.pairs.g.values(), self.pairs.dp)))
+
+    @functools.cached_property
+    def lambda1(self) -> Num:
+        return Fraction(self.pairs.lambda1, self.pairs.dw * self.pairs.dp)
+
+    @functools.cached_property
+    def limit(self) -> tuple[Num, ...]:
+        return _over(*self.pairs.limit)
 
     def w(self, k: int) -> Num:
-        return self.chi * k + self.rho
+        return Fraction(self.pairs.w(k), self.pairs.dw)
 
     @property
     def r(self) -> int:
         return len(self.essential)
-
-    @property
-    def g0(self) -> Num:
-        return self.g.get(0, Fraction(0))
 
 
 def _degree_numerators(
@@ -122,13 +145,6 @@ def _degree_numerators(
             f[k] = f.get(k, 0) + p
         d = b.latch_increment()
         g[d] = g.get(d, 0) + p
-    return f, g
-
-
-def degree_profile(bs: BlockSet) -> tuple[dict[int, Num], dict[int, Num]]:
-    """Compute the maps f and g (finite support, rational)."""
-    probs, dp = _clear(bs.probabilities)
-    f, g = (dict(zip(m, _over(m.values(), dp))) for m in _degree_numerators(bs, probs))
     return f, g
 
 
@@ -178,21 +194,6 @@ def _lambda1(f: Mapping[int, int], g: Mapping[int, int], chi: int, rho: int) -> 
     return total + sum(chi * k * gk for k, gk in g.items() if k >= 1)
 
 
-def _split(f: Mapping[int, Num], g: Mapping[int, Num], *more: Num):
-    """f, g and further values cleared onto one scale: (f, g, more, scale)
-    with f and g as numerator dicts."""
-    ns, d = _clear([*f.values(), *g.values(), *more])
-    nf, ng = len(f), len(f) + len(g)
-    return dict(zip(f, ns)), dict(zip(g, ns[nf:ng])), ns[ng:], d
-
-
-def lambda1(f: Mapping[int, Num], g: Mapping[int, Num], chi: Num, rho: Num) -> Num:
-    """Expected change per step of the total attachment weight."""
-    (c, rh), dw = _clear((chi, rho))
-    fn, gn, _, dp = _split(f, g)
-    return Fraction(_lambda1(fn, gn, c, rh), dw * dp)
-
-
 def _limit(
     f: Mapping[int, int],
     g: Mapping[int, int],
@@ -230,38 +231,27 @@ def _limit(
     return [n // c for n in ns], s // c
 
 
-def limit_vector(
-    f: Mapping[int, Num],
-    g: Mapping[int, Num],
-    essential: tuple[int, ...],
-    lam: Num,
-    chi: Num,
-    rho: Num,
-) -> tuple[Num, ...]:
-    """Limit proportions (up to the factor lambda1) of the tracked degree
-    classes, by forward substitution.  The same recursion covers both
-    network kinds; hooking sets simply have g(0) = 0."""
-    (c, rh), dw = _clear((chi, rho))
-    fn, gn, (ln,), dp = _split(f, g, lam * dw)
-    return _over(*_limit(fn, gn, dp, essential, ln, c, rh, dw))
+def activity_increments(bs: BlockSet, chi: int, rho: int) -> list[int]:
+    """Per-block change of the total attachment weight, for chi and rho
+    given as numerators over one scale; the increments are over the same
+    scale.  A step adds the full weight chi*c + rho of each new vertex of
+    degree c, and chi times the latch increment for the latch.  (Hooking,
+    this sums to 2*chi*|E| + rho*(|V|-1); bipolar, where one arc is
+    consumed, to chi*(|E|-1) + rho*(|V|-2).)"""
+    return [
+        chi * b.latch_increment() + sum(chi * c + rho for c in b.new_degrees())
+        for b in bs.blocks
+    ]
 
 
 def balance_check(bs: BlockSet) -> BalanceInfo:
     """Per-block change of total attachment weight, and whether it is the
     same for every block (a balanced model concentrates the total weight
     on a deterministic line, and the limit law then holds in all moments).
-
-    Hooking: the hook fuses, so a step adds chi*deg(hook) for the latch plus
-    the full weight of every other vertex.  Bipolar: both poles fuse and one
-    arc is consumed, so a step adds chi*(|E|-1) + rho*(|V|-2).
     """
-    s: list[Num] = []
-    for b in bs.blocks:
-        if bs.kind == HOOKING:
-            s.append(2 * bs.chi * b.n_edges + bs.rho * (b.n_vertices - 1))
-        else:
-            s.append(bs.chi * (b.n_edges - 1) + bs.rho * (b.n_vertices - 2))
-    return BalanceInfo(s=tuple(s), balanced=all(x == s[0] for x in s))
+    (chi, rho), dw = _clear((bs.chi, bs.rho))
+    s = activity_increments(bs, chi, rho)
+    return BalanceInfo(increments=(s, dw), balanced=all(x == s[0] for x in s))
 
 
 def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
@@ -285,18 +275,7 @@ def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
         lambda1=lam,
         limit=_limit(f, g, dp, ess, lam, chi, rho, dw),
     )
-    prof = DegreeProfile(
-        kind=bs.kind,
-        chi=bs.chi,
-        rho=bs.rho,
-        f=dict(zip(f, _over(f.values(), dp))),
-        g=dict(zip(g, _over(g.values(), dp))),
-        essential=ess,
-        lambda1=Fraction(lam, dw * dp),
-        limit=_over(*pairs.limit),
-        balance=balance_check(bs),
-        pairs=pairs,
-    )
+    prof = DegreeProfile(kind=bs.kind, essential=ess, balance=balance_check(bs), pairs=pairs)
     _assert_profile_invariants(prof)
     return prof
 

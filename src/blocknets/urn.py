@@ -19,13 +19,13 @@ claimed spectrum are integer expressions in them.  Every exact stage (the
 replacement law, A built two ways, the eigen-identities, the spectrum
 certificate, B, and the Lyapunov data M and C with their images T and C~
 in a triangular basis) takes and returns such pairs, so the exact checks
-are integer equalities.  Fractions are built only in the public views:
-the ``UrnModel``'s activities, spectrum and v1, its A and B on first
-access, and the exported functions that return rationals.  The spectrum
-is proved, not computed: one change of basis that mixes only the overflow
-row and column makes A triangular (see ``validate_spectrum``), and the
-same basis makes Sigma's Lyapunov equation solvable by forward
-substitution (see ``covariance``).  M, C, T and C~ reach binary64 as one
+are integer equalities.  The ``UrnModel`` holds the pairs, and Fractions
+are built only on first access to its views (activities, eigenvalues, v1,
+A and B) and by ``replacement_vector`` and ``ReplacementLaw.expected``.
+The spectrum is proved, not computed: one change of basis that mixes
+only the overflow row and column makes A triangular (see
+``validate_spectrum``), and the same basis makes Sigma's Lyapunov
+equation solvable by forward substitution (see ``covariance``).  M, C, T and C~ reach binary64 as one
 int / int division per entry, which Python rounds correctly, exactly as
 ``float(Fraction)`` does.
 Every model is rational: decimal inputs are read as the rationals they
@@ -98,21 +98,34 @@ class ReplacementLaw:
 class UrnModel:
     """Intensity matrix, eigenstructure and limit covariance of the census urn.
 
-    A and B are kept as the (rows of int numerators, scale) pairs that the
-    stages computed; ``A`` and ``B`` are their Fraction views, built on
-    first access."""
+    The activities, the closed-form spectrum (dominant first), v1, A and B
+    are kept as the (numerators, scale) pairs that the stages computed;
+    ``activities``, ``eigenvalues``, ``v1``, ``A`` and ``B`` are their
+    Fraction views, built on first access."""
 
     profile: DegreeProfile
     types: tuple[UrnType, ...]
-    activities: tuple[Num, ...]
+    activities_cleared: Cleared = field(repr=False)
     law: ReplacementLaw
     A_cleared: ClearedMatrix = field(repr=False)
-    eigenvalues: tuple[Num, ...]  # closed form, dominant first
-    v1: tuple[Num, ...]
+    eigenvalues_cleared: Cleared = field(repr=False)
+    v1_cleared: Cleared = field(repr=False)
     B_cleared: ClearedMatrix = field(repr=False)
     Sigma: np.ndarray
     irreducible: bool
     balanced: bool
+
+    @functools.cached_property
+    def activities(self) -> tuple[Num, ...]:
+        return _over(*self.activities_cleared)
+
+    @functools.cached_property
+    def eigenvalues(self) -> tuple[Num, ...]:
+        return _over(*self.eigenvalues_cleared)
+
+    @functools.cached_property
+    def v1(self) -> tuple[Num, ...]:
+        return _over(*self.v1_cleared)
 
     @functools.cached_property
     def A(self) -> tuple[tuple[Num, ...], ...]:
@@ -128,17 +141,7 @@ class UrnModel:
 
     @property
     def lambda1(self) -> Num:
-        return self.eigenvalues[0]
-
-    def A_float(self) -> np.ndarray:
-        rows, d = self.A_cleared
-        return np.array([[x / d for x in row] for row in rows], dtype=np.float64)
-
-    def v1_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.v1])
-
-    def activities_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.activities])
+        return self.profile.lambda1
 
     def sigma_census(self) -> np.ndarray:
         """Covariance restricted to the tracked degree coordinates."""
@@ -226,10 +229,6 @@ def _activities(profile: DegreeProfile) -> Cleared:
     return [x.w(k) for k in profile.essential] + [x.dw], x.dw
 
 
-def activity_vector(profile: DegreeProfile) -> tuple[Num, ...]:
-    return _over(*_activities(profile))
-
-
 def _closed_form(profile: DegreeProfile) -> tuple[list[list], Scale]:
     """Entrywise closed form of the intensity matrix in terms of f, g and w,
     as numerators over the scale dw^2 * dp (the profile's pairs: dw clears
@@ -298,11 +297,6 @@ def _eigenvalues(profile: DegreeProfile) -> Cleared:
     return [x.lambda1] + [x.w(k) * (g0 - x.dp) for k in profile.essential], x.dw * x.dp
 
 
-def eigen_closed_form(profile: DegreeProfile) -> tuple[Num, ...]:
-    """Exact spectrum: the growth rate plus w_k*(g(0)-1) per tracked class."""
-    return _over(*_eigenvalues(profile))
-
-
 def validate_spectrum(A: ClearedMatrix, acts: Cleared, claims: Cleared) -> None:
     """Prove that A's spectrum is the claimed one, exactly.  A, the
     activities and the claimed eigenvalues (dominant first) are each a
@@ -354,11 +348,6 @@ def _right_eigenvector(profile: DegreeProfile) -> Cleared:
     ns, s = x.limit
     tail = x.dw * s - sum(x.w(k) * n for k, n in zip(profile.essential, ns))
     return [n * x.dw for n in ns] + [tail], x.dw * s
-
-
-def right_eigenvector(profile: DegreeProfile) -> tuple[Num, ...]:
-    """Dominant right eigenvector, normalized against the activity vector."""
-    return _over(*_right_eigenvector(profile))
 
 
 def second_moment_matrix(law: ReplacementLaw, acts: Cleared, v1: Cleared) -> ClearedMatrix:
@@ -596,11 +585,11 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     return UrnModel(
         profile=profile,
         types=law.types,
-        activities=_over(*a),
+        activities_cleared=a,
         law=law,
         A_cleared=A,
-        eigenvalues=_over(*eigs),
-        v1=_over(*v),
+        eigenvalues_cleared=eigs,
+        v1_cleared=v,
         B_cleared=B,
         Sigma=sigma,
         irreducible=irreducibility_check(law),

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .growth import census_vector, simulate_batch
+from .growth import DEFAULT_MAX_VERTICES, census_vector, simulate_batch
 from .model_io import BlockSet, format_json
 from .urn import UrnModel, build_urn
 
@@ -143,7 +143,7 @@ def run_replicates(
     seed: int,
     track: Sequence[int],
     jobs: int = 1,
-    max_vertices: int = 10_000_000,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> np.ndarray:
     """R independent census simulations; replicate k uses the stream seeded
     by SeedSequence((seed, k)), so results do not depend on scheduling.
@@ -310,7 +310,7 @@ def verify_model(
     urn: Optional[UrnModel] = None,
     perturb_mean: float = 0.0,
     perturb_cov: float = 1.0,
-    max_vertices: int = 10_000_000,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> VerificationReport:
     """End-to-end verification run.
 

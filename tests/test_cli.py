@@ -12,11 +12,14 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import blocknets
 from blocknets import cli, load_blockset
 from blocknets import verify as verify_mod
 from blocknets.cli import main
+from blocknets.model_io import format_number
 
 from conftest import random_blockset
 
@@ -480,6 +483,38 @@ def test_analyze_builds_no_fraction_matrices(example_paths, monkeypatch, capsys)
         assert doc["urn"][key] == [[blocknets.model_io.format_number(x) for x in row] for row in m]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+@example(2)  # rho = -1/2
+@example(3)  # a zero eigenvalue (g(0) = 1)
+def test_analysis_rationals_are_their_fraction_views(seed):
+    """Every rational of the analysis is written from its integer pair, with
+    no Fraction view built, and reads as ``format_number`` of that view:
+    negative entries (rho, the spectrum's w_k (g(0) - 1), A's diagonal)
+    and zeros included."""
+    urn = blocknets.build_urn(random_blockset(seed))
+    p = urn.profile
+    doc = cli.analyze_dict(urn)
+    assert not {"activities", "eigenvalues", "v1", "A", "B"} & vars(urn).keys()
+    assert not {"chi", "rho", "f", "g", "lambda1", "limit"} & vars(p).keys()
+    assert "s" not in vars(p.balance)
+
+    def vec(xs):
+        return [format_number(x) for x in xs]
+
+    u = doc["urn"]
+    assert (doc["chi"], doc["rho"], doc["lambda1"]) == tuple(vec((p.chi, p.rho, p.lambda1)))
+    assert doc["f"] == {str(k): format_number(x) for k, x in p.f.items()}
+    assert doc["g"] == {str(k): format_number(x) for k, x in p.g.items()}
+    assert doc["limit_vector"] == vec(p.limit)
+    assert doc["balance"]["s"] == vec(p.balance.s)
+    assert (u["activities"], u["eigenvalues"], u["v1"]) == tuple(
+        map(vec, (urn.activities, urn.eigenvalues, urn.v1))
+    )
+    assert u["intensity_matrix"] == [vec(row) for row in urn.A]
+    assert u["second_moment"] == [vec(row) for row in urn.B]
+
+
 def test_main_reuses_one_parser(example_paths, tmp_path, capsys, monkeypatch):
     """Calls in one process share the parser but not their arguments, and
     a replaced command function takes effect."""
@@ -518,6 +553,23 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    """Every exported name resolves, and the Fraction re-derivations of
+    values that ``build_profile`` and ``build_urn`` hold are gone."""
+    from blocknets import profile, urn
+
+    assert all(getattr(blocknets, name, None) is not None for name in blocknets.__all__)
+    gone = {
+        blocknets: ("degree_profile", "lambda1", "limit_vector", "eigen_closed_form",
+                    "right_eigenvector", "activity_vector"),
+        profile: ("degree_profile", "lambda1", "limit_vector", "_split"),
+        urn: ("activity_vector", "eigen_closed_form", "right_eigenvector"),
+        profile.DegreeProfile: ("g0",),
+        urn.UrnModel: ("A_float", "v1_float", "activities_float"),
+    }
+    assert not [(owner, n) for owner, names in gone.items() for n in names if hasattr(owner, n)]
 
 
 def _load_benchmark_tracing():

@@ -88,6 +88,10 @@ def test_unknown_vertex_raises(fig1):
         (lambda d: d.__setitem__("chi", -1), "param-domain"),
         (lambda d: d.__setitem__("rho", 0), "param-domain"),  # chi=0 needs rho>0
         (lambda d: d.__setitem__("r", 0), "param-domain"),
+        # bool is an int subclass, but true is not 1 here
+        (lambda d: d.__setitem__("r", True), "schema"),
+        (lambda d: d.__setitem__("initial_block", True), "param-domain"),
+        (lambda d: d.__setitem__("initial_block", False), "param-domain"),
         (lambda d: d["blocks"][0].pop("hook"), "schema"),
         (lambda d: d.__setitem__("kind", "stellar"), "schema"),
     ],
@@ -98,6 +102,29 @@ def test_validation_rules(k2, mutate, rule):
     with pytest.raises(BlockSetError) as err:
         blockset_from_dict(doc)
     assert err.value.rule == rule
+
+
+@pytest.mark.parametrize(
+    "kind, ends", [("hooking", {"hook": 0}), ("bipolar", {"north": 0, "south": 2})]
+)
+def test_integer_hook_and_pole_ids_are_vertex_ids(kind, ends):
+    """Hook and pole ids are read like the vertex ids they name: an integer
+    id is its decimal string, and None stays None."""
+
+    def doc(ident):
+        block = {
+            "name": "B",
+            "probability": 1,
+            "vertices": [ident(v) for v in (0, 1, 2)],
+            "edges": [[ident(0), ident(1)], [ident(1), ident(2)]],
+        }
+        return {"kind": kind, "r": 1, "blocks": [{**block, **{k: ident(v) for k, v in ends.items()}}]}
+
+    bs = blockset_from_dict(doc(int))
+    assert bs == blockset_from_dict(doc(str))
+    b = bs.blocks[0]
+    assert (b.hook, b.north, b.south) == (("0", None, None) if kind == "hooking" else (None, "0", "2"))
+    assert parse_blockset(bs.to_json()) == bs
 
 
 def test_disconnected_block_rejected():

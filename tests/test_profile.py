@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -12,30 +13,30 @@ from blocknets import (
     BlockSetError,
     build_profile,
     build_urn,
-    degree_profile,
     essential_degrees,
-    lambda1,
-    limit_vector,
 )
-from blocknets.model_io import blockset_from_dict
+from blocknets.model_io import BIPOLAR, HOOKING, blockset_from_dict
 
 from conftest import brute_force_essential, random_blockset
 
 
 def test_fig1_f_and_g(fig1):
-    f, g = degree_profile(fig1)
+    p = build_profile(fig1)
+    f, g = p.f, p.g
     assert f == {1: F(2), 3: F(5, 3)}
     assert g == {2: F(1, 3), 4: F(2, 3)}
 
 
 def test_fig3_f_and_g(fig3):
-    f, g = degree_profile(fig3)
+    p = build_profile(fig3)
+    f, g = p.f, p.g
     assert f == {1: F(1), 2: F(1), 3: F(1, 2)}
     assert g == {0: F(1, 2), 1: F(1, 2)}
 
 
 def test_k2_f_and_g(k2):
-    f, g = degree_profile(k2)
+    p = build_profile(k2)
+    f, g = p.f, p.g
     assert f == {1: F(1)} and g == {1: F(1)}
 
 
@@ -55,8 +56,7 @@ def test_lambda1_goldens(fig1, fig3):
 
 @pytest.mark.parametrize("chi,rho", [(F(0), F(1)), (F(1), F(0)), (F(1), F(2)), (F(2), F(3))])
 def test_k2_lambda1_is_w2(k2, chi, rho):
-    f, g = degree_profile(k2)
-    lam = lambda1(f, g, chi, rho)
+    lam = build_profile(dataclasses.replace(k2, chi=chi, rho=rho)).lambda1
     assert lam == chi + rho + chi  # w_1 + chi = w_2
 
 
@@ -71,10 +71,8 @@ def test_k2_uniform_limit_is_geometric(k2):
 
 
 def test_k2_preferential_limit_formula(k2):
-    f, g = degree_profile(k2)
-    ess = essential_degrees(k2, 8)
-    lam = lambda1(f, g, F(1), F(0))
-    nu = limit_vector(f, g, ess, lam, F(1), F(0))
+    p = build_profile(dataclasses.replace(k2, chi=F(1), rho=F(0)), r=8)
+    lam, nu = p.lambda1, p.limit
     for i, x in enumerate(nu, start=1):
         assert lam * x == F(4, i * (i + 1) * (i + 2))
 
@@ -120,7 +118,8 @@ def test_chi_zero_equal_vertex_counts_is_balanced():
 
 
 def test_mean_activity_increment_equals_lambda1(fig1, fig3):
-    for bs in (fig1, fig3):
+    randoms = [random_blockset(s, kind=kind) for s in range(20) for kind in (HOOKING, BIPOLAR)]
+    for bs in (fig1, fig3, *randoms):
         p = build_profile(bs)
         assert sum(b.probability * s for b, s in zip(bs.blocks, p.balance.s)) == p.lambda1
 

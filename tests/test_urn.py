@@ -15,7 +15,6 @@ from blocknets import (
     STAR,
     build_profile,
     build_urn,
-    eigen_closed_form,
     replacement_vector,
 )
 from blocknets import urn as urn_module
@@ -25,7 +24,6 @@ from blocknets.profile import _clear, _over
 from blocknets.urn import (
     LYAPUNOV_RESIDUAL_TOL,
     _over_matrix,
-    activity_vector,
     build_replacement_law,
     covariance,
     intensity_matrix,
@@ -128,8 +126,8 @@ def test_degenerate_all_unit_sources_spectrum(tmp_path):
     doc = UNIT_SOURCE
     bs = blockset_from_dict(doc)
     p = build_profile(bs, r=1)
-    assert eigen_closed_form(p) == (F(3), F(0))
     urn = build_urn(bs, p)  # overflow type still reachable because deg 3 > k_1
+    assert urn.eigenvalues == (F(3), F(0))
     assert urn.irreducible
 
     # fully tracked closure: nothing ever feeds the overflow type, so the urn
@@ -236,7 +234,7 @@ def test_stages_return_int_numerators_over_a_scale(urn1, urn3):
     one int scale; the urn's Fraction A and B are those values."""
     for urn in (urn1, urn3):
         p, law = urn.profile, urn.law
-        acts, v1 = _clear(activity_vector(p)), _clear(urn.v1)
+        acts, v1 = _clear(urn.activities), _clear(urn.v1)
         for (rows, d), want in (
             (intensity_matrix(p, law, acts), urn.A),
             (second_moment_matrix(law, acts, v1), urn.B),
@@ -327,7 +325,7 @@ def test_activity_marginal_of_sigma(fig1, fig3, k2):
     for bs, r in ((fig1, None), (fig3, None), (k2, 4)):
         p = build_profile(bs, r)
         urn = build_urn(bs, p)
-        af = urn.activities_float()
+        af = np.array(urn.activities, dtype=float)
         probs = np.array([float(b.probability) for b in bs.blocks])
         s = np.array([float(x) for x in p.balance.s])
         var_s = float(probs @ s**2 - (probs @ s) ** 2)
@@ -340,7 +338,7 @@ def test_growth_direction_projector(urn1, urn3):
     """P = I - v1 a' projects off the growth direction: idempotent, kills v1,
     and is annihilated by the activity vector on the left."""
     for urn in (urn1, urn3):
-        af, v1f = urn.activities_float(), urn.v1_float()
+        af, v1f = np.array(urn.activities, dtype=float), np.array(urn.v1, dtype=float)
         P = np.eye(len(af)) - np.outer(v1f, af)
         assert np.max(np.abs(P @ P - P)) < 1e-10
         assert np.max(np.abs(P @ v1f)) < 1e-12
@@ -448,7 +446,7 @@ def test_random_models_structural_invariants(seed):
     assert np.linalg.eigvalsh(urn.Sigma).min() >= -1e-9
     assert sigma_relative_error(urn.Sigma, sigma_exact(urn)) < SIGMA_EXACT_TOL
     # irreducible iff the off-diagonal support of A is strongly connected
-    support = (urn.A_float() > 0) | np.eye(q, dtype=bool)
+    support = (np.array(urn.A, dtype=float) > 0) | np.eye(q, dtype=bool)
     reach = np.linalg.matrix_power(support.astype(np.int64), q - 1) > 0
     assert urn.irreducible == bool(reach.all())
 
