@@ -14,30 +14,37 @@ verification.  Two kernels advance it:
   degrees-by-replicates array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Everything that does not depend on the census (the
   running total activity, the new vertices, the master degree and the
-  maximum degree) is computed once per row block.  Only the scan of the
-  low degree classes and the latch move run per step; the latches that
-  lie past them, a tenth of the steps on fig1, are resolved after the row
-  block, in a few rounds that each serve every replicate at once.
+  maximum degree) is computed once per row block.  Per step it only
+  advances each replicate's partial sums over the low degree classes:
+  one compare, one matrix-vector product and one gather-add from the
+  model's step table.  The latches that lie past those classes, a tenth
+  of the steps on fig1, are resolved after the row block, in a few rounds
+  that each serve every replicate at once.
 
 Both kernels, ``block_choice`` and graph mode's replay read one model
 table, ``tab``, which ``growth._build_tables`` builds once per
 ``simulate`` or ``simulate_batch`` call.  It holds each per-block fact
 once: the latch increment, the scaled activity increment, the new-vertex
-count and degrees, and for the lock-step kernel the same new vertices as
-counts of their distinct degrees.  The scalar loop reads lists; numpy
-arrays serve only numpy code that indexes them by block choices.
+count and degrees; for the lock-step kernel also the same new vertices as
+counts of their distinct degrees, and the step table, the change that
+each block, latching at each low degree class, makes to the partial sums
+of those classes.  The scalar loop reads lists; numpy arrays serve only
+numpy code that indexes them by block choices.
 
 Both kernels take the block choices precomputed by ``block_choice``
-(one ``searchsorted`` per row block), which is also how the initial
+(one compare per block and row block), which is also how the initial
 block is drawn; the class scan is the only choice they make.  Both weigh
 degree k by the integer ``S * (chi * k + rho)``, where S is the least
 common denominator of chi and rho, so every weight, partial sum and
 total is an exact integer, and in binary64 too while the scaled total
 stays below ``ACTIVITY_LIMIT``.  Exact integers add to the same sum in
-any order, so the batched scan is free to add its columns in whatever
-order is fastest; both kernels compare the same binary64 target
+any order, so the batched kernel is free to build its partial sums in
+whatever order is fastest; both kernels compare the same binary64 target
 ``u0 * (S * total)`` with the same partial sums and yield bit-identical
-states.
+states.  The scalar loop picks the first class whose partial sum exceeds
+the target; every weight is positive (chi >= 0 and chi + rho > 0), so
+the sums never decrease and the lock-step kernel picks the same class as
+the count of sums at most the target.
 
 Step layout of the pre-drawn uniforms (one row per step):
 
@@ -55,16 +62,13 @@ from __future__ import annotations
 
 import numpy as np
 
-# Columns of the class scan that census_batch computes for every
+# Degree classes whose partial sums census_batch keeps for every
 # replicate; most latches sit in the low degree classes.
+# growth._build_tables reads it when it builds the step table.
 SCAN_PREFIX = 16
-# Multiply-adds of one prefix product: OpenBLAS runs a gemm of up to 4 *
-# 2**16 on one thread, so each pool worker keeps to its own core.
-SERIAL_GEMM = 2**17
-# Bound on the scaled total activity S * total.  The lock-step scan adds
-# signed terms whose positive part is at most twice the total (see
-# census_batch), so below 2**52 every partial sum is an exact binary64
-# integer.
+# Bound on the scaled total activity S * total.  Every partial sum the
+# kernels form lies between 0 and the total, and every change made to one
+# is an integer, so below 2**52 each is an exact binary64 integer.
 ACTIVITY_LIMIT = 2**52
 
 
@@ -141,8 +145,13 @@ def census_chunk(counts, state, tab, u0, b_in, cls_out):
 def block_choice(tab, ub):
     """The block index for each uniform in ``ub``: the first i with
     ``ub < p_0 + ... + p_i`` (``tab.cum_p``, summed by ``np.cumsum`` in
-    the kernels' order), else the last block."""
-    return np.minimum(np.searchsorted(tab.cum_p, ub, side="right"), len(tab.cum_p) - 1)
+    the kernels' order), else the last block.  The sums never decrease, so
+    that is the count of sums before the last that are <= ``ub``, one
+    compare per block on the whole array."""
+    choice = np.zeros(np.shape(ub), dtype=np.int64)
+    for p in tab.cum_p[:-1].tolist():
+        choice += ub >= p
+    return choice
 
 
 def census_batch(counts, state_i, state_f, tab, u, b):
@@ -158,53 +167,52 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     total.  ``state_i`` and ``state_f`` are updated in place; the counts
     are returned in a new array.  Nothing is recorded.
 
-    The census is held degree-major as float64, ``work[row, r]``, so a
-    column of the scan is one contiguous row.  Its rows are, in order:
+    The step loop scans only the prefix, degrees 1..P, where P is the
+    width of the table's ``prefix_step`` (``SCAN_PREFIX`` when it was
+    built).  Each replicate's P partial sums, followed by an ``inf``
+    sentinel that no target reaches, are one row of ``sums``.  A step's
+    class index k is the count of sums <= its target: the latch at degree
+    k + 1, or past the prefix when k = P.  Every weight is positive, since
+    chi >= 0 and chi + rho > 0, so the sums never decrease, and the count
+    of sums <= the target is the index of the first sum > the target, the
+    class the scalar loop's strict ``<`` picks.  With the block choice i
+    of the model's m blocks, the step reads row k * m + i of
+    ``prefix_step``, the exact change that this latch and the block's new
+    vertices make to the sums, and adds it.  Every sum is an integer below
+    ``ACTIVITY_LIMIT`` at every step and every change an integer, so each
+    comparison and each addition is exact in binary64, and the partial
+    sums are those of the scalar loop.
 
-    * junk rows 0..dmax, where the step loop moves a deferred latch (see
-      below); nothing reads them;
-    * one pending row per distinct new-vertex degree c <= SCAN_PREFIX,
-      holding the vertices of degree c that the row block's earlier steps
-      added.  ``pending`` holds this cumulative term for every new-vertex
-      degree, computed once per row block and folded into the counts at
-      its end;
-    * trash rows 0..dmax: the master's class is the first, so its move is
-      the same -1/+1 as any latch's, and the master degree is read off
-      these rows at the end of the row block;
-    * the degrees 0, 1, 2, ... from row ``base`` on.
+    Everything past the prefix is held degree-major as float64,
+    ``work[row, r]``: the trash rows 0..dmax, where the master's class is
+    the first, so its move is the same -1/+1 as any latch's and its degree
+    is read off these rows at the end; then the degrees 0, 1, 2, ... from
+    row ``base`` on.  The step loop does not touch it.  After the loop,
+    the prefix hits that moved a latch past the prefix are added to its
+    degree rows, and each degree k <= P takes the count
+    (sum_k - sum_{k-1}) / weight_k from the final sums.
 
-    The step loop scans only the prefix.  Its SCAN_PREFIX partial sums are
-    one ``matmul`` of a lower-triangular weight matrix with the pending,
-    trash and degree rows up to SCAN_PREFIX (a pending row weighs like its
-    degree, a trash row nothing), followed by a row of ``inf`` that every
-    target is below.  A latch may leave a degree row at -1 while its
-    vertex still sits in a pending row, so these sums add signed terms;
-    every term and partial sum is an integer of magnitude at most twice
-    the scaled total, and exact.  A replicate whose target is not below
-    the last prefix sum reaches the ``inf`` row: the loop keeps that sum
-    (``last``) and moves the latch in the junk rows, which marks the step
-    as deferred.
-
-    After the loop, the deferred latches are resolved in rounds.  Round m
-    takes every replicate's m-th deferred step, in lock step over the
-    replicates.  It continues the scan past the prefix from the kept sum
-    and latches to the master if the target is not below the last sum
-    either.  It scans in blocks of SCAN_PREFIX degrees: one ``matmul``
-    gives each block's weighted sum, and only the first block whose end
-    passes the target is scanned row by row.  This is exact:
+    The steps that reached the sentinel are deferred: their latches are
+    resolved after the loop, in rounds.  Round t takes every replicate's
+    t-th deferred step, in lock step over the replicates.  It continues the
+    scan past the prefix from the last prefix sum at its step (``last``,
+    the sum before the row block plus the changes of the earlier steps) and
+    latches to the master if the target is not below the last sum either.
+    It scans in blocks of P degrees: one ``matmul`` gives each block's
+    weighted sum, and only the first block whose end passes the target is
+    scanned row by row.  This is exact:
 
     * a deferred latch moves only degree rows past the prefix, or trash
-      rows, and the prefix scan reads neither, so every prefix outcome of
+      rows, and the prefix sums count neither, so every prefix outcome of
       the loop stands;
     * a round sees the degrees past the prefix as they stood at its step.
-      The rows hold the row block's start, every addition the step loop
-      made past the prefix, and the replicate's earlier deferred latches,
-      applied by the earlier rounds.  The round takes away the additions
-      made at its step or after: prefix hits that moved a latch past the
-      prefix, kept as a per-step cumulative table (``later``).  New
-      vertices of a degree past the prefix join the rows only at the end
-      of the row block, so the round adds those from the steps before its
-      own (``pending``);
+      The rows hold the row block's start, every prefix hit of the row
+      block that left the prefix, and the replicate's earlier deferred
+      latches, applied by the earlier rounds.  The round takes away the
+      prefix hits made at its step or after, kept as a per-step cumulative
+      table (``later``).  New vertices of a degree past the prefix join the
+      rows only at the end of the row block, so the round adds those from
+      the steps before its own (``pending``);
     * so every term past the prefix is a count times a weight, a
       non-negative integer, and every sum, in whatever order ``matmul``
       adds it, an integer below ``ACTIVITY_LIMIT``.  The partial sums
@@ -212,6 +220,9 @@ def census_batch(counts, state_i, state_f, tab, u, b):
       target holds the first degree that does.
     """
     R, L = u.shape[0], u.shape[1]
+    step = tab.prefix_step
+    P = step.shape[1] - 1
+    blocks = len(tab.block_d)
     # Total activity before each step, and each step's class target.
     totals = np.empty((R, L + 1))
     totals[:, 0] = state_f
@@ -221,77 +232,79 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     np.multiply(u[:, :, 0].T, totals[:, :L].T, out=target)
     state_f[:] = totals[:, L]
     del totals
-    # Each step's block choice, then its latch move d * R, and once the
-    # step is taken, the flat index of the row its latch moved to.
+    # Each step's block choice, and once the step is taken, its row
+    # k * m + b of the step table.
     moved = b.T.copy()
 
-    # New vertices of each block as counts of its distinct degrees
-    # (``tab.inc``), cumulated over the row block's steps: the low ones are
-    # copied into the pending rows per step, the rest are read by the rounds.
-    cols, inc = tab.degrees, tab.inc
-    nlow = int((cols <= SCAN_PREFIX).sum())
-    pending = np.zeros((len(cols), L + 1, R), dtype=np.min_scalar_type(L * int(inc.max(initial=0))))
-    np.cumsum(np.take(inc.astype(pending.dtype), moved, axis=1), axis=1, out=pending[:, 1:])
-    high = cols[nlow:]
-    np.take(tab.d_a, moved, out=moved)
-    moved *= R
+    # New vertices of a degree past the prefix, as counts of their distinct
+    # degrees (``tab.inc``) cumulated over the row block's steps: the rounds
+    # read them, and they are folded into the counts at the end.  Every new
+    # vertex has a degree of at least 1, so the rest are in the step table.
+    past = tab.degrees > P
+    high = tab.degrees[past]
+    if len(high):
+        inc = tab.inc[past]
+        pending = np.zeros((len(high), L + 1, R), dtype=np.min_scalar_type(L * int(inc.max())))
+        np.cumsum(np.take(inc.astype(pending.dtype), moved, axis=1), axis=1, out=pending[:, 1:])
 
     dmax = max(tab.block_d)
-    pend = dmax + 1  # first pending row, after the junk rows
-    trash = pend + nlow  # the master's class row
-    base = trash + dmax + 1  # row of degree 0
+    base = dmax + 1  # row of degree 0, after the trash rows
     # No class lies above width.  It covers every degree a prefix hit or a
     # new vertex can reach, and at least one past the prefix.
-    width = max(int(state_i[:, 0].max()), tab.new_max, SCAN_PREFIX + dmax + 1)
-    # The rounds read whole blocks of SCAN_PREFIX degrees, up to width.
-    D = base + max(counts.shape[1], width + SCAN_PREFIX)
+    width = max(int(state_i[:, 0].max()), tab.new_max, P + dmax + 1)
+    # The rounds read whole blocks of P degrees, up to width.
+    D = base + max(counts.shape[1], width + P)
     work = np.zeros((D, R))
     work[base : base + counts.shape[1]] = counts.T
     flat = work.reshape(-1)
     weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s  # by degree
 
-    # Prefix sums of degrees 1..SCAN_PREFIX, then the sentinel.
-    W = base + SCAN_PREFIX + 1  # row of the first degree past the prefix
-    tri = np.zeros((SCAN_PREFIX, W - pend))
-    tri[:, base + 1 - pend :] = np.tril(np.ones((SCAN_PREFIX, SCAN_PREFIX))) * weight[1 : SCAN_PREFIX + 1]
-    tri[:, :nlow] = tri[:, base - pend + cols[:nlow]]
-    cum = np.empty((SCAN_PREFIX + 1, R))
-    cum[SCAN_PREFIX] = np.inf
-    prefix = cum[:SCAN_PREFIX]
-    span = max(1, SERIAL_GEMM // tri.size)  # replicates per product
-    spans = [slice(s, s + span) for s in range(0, R, span)]
-    products = [(work[pend:W, s], prefix[:, s]) for s in spans]
-    # Flat index of each prefix hit's row in replicate 0; the sentinel's
-    # is the first junk row.
-    hit_row = np.append(np.arange(base + 1, W), 0) * R
-    reps = np.arange(R)
-    last = np.empty((L, R))  # each step's last prefix sum
+    W = base + P + 1  # row of the first degree past the prefix
+    sums = np.empty((R, P + 1))
+    np.cumsum(work[base + 1 : W].T * weight[1 : P + 1], axis=1, out=sums[:, :P])
+    sums[:, P] = np.inf
+    first = sums[:, P - 1].copy()  # the last prefix sum before the row block
+    below = np.empty((R, P + 1))
+    k = np.empty(R)
+    by_m = np.full(P + 1, float(blocks))
+    tcol = target[:, :, None]
 
     for j in range(L):
-        work[pend:trash] = pending[:nlow, j]
-        for win, out in products:
-            np.matmul(tri, win, out=out)
-        last[j] = prefix[-1]
-        at = hit_row[(target[j] < cum).argmax(axis=0)]
-        at += reps
-        flat[at] -= 1.0
-        moved[j] += at
-        flat[moved[j]] += 1.0
+        np.less_equal(sums, tcol[j], out=below)
+        np.matmul(below, by_m, out=k)
+        row = moved[j]
+        np.add(row, k, out=row, casting="unsafe")
+        sums += step[row]
 
-    # The deferred steps, whose latch moved in the junk rows, as flat
-    # indices j * R + r in step order.
-    deferred = np.flatnonzero(moved < pend * R)
+    # The census of the prefix, exact: each difference of exact integer sums
+    # is a count times its weight.
+    work[base + 1 : W] = (np.diff(sums[:, :P], axis=1, prepend=0.0) / weight[1 : P + 1]).T
+    # Prefix hits that moved a latch to degree P + 1 + g, g >= 0.
+    exit_to = np.full((P + 1, blocks), -1)
+    exit_to[:P] = np.arange(P)[:, None] + tab.d_a - P
+    exit_to = exit_to.reshape(-1)
+    up = np.flatnonzero((exit_to >= 0)[moved])
+    if len(up):
+        j, r = np.divmod(up, R)
+        g = exit_to[moved.flat[up]]
+        np.add.at(work, (W + g, r), 1.0)
+
+    # The deferred steps as flat indices j * R + r in step order.
+    deferred = np.flatnonzero(moved >= P * blocks)
     if len(deferred):
         # later[g, j, r]: the prefix hits of replicate r that moved its latch
-        # to degree SCAN_PREFIX + 1 + g at step j or after.
-        up = np.flatnonzero(moved >= W * R)
+        # to degree P + 1 + g at step j or after.
         later = None
         if len(up):
             later = np.zeros((dmax, L, R), dtype=np.min_scalar_type(L))
-            j, r = np.divmod(up, R)
-            later[moved.flat[up] // R - W, j, r] = 1
+            later[g, j, r] = 1
             np.cumsum(later[:, ::-1], axis=1, out=later[:, ::-1])
-        # Round m takes each replicate's m-th deferred step.
+        # The last prefix sum before each step.
+        last = np.empty((L, R))
+        last[0] = first
+        np.take(step[:, P - 1], moved[:-1], out=last[1:])
+        np.cumsum(last, axis=0, out=last)
+        # Round t takes each replicate's t-th deferred step.
         j, r = np.divmod(deferred, R)
         order = np.argsort(r, kind="stable")
         nth = np.arange(len(order)) - np.searchsorted(r[order], r[order])
@@ -302,22 +315,22 @@ def census_batch(counts, state_i, state_f, tab, u, b):
         # vertices past the prefix from before it.
         tj, kept, move = target[j, r], last[j, r], tab.d_a[b[r, j]] * R
         gone = None if later is None else later[:, j, r]
-        born = pending[nlow:, j, r]
-        del target, last, moved, later  # the rounds read none of the step tables
+        born = pending[:, j, r] if len(high) else None
+        del target, tcol, last, moved, later  # the rounds read none of the step tables
         sizes = np.bincount(nth)
         ends = np.cumsum(sizes)
         for lo, hi in zip(ends - sizes, ends):
             m, rm = slice(lo, hi), r[lo:hi]
             # The counts past the prefix at each one's step, in nb blocks of
-            # SCAN_PREFIX degrees (rows past width are zero).
-            nb = -(-(width - SCAN_PREFIX) // SCAN_PREFIX)
-            seg = work[W : W + nb * SCAN_PREFIX, rm]
+            # P degrees (rows past width are zero).
+            nb = -(-(width - P) // P)
+            seg = work[W : W + nb * P, rm]
             if gone is not None:
                 seg[:dmax] -= gone[:, m]
             if len(high):
-                seg[high - SCAN_PREFIX - 1] += born[:, m]
-            seg = seg.reshape(nb, SCAN_PREFIX, -1)
-            wb = weight[SCAN_PREFIX + 1 : SCAN_PREFIX + 1 + nb * SCAN_PREFIX].reshape(nb, 1, -1)
+                seg[high - P - 1] += born[:, m]
+            seg = seg.reshape(nb, P, -1)
+            wb = weight[P + 1 : P + 1 + nb * P].reshape(nb, 1, -1)
             # Partial sums at each block's start and at the last one's end,
             # then the first block that passes the target, scanned row by row.
             sums = np.empty((nb + 1, hi - lo))
@@ -329,14 +342,15 @@ def census_batch(counts, state_i, state_f, tab, u, b):
             inner = seg[i, :, col] * wb[i, 0]
             inner[:, 0] += sums[i, col]
             hit = tj[m, None] < np.cumsum(inner, axis=1, out=inner)
-            at = np.where(hit[:, -1], W + i * SCAN_PREFIX + hit.argmax(axis=1), trash) * R + rm
+            # the degree row of the hit, or the master's class row, 0
+            at = np.where(hit[:, -1], W + i * P + hit.argmax(axis=1), 0) * R + rm
             flat[at] -= 1.0
             at += move[m]
             top = int(at.max()) // R - base
             if top > width:
                 width = top
-                if base + width + SCAN_PREFIX > D:
-                    grown = np.zeros((max(base + width + SCAN_PREFIX, 2 * D - base), R))
+                if base + width + P > D:
+                    grown = np.zeros((max(base + width + P, 2 * D - base), R))
                     grown[:D] = work
                     work, D = grown, grown.shape[0]
                     flat = work.reshape(-1)
@@ -344,8 +358,9 @@ def census_batch(counts, state_i, state_f, tab, u, b):
             flat[at] += 1.0
 
     # Bookkeeping that the scan does not read, for the whole row block.
-    work[base + cols] += pending[:, L]
-    state_i[:, 1] += (np.arange(dmax + 1) @ work[trash:base]).astype(np.int64)
+    if len(high):
+        work[base + high] += pending[:, L]
+    state_i[:, 1] += (np.arange(dmax + 1) @ work[:base]).astype(np.int64)
     census = np.ascontiguousarray(work[base:].T, dtype=np.int64)
     occupied = census[:, ::-1] != 0  # the highest degree first
     top = np.where(occupied.any(axis=1), census.shape[1] - 1 - occupied.argmax(axis=1), 0)

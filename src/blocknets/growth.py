@@ -23,8 +23,10 @@ few numpy operations on whole columns (``_record_rows``), in either mode.
 Both rules of growth change the census through three facts of each block:
 the latch's degree increment, the degrees of its new vertices and its
 activity increment.  ``_build_tables`` puts them, with the block
-probabilities and the replay's edge codes, in one ``_Tables`` per
-``simulate`` or ``simulate_batch`` call, which every kernel reads.
+probabilities, the replay's edge codes and the lock-step kernel's step
+table (what each block changes in the partial sums of the low degree
+classes), in one ``_Tables`` per ``simulate`` or ``simulate_batch`` call,
+which every kernel reads.
 
 The graph store is flat.  Vertex ids are 0..n-1 in creation order, and a
 vertex's tracked degree, its position in its degree class and (bipolar)
@@ -106,6 +108,11 @@ class _Tables:
     # the lock-step kernel's new vertices: inc[i, b] of degree degrees[i]
     degrees: np.ndarray  # int64, distinct new-vertex degrees, ascending
     inc: np.ndarray  # int64 (len(degrees), m)
+    # float64 ((P + 1) * m, P + 1), P = SCAN_PREFIX: row k * m + i is the
+    # change that block i, latching at degree k + 1 (k = P: past the
+    # prefix), makes to the partial sums of degrees 1..P, then a 0 for the
+    # kernel's sentinel
+    prefix_step: np.ndarray
     # Edge endpoints of the replay, coded 0 for the latch (hook or north
     # pole), 1 for the head of the replaced arc (south pole) and 2 + j for
     # the block's j-th new vertex.  bipolar: block -> (heads of the north
@@ -157,9 +164,31 @@ def _build_tables(bs: BlockSet) -> _Tables:
         s_a=np.array([min(x, _kernels.ACTIVITY_LIMIT) for x in block_s], dtype=np.float64),
         degrees=np.array(degrees, dtype=np.int64),
         inc=inc.reshape(len(degrees), len(d)),
+        prefix_step=_prefix_step(d, degrees, inc, chi_s, rho_s),
         heads=heads,
         ends=ends,
     )
+
+
+def _prefix_step(d: list, degrees: list, inc: np.ndarray, chi_s: int, rho_s: int) -> np.ndarray:
+    """The lock-step kernel's step table over P = ``_kernels.SCAN_PREFIX``
+    degrees (see ``_Tables.prefix_step``), for the latch increments ``d``
+    and the new vertices ``inc[j, i]`` of degree ``degrees[j]``."""
+    m, P = len(d), _kernels.SCAN_PREFIX
+    # moves[k, i, c]: the change in the count of degree c (P + 1: any past
+    # the prefix) when block i latches at degree k + 1 (k = P: past it)
+    moves = np.zeros((P + 1, m, P + 2))
+    for c, new in zip(degrees, inc):
+        moves[:, :, min(c, P + 1)] += new
+    k, i = np.arange(P)[:, None], np.arange(m)
+    moves[k, i, k + 1] -= 1
+    moves[k, i, np.minimum(k + 1 + np.array(d), P + 1)] += 1
+    # clamped: a run reaching a weight past ACTIVITY_LIMIT is refused, and
+    # a huge S must not overflow the conversion
+    w = [min(chi_s * c + rho_s, _kernels.ACTIVITY_LIMIT) for c in range(1, P + 1)]
+    step = np.zeros(((P + 1) * m, P + 1))
+    np.cumsum(moves[:, :, 1:-1] * w, axis=2, out=step.reshape(P + 1, m, P + 1)[:, :, :P])
+    return step
 
 
 def _check_activity_limit(t: _Tables, activity: int, n: int) -> None:

@@ -332,6 +332,14 @@ def validate_blockset(bs: BlockSet) -> BlockSet:
     return bs
 
 
+def _listed(value, field: str) -> Sequence:
+    """``value`` if it is a list; a string, which would iterate one
+    character per item, is not."""
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise BlockSetError("schema", f"{field} must be a list, got {value!r}")
+    return value
+
+
 def blockset_from_dict(doc: Mapping) -> BlockSet:
     """Build and validate a BlockSet from a parsed JSON document."""
     if not isinstance(doc, Mapping):
@@ -348,16 +356,15 @@ def blockset_from_dict(doc: Mapping) -> BlockSet:
     rho = parse_number(doc.get("rho", 1))
 
     blocks = []
-    if not isinstance(blocks_doc, Sequence) or isinstance(blocks_doc, (str, bytes)):
-        raise BlockSetError("schema", "'blocks' must be a list")
-    for i, bdoc in enumerate(blocks_doc):
+    for i, bdoc in enumerate(_listed(blocks_doc, "'blocks'")):
         if not isinstance(bdoc, Mapping):
             raise BlockSetError("schema", f"block {i} must be an object, got {bdoc!r}")
         name = bdoc.get("name", f"block{i}")
         try:
             prob = parse_number(bdoc["probability"])
-            vertices = tuple(str(v) for v in bdoc["vertices"])
-            edges = tuple((str(a), str(b)) for a, b in bdoc["edges"])
+            vertices = tuple(str(v) for v in _listed(bdoc["vertices"], "'vertices'"))
+            pairs = [_listed(e, f"edge {j}") for j, e in enumerate(_listed(bdoc["edges"], "'edges'"))]
+            edges = tuple((str(a), str(b)) for a, b in pairs)
             # hook and poles name vertices, so they are read as vertex ids
             hook, north, south = (
                 None if bdoc.get(k) is None else str(bdoc[k]) for k in ("hook", "north", "south")

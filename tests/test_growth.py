@@ -529,13 +529,62 @@ def test_batch_matches_scalar(name, n, fig1, fig3, k2):
 @pytest.mark.parametrize("name", ["fig1", "fig3", "fig1-fractional"])
 def test_batch_matches_scalar_past_a_short_prefix(name, monkeypatch, fig1, fig3, k2):
     """With a 2-column prefix most latches are deferred past it to the
-    rounds, which read the new vertices of degree 3 from the pending table
-    instead of the pending rows."""
+    rounds, which read the new vertices of degree 3 from the pending table,
+    while the step table adds those of degrees 1 and 2 to the prefix sums."""
     monkeypatch.setattr(_kernels, "SCAN_PREFIX", 2)
     bs = _batch_models(fig1, fig3, k2)[name]
     seeds = [np.random.SeedSequence((37, k)) for k in range(4)]
     for seed, b in zip(seeds, simulate_batch(bs, BATCH_ROWS + 44, seeds)):
         _assert_same_state(simulate(bs, BATCH_ROWS + 44, seed=seed), b)
+
+
+@pytest.mark.parametrize("name", ["k2", "fig3", "fig1"])
+def test_batch_matches_scalar_inside_a_wide_prefix(name, monkeypatch, fig1, fig3, k2):
+    """With a prefix wider than every degree the run reaches, every latch
+    of a tracked class is taken in the step loop; only the master's picks
+    reach the rounds, whose scan past the prefix finds no vertex."""
+    prefix = 64
+    monkeypatch.setattr(_kernels, "SCAN_PREFIX", prefix)
+    bs = _batch_models(fig1, fig3, k2)[name]
+    seeds = [np.random.SeedSequence((41, k)) for k in range(4)]
+    batch = simulate_batch(bs, BATCH_ROWS + 44, seeds)
+    assert max(b.max_deg for b in batch) < prefix
+    for seed, b in zip(seeds, batch):
+        _assert_same_state(simulate(bs, BATCH_ROWS + 44, seed=seed), b)
+
+
+@pytest.mark.parametrize("prefix", [1, 2, 3, 4, 16])
+def test_prefix_step_table_is_the_change_of_one_step(prefix, monkeypatch, fig1, fig3, k2):
+    """Row k * m + i of ``prefix_step`` is the change in the partial sums of
+    degrees 1..P when block i latches at degree k + 1 (k = P: past the
+    prefix), recounted from a census before and after that one step of the
+    scalar loop, and 0 in the sentinel's column."""
+    models = _batch_models(fig1, fig3, k2)
+    named = [models[k] for k in ("fig1", "fig3", "k2", "star-17", "fig1-fractional", "k2-half")]
+    monkeypatch.setattr(_kernels, "SCAN_PREFIX", prefix)
+    for bs in named + [random_blockset(seed) for seed in (3, 11, 504, 7001)]:
+        tab = growth_mod._build_tables(bs)
+        m, w = len(bs.blocks), tab.weight
+        assert tab.prefix_step.shape == ((prefix + 1) * m, prefix + 1)
+        # one vertex of each degree 1..P + 1 and a master of degree 2
+        counts0 = np.zeros(64, dtype=np.int64)
+        counts0[1 : prefix + 2] = 1
+        total = w(2) + sum(w(c) for c in range(1, prefix + 2))
+        weights = np.array([w(c) for c in range(1, prefix + 1)])
+        before = np.cumsum(counts0[1 : prefix + 1] * weights)
+        for i in range(m):
+            # the class each target picks: the one it lies inside, and the
+            # master past the last one
+            for c in range(1, prefix + 3):
+                below = sum(w(x) for x in range(1, c))
+                target = below + (w(c) if c <= prefix + 1 else w(2)) / 2
+                cls = np.empty(1, dtype=np.int64)
+                state = [prefix + 1, 2, total]
+                after = _kernels.census_chunk(counts0, state, tab, np.array([target / total]), np.array([i]), cls)
+                assert cls[0] == (c if c <= prefix + 1 else -1), (bs, i, c)
+                row = tab.prefix_step[min(c - 1, prefix) * m + i]
+                assert np.array_equal(row[:prefix], np.cumsum(after[1 : prefix + 1] * weights) - before), (bs, i, c)
+                assert row[prefix] == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from blocknets import (
     parse_blockset,
     reverse_bipolar,
 )
+from blocknets.cli import main
 from blocknets.model_io import blockset_from_dict, format_json, format_number, format_ratio
 
 from conftest import random_blockset
@@ -125,6 +126,33 @@ def test_integer_hook_and_pole_ids_are_vertex_ids(kind, ends):
     b = bs.blocks[0]
     assert (b.hook, b.north, b.south) == (("0", None, None) if kind == "hooking" else (None, "0", "2"))
     assert parse_blockset(bs.to_json()) == bs
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("vertices", "hab", "'vertices'"),
+        ("edges", "ha", "'edges'"),
+        ("edges", ["ha", "hb"], "edge 0"),
+        ("edges", [["h", "a"], "hb"], "edge 1"),
+    ],
+)
+def test_string_where_a_list_is_required_is_a_schema_error(field, value, named, tmp_path, capsys):
+    """A JSON string iterates one character per item; where the schema asks
+    for a list, it is refused with a schema error that names the field,
+    and the command line exits 1."""
+    block = {"name": "B", "probability": 1, "vertices": ["h", "a", "b"],
+             "edges": [["h", "a"], ["h", "b"]], "hook": "h"}  # fmt: skip
+    doc = {"kind": "hooking", "r": 1, "blocks": [{**block, field: value}]}
+    assert blockset_from_dict({**doc, "blocks": [block]}).blocks[0].vertices == ("h", "a", "b")
+    with pytest.raises(BlockSetError) as err:
+        blockset_from_dict(doc)
+    assert err.value.rule == "schema"
+    assert f"{named} must be a list" in str(err.value)
+    path = tmp_path / "string.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert f"schema [block 'B']: {named} must be a list" in capsys.readouterr().err
 
 
 def test_disconnected_block_rejected():
