@@ -4,12 +4,11 @@ The inner loop of a census-mode simulation is a few hundred integer
 operations per step and dominates the runtime of Monte-Carlo
 verification.  Two kernels advance it:
 
-* ``census_chunk`` runs one replicate through ``_census_steps``, the
-  scalar loop, in pure Python over lists.  ``simulate`` and ``grow_step``
-  use it in both modes.  It only advances the counts and, when asked,
-  emits the latch class it chose at each step, from which graph mode
-  replays the steps on the multigraph and ``growth._record_rows``
-  rebuilds a recorded trajectory in numpy.
+* ``census_chunk`` runs one replicate through the scalar loop, in pure
+  Python over lists.  ``simulate`` and ``grow_step`` use it in both
+  modes.  It advances the counts and returns the latch class it chose at
+  each step, from which graph mode replays the steps on the multigraph
+  and ``growth._record_rows`` rebuilds a recorded trajectory in numpy.
 * ``census_batch`` advances a block of replicates in lock step on one
   degrees-by-replicates array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Everything that does not depend on the census (the
@@ -25,11 +24,12 @@ Both kernels, ``block_choice`` and graph mode's replay read one model
 table, ``tab``, which ``growth._build_tables`` builds once per
 ``simulate`` or ``simulate_batch`` call.  It holds each per-block fact
 once: the latch increment, the scaled activity increment, the new-vertex
-count and degrees; for the lock-step kernel also the same new vertices as
-counts of their distinct degrees, and the step table, the change that
-each block, latching at each low degree class, makes to the partial sums
-of those classes.  The scalar loop reads lists; numpy arrays serve only
-numpy code that indexes them by block choices.
+count and degrees.  The scalar loop reads lists; numpy arrays serve only
+numpy code that indexes them by block choices.  The lock-step kernel's
+own tables (``LockStep``: the step table, the change that each block,
+latching at each low degree class, makes to the partial sums of those
+classes, and what it adds past them) are laid out here, by
+``lock_step_tables``, and built when ``census_batch`` first reads them.
 
 Both kernels take the block choices precomputed by ``block_choice``
 (one compare per block and row block), which is also how the initial
@@ -53,18 +53,20 @@ Step layout of the pre-drawn uniforms (one row per step):
     col 2  block selection (``block_choice``, before the kernels run)
     col 3  out-arc index (bipolar graph mode's replay only)
 
-The emitted class is the degree of the latch, or -1 for the master
-vertex.  Both kernels grow the counts array when a step would reach
-past its end, so no caller has to.
+A latch class is the degree of the latch, or -1 for the master vertex.
+Both kernels grow the counts array when a step would reach past its end,
+so no caller has to.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 # Degree classes whose partial sums census_batch keeps for every
 # replicate; most latches sit in the low degree classes.
-# growth._build_tables reads it when it builds the step table.
+# lock_step_tables reads it when it builds the step table.
 SCAN_PREFIX = 16
 # Bound on the scaled total activity S * total.  Every partial sum the
 # kernels form lies between 0 and the total, and every change made to one
@@ -72,31 +74,71 @@ SCAN_PREFIX = 16
 ACTIVITY_LIMIT = 2**52
 
 
-def _grow(counts, tab, need):
-    """Double the counts list in place until degree ``need`` fits, and extend
-    the table's weights to its length.  Returns the new length."""
+class LockStep(NamedTuple):
+    """The lock-step kernel's tables over P = ``SCAN_PREFIX`` degrees, for
+    a model of m blocks.  Row k * m + i of each belongs to block i latching
+    at degree k + 1, where k = P stands for any latch past the prefix."""
+
+    # float64 ((P + 1) * m, P + 1): the change that the row's step makes to
+    # the partial sums of degrees 1..P, then a 0 for the kernel's sentinel
+    step: np.ndarray
+    # int64 ((P + 1) * m, A): the vertices that the row's step adds at
+    # degree P + 1 + a past the prefix: its new vertices there and, for
+    # k < P, a latch that it moves there.  P + A is the highest degree
+    # that any row adds to, or A = 0 if none does.
+    arrive: np.ndarray
+
+
+def lock_step_tables(tab) -> LockStep:
+    """The tables ``census_batch`` reads for the model table ``tab``."""
+    m, P = len(tab.block_d), SCAN_PREFIX
+    top = max(P, tab.new_max, P + max(tab.block_d))
+    # moves[k, i, c]: the change in the count of degree c when block i
+    # latches at degree k + 1; past the prefix (k = P) the latch's move
+    # is left to the rounds
+    moves = np.zeros((P + 1, m, top + 1))
+    for i, new in enumerate(tab.new_degs):
+        for c in new:
+            moves[:, i, c] += 1
+    k, i = np.arange(P)[:, None], np.arange(m)
+    moves[k, i, k + 1] -= 1
+    moves[k, i, k + 1 + tab.d_a] += 1
+    # clamped: a run reaching a weight past ACTIVITY_LIMIT is refused, and
+    # a huge S must not overflow the conversion
+    w = [min(tab.chi_s * c + tab.rho_s, ACTIVITY_LIMIT) for c in range(1, P + 1)]
+    step = np.zeros(((P + 1) * m, P + 1))
+    np.cumsum(moves[:, :, 1 : P + 1] * w, axis=2, out=step.reshape(P + 1, m, P + 1)[:, :, :P])
+    arrive = moves[:, :, P + 1 :].reshape((P + 1) * m, top - P).astype(np.int64)
+    return LockStep(step, arrive)
+
+
+def _grow(counts, weight, tab, need):
+    """Double the counts list in place until degree ``need`` fits, and
+    extend ``weight`` to its length.  Returns the new length."""
     while need >= len(counts):
         counts.extend([0] * len(counts))
-    w = tab.weights
-    w.extend(float(tab.chi_s * k + tab.rho_s) for k in range(len(w), len(counts)))
+    weight.extend(float(tab.chi_s * k + tab.rho_s) for k in range(len(weight), len(counts)))
     return len(counts)
 
 
-def _census_steps(counts, state, tab, u0, b_in, cls_out):
+def census_chunk(counts, state, tab, u0, b_in):
     """The census loop over the class uniforms ``u0`` and block choices
-    ``b_in`` of the next steps, on lists.  ``state`` is [max degree,
-    master degree, S * total activity], updated in place.  It writes each
-    step's latch class into ``cls_out`` unless that is empty, and doubles
-    ``counts`` in place whenever a step would reach past its end."""
+    ``b_in`` of the next steps.  ``state`` is the list [max degree, master
+    degree, S * total activity], updated in place.  Returns the counts as a
+    new array, grown if a step reached past their end, and each step's
+    latch class.  The loop runs on lists: element access on numpy arrays
+    costs several times more."""
+    counts = counts.tolist()
+    weight = []  # float(S * (chi * k + rho)) for k < len(counts)
     max_deg, master_deg, total = state
-    weight, block_d, block_s, new_degs = tab.weights, tab.block_d, tab.block_s, tab.new_degs
-    cap = _grow(counts, tab, tab.new_max)  # every new vertex fits from here on
-    emit = len(cls_out) > 0
+    block_d, block_s, new_degs = tab.block_d, tab.block_s, tab.new_degs
+    cap = _grow(counts, weight, tab, tab.new_max)  # every new vertex fits from here on
+    classes = []
 
-    for j in range(len(u0)):
+    for u, b in zip(u0.tolist(), b_in.tolist()):
         # The partial sums are integers below ACTIVITY_LIMIT, so adding
         # them in binary64 is exact, and faster than on Python ints.
-        target = u0[j] * total
+        target = u * total
         cls = -1
         acc = 0.0
         for k in range(1, max_deg + 1):
@@ -105,14 +147,13 @@ def _census_steps(counts, state, tab, u0, b_in, cls_out):
                 cls = k
                 break
 
-        b = b_in[j]
         d = block_d[b]
         if cls == -1:
             master_deg += d
         elif d > 0:
             k = cls + d
             if k >= cap:
-                cap = _grow(counts, tab, k)
+                cap = _grow(counts, weight, tab, k)
             counts[cls] -= 1
             counts[k] += 1
             if k > max_deg:
@@ -122,24 +163,10 @@ def _census_steps(counts, state, tab, u0, b_in, cls_out):
             if c > max_deg:
                 max_deg = c
         total += block_s[b]
-        if emit:
-            cls_out[j] = cls
+        classes.append(cls)
 
     state[:] = max_deg, master_deg, total
-
-
-def census_chunk(counts, state, tab, u0, b_in, cls_out):
-    """Run ``_census_steps`` over list copies of the arrays (element access
-    on numpy arrays costs several times more than on lists), then write the
-    emitted classes into ``cls_out`` unless it is empty.  ``state`` is the
-    list of ``_census_steps``.  Returns the counts as a new array, grown if
-    the steps needed it."""
-    cl = counts.tolist()
-    kl = [0] * cls_out.shape[0]
-    _census_steps(cl, state, tab, u0.tolist(), b_in.tolist(), kl)
-    if kl:
-        cls_out[:] = kl
-    return np.array(cl, dtype=np.int64)
+    return np.array(counts, dtype=np.int64), np.array(classes, dtype=np.int64)
 
 
 def block_choice(tab, ub):
@@ -168,17 +195,17 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     are returned in a new array.  Nothing is recorded.
 
     The step loop scans only the prefix, degrees 1..P, where P is the
-    width of the table's ``prefix_step`` (``SCAN_PREFIX`` when it was
-    built).  Each replicate's P partial sums, followed by an ``inf``
+    width of the step table ``tab.lock_step.step`` (``SCAN_PREFIX`` when it
+    was built).  Each replicate's P partial sums, followed by an ``inf``
     sentinel that no target reaches, are one row of ``sums``.  A step's
     class index k is the count of sums <= its target: the latch at degree
     k + 1, or past the prefix when k = P.  Every weight is positive, since
     chi >= 0 and chi + rho > 0, so the sums never decrease, and the count
     of sums <= the target is the index of the first sum > the target, the
     class the scalar loop's strict ``<`` picks.  With the block choice i
-    of the model's m blocks, the step reads row k * m + i of
-    ``prefix_step``, the exact change that this latch and the block's new
-    vertices make to the sums, and adds it.  Every sum is an integer below
+    of the model's m blocks, the step reads row k * m + i of the step
+    table, the exact change that this latch and the block's new vertices
+    make to the sums, and adds it.  Every sum is an integer below
     ``ACTIVITY_LIMIT`` at every step and every change an integer, so each
     comparison and each addition is exact in binary64, and the partial
     sums are those of the scalar loop.
@@ -187,10 +214,12 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     ``work[row, r]``: the trash rows 0..dmax, where the master's class is
     the first, so its move is the same -1/+1 as any latch's and its degree
     is read off these rows at the end; then the degrees 0, 1, 2, ... from
-    row ``base`` on.  The step loop does not touch it.  After the loop,
-    the prefix hits that moved a latch past the prefix are added to its
-    degree rows, and each degree k <= P takes the count
-    (sum_k - sum_{k-1}) / weight_k from the final sums.
+    row ``base`` on.  The step loop does not touch it.  After the loop each
+    degree k <= P takes the count (sum_k - sum_{k-1}) / weight_k from the
+    final sums.  The vertices that the steps add past the prefix, new ones
+    and latches that a prefix hit moves there, are the ``arrivals``: per
+    step, the row of ``tab.lock_step.arrive`` that matches its step table
+    row.  The row block's end adds their totals to the degree rows.
 
     The steps that reached the sentinel are deferred: their latches are
     resolved after the loop, in rounds.  Round t takes every replicate's
@@ -206,13 +235,13 @@ def census_batch(counts, state_i, state_f, tab, u, b):
       rows, and the prefix sums count neither, so every prefix outcome of
       the loop stands;
     * a round sees the degrees past the prefix as they stood at its step.
-      The rows hold the row block's start, every prefix hit of the row
-      block that left the prefix, and the replicate's earlier deferred
-      latches, applied by the earlier rounds.  The round takes away the
-      prefix hits made at its step or after, kept as a per-step cumulative
-      table (``later``).  New vertices of a degree past the prefix join the
-      rows only at the end of the row block, so the round adds those from
-      the steps before its own (``pending``);
+      The rows hold the row block's start and the replicate's earlier
+      deferred latches, applied by the earlier rounds; the round adds the
+      arrivals of the steps before its own, cumulated over the row block.
+      A deferred latch may take a vertex that arrived earlier in the row
+      block, before the end adds it, so a row can go negative between
+      rounds; the segment that a round scans, rows plus arrivals, holds
+      true counts all the same;
     * so every term past the prefix is a count times a weight, a
       non-negative integer, and every sum, in whatever order ``matmul``
       adds it, an integer below ``ACTIVITY_LIMIT``.  The partial sums
@@ -220,7 +249,7 @@ def census_batch(counts, state_i, state_f, tab, u, b):
       target holds the first degree that does.
     """
     R, L = u.shape[0], u.shape[1]
-    step = tab.prefix_step
+    step, arrive = tab.lock_step
     P = step.shape[1] - 1
     blocks = len(tab.block_d)
     # Total activity before each step, and each step's class target.
@@ -233,19 +262,8 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     state_f[:] = totals[:, L]
     del totals
     # Each step's block choice, and once the step is taken, its row
-    # k * m + b of the step table.
+    # k * m + b of the step tables.
     moved = b.T.copy()
-
-    # New vertices of a degree past the prefix, as counts of their distinct
-    # degrees (``tab.inc``) cumulated over the row block's steps: the rounds
-    # read them, and they are folded into the counts at the end.  Every new
-    # vertex has a degree of at least 1, so the rest are in the step table.
-    past = tab.degrees > P
-    high = tab.degrees[past]
-    if len(high):
-        inc = tab.inc[past]
-        pending = np.zeros((len(high), L + 1, R), dtype=np.min_scalar_type(L * int(inc.max())))
-        np.cumsum(np.take(inc.astype(pending.dtype), moved, axis=1), axis=1, out=pending[:, 1:])
 
     dmax = max(tab.block_d)
     base = dmax + 1  # row of degree 0, after the trash rows
@@ -279,44 +297,35 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     # The census of the prefix, exact: each difference of exact integer sums
     # is a count times its weight.
     work[base + 1 : W] = (np.diff(sums[:, :P], axis=1, prepend=0.0) / weight[1 : P + 1]).T
-    # Prefix hits that moved a latch to degree P + 1 + g, g >= 0.
-    exit_to = np.full((P + 1, blocks), -1)
-    exit_to[:P] = np.arange(P)[:, None] + tab.d_a - P
-    exit_to = exit_to.reshape(-1)
-    up = np.flatnonzero((exit_to >= 0)[moved])
-    if len(up):
-        j, r = np.divmod(up, R)
-        g = exit_to[moved.flat[up]]
-        np.add.at(work, (W + g, r), 1.0)
+    # arrivals[j, r, a]: what the steps before step j of replicate r add
+    # at degree P + 1 + a.  The rounds read it, and the end adds row L to
+    # the degree rows.
+    A = arrive.shape[1]
+    arrivals = np.zeros((L + 1, R, A), dtype=np.min_scalar_type(L * int(arrive.max(initial=0))))
+    np.take(arrive.astype(arrivals.dtype), moved, axis=0, out=arrivals[1:])
+    np.cumsum(arrivals, axis=0, out=arrivals)
+    arrived = arrivals[L].T.copy()
 
     # The deferred steps as flat indices j * R + r in step order.
     deferred = np.flatnonzero(moved >= P * blocks)
     if len(deferred):
-        # later[g, j, r]: the prefix hits of replicate r that moved its latch
-        # to degree P + 1 + g at step j or after.
-        later = None
-        if len(up):
-            later = np.zeros((dmax, L, R), dtype=np.min_scalar_type(L))
-            later[g, j, r] = 1
-            np.cumsum(later[:, ::-1], axis=1, out=later[:, ::-1])
-        # The last prefix sum before each step.
-        last = np.empty((L, R))
-        last[0] = first
-        np.take(step[:, P - 1], moved[:-1], out=last[1:])
-        np.cumsum(last, axis=0, out=last)
         # Round t takes each replicate's t-th deferred step.
         j, r = np.divmod(deferred, R)
         order = np.argsort(r, kind="stable")
         nth = np.arange(len(order)) - np.searchsorted(r[order], r[order])
         order = order[np.argsort(nth, kind="stable")]
         j, r = j[order], r[order]
-        # Per deferred step, in round order: its target, kept prefix sum and
-        # latch move, the prefix hits past the prefix from it on, and the new
-        # vertices past the prefix from before it.
+        # Per deferred step, in round order: the arrivals before it, then
+        # its target, kept prefix sum and latch move.
+        came = arrivals[j, r]
+        del arrivals
+        # The last prefix sum before each step.
+        last = np.empty((L, R))
+        last[0] = first
+        np.take(step[:, P - 1], moved[:-1], out=last[1:])
+        np.cumsum(last, axis=0, out=last)
         tj, kept, move = target[j, r], last[j, r], tab.d_a[b[r, j]] * R
-        gone = None if later is None else later[:, j, r]
-        born = pending[:, j, r] if len(high) else None
-        del target, tcol, last, moved, later  # the rounds read none of the step tables
+        del target, tcol, last, moved  # the rounds read none of the step tables
         sizes = np.bincount(nth)
         ends = np.cumsum(sizes)
         for lo, hi in zip(ends - sizes, ends):
@@ -325,10 +334,7 @@ def census_batch(counts, state_i, state_f, tab, u, b):
             # P degrees (rows past width are zero).
             nb = -(-(width - P) // P)
             seg = work[W : W + nb * P, rm]
-            if gone is not None:
-                seg[:dmax] -= gone[:, m]
-            if len(high):
-                seg[high - P - 1] += born[:, m]
+            seg[:A] += came[m].T
             seg = seg.reshape(nb, P, -1)
             wb = weight[P + 1 : P + 1 + nb * P].reshape(nb, 1, -1)
             # Partial sums at each block's start and at the last one's end,
@@ -358,8 +364,7 @@ def census_batch(counts, state_i, state_f, tab, u, b):
             flat[at] += 1.0
 
     # Bookkeeping that the scan does not read, for the whole row block.
-    if len(high):
-        work[base + high] += pending[:, L]
+    work[W : W + A] += arrived
     state_i[:, 1] += (np.arange(dmax + 1) @ work[:base]).astype(np.int64)
     census = np.ascontiguousarray(work[base:].T, dtype=np.int64)
     occupied = census[:, ::-1] != 0  # the highest degree first

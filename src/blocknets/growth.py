@@ -8,25 +8,25 @@ produce identical census trajectories from the same seed:
   degree and the running total attachment weight, as an exact integer
   scaled by S, the least common denominator of chi and rho;
 * graph mode additionally materializes the multigraph.  It runs the same
-  census kernel, which also emits the latch class of each step, and then
-  replays the vertex-level picks on the graph: the member of that class
-  from the step's intra-class uniform and, for bipolar networks, the
-  out-arc from its arc uniform.  The census, the master degree, the
+  census kernel, which also returns the latch class of each step, and
+  then replays the vertex-level picks on the graph: the member of that
+  class from the step's intra-class uniform and, for bipolar networks,
+  the out-arc from its arc uniform.  The census, the master degree, the
   vertex count and the total activity all come from the kernel, so the
   modes agree by construction; a recount of the census from the graph
   every ``SPOT_CHECK_INTERVAL`` steps guards the replay.
 
 A recorded trajectory is rebuilt after each chunk of steps from the
-latch classes that the kernel emits and the chunk's block choices, in a
+latch classes that the kernel returns and the chunk's block choices, in a
 few numpy operations on whole columns (``_record_rows``), in either mode.
 
 Both rules of growth change the census through three facts of each block:
 the latch's degree increment, the degrees of its new vertices and its
 activity increment.  ``_build_tables`` puts them, with the block
-probabilities, the replay's edge codes and the lock-step kernel's step
-table (what each block changes in the partial sums of the low degree
-classes), in one ``_Tables`` per ``simulate`` or ``simulate_batch`` call,
-which every kernel reads.
+probabilities and the replay's edge codes, in one ``_Tables`` per
+``simulate`` or ``simulate_batch`` call, which every kernel reads.  The
+lock-step kernel's step table is built from it only when that kernel
+first reads it, so only ``simulate_batch`` pays for it.
 
 The graph store is flat.  Vertex ids are 0..n-1 in creation order, and a
 vertex's tracked degree, its position in its degree class and (bipolar)
@@ -54,6 +54,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -85,13 +86,14 @@ def backend_name() -> str:
     return "python"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Tables:
     """One model's growth constants, read by both census kernels,
     ``block_choice`` and the graph replay.  Each per-block fact is held
     once: as a list where the scalar loops read it, as a numpy array where
     numpy code indexes it with arrays of block choices, and as both (the
-    ``*_a`` copies) where both do.  Activities are integers scaled by S."""
+    ``*_a`` copies) where both do.  Activities are integers scaled by S.
+    The lock-step kernel's own tables are built when it first reads them."""
 
     ncols: int  # uniforms per step
     scale: int  # S, the least common denominator of chi and rho
@@ -105,14 +107,6 @@ class _Tables:
     new_max: int  # the largest new-vertex degree, 0 if none
     d_a: np.ndarray  # int64 block_d
     s_a: np.ndarray  # float64 block_s
-    # the lock-step kernel's new vertices: inc[i, b] of degree degrees[i]
-    degrees: np.ndarray  # int64, distinct new-vertex degrees, ascending
-    inc: np.ndarray  # int64 (len(degrees), m)
-    # float64 ((P + 1) * m, P + 1), P = SCAN_PREFIX: row k * m + i is the
-    # change that block i, latching at degree k + 1 (k = P: past the
-    # prefix), makes to the partial sums of degrees 1..P, then a 0 for the
-    # kernel's sentinel
-    prefix_step: np.ndarray
     # Edge endpoints of the replay, coded 0 for the latch (hook or north
     # pole), 1 for the head of the replaced arc (south pole) and 2 + j for
     # the block's j-th new vertex.  bipolar: block -> (heads of the north
@@ -120,13 +114,15 @@ class _Tables:
     # hooking: block -> its edges, padded with rows of -1 to the longest.
     heads: list
     ends: np.ndarray  # int64 (m, max edges, 2)
-    # float(S * (chi * k + rho)) for k < len(weights), exact below
-    # ACTIVITY_LIMIT; the scalar kernel extends it as the counts grow
-    weights: list = field(default_factory=list)
 
     def weight(self, k: int) -> int:
         """S * (chi * k + rho), the scaled attachment weight of degree k."""
         return self.chi_s * k + self.rho_s
+
+    @cached_property
+    def lock_step(self) -> _kernels.LockStep:
+        """The tables of ``_kernels.census_batch``, built on first use."""
+        return _kernels.lock_step_tables(self)
 
 
 def _build_tables(bs: BlockSet) -> _Tables:
@@ -134,8 +130,6 @@ def _build_tables(bs: BlockSet) -> _Tables:
     d = [b.latch_increment() for b in bs.blocks]
     new_degs = [b.new_degrees() for b in bs.blocks]
     block_s = activity_increments(bs, chi_s, rho_s)
-    degrees = sorted({c for nd in new_degs for c in nd})
-    inc = np.array([[nd.count(c) for nd in new_degs] for c in degrees], dtype=np.int64)
     heads = []
     ends = np.full((len(d), max(len(b.edges) for b in bs.blocks), 2), -1, dtype=np.int64)
     for i, b in enumerate(bs.blocks):
@@ -157,38 +151,14 @@ def _build_tables(bs: BlockSet) -> _Tables:
         block_s=block_s,
         block_nv=np.array([len(nd) for nd in new_degs], dtype=np.int64),
         new_degs=new_degs,
-        new_max=max(degrees, default=0),
+        new_max=max((c for nd in new_degs for c in nd), default=0),
         d_a=np.array(d, dtype=np.int64),
         # clamped: _check_activity_limit refuses a larger increment before
         # any step, and a huge S must not overflow the conversion
         s_a=np.array([min(x, _kernels.ACTIVITY_LIMIT) for x in block_s], dtype=np.float64),
-        degrees=np.array(degrees, dtype=np.int64),
-        inc=inc.reshape(len(degrees), len(d)),
-        prefix_step=_prefix_step(d, degrees, inc, chi_s, rho_s),
         heads=heads,
         ends=ends,
     )
-
-
-def _prefix_step(d: list, degrees: list, inc: np.ndarray, chi_s: int, rho_s: int) -> np.ndarray:
-    """The lock-step kernel's step table over P = ``_kernels.SCAN_PREFIX``
-    degrees (see ``_Tables.prefix_step``), for the latch increments ``d``
-    and the new vertices ``inc[j, i]`` of degree ``degrees[j]``."""
-    m, P = len(d), _kernels.SCAN_PREFIX
-    # moves[k, i, c]: the change in the count of degree c (P + 1: any past
-    # the prefix) when block i latches at degree k + 1 (k = P: past it)
-    moves = np.zeros((P + 1, m, P + 2))
-    for c, new in zip(degrees, inc):
-        moves[:, :, min(c, P + 1)] += new
-    k, i = np.arange(P)[:, None], np.arange(m)
-    moves[k, i, k + 1] -= 1
-    moves[k, i, np.minimum(k + 1 + np.array(d), P + 1)] += 1
-    # clamped: a run reaching a weight past ACTIVITY_LIMIT is refused, and
-    # a huge S must not overflow the conversion
-    w = [min(chi_s * c + rho_s, _kernels.ACTIVITY_LIMIT) for c in range(1, P + 1)]
-    step = np.zeros(((P + 1) * m, P + 1))
-    np.cumsum(moves[:, :, 1:-1] * w, axis=2, out=step.reshape(P + 1, m, P + 1)[:, :, :P])
-    return step
 
 
 def _check_activity_limit(t: _Tables, activity: int, n: int) -> None:
@@ -361,6 +331,7 @@ def _new_state(bs: BlockSet, tables: _Tables, mode: str, seed, max_vertices: int
     else:
         b0 = int(bs.initial_block)
     block = bs.blocks[b0]
+    _check_vertex_limit(np.array([len(block.vertices)]), 0, max_vertices)
 
     if bs.kind == HOOKING:
         excluded = [block.hook]
@@ -514,8 +485,10 @@ def grow_step_scripted(
     t, g = state.tables, state.graph
     if not 0 <= latch < len(g.deg) or latch == g.master_sink:
         raise IndexError(f"vertex {latch} cannot be a latch")
+    if not 0 <= block_index < len(t.block_d):
+        raise IndexError(f"block {block_index} is not one of blocks 0..{len(t.block_d) - 1}")
     b = np.array([block_index])
-    _check_vertex_limit(_vertex_counts(state.n_vertices, t, b), state.step, state.max_vertices)
+    _check_vertex_limit(_vertex_counts(state.n_vertices, t, b), state.step + 1, state.max_vertices)
     row = np.zeros((1, t.ncols))
     c = -1 if latch == g.master else g.deg[latch]
     if c != -1:
@@ -540,15 +513,16 @@ def _vertex_counts(n_vertices, tables: _Tables, b) -> np.ndarray:
     return np.asarray(n_vertices)[..., None] + np.cumsum(tables.block_nv[b], axis=-1)
 
 
-def _check_vertex_limit(nv, step: int, limit: int) -> None:
+def _check_vertex_limit(nv, first: int, limit: int) -> None:
     """Raise ResourceLimitError at the first step whose vertex count in
-    ``nv`` (from ``_vertex_counts``, steps ``step + 1, ...``) exceeds limit."""
+    ``nv`` (steps ``first, first + 1, ...`` along the last axis, as from
+    ``_vertex_counts``) exceeds limit."""
     over = nv > limit
     if over.any():
         j = int(over.reshape(-1, over.shape[-1]).any(axis=0).argmax())
         count = int(nv[..., j].max())
         raise ResourceLimitError(
-            f"vertex count {count} exceeds limit {limit} at step {step + j + 1}"
+            f"vertex count {count} exceeds limit {limit} at step {first + j}"
         )
 
 
@@ -556,14 +530,13 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
     """Advance ``state`` by n steps through the chunked census kernel and,
     if ``record``, store the tracked census after each step.
 
-    The kernel emits each step's latch class in graph mode, where
-    ``_replay`` applies the steps to the graph, and when recording, where
-    ``_record_rows`` rebuilds the chunk's trajectory rows.  Graph-mode
+    The kernel returns each step's latch class, from which ``_replay``
+    applies the steps to the graph in graph mode and ``_record_rows``
+    rebuilds the chunk's trajectory rows when recording.  Graph-mode
     chunks end at every multiple of ``SPOT_CHECK_INTERVAL``, where
     ``_spot_check`` runs."""
     t, g = state.tables, state.graph
     _check_activity_limit(t, state.activity, n)
-    emit = g is not None or record
     si = [state.max_deg, state.master_degree, state.activity]
     draws = np.empty((min(n, CHUNK_ROWS), t.ncols))
 
@@ -576,9 +549,8 @@ def _advance(state: GrowthState, n: int, record: bool) -> None:
         state.stream.fill(rows)
         b = _kernels.block_choice(t, rows[:, 2])
         nv = _vertex_counts(state.n_vertices, t, b)
-        _check_vertex_limit(nv, state.step, state.max_vertices)
-        cls = np.empty(rows.shape[0] if emit else 0, dtype=np.int64)
-        state.counts = _kernels.census_chunk(state.counts, si, t, rows[:, 0], b, cls)
+        _check_vertex_limit(nv, state.step + 1, state.max_vertices)
+        state.counts, cls = _kernels.census_chunk(state.counts, si, t, rows[:, 0], b)
         if g is not None:
             _replay(g, t, rows, b, cls, nv - t.block_nv[b])
         if record:
@@ -698,7 +670,7 @@ def simulate_batch(
             s.stream.fill(u[r])
         b = _kernels.block_choice(t, u[:, :, 2])
         nv = _vertex_counts(n_vertices, t, b)
-        _check_vertex_limit(nv, step, max_vertices)
+        _check_vertex_limit(nv, step + 1, max_vertices)
         counts = _kernels.census_batch(counts, state_i, state_f, t, u, b)
         n_vertices = nv[:, -1]
 

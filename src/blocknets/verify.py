@@ -19,7 +19,7 @@ import numpy as np
 
 from .growth import DEFAULT_MAX_VERTICES, census_vector, simulate_batch
 from .model_io import BlockSet, format_json
-from .urn import UrnModel, build_urn
+from .urn import build_urn
 
 
 @dataclass
@@ -259,7 +259,7 @@ def whiten_scores(
     predicted: np.ndarray,
     n: int,
     sigma: np.ndarray,
-    floor_factor: float = 1e-10,
+    floor_factor: float = Tolerances.whiten_floor,
 ) -> np.ndarray:
     """Project the scaled fluctuations on sigma's numerically nonzero
     eigenspace and rescale to unit variance.  Balanced models make sigma
@@ -307,7 +307,6 @@ def verify_model(
     seed: int,
     jobs: int = 1,
     tol: Tolerances = Tolerances(),
-    urn: Optional[UrnModel] = None,
     perturb_mean: float = 0.0,
     perturb_cov: float = 1.0,
     max_vertices: int = DEFAULT_MAX_VERTICES,
@@ -326,7 +325,7 @@ def verify_model(
         raise ValueError(f"--perturb-mean must be finite, got {perturb_mean}")
     if not (math.isfinite(perturb_cov) and perturb_cov > 0):
         raise ValueError(f"--perturb-cov must be finite and > 0, got {perturb_cov}")
-    urn = urn or build_urn(bs)
+    urn = build_urn(bs)
     prof = urn.profile
     track = prof.essential
     lam1 = float(prof.lambda1)

@@ -555,6 +555,34 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_commands_load_no_numpy_ma(example_paths, tmp_path):
+    """``analyze``, graph-mode ``simulate`` and ``verify`` leave ``numpy.ma``
+    unloaded: numpy's first ``np.unique`` or ``np.union1d`` imports it, which
+    adds about 2.4 MiB to a command's peak memory."""
+    fig1, fig3 = example_paths["fig1"], example_paths["fig3"]
+    commands = [
+        ["analyze", "--input", fig1, "--out", str(tmp_path / "a.json")],
+        ["simulate", "--input", fig3, "--steps", "500", "--mode", "graph",
+         "--out", str(tmp_path / "t.csv"), "--export-dot", str(tmp_path / "g.dot")],
+        ["verify", "--input", fig3, "--steps", "500", "--replicates", "8", "--jobs", "1",
+         "--out", str(tmp_path / "v.json")],
+    ]  # fmt: skip
+    code = (
+        "import json, sys; from blocknets import cli; "
+        "print(json.dumps([cli.main(c) for c in json.loads(sys.argv[1])])); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(blocknets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        capture_output=True, text=True, check=True, env=env,
+    )  # fmt: skip
+    codes, loaded = out.stdout.splitlines()[-2:]
+    assert json.loads(codes) == [0, 0, 0]
+    assert loaded == "False"
+
+
 def test_public_names_resolve():
     """Every exported name resolves, and the Fraction re-derivations of
     values that ``build_profile`` and ``build_urn`` hold are gone."""

@@ -219,6 +219,17 @@ def test_scripted_bipolar_arc_choice(fig3):
         grow_step_scripted(st, latch=1, block_index=0, arc_index=4)
 
 
+@pytest.mark.parametrize("block_index", [-1, 2])
+def test_scripted_step_refuses_a_block_outside_the_model(fig3, block_index):
+    """fig3 has blocks 0 and 1; any other index, a negative one included,
+    is refused before the network changes."""
+    st = init_state(fig3, "graph", seed=0)
+    before = (export_edge_list(st), st.census(), st.step, st.n_vertices, st.activity)
+    with pytest.raises(IndexError, match=f"block {block_index} "):
+        grow_step_scripted(st, latch=1, block_index=block_index)
+    assert (export_edge_list(st), st.census(), st.step, st.n_vertices, st.activity) == before
+
+
 def test_census_vector_identity(fig1, fig3):
     for bs in (fig1, fig3):
         prof = build_profile(bs)
@@ -366,6 +377,23 @@ def test_resource_limit(k2):
     with pytest.raises(ResourceLimitError, match="vertex count 101 exceeds limit 100 at step 99$"):
         simulate_batch(k2, 1000, seeds, max_vertices=100)
     assert simulate_batch(k2, 98, seeds, max_vertices=100)[0].n_vertices == 100
+
+
+def test_initial_block_is_held_to_the_vertex_limit(k2, fig3):
+    """The initial block is the network at step 0: a limit below its size
+    is refused before any step, whatever the number of steps."""
+    seeds = [np.random.SeedSequence((0, k)) for k in range(3)]
+    for bs, size in ((k2, 2), (fig3, 5)):
+        message = f"vertex count {size} exceeds limit {size - 1} at step 0$"
+        with pytest.raises(ResourceLimitError, match=message):
+            init_state(bs, max_vertices=size - 1)
+        for n in (0, 3):
+            for mode in ("census", "graph"):
+                with pytest.raises(ResourceLimitError, match=message):
+                    simulate(bs, n, mode=mode, max_vertices=size - 1)
+            with pytest.raises(ResourceLimitError, match=message):
+                simulate_batch(bs, n, seeds, max_vertices=size - 1)
+        assert simulate(bs, 0, max_vertices=size).n_vertices == size
 
 
 def test_fractional_weights_do_not_drift(fig1):
@@ -555,7 +583,7 @@ def test_batch_matches_scalar_inside_a_wide_prefix(name, monkeypatch, fig1, fig3
 
 @pytest.mark.parametrize("prefix", [1, 2, 3, 4, 16])
 def test_prefix_step_table_is_the_change_of_one_step(prefix, monkeypatch, fig1, fig3, k2):
-    """Row k * m + i of ``prefix_step`` is the change in the partial sums of
+    """Row k * m + i of ``lock_step.step`` is the change in the partial sums of
     degrees 1..P when block i latches at degree k + 1 (k = P: past the
     prefix), recounted from a census before and after that one step of the
     scalar loop, and 0 in the sentinel's column."""
@@ -565,7 +593,7 @@ def test_prefix_step_table_is_the_change_of_one_step(prefix, monkeypatch, fig1, 
     for bs in named + [random_blockset(seed) for seed in (3, 11, 504, 7001)]:
         tab = growth_mod._build_tables(bs)
         m, w = len(bs.blocks), tab.weight
-        assert tab.prefix_step.shape == ((prefix + 1) * m, prefix + 1)
+        assert tab.lock_step.step.shape == ((prefix + 1) * m, prefix + 1)
         # one vertex of each degree 1..P + 1 and a master of degree 2
         counts0 = np.zeros(64, dtype=np.int64)
         counts0[1 : prefix + 2] = 1
@@ -578,11 +606,10 @@ def test_prefix_step_table_is_the_change_of_one_step(prefix, monkeypatch, fig1, 
             for c in range(1, prefix + 3):
                 below = sum(w(x) for x in range(1, c))
                 target = below + (w(c) if c <= prefix + 1 else w(2)) / 2
-                cls = np.empty(1, dtype=np.int64)
                 state = [prefix + 1, 2, total]
-                after = _kernels.census_chunk(counts0, state, tab, np.array([target / total]), np.array([i]), cls)
+                after, cls = _kernels.census_chunk(counts0, state, tab, np.array([target / total]), np.array([i]))
                 assert cls[0] == (c if c <= prefix + 1 else -1), (bs, i, c)
-                row = tab.prefix_step[min(c - 1, prefix) * m + i]
+                row = tab.lock_step.step[min(c - 1, prefix) * m + i]
                 assert np.array_equal(row[:prefix], np.cumsum(after[1 : prefix + 1] * weights) - before), (bs, i, c)
                 assert row[prefix] == 0
 
@@ -630,9 +657,26 @@ def test_batch_builds_the_model_table_once(fig1, monkeypatch):
     calls = []
     build = growth_mod._build_tables
     monkeypatch.setattr(growth_mod, "_build_tables", lambda bs: calls.append(bs) or build(bs))
+    built = []
+    lock_step = _kernels.lock_step_tables
+    monkeypatch.setattr(_kernels, "lock_step_tables", lambda tab: built.append(tab) or lock_step(tab))
     states = simulate_batch(fig1, 10, list(range(8)))
     assert len(calls) == 1
     assert all(s.tables is states[0].tables for s in states)
+    assert built == [states[0].tables]
+
+
+def test_only_the_lock_step_kernel_builds_its_tables(fig1, fig3, monkeypatch):
+    """``simulate`` in either mode and ``init_state`` leave the lock-step
+    tables unbuilt: only ``census_batch`` reads them."""
+    built = []
+    lock_step = _kernels.lock_step_tables
+    monkeypatch.setattr(_kernels, "lock_step_tables", lambda tab: built.append(tab) or lock_step(tab))
+    for bs in (fig1, fig3):
+        states = [init_state(bs), simulate(bs, 300, mode="census", record=True)]
+        states.append(simulate(bs, 300, mode="graph"))
+        assert built == []
+        assert all("lock_step" not in vars(s.tables) for s in states)
 
 
 # (S, S * chi, S * rho, census, master degree, targets, classes the targets pick)
@@ -705,8 +749,7 @@ def test_batch_breaks_ties_like_scalar_loop():
 
         for r in range(R):
             ref_state = [top, master, total]
-            cls = np.empty(2, dtype=np.int64)
-            ref = _kernels.census_chunk(counts0, ref_state, tab, u[r, :, 0], b[r], cls)
+            ref, cls = _kernels.census_chunk(counts0, ref_state, tab, u[r, :, 0], b[r])
             assert cls[0] == classes[r], (census, r)
             assert np.array_equal(counts[r, :64], ref), (census, r)
             assert not counts[r, 64:].any()
@@ -763,8 +806,7 @@ def test_batch_resolves_deferred_latches_in_step_order(cases):
 
     for r, case in enumerate(cases):
         ref_state = start[r]
-        cls = np.empty(L, dtype=np.int64)
-        ref = _kernels.census_chunk(counts0[r], ref_state, tab, u[r, :, 0], b[r], cls)
+        ref, cls = _kernels.census_chunk(counts0[r], ref_state, tab, u[r, :, 0], b[r])
         assert cls.tolist() == _DEFERRED[case][3]
         assert np.array_equal(counts[r, :64], ref), case
         assert not counts[r, 64:].any()

@@ -29,9 +29,7 @@ from blocknets.verify import _jackknife_cov_se, _ks_statistic
 def fig1_small_run(fig1):
     """One moderate run shared by several checks (n and R chosen so that
     every gate's precondition holds but the test stays fast)."""
-    urn = build_urn(fig1)
-    report = verify_model(fig1, n=20_000, replicates=240, seed=99, jobs=2, urn=urn)
-    return urn, report
+    return verify_model(fig1, n=20_000, replicates=240, seed=99, jobs=2)
 
 
 def test_replicates_are_reproducible_and_schedule_free(k2):
@@ -71,7 +69,7 @@ def test_k2_mean_tracks_one_half(k2):
 
 
 def test_full_verification_passes(fig1_small_run):
-    _, report = fig1_small_run
+    report = fig1_small_run
     assert report.passed, report.to_table()
     names = [c.name for c in report.checks]
     assert names == ["mean", "covariance", "normality-skew", "normality-kurtosis", "normality-ks"]
@@ -79,7 +77,7 @@ def test_full_verification_passes(fig1_small_run):
 
 
 def test_report_serialization(fig1_small_run, tmp_path):
-    _, report = fig1_small_run
+    report = fig1_small_run
     doc = json.loads(report.to_json())
     assert doc["schema"] == "blocknets-report/1"
     assert doc["passed"] is True
