@@ -194,11 +194,12 @@ def cmd_verify(args) -> int:
 
 
 def _is_check(c) -> bool:
-    """Whether ``c`` is a ``checks`` entry as ``render_table`` reads it."""
+    """Whether ``c`` is a ``checks`` entry as ``VerificationReport.to_dict``
+    writes it and ``render_table`` reads it."""
     return (
         isinstance(c, dict)
         and isinstance(c.get("name"), str)
-        and isinstance(c.get("verdict"), str)
+        and c.get("verdict") in ("PASS", "FAIL", "SKIP")
         and all(
             isinstance(c.get(k), (int, float)) and not isinstance(c.get(k), bool)
             for k in ("statistic", "threshold")
@@ -215,6 +216,8 @@ def cmd_report(args) -> int:
         and {"n", "replicates", "seed", "checks", "passed"} <= doc.keys()  # what it renders
         and isinstance(doc["checks"], list)
         and all(map(_is_check, doc["checks"]))
+        # what VerificationReport.passed computes
+        and doc["passed"] is all(c["verdict"] != "FAIL" for c in doc["checks"])
     ):
         print(f"not a verification report: {args.input}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -28,10 +28,13 @@ probabilities and the replay's edge codes, in one ``_Tables`` per
 lock-step kernel's step table is built from it only when that kernel
 first reads it, so only ``simulate_batch`` pays for it.
 
-The graph store is flat.  Vertex ids are 0..n-1 in creation order, and a
-vertex's tracked degree, its position in its degree class and (bipolar)
-its out-arcs sit in lists indexed by id; each degree class is a list of
-its members.  Column 1 picks a class member and column 3 an out-arc by
+The graph store is flat.  Vertex ids are 0..n-1 in creation order: the
+master (hook or north pole) is vertex 0, the initial block's new vertices
+follow in their listed order, a south pole comes next, and each later
+step's new vertices follow in their block's listed order.  A vertex's
+tracked degree, its position in its degree class and (bipolar) its
+out-arcs sit in lists indexed by id; each degree class is a list of its
+members.  Column 1 picks a class member and column 3 an out-arc by
 position, and both lists change by swap-remove and append, so their order
 is part of the decision procedure.  Hooking edges are never read while the
 network grows: each chunk appends its edges to an int64 edge log in one
@@ -56,12 +59,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .model_io import BIPOLAR, HOOKING, Block, BlockSet, degree_of
+from .model_io import BIPOLAR, HOOKING, BlockSet
 from .profile import _clear, activity_increments, essential_degrees
 
 CHUNK_ROWS = 4096
@@ -205,7 +208,9 @@ class _Stream:
 @dataclass
 class _GraphData:
     """Materialized multigraph (graph mode only).  Vertex ids are 0..n-1 in
-    creation order, and every per-vertex field is a list indexed by id."""
+    creation order, and every per-vertex field is a list indexed by id.
+    The master is vertex 0, and a south pole is the last vertex of the
+    initial block."""
 
     kind: str
     master: int = 0
@@ -289,17 +294,6 @@ class GrowthState:
         return self.recount_activity() / self.tables.scale
 
 
-def _census_counts_of_block(block: Block, exclude: Iterable[str]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    skip = set(exclude)
-    for v in block.vertices:
-        if v in skip:
-            continue
-        c = degree_of(block, v)
-        out[c] = out.get(c, 0) + 1
-    return out
-
-
 def _counts_array(census: dict[int, int]) -> tuple[np.ndarray, int]:
     """The kernels' counts array for a census, and its maximum degree."""
     max_deg = max(census) if census else 0
@@ -324,60 +318,52 @@ def init_state(
 
 def _new_state(bs: BlockSet, tables: _Tables, mode: str, seed, max_vertices: int) -> GrowthState:
     """``init_state`` on the model table ``tables`` of ``bs``, which states
-    grown together share."""
+    grown together share.
+
+    The initial block is attached like any later block, by one step of the
+    census kernel and, in graph mode, of the replay.  It latches at the
+    master alone: a hook vertex of degree 0, or a north pole with one arc
+    to the south pole, which the block replaces.  With an empty census the
+    class scan finds no class, so the master is the latch whatever the
+    class uniform.  The master is vertex 0, the block's new vertices follow
+    in their listed order, and a south pole comes last."""
     stream = _Stream(seed)
     if bs.initial_block == "random":
-        b0 = int(_kernels.block_choice(tables, stream.initial_uniform()))
+        b = _kernels.block_choice(tables, np.array([stream.initial_uniform()]))
     else:
-        b0 = int(bs.initial_block)
-    block = bs.blocks[b0]
-    _check_vertex_limit(np.array([len(block.vertices)]), 0, max_vertices)
-
-    if bs.kind == HOOKING:
-        excluded = [block.hook]
-        master_degree = block.degree(block.hook)
-    else:
-        excluded = [block.north, block.south]
-        master_degree = block.outdegree(block.north)
-
-    counts, max_deg = _counts_array(_census_counts_of_block(block, excluded))
+        b = np.array([bs.initial_block])
+    bipolar = bs.kind == BIPOLAR
+    nv = _vertex_counts(1 + bipolar, tables, b)
+    _check_vertex_limit(nv, 0, max_vertices)
+    si = [0, int(bipolar), tables.weight(int(bipolar))]
+    counts, cls = _kernels.census_chunk(_counts_array({})[0], si, tables, np.zeros(1), b)
 
     graph = None
     if mode == GRAPH:
-        graph = _GraphData(kind=bs.kind)
-        vid = {v: i for i, v in enumerate(block.vertices)}
-        graph.deg = [degree_of(block, v) for v in block.vertices]
-        graph.mpos = [-1] * len(block.vertices)
-        if bs.kind == HOOKING:
-            graph.master = vid[block.hook]
-            graph.ends.extend(vid[v] for edge in block.edges for v in edge)
-        else:
-            graph.master, graph.master_sink = vid[block.north], vid[block.south]
-            graph.out = [[] for _ in block.vertices]
-            for x, y in block.edges:
-                graph.out[vid[x]].append(vid[y])
-        for v, c in enumerate(graph.deg):
-            if v not in (graph.master, graph.master_sink):
-                lst = graph.members[c]
-                graph.mpos[v] = len(lst)
-                lst.append(v)
+        graph = _GraphData(kind=bs.kind, deg=[int(bipolar)], mpos=[-1])
+        if bipolar:
+            graph.master_sink = int(nv[-1]) - 1
+            graph.out = [[graph.master_sink]]
+        _replay(graph, tables, np.zeros((1, tables.ncols)), b, cls, np.array([1]))
+        if bipolar:
+            graph.deg.append(0)
+            graph.mpos.append(-1)
+            graph.out.append([])
 
-    state = GrowthState(
+    return GrowthState(
         bs=bs,
         mode=mode,
         step=0,
         counts=counts,
-        max_deg=max_deg,
-        master_degree=master_degree,
-        activity=0,
-        n_vertices=len(block.vertices),
+        max_deg=si[0],
+        master_degree=si[1],
+        activity=si[2],
+        n_vertices=int(nv[-1]),
         tables=tables,
         stream=stream,
         graph=graph,
         max_vertices=max_vertices,
     )
-    state.activity = state.recount_activity()
-    return state
 
 
 def _replay(

@@ -241,8 +241,6 @@ class BlockSet:
 
 def _check_connected(block: Block) -> None:
     """Underlying undirected multigraph must be connected."""
-    if not block.vertices:
-        raise BlockSetError("schema", "no vertices", block.name)
     adj: dict[str, set[str]] = {v: set() for v in block.vertices}
     for a, b in block.edges:
         adj[a].add(b)
@@ -296,11 +294,6 @@ def _validate_block(block: Block) -> None:
                 f"the south pole must be the unique sink (sinks: {sinks})",
                 block.name,
             )
-        for a, b in block.edges:
-            if a == b and a in (block.north, block.south):
-                raise BlockSetError(
-                    "pole-count", "self-loops are not allowed on poles", block.name
-                )
 
 
 def validate_blockset(bs: BlockSet) -> BlockSet:

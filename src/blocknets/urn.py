@@ -43,7 +43,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model_io import BlockSet, InternalConsistencyError, Num
+from .model_io import BlockSet, BlockSetError, InternalConsistencyError, Num
 from .profile import Cleared, DegreeProfile, Scale, _over, build_profile
 
 STAR = "*"
@@ -570,9 +570,9 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     ``UrnModel``."""
     profile = profile or build_profile(bs)
     if profile.r > MAX_TRACKED_TYPES:
-        raise InternalConsistencyError(
-            f"tracked-class count {profile.r} exceeds the supported maximum "
-            f"{MAX_TRACKED_TYPES}"
+        raise BlockSetError(
+            "param-domain",
+            f"tracked-class count {profile.r} exceeds the supported maximum {MAX_TRACKED_TYPES}",
         )
     law = build_replacement_law(bs, profile)
     a, v, eigs = _activities(profile), _right_eigenvector(profile), _eigenvalues(profile)

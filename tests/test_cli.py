@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import blocknets
 from blocknets import cli, load_blockset
+from blocknets import urn as urn_module
 from blocknets import verify as verify_mod
 from blocknets.cli import main
 from blocknets.model_io import format_number
@@ -216,8 +217,16 @@ def test_report_rejects_other_json(example_paths, tmp_path, capsys):
         '"checks": [{}]}',
         '"checks": [{"name": "mean", "passed": "yes"}]}',
         '"checks": [{"name": "mean", "verdict": "PASS", "statistic": "x", "threshold": 1}]}',
+        # "passed" must be what the verdicts give: false once a check fails
+        '"checks": [{"name": "mean", "verdict": "FAIL", "statistic": 3, "threshold": 1}]}',
+        '"checks": [{"name": "mean", "verdict": "MAYBE", "statistic": 0, "threshold": 1}]}',
     )
     texts = ["[]", '"x"', '{"schema": "blocknets-report/1"}', *(head + m for m in malformed)]
+    # "passed" must be a bool, not a string
+    texts.append(
+        head.replace("true", '"false"')
+        + '"checks": [{"name": "mean", "verdict": "PASS", "statistic": 0, "threshold": 1}]}'
+    )
     paths = [example_paths["fig1"]]
     for i, text in enumerate(texts):
         paths.append(str(tmp_path / f"other{i}.json"))
@@ -276,13 +285,24 @@ def test_verify_rejects_bad_tolerances(example_paths, tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_internal_consistency_exit_code(example_paths, capsys):
-    # more tracked classes than the urn supports is reported by the urn
-    # build as an internal consistency error
-    assert main(["analyze", "--input", example_paths["k2"], "--r", "65"]) == 3
+def test_internal_consistency_exit_code(example_paths, capsys, monkeypatch):
+    # more tracked classes than the urn supports is a validation error
+    assert main(["analyze", "--input", example_paths["k2"], "--r", "65"]) == 1
     err = capsys.readouterr().err
-    assert "internal consistency" in err
+    assert err.startswith("validation error: param-domain: ")
     assert "exceeds the supported maximum 64" in err
+
+    # two constructions of the right eigenvector that disagree
+    right = urn_module._right_eigenvector
+
+    def perturbed(p):
+        (n0, *rest), d = right(p)
+        return [n0 + 1, *rest], d
+
+    monkeypatch.setattr(urn_module, "_right_eigenvector", perturbed)
+    assert main(["analyze", "--input", example_paths["k2"]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency error: ")
 
 
 # one unit-source block tracked at r = 1: every replicate has the same

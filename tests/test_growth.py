@@ -471,6 +471,65 @@ def test_random_models_couple(seed):
     _assert_census_is_graph_recount(b)
 
 
+# a hooking block that lists its hook last, and a bipolar block that lists
+# its south pole before its new vertices
+HOOK_LAST = {
+    "kind": "hooking",
+    "chi": 1,
+    "rho": 1,
+    "r": 3,
+    "blocks": [
+        {"name": "P", "probability": "1/2", "vertices": ["a", "b", "h"],
+         "edges": [["h", "a"], ["a", "b"], ["b", "h"], ["a", "a"]], "hook": "h"},
+        {"name": "Q", "probability": "1/2", "vertices": ["x", "h"],
+         "edges": [["x", "h"]], "hook": "h"},
+    ],
+}  # fmt: skip
+SOUTH_FIRST = {
+    "kind": "bipolar",
+    "chi": 0,
+    "rho": 1,
+    "r": 3,
+    "blocks": [
+        {"name": "B", "probability": "1/2", "vertices": ["s", "m", "n", "t"],
+         "edges": [["n", "m"], ["m", "t"], ["m", "s"], ["t", "s"], ["n", "t"]],
+         "north": "n", "south": "s"},
+        {"name": "C", "probability": "1/2", "vertices": ["n", "s"],
+         "edges": [["n", "s"], ["n", "s"]], "north": "n", "south": "s"},
+    ],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "doc, poles, edges",
+    [
+        # h = 0, then a = 1 and b = 2
+        (HOOK_LAST, '  v0 [label="H"];\n  v1;\n  v2;\n', "0 1\n0 2\n1 1\n1 2\n"),
+        # n = 0, then m = 1 and t = 2, then s = 3
+        (SOUTH_FIRST, '  v0 [label="N"];\n  v1;\n  v2;\n  v3 [label="S"];\n',
+         "0 1\n0 2\n1 2\n1 3\n2 3\n"),
+    ],
+    ids=["hook-last", "south-first"],
+)  # fmt: skip
+def test_initial_block_numbering(doc, poles, edges):
+    """The initial block is attached at the master, so the master is
+    vertex 0, the block's new vertices follow in their listed order and a
+    south pole is the block's last vertex, wherever the block lists them."""
+    bs = blockset_from_dict(doc)
+    st = init_state(bs, "graph")
+    assert export_dot(st).split("\n", 1)[1].startswith(poles)
+    assert export_edge_list(st) == edges
+    assert st.census() == init_state(bs, "census").census()
+    a = simulate(bs, 600, mode="census", seed=4, record=True)
+    b = simulate(bs, 600, mode="graph", seed=4, record=True)
+    assert np.array_equal(a.trajectory_x, b.trajectory_x)
+    assert np.array_equal(a.trajectory_star, b.trajectory_star)
+    _assert_census_is_graph_recount(b)
+    # the labels stay on the master and the initial block's last vertex
+    labels = [line for line in export_dot(b).splitlines() if "label" in line]
+    assert labels == [line for line in poles.splitlines() if "label" in line]
+
+
 # ------------------------------------------------ batched = scalar kernel
 
 

@@ -81,6 +81,26 @@ def test_unknown_vertex_raises(fig1):
         degree_of(fig1.blocks[0], "nope")
 
 
+def _bipolar(edges=(("h", "a"),), **poles):
+    """A mutation that makes k2 bipolar: its block h, a gets the arcs
+    ``edges`` and the poles north h and south a, or those in ``poles``."""
+
+    def mutate(d):
+        d["kind"] = "bipolar"
+        block = d["blocks"][0]
+        del block["hook"]
+        block.update(edges=[list(e) for e in edges], north="h", south="a")
+        block.update(poles)
+
+    return mutate
+
+
+def test_bipolar_mutation_base_is_valid(k2):
+    doc = json.loads(k2.to_json())
+    _bipolar()(doc)
+    assert blockset_from_dict(doc).blocks[0].south == "a"
+
+
 @pytest.mark.parametrize(
     "mutate, rule",
     [
@@ -93,15 +113,36 @@ def test_unknown_vertex_raises(fig1):
         (lambda d: d.__setitem__("r", True), "schema"),
         (lambda d: d.__setitem__("initial_block", True), "param-domain"),
         (lambda d: d.__setitem__("initial_block", False), "param-domain"),
-        (lambda d: d["blocks"][0].pop("hook"), "schema"),
+        (lambda d: d["blocks"][0].__delitem__("hook"), "schema"),
         (lambda d: d.__setitem__("kind", "stellar"), "schema"),
+        (lambda d: d["blocks"][0]["vertices"].append("h"), "schema"),  # duplicate vertex id
+        (lambda d: d["blocks"][0].update(vertices=["h"], edges=[]), "schema"),  # one vertex
+        (lambda d: d["blocks"][0].__setitem__("probability", 0), "param-domain"),
+        (lambda d: d["blocks"][0].__setitem__("probability", "3/2"), "param-domain"),
+        (_bipolar(north="x"), "schema"),
+        (_bipolar(south="x"), "schema"),
+        (_bipolar(south="h"), "pole-count"),
+        # a self-loop on a pole breaks the unique source, or the unique sink
+        (_bipolar(edges=[("h", "a"), ("h", "h")]), "pole-count"),
+        (_bipolar(edges=[("h", "a"), ("a", "a")]), "pole-count"),
+        (lambda d: d["blocks"].append(dict(d["blocks"][0])), "schema"),  # duplicate name
+        (lambda d: [d], "schema"),
+        (lambda d: d.__delitem__("blocks"), "schema"),
+        (lambda d: d["blocks"][0].__delitem__("probability"), "schema"),
+        (lambda d: json.dumps(d)[:-1], "schema"),  # invalid JSON
     ],
 )
 def test_validation_rules(k2, mutate, rule):
+    """Each mutation of k2's document edits it in place, or returns the
+    document to read in its place: a JSON value, or a text to parse."""
     doc = json.loads(k2.to_json())
-    mutate(doc)
+    new = mutate(doc)
+    doc = doc if new is None else new
     with pytest.raises(BlockSetError) as err:
-        blockset_from_dict(doc)
+        if isinstance(doc, str):
+            parse_blockset(doc)
+        else:
+            blockset_from_dict(doc)
     assert err.value.rule == rule
 
 
