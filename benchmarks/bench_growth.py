@@ -9,7 +9,8 @@ Two measurements, each on bit-identical work:
   replicates of 10^4 steps on one core): one ``simulate`` per replicate
   against ``simulate_batch``, which grows them all in lock step.  Rates
   are reported in replicate-steps/s once the final censuses of both are
-  asserted identical;
+  asserted identical, after the lock-step prefix width P that the model's
+  limit law gives and the share of steps predicted to defer past it;
 * graph mode (fig1 and fig3, 2x10^4 steps, fixed seed), which runs the
   census kernel and replays its choices on the multigraph.  Its census
   trajectory is asserted equal to census mode's before it is timed, in
@@ -32,6 +33,8 @@ from blocknets import (
     simulate,
     simulate_batch,
 )
+from blocknets.growth import MAX_PREFIX, _scan_prefix
+from blocknets.profile import weight_past
 
 # One verify worker's share at the benchmark's verify size (R=200, 2 jobs).
 REPLICATES = 100
@@ -56,6 +59,8 @@ def compare_replicate_kernels(repeats: int) -> None:
         bs = load_example(name)
         track = build_profile(bs).essential
         seeds = [np.random.SeedSequence((42, k)) for k in range(replicates)]
+        prefix, (past, scale) = _scan_prefix(bs), weight_past(bs, MAX_PREFIX)
+        print(f"{name}: lock-step prefix P={prefix}, predicted deferred share {past[prefix] / scale:.3g}")
         times, samples = {}, {}
         for label, fn in (("per-replicate", per_replicate), ("batched", batched)):
             times[label] = np.inf

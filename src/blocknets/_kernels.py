@@ -16,20 +16,23 @@ verification.  Two kernels advance it:
   maximum degree) is computed once per row block.  Per step it only
   advances each replicate's partial sums over the low degree classes:
   one compare, one matrix-vector product and one gather-add from the
-  model's step table.  The latches that lie past those classes, a tenth
-  of the steps on fig1, are resolved after the row block, in a few rounds
-  that each serve every replicate at once.
+  model's step table.  The latches that lie past those classes are
+  resolved after the row block, in a few rounds that each serve every
+  replicate at once.  ``growth._scan_prefix`` sizes the prefix per model
+  from its limit law: the fewest multiple of 8 degrees past which fewer
+  than 2% of the steps are predicted to defer, at most 64.  That is 48
+  degrees on fig1 and 8 on fig3.
 
 Both kernels, ``block_choice`` and graph mode's replay read one model
 table, ``tab``, which ``growth._build_tables`` builds once per
 ``simulate`` or ``simulate_batch`` call.  It holds each per-block fact
 once: the latch increment, the scaled activity increment, the new-vertex
 count and degrees.  The scalar loop reads lists; numpy arrays serve only
-numpy code that indexes them by block choices.  The lock-step kernel's
-own tables (``LockStep``: the step table, the change that each block,
-latching at each low degree class, makes to the partial sums of those
-classes, and what it adds past them) are laid out here, by
-``lock_step_tables``, and built when ``census_batch`` first reads them.
+numpy code that indexes them by block choices.  The lock-step kernel
+also reads its own tables (``LockStep``: the step table, the change that
+each block, latching at each low degree class, makes to the partial sums
+of those classes, and what it adds past them), which ``lock_step_tables``
+builds for a given prefix width.
 
 Both kernels take the block choices precomputed by ``block_choice``
 (one compare per block and row block), which is also how the initial
@@ -64,10 +67,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Degree classes whose partial sums census_batch keeps for every
-# replicate; most latches sit in the low degree classes.
-# lock_step_tables reads it when it builds the step table.
-SCAN_PREFIX = 16
 # Bound on the scaled total activity S * total.  Every partial sum the
 # kernels form lies between 0 and the total, and every change made to one
 # is an integer, so below 2**52 each is an exact binary64 integer.
@@ -75,8 +74,8 @@ ACTIVITY_LIMIT = 2**52
 
 
 class LockStep(NamedTuple):
-    """The lock-step kernel's tables over P = ``SCAN_PREFIX`` degrees, for
-    a model of m blocks.  Row k * m + i of each belongs to block i latching
+    """The lock-step kernel's tables over a prefix of P degrees, for a
+    model of m blocks.  Row k * m + i of each belongs to block i latching
     at degree k + 1, where k = P stands for any latch past the prefix."""
 
     # float64 ((P + 1) * m, P + 1): the change that the row's step makes to
@@ -89,9 +88,10 @@ class LockStep(NamedTuple):
     arrive: np.ndarray
 
 
-def lock_step_tables(tab) -> LockStep:
-    """The tables ``census_batch`` reads for the model table ``tab``."""
-    m, P = len(tab.block_d), SCAN_PREFIX
+def lock_step_tables(tab, P: int) -> LockStep:
+    """The tables ``census_batch`` reads for the model table ``tab``, when
+    its step loop scans degrees 1..P."""
+    m = len(tab.block_d)
     top = max(P, tab.new_max, P + max(tab.block_d))
     # moves[k, i, c]: the change in the count of degree c when block i
     # latches at degree k + 1; past the prefix (k = P) the latch's move
@@ -181,7 +181,7 @@ def block_choice(tab, ub):
     return choice
 
 
-def census_batch(counts, state_i, state_f, tab, u, b):
+def census_batch(counts, state_i, state_f, tab, lock, u, b):
     """Advance R replicates by ``u.shape[1]`` steps each, in lock step:
     every replicate takes step j before any takes j+1.
 
@@ -191,13 +191,15 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     (R, L, ncols) the next L rows of each replicate's stream and ``b``
     (R, L) their block choices (``block_choice``).  Degree k weighs
     ``tab.chi_s * k + tab.rho_s`` and block i adds ``tab.s_a[i]`` to the
-    total.  ``state_i`` and ``state_f`` are updated in place; the counts
-    are returned in a new array.  Nothing is recorded.
+    total.  ``lock`` is ``lock_step_tables(tab, P)`` for some P >= 1.
+    ``state_i`` and ``state_f`` are updated in place; the counts are
+    returned in a new array.  Nothing is recorded.
 
     The step loop scans only the prefix, degrees 1..P, where P is the
-    width of the step table ``tab.lock_step.step`` (``SCAN_PREFIX`` when it
-    was built).  Each replicate's P partial sums, followed by an ``inf``
-    sentinel that no target reaches, are one row of ``sums``.  A step's
+    width of the step table ``lock.step``.  Any P >= 1 yields the same
+    states, by the argument below; only the time moves with it.  Each
+    replicate's P partial sums, followed by an ``inf`` sentinel that no
+    target reaches, are one row of ``sums``.  A step's
     class index k is the count of sums <= its target: the latch at degree
     k + 1, or past the prefix when k = P.  Every weight is positive, since
     chi >= 0 and chi + rho > 0, so the sums never decrease, and the count
@@ -218,7 +220,7 @@ def census_batch(counts, state_i, state_f, tab, u, b):
     degree k <= P takes the count (sum_k - sum_{k-1}) / weight_k from the
     final sums.  The vertices that the steps add past the prefix, new ones
     and latches that a prefix hit moves there, are the ``arrivals``: per
-    step, the row of ``tab.lock_step.arrive`` that matches its step table
+    step, the row of ``lock.arrive`` that matches its step table
     row.  The row block's end adds their totals to the degree rows.
 
     The steps that reached the sentinel are deferred: their latches are
@@ -249,7 +251,7 @@ def census_batch(counts, state_i, state_f, tab, u, b):
       target holds the first degree that does.
     """
     R, L = u.shape[0], u.shape[1]
-    step, arrive = tab.lock_step
+    step, arrive = lock
     P = step.shape[1] - 1
     blocks = len(tab.block_d)
     # Total activity before each step, and each step's class target.

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 validation error (also unreadable files, a network
 outgrowing --max-vertices and a model whose urn matrices overflow
-binary64), 2 verification failure, 3 internal consistency error.
+binary64), 2 verification failure, 3 internal consistency error, 141
+when the reader of stdout closed it early (as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,6 +48,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_INTERNAL = 3
+# 128 + SIGPIPE, the status a shell reports for a writer that SIGPIPE ends
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt_matrix(m) -> list[list]:
@@ -286,7 +290,14 @@ def main(argv=None) -> int:
         "report": cmd_report,
     }[args.command]
     try:
-        return command(args)
+        status = command(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader has gone: stop without a message.  stdout is pointed at
+        # the null device, so that the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BlockSetError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -24,9 +24,10 @@ Both rules of growth change the census through three facts of each block:
 the latch's degree increment, the degrees of its new vertices and its
 activity increment.  ``_build_tables`` puts them, with the block
 probabilities and the replay's edge codes, in one ``_Tables`` per
-``simulate`` or ``simulate_batch`` call, which every kernel reads.  The
-lock-step kernel's step table is built from it only when that kernel
-first reads it, so only ``simulate_batch`` pays for it.
+``simulate`` or ``simulate_batch`` call, which every kernel reads.  Only
+``simulate_batch`` builds the lock-step kernel's tables from it, once per
+call, for the prefix width that ``_scan_prefix`` derives from the model's
+limit law before any draw.
 
 The graph store is flat.  Vertex ids are 0..n-1 in creation order: the
 master (hook or north pole) is vertex 0, the initial block's new vertices
@@ -57,7 +58,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
@@ -65,7 +66,7 @@ import numpy as np
 
 from . import _kernels
 from .model_io import BIPOLAR, HOOKING, BlockSet
-from .profile import _clear, activity_increments, essential_degrees
+from .profile import _clear, activity_increments, essential_degrees, weight_past
 
 CHUNK_ROWS = 4096
 # Rows per replicate drawn at a time by simulate_batch; small, so that a
@@ -75,6 +76,15 @@ SPOT_CHECK_INTERVAL = 1 << 16
 # Rows the writers format per template, to bound their temporaries.
 WRITE_ROWS = 1 << 16
 DEFAULT_MAX_VERTICES = 10_000_000
+# The lock-step kernel scans degrees 1..P in its step loop and defers the
+# latches past them to slower rounds.  P is the least multiple of
+# PREFIX_STEP, up to MAX_PREFIX, past which the limit law puts less than
+# DEFERRED_SHARE of the attachment weight (``_scan_prefix``).
+PREFIX_STEP = 8
+MAX_PREFIX = 64
+DEFERRED_SHARE = Fraction(1, 50)
+# The master (hook or north pole) is vertex 0 of every graph.
+MASTER = 0
 
 GRAPH = "graph"
 CENSUS = "census"
@@ -95,8 +105,7 @@ class _Tables:
     ``block_choice`` and the graph replay.  Each per-block fact is held
     once: as a list where the scalar loops read it, as a numpy array where
     numpy code indexes it with arrays of block choices, and as both (the
-    ``*_a`` copies) where both do.  Activities are integers scaled by S.
-    The lock-step kernel's own tables are built when it first reads them."""
+    ``*_a`` copies) where both do.  Activities are integers scaled by S."""
 
     ncols: int  # uniforms per step
     scale: int  # S, the least common denominator of chi and rho
@@ -121,11 +130,6 @@ class _Tables:
     def weight(self, k: int) -> int:
         """S * (chi * k + rho), the scaled attachment weight of degree k."""
         return self.chi_s * k + self.rho_s
-
-    @cached_property
-    def lock_step(self) -> _kernels.LockStep:
-        """The tables of ``_kernels.census_batch``, built on first use."""
-        return _kernels.lock_step_tables(self)
 
 
 def _build_tables(bs: BlockSet) -> _Tables:
@@ -209,11 +213,10 @@ class _Stream:
 class _GraphData:
     """Materialized multigraph (graph mode only).  Vertex ids are 0..n-1 in
     creation order, and every per-vertex field is a list indexed by id.
-    The master is vertex 0, and a south pole is the last vertex of the
-    initial block."""
+    The master is vertex ``MASTER``, 0, and a south pole is the last vertex
+    of the initial block."""
 
     kind: str
-    master: int = 0
     master_sink: Optional[int] = None
     deg: list = field(default_factory=list)  # tracked degree
     mpos: list = field(default_factory=list)  # index in its class list; -1 for a pole
@@ -242,7 +245,7 @@ class _GraphData:
     def census(self) -> dict[int, int]:
         """Degree census of the non-pole vertices, counted from ``deg``."""
         deg = np.array(self.deg, dtype=np.int64)
-        deg[[v for v in (self.master, self.master_sink) if v is not None]] = -1
+        deg[[v for v in (MASTER, self.master_sink) if v is not None]] = -1
         counts = np.bincount(deg[deg >= 0])
         return {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
 
@@ -380,7 +383,7 @@ def _replay(
     member positions are those column 1 indexes.  Bipolar arcs go to the
     out-arc lists as each step is applied (column 3 indexes them); hooking
     edges go to the edge log in one pass after the loop."""
-    deg, mpos, members, out, master = g.deg, g.mpos, g.members, g.out, g.master
+    deg, mpos, members, out = g.deg, g.mpos, g.members, g.out
     bipolar = g.kind == BIPOLAR
     picks = rows[:, 1].tolist()
     arc_picks = rows[:, 3].tolist() if bipolar else picks  # unused by hooking
@@ -388,7 +391,7 @@ def _replay(
     v = len(deg)
     for u, ua, bj, c in zip(picks, arc_picks, b.tolist(), cls.tolist()):
         if c == -1:
-            latch = master
+            latch = MASTER
         else:
             lst = members[c]
             latch = lst[min(int(u * len(lst)), len(lst) - 1)]
@@ -416,7 +419,7 @@ def _replay(
             latches.append(latch)
         d = t.block_d[bj]
         deg[latch] = old + d
-        if d and latch != master:
+        if d and latch != MASTER:
             lst = members[old]
             i = mpos[latch]
             last = lst.pop()
@@ -476,7 +479,7 @@ def grow_step_scripted(
     b = np.array([block_index])
     _check_vertex_limit(_vertex_counts(state.n_vertices, t, b), state.step + 1, state.max_vertices)
     row = np.zeros((1, t.ncols))
-    c = -1 if latch == g.master else g.deg[latch]
+    c = -1 if latch == MASTER else g.deg[latch]
     if c != -1:
         row[0, 1] = (g.mpos[latch] + 0.5) / len(g.members[c])
     if state.kind == BIPOLAR:
@@ -485,7 +488,7 @@ def grow_step_scripted(
         row[0, 3] = (arc_index + 0.5) / g.deg[latch]
     _replay(g, t, row, b, np.array([c]), np.array([state.n_vertices]))
     state.counts, state.max_deg = _counts_array(g.census())
-    state.master_degree = g.deg[g.master]
+    state.master_degree = g.deg[MASTER]
     state.n_vertices = len(g.deg)
     state.activity += t.block_s[block_index]
     state.step += 1
@@ -633,7 +636,8 @@ def simulate_batch(
     Each returned state equals ``simulate(bs, n, seed=s)`` for its seed:
     the same census, degrees, vertex count, total activity and stream
     position.  Nothing is recorded.  The replicates grow in lock step
-    through ``_kernels.census_batch``.
+    through ``_kernels.census_batch``, over the tables of the prefix width
+    that ``_scan_prefix`` picks for ``bs``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -648,6 +652,7 @@ def simulate_batch(
     state_i = np.array([[s.max_deg, s.master_degree] for s in states], dtype=np.int64)
     state_f = np.array([s.activity for s in states], dtype=np.float64)
     n_vertices = np.array([s.n_vertices for s in states], dtype=np.int64)
+    lock = _kernels.lock_step_tables(t, _scan_prefix(bs))
 
     draws = np.empty((len(states), min(n, BATCH_ROWS), t.ncols))
     for step in range(0, n, BATCH_ROWS):
@@ -657,7 +662,7 @@ def simulate_batch(
         b = _kernels.block_choice(t, u[:, :, 2])
         nv = _vertex_counts(n_vertices, t, b)
         _check_vertex_limit(nv, step + 1, max_vertices)
-        counts = _kernels.census_batch(counts, state_i, state_f, t, u, b)
+        counts = _kernels.census_batch(counts, state_i, state_f, t, lock, u, b)
         n_vertices = nv[:, -1]
 
     for r, s in enumerate(states):
@@ -667,6 +672,20 @@ def simulate_batch(
         s.activity = int(state_f[r])
         s.step = n
     return states
+
+
+def _scan_prefix(bs: BlockSet) -> int:
+    """The width P of the lock-step kernel's prefix for ``bs``: the least
+    multiple of PREFIX_STEP below MAX_PREFIX past which the limit law puts
+    less than DEFERRED_SHARE of the attachment weight, else MAX_PREFIX.
+
+    That share, 1 - sum_{k <= P} w_k nu_k, is the share of steps whose latch
+    the kernel defers past P in a long run.  It depends on the model alone,
+    so P is fixed before any draw.  Any P gives the same states; only the
+    time moves."""
+    past, scale = weight_past(bs, MAX_PREFIX)
+    widths = range(PREFIX_STEP, MAX_PREFIX, PREFIX_STEP)
+    return next((P for P in widths if past[P] < DEFERRED_SHARE * scale), MAX_PREFIX)
 
 
 def _formatted(fmt: str, *cols: np.ndarray) -> Iterator[str]:
@@ -707,9 +726,9 @@ def export_dot(state: GrowthState) -> str:
     if g is None:
         raise ValueError("DOT export needs graph mode")
     if state.kind == HOOKING:
-        head, labels, edge = "graph G {\n", {g.master: "H"}, "  v%d -- v%d;\n"
+        head, labels, edge = "graph G {\n", {MASTER: "H"}, "  v%d -- v%d;\n"
     else:
-        head, labels, edge = "digraph G {\n", {g.master: "N", g.master_sink: "S"}, "  v%d -> v%d;\n"
+        head, labels, edge = "digraph G {\n", {MASTER: "N", g.master_sink: "S"}, "  v%d -> v%d;\n"
     parts, start = [head], 0
     for v in sorted(labels) + [len(g.deg)]:
         parts.extend(_formatted("  v%d;\n", np.arange(start, v)))

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .model_io import BlockSet, BlockSetError, Num
 
@@ -148,17 +149,15 @@ def _degree_numerators(
     return f, g
 
 
-def essential_degrees(bs: BlockSet, r: int) -> tuple[int, ...]:
-    """The r smallest degrees attainable by two or more non-master vertices.
+def _closure(bs: BlockSet) -> Iterator[int]:
+    """The degrees attainable by two or more non-master vertices, ascending.
 
-    These form the closure of the seed set under the positive latch
-    increments; the closure is generated in ascending order with a heap, so
-    exactly the first r members are produced.  Zero increments (a bipolar
-    block whose source has outdegree 1 leaves the latch unchanged) add
-    nothing and are dropped.
+    They form the closure of the seed set under the positive latch
+    increments, which a heap generates in ascending order, one degree per
+    ``next``.  Zero increments (a bipolar block whose source has outdegree 1
+    leaves the latch unchanged) add nothing and are dropped.  The closure
+    ends only if no increment is positive.
     """
-    if r < 1:
-        raise BlockSetError("param-domain", f"r must be >= 1, got {r}")
     base = {k for b in bs.blocks for k in b.new_degrees()}
     incs = {d for d in (b.latch_increment() for b in bs.blocks) if d > 0}
     if not base:
@@ -169,22 +168,29 @@ def essential_degrees(bs: BlockSet, r: int) -> tuple[int, ...]:
         )
     heap = sorted(base)
     seen: set[int] = set()
-    out: list[int] = []
-    while heap and len(out) < r:
+    while heap:
         k = heapq.heappop(heap)
         if k in seen:
             continue
         seen.add(k)
-        out.append(k)
+        yield k
         for d in incs:
             if k + d not in seen:
                 heapq.heappush(heap, k + d)
+
+
+def essential_degrees(bs: BlockSet, r: int) -> tuple[int, ...]:
+    """The r smallest degrees attainable by two or more non-master vertices
+    (``_closure``); exactly the first r are generated."""
+    if r < 1:
+        raise BlockSetError("param-domain", f"r must be >= 1, got {r}")
+    out = tuple(itertools.islice(_closure(bs), r))
     if len(out) < r:
         raise BlockSetError(
             "degree-closure-exhausted",
             f"only {len(out)} degree classes are attainable, requested r={r}",
         )
-    return tuple(out)
+    return out
 
 
 def _lambda1(f: Mapping[int, int], g: Mapping[int, int], chi: int, rho: int) -> int:
@@ -278,6 +284,25 @@ def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
     prof = DegreeProfile(kind=bs.kind, essential=ess, balance=balance_check(bs), pairs=pairs)
     _assert_profile_invariants(prof)
     return prof
+
+
+def weight_past(bs: BlockSet, top: int) -> Cleared:
+    """The limit law's share of the attachment weight that lies past each
+    degree d = 0..top, 1 - sum_{k <= d} w_k nu_k, as a (numerators, scale)
+    pair.  Only the attainable degrees carry weight, and every one up to
+    ``top`` is tracked, so a model with fewer attainable degrees than ``top``
+    is served as well."""
+    ess = tuple(itertools.takewhile(lambda k: k <= top, _closure(bs)))
+    if not ess:
+        return [1] * (top + 1), 1
+    x = build_profile(bs, len(ess)).pairs
+    ns, s = x.limit
+    on = {k: x.w(k) * n for k, n in zip(ess, ns)}
+    past, left = [], x.dw * s
+    for d in range(top + 1):
+        left -= on.get(d, 0)
+        past.append(left)
+    return past, x.dw * s
 
 
 def _assert_profile_invariants(p: DegreeProfile) -> None:

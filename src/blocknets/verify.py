@@ -147,11 +147,11 @@ def run_replicates(
 ) -> np.ndarray:
     """R independent census simulations; replicate k uses the stream seeded
     by SeedSequence((seed, k)), so results do not depend on scheduling.
-    The replicates are split into ``jobs`` contiguous batches, each grown
-    in lock step by one process."""
+    The replicates are split into ``jobs`` >= 1 contiguous batches, each
+    grown in lock step by one process."""
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    size = -(-replicates // max(jobs, 1))
+    size = -(-replicates // jobs)
     args = [
         (bs, n, seed, range(lo, min(lo + size, replicates)), tuple(track), max_vertices)
         for lo in range(0, replicates, size)
@@ -325,6 +325,8 @@ def verify_model(
         raise ValueError(f"--perturb-mean must be finite, got {perturb_mean}")
     if not (math.isfinite(perturb_cov) and perturb_cov > 0):
         raise ValueError(f"--perturb-cov must be finite and > 0, got {perturb_cov}")
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     urn = build_urn(bs)
     prof = urn.profile
     track = prof.essential

@@ -268,6 +268,33 @@ def test_verify_refuses_bad_perturbations(example_paths, capsys, monkeypatch, fl
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_refuses_jobs_below_one(example_paths, capsys, monkeypatch, jobs):
+    """``--jobs`` below 1 used to run as one job without a word.  It is
+    refused before any replicate is grown or any worker is started."""
+    monkeypatch.setattr(verify_mod, "run_replicates", _no_replicates)
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", None)  # not reached
+    assert main(["verify", "--input", example_paths["fig1"], "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
+def test_closed_stdout_ends_quietly(example_paths):
+    """A reader that closes stdout early, as ``blocknets analyze ... | head
+    -1`` does, ends the command with exit 141 and nothing on stderr: no
+    ``error:`` line and no traceback.  Here the read end of the pipe is
+    closed before the command writes anything."""
+    src = os.path.dirname(os.path.dirname(blocknets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "blocknets.cli", "analyze", "--input", example_paths["fig1"]]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (141, "")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -352,6 +379,23 @@ def test_verify_deterministic_model(tmp_path, capsys):
     assert all("covariance is zero" in c["detail"] for c in doc["checks"][1:])
     assert doc["passed"] is True
     assert main(["report", "--input", str(report)]) == 0  # SKIP entries render
+
+
+def test_verify_single_class_model(tmp_path, capsys):
+    """A bipolar path north -> a -> south attains degree 1 alone, since
+    every latch increment is 0.  Sizing the lock-step prefix reads the
+    classes that the model attains, so verify runs."""
+    path = {
+        "kind": "bipolar",
+        "chi": 1,
+        "rho": 0,
+        "r": 1,
+        "blocks": [{"name": "P", "probability": 1, "vertices": ["n", "a", "s"],
+                    "edges": [["n", "a"], ["a", "s"]], "north": "n", "south": "s"}],
+    }  # fmt: skip
+    p = _write_model(tmp_path / "path.json", path)
+    args = ["verify", "--input", p, "--steps", "2000", "--replicates", "20", "--jobs", "1"]
+    assert main(args) == 0, capsys.readouterr()
 
 
 def test_decimal_point_mass_analyzes_as_its_fraction_twin(tmp_path):

@@ -85,10 +85,10 @@ def _assert_census_is_graph_recount(st):
     assert deg.shape[0] == st.n_vertices
     recount = {}
     for v, c in enumerate(deg.tolist()):
-        if v not in (g.master, g.master_sink):
+        if v not in (growth_mod.MASTER, g.master_sink):
             recount[c] = recount.get(c, 0) + 1
     assert recount == st.census()
-    assert deg[g.master] == st.master_degree
+    assert deg[growth_mod.MASTER] == st.master_degree
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig3"])
@@ -263,7 +263,7 @@ def test_bipolar_graph_invariants(fig3):
     sinks = [v for v, d in enumerate(g.deg) if d == 0]
     assert sinks == [g.master_sink]
     tails, heads = g.edges()
-    assert np.bincount(heads, minlength=len(g.deg))[g.master] == 0
+    assert np.bincount(heads, minlength=len(g.deg))[growth_mod.MASTER] == 0
     assert g.recount_degrees().tolist() == g.deg
     assert len(tails) == sum(len(a) for a in g.out) == sum(g.deg)
 
@@ -547,9 +547,21 @@ def _batch_models(fig1, fig3, k2):
         "k2-half": replace(k2, chi=F(1), rho=F(-1, 2)),
         "random-fractional": random_blockset(504),
         # a star of 17 leaves hooked at a leaf adds a vertex of degree 17,
-        # past the 16-column prefix
+        # past a 16-column prefix
         "star-17": _star_model(17),
+        # every latch increment is 0: degree 1 is the one attainable class
+        "path": blockset_from_dict(PATH),
     }
+
+
+PATH = {
+    "kind": "bipolar",
+    "chi": 1,
+    "rho": 0,
+    "r": 1,
+    "blocks": [{"name": "P", "probability": 1, "vertices": ["n", "a", "s"],
+                "edges": [["n", "a"], ["a", "s"]], "north": "n", "south": "s"}],
+}  # fmt: skip
 
 
 def _star_model(leaves):
@@ -599,6 +611,7 @@ def _assert_same_state(a, b):
         "k2-half",
         "random-fractional",
         "star-17",
+        "path",
     ],
 )
 @pytest.mark.parametrize("n", [0, 1, BATCH_ROWS + 44])
@@ -613,16 +626,38 @@ def test_batch_matches_scalar(name, n, fig1, fig3, k2):
         _assert_same_state(simulate(bs, n, seed=seed), b)
 
 
+def _built_tables(mp):
+    """The list of the lock-step tables that ``simulate_batch`` builds from
+    now on, from which a test reads the width that its kernel ran at."""
+    built = []
+    build = _kernels.lock_step_tables
+    mp.setattr(_kernels, "lock_step_tables", lambda tab, P: built.append(build(tab, P)) or built[-1])
+    return built
+
+
+def _force_prefix(mp, prefix):
+    """Make ``simulate_batch`` scan ``prefix`` degrees in place of the width
+    that its rule picks; returns ``_built_tables``."""
+    mp.setattr(growth_mod, "_scan_prefix", lambda bs: prefix)
+    return _built_tables(mp)
+
+
+def _step_table_shapes(bs, prefix):
+    """The one step-table shape of a ``simulate_batch`` run at ``prefix``."""
+    return [((prefix + 1) * len(bs.blocks), prefix + 1)]
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig3", "fig1-fractional"])
 def test_batch_matches_scalar_past_a_short_prefix(name, monkeypatch, fig1, fig3, k2):
     """With a 2-column prefix most latches are deferred past it to the
     rounds, which read the new vertices of degree 3 from the pending table,
     while the step table adds those of degrees 1 and 2 to the prefix sums."""
-    monkeypatch.setattr(_kernels, "SCAN_PREFIX", 2)
+    built = _force_prefix(monkeypatch, 2)
     bs = _batch_models(fig1, fig3, k2)[name]
     seeds = [np.random.SeedSequence((37, k)) for k in range(4)]
     for seed, b in zip(seeds, simulate_batch(bs, BATCH_ROWS + 44, seeds)):
         _assert_same_state(simulate(bs, BATCH_ROWS + 44, seed=seed), b)
+    assert [t.step.shape for t in built] == _step_table_shapes(bs, 2)
 
 
 @pytest.mark.parametrize("name", ["k2", "fig3", "fig1"])
@@ -631,28 +666,29 @@ def test_batch_matches_scalar_inside_a_wide_prefix(name, monkeypatch, fig1, fig3
     of a tracked class is taken in the step loop; only the master's picks
     reach the rounds, whose scan past the prefix finds no vertex."""
     prefix = 64
-    monkeypatch.setattr(_kernels, "SCAN_PREFIX", prefix)
+    built = _force_prefix(monkeypatch, prefix)
     bs = _batch_models(fig1, fig3, k2)[name]
     seeds = [np.random.SeedSequence((41, k)) for k in range(4)]
     batch = simulate_batch(bs, BATCH_ROWS + 44, seeds)
+    assert [t.step.shape for t in built] == _step_table_shapes(bs, prefix)
     assert max(b.max_deg for b in batch) < prefix
     for seed, b in zip(seeds, batch):
         _assert_same_state(simulate(bs, BATCH_ROWS + 44, seed=seed), b)
 
 
 @pytest.mark.parametrize("prefix", [1, 2, 3, 4, 16])
-def test_prefix_step_table_is_the_change_of_one_step(prefix, monkeypatch, fig1, fig3, k2):
-    """Row k * m + i of ``lock_step.step`` is the change in the partial sums of
-    degrees 1..P when block i latches at degree k + 1 (k = P: past the
-    prefix), recounted from a census before and after that one step of the
-    scalar loop, and 0 in the sentinel's column."""
+def test_prefix_step_table_is_the_change_of_one_step(prefix, fig1, fig3, k2):
+    """Row k * m + i of ``lock_step_tables(tab, P).step`` is the change in
+    the partial sums of degrees 1..P when block i latches at degree k + 1
+    (k = P: past the prefix), recounted from a census before and after that
+    one step of the scalar loop, and 0 in the sentinel's column."""
     models = _batch_models(fig1, fig3, k2)
     named = [models[k] for k in ("fig1", "fig3", "k2", "star-17", "fig1-fractional", "k2-half")]
-    monkeypatch.setattr(_kernels, "SCAN_PREFIX", prefix)
     for bs in named + [random_blockset(seed) for seed in (3, 11, 504, 7001)]:
         tab = growth_mod._build_tables(bs)
+        lock = _kernels.lock_step_tables(tab, prefix)
         m, w = len(bs.blocks), tab.weight
-        assert tab.lock_step.step.shape == ((prefix + 1) * m, prefix + 1)
+        assert lock.step.shape == ((prefix + 1) * m, prefix + 1)
         # one vertex of each degree 1..P + 1 and a master of degree 2
         counts0 = np.zeros(64, dtype=np.int64)
         counts0[1 : prefix + 2] = 1
@@ -668,7 +704,7 @@ def test_prefix_step_table_is_the_change_of_one_step(prefix, monkeypatch, fig1, 
                 state = [prefix + 1, 2, total]
                 after, cls = _kernels.census_chunk(counts0, state, tab, np.array([target / total]), np.array([i]))
                 assert cls[0] == (c if c <= prefix + 1 else -1), (bs, i, c)
-                row = tab.lock_step.step[min(c - 1, prefix) * m + i]
+                row = lock.step[min(c - 1, prefix) * m + i]
                 assert np.array_equal(row[:prefix], np.cumsum(after[1 : prefix + 1] * weights) - before), (bs, i, c)
                 assert row[prefix] == 0
 
@@ -687,10 +723,28 @@ def test_batch_matches_scalar_on_random_models(seed, prefix, replicates, n):
     bs = random_blockset(seed)
     seeds = [np.random.SeedSequence((seed, k)) for k in range(replicates)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "SCAN_PREFIX", prefix)
+        built = _force_prefix(mp, prefix)
         batch = simulate_batch(bs, n, seeds)
+    assert [t.step.shape for t in built] == _step_table_shapes(bs, prefix)
     for s, b in zip(seeds, batch):
         _assert_same_state(simulate(bs, n, seed=s), b)
+
+
+@pytest.mark.parametrize(
+    "name, width", [("fig1", 48), ("fig3", 8), ("k2", 8), ("k2-preferential", 64), ("path", 8)]
+)
+def test_scan_prefix_follows_the_limit_law(name, width, fig1, fig3, k2, monkeypatch):
+    """The lock-step prefix is the least multiple of 8 past which the limit
+    law puts under 2% of the attachment weight, at most 64, and
+    ``simulate_batch`` runs its kernel at that width.  fig1's degrees decay
+    polynomially (10.1% of the weight lies past 16, 1.66% past 48); fig3's
+    and k2's sit low.  Degree-proportional k2 keeps 3.03% past 64, so it
+    takes the cap; the path model attains degree 1 alone."""
+    bs = _batch_models(fig1, fig3, k2)[name]
+    assert growth_mod._scan_prefix(bs) == width
+    built = _built_tables(monkeypatch)
+    simulate_batch(bs, 1, [0])
+    assert [t.step.shape for t in built] == _step_table_shapes(bs, width)
 
 
 def test_batch_random_initial_blocks_differ(fig1):
@@ -718,7 +772,7 @@ def test_batch_builds_the_model_table_once(fig1, monkeypatch):
     monkeypatch.setattr(growth_mod, "_build_tables", lambda bs: calls.append(bs) or build(bs))
     built = []
     lock_step = _kernels.lock_step_tables
-    monkeypatch.setattr(_kernels, "lock_step_tables", lambda tab: built.append(tab) or lock_step(tab))
+    monkeypatch.setattr(_kernels, "lock_step_tables", lambda tab, P: built.append(tab) or lock_step(tab, P))
     states = simulate_batch(fig1, 10, list(range(8)))
     assert len(calls) == 1
     assert all(s.tables is states[0].tables for s in states)
@@ -726,22 +780,24 @@ def test_batch_builds_the_model_table_once(fig1, monkeypatch):
 
 
 def test_only_the_lock_step_kernel_builds_its_tables(fig1, fig3, monkeypatch):
-    """``simulate`` in either mode and ``init_state`` leave the lock-step
-    tables unbuilt: only ``census_batch`` reads them."""
+    """``simulate`` in either mode and ``init_state`` neither size the
+    lock-step prefix nor build its tables: only ``census_batch`` reads them."""
     built = []
     lock_step = _kernels.lock_step_tables
-    monkeypatch.setattr(_kernels, "lock_step_tables", lambda tab: built.append(tab) or lock_step(tab))
+    monkeypatch.setattr(_kernels, "lock_step_tables", lambda tab, P: built.append(tab) or lock_step(tab, P))
+    rule = growth_mod._scan_prefix
+    monkeypatch.setattr(growth_mod, "_scan_prefix", lambda bs: built.append(bs) or rule(bs))
     for bs in (fig1, fig3):
-        states = [init_state(bs), simulate(bs, 300, mode="census", record=True)]
-        states.append(simulate(bs, 300, mode="graph"))
+        init_state(bs)
+        simulate(bs, 300, mode="census", record=True)
+        simulate(bs, 300, mode="graph")
         assert built == []
-        assert all("lock_step" not in vars(s.tables) for s in states)
 
 
 # (S, S * chi, S * rho, census, master degree, targets, classes the targets pick)
 _TIES = [
     # chi=1, rho=0: classes 1, 2 and 20 weigh 2, 2 and 20 and the master
-    # (degree 8) 8, total 32.  Partial sum 4 is the last column of the
+    # (degree 8) 8, total 32.  Partial sum 4 is the last column of a
     # 16-column prefix; 24 is the sum of every class, reached by the scan
     # past the prefix.
     (1, 1, 0, {1: 2, 2: 1, 20: 1}, 8, [0, 2, 4, 22, 24], [1, 2, 20, 20, -1]),
@@ -804,7 +860,8 @@ def test_batch_breaks_ties_like_scalar_loop():
         assert b[:, 0].tolist() == ([1, 0] * R)[:R]
         state_i = np.tile([top, master], (R, 1))
         state_f = np.full(R, float(total))
-        counts = _kernels.census_batch(np.tile(counts0, (R, 1)), state_i, state_f, tab, u, b)
+        lock = _kernels.lock_step_tables(tab, 16)
+        counts = _kernels.census_batch(np.tile(counts0, (R, 1)), state_i, state_f, tab, lock, u, b)
 
         for r in range(R):
             ref_state = [top, master, total]
@@ -821,7 +878,7 @@ def test_batch_breaks_ties_like_scalar_loop():
 # block 0 moves the latch up 1 and adds one vertex of degree 1, block 1
 # moves it up 2 and adds two.
 _DEFERRED = [
-    # Step 0 lands past the 16-column prefix, on the partial sum through
+    # Step 0 lands past a 16-column prefix, on the partial sum through
     # degree 17 (18 + 17 = 35): degree 18 is empty at step 0, so it picks
     # degree 20, but step 1's prefix hit moves the vertex of degree 16 to
     # 18, and against the row block's end it would pick 18.  Step 2 lands
@@ -861,7 +918,8 @@ def test_batch_resolves_deferred_latches_in_step_order(cases):
             total += tab.block_s[block]
     b = _kernels.block_choice(tab, u[:, :, 2])
     assert b.tolist() == [[block for _, block in _DEFERRED[c][2]] for c in cases]
-    counts = _kernels.census_batch(counts0, state_i, state_f, tab, u, b)
+    lock = _kernels.lock_step_tables(tab, 16)
+    counts = _kernels.census_batch(counts0, state_i, state_f, tab, lock, u, b)
 
     for r, case in enumerate(cases):
         ref_state = start[r]

@@ -16,6 +16,7 @@ from blocknets import (
     essential_degrees,
 )
 from blocknets.model_io import BIPOLAR, HOOKING, blockset_from_dict
+from blocknets.profile import weight_past
 
 from conftest import brute_force_essential, random_blockset
 
@@ -75,6 +76,31 @@ def test_k2_preferential_limit_formula(k2):
     lam, nu = p.lambda1, p.limit
     for i, x in enumerate(nu, start=1):
         assert lam * x == F(4, i * (i + 1) * (i + 2))
+
+
+def test_weight_past_preferential_k2_is_two_over_d_plus_2(k2):
+    """Under degree-proportional K2 (the Barabasi-Albert tree) degree k holds
+    the weight share k * nu_k = 2 / ((k + 1)(k + 2)), so 2 / (d + 2) of the
+    weight lies past degree d: 3.03% past 64."""
+    past, scale = weight_past(dataclasses.replace(k2, chi=F(1), rho=F(0)), 64)
+    assert [F(n, scale) for n in past] == [F(2, d + 2) for d in range(65)]
+
+
+def test_weight_past_reads_the_limit_vector(fig1, fig3):
+    """The share past d is 1 less the tracked weight up to d, whatever the
+    top; it is 0 past the last class that a finite closure attains."""
+    for bs in (fig1, fig3):
+        p = build_profile(bs, 20)
+        past, scale = weight_past(bs, p.essential[-1])
+        on = dict(zip(p.essential, (p.w(k) * x for k, x in zip(p.essential, p.limit))))
+        assert [F(n, scale) for n in past] == [
+            1 - sum(v for k, v in on.items() if k <= d) for d in range(p.essential[-1] + 1)
+        ]
+    doc = {"kind": "bipolar", "chi": 1, "rho": 0, "r": 1, "blocks": [
+        {"name": "P", "probability": 1, "vertices": ["n", "a", "s"],
+         "edges": [["n", "a"], ["a", "s"]], "north": "n", "south": "s"}]}  # fmt: skip
+    past, scale = weight_past(blockset_from_dict(doc), 64)
+    assert past == [scale] + [0] * 64
 
 
 def test_balance_examples(fig1, fig3, k2):
