@@ -14,14 +14,16 @@ verification.  Two kernels advance it:
   ``simulate_batch``.  Everything that does not depend on the census (the
   running total activity, the new vertices, the master degree and the
   maximum degree) is computed once per row block.  Per step it only
-  advances each replicate's partial sums over the low degree classes:
-  one compare, one matrix-vector product and one gather-add from the
-  model's step table.  The latches that lie past those classes are
-  resolved after the row block, in a few rounds that each serve every
-  replicate at once.  ``growth._scan_prefix`` sizes the prefix per model
-  from its limit law: the fewest multiple of 8 degrees past which fewer
-  than 2% of the steps are predicted to defer, at most 64.  That is 48
-  degrees on fig1 and 8 on fig3.
+  advances each replicate's partial sums over the low degree classes,
+  held as exact int64 integers in one sorted array: one ``searchsorted``
+  of the floored targets finds every replicate's class, and one gather
+  and one add apply the matching rows of the model's step table.  The
+  latches that lie past those classes are resolved after the row block,
+  in a few rounds that each serve every replicate at once.
+  ``growth._scan_prefix`` sizes the prefix per model from its limit law:
+  the fewest multiple of 8 degrees past which fewer than 2% of the steps
+  are predicted to defer, at most 64.  That is 48 degrees on fig1 and 8
+  on fig3.
 
 Both kernels, ``block_choice`` and graph mode's replay read one model
 table, ``tab``, which ``growth._build_tables`` builds once per
@@ -47,7 +49,9 @@ whatever order is fastest; both kernels compare the same binary64 target
 states.  The scalar loop picks the first class whose partial sum exceeds
 the target; every weight is positive (chi >= 0 and chi + rho > 0), so
 the sums never decrease and the lock-step kernel picks the same class as
-the count of sums at most the target.
+the count of sums at most the target.  It counts them against the
+target's floor, in int64: an integer sum is at most the target exactly
+when it is at most its floor.
 
 Step layout of the pre-drawn uniforms (one row per step):
 
@@ -71,17 +75,27 @@ import numpy as np
 # kernels form lies between 0 and the total, and every change made to one
 # is an integer, so below 2**52 each is an exact binary64 integer.
 ACTIVITY_LIMIT = 2**52
+# Each replicate's prefix sums sit in a span of ROW_SPAN int64 values of
+# the lock-step kernel's one sorted array, replicate r's from r * ROW_SPAN
+# on; every sum and target lies below ACTIVITY_LIMIT, so each span ends
+# above them with room for its sentinel.
+ROW_SPAN = 2 * ACTIVITY_LIMIT
+# The most replicates one ``census_batch`` call holds: every span must fit
+# an int64.
+MAX_REPLICATES = np.iinfo(np.int64).max // ROW_SPAN
 
 
 class LockStep(NamedTuple):
     """The lock-step kernel's tables over a prefix of P degrees, for a
-    model of m blocks.  Row k * m + i of each belongs to block i latching
-    at degree k + 1, where k = P stands for any latch past the prefix."""
+    model of m blocks.  Row i * (P + 1) + k of each belongs to block i
+    latching at degree k + 1, where k = P stands for any latch past the
+    prefix: the rows are block-major, so that a replicate's row is its
+    class index plus an offset fixed by its block choice."""
 
-    # float64 ((P + 1) * m, P + 1): the change that the row's step makes to
+    # int64 (m * (P + 1), P + 1): the change that the row's step makes to
     # the partial sums of degrees 1..P, then a 0 for the kernel's sentinel
     step: np.ndarray
-    # int64 ((P + 1) * m, A): the vertices that the row's step adds at
+    # int64 (m * (P + 1), A): the vertices that the row's step adds at
     # degree P + 1 + a past the prefix: its new vertices there and, for
     # k < P, a latch that it moves there.  P + A is the highest degree
     # that any row adds to, or A = 0 if none does.
@@ -93,22 +107,23 @@ def lock_step_tables(tab, P: int) -> LockStep:
     its step loop scans degrees 1..P."""
     m = len(tab.block_d)
     top = max(P, tab.new_max, P + max(tab.block_d))
-    # moves[k, i, c]: the change in the count of degree c when block i
+    # moves[i, k, c]: the change in the count of degree c when block i
     # latches at degree k + 1; past the prefix (k = P) the latch's move
     # is left to the rounds
-    moves = np.zeros((P + 1, m, top + 1))
+    moves = np.zeros((m, P + 1, top + 1), dtype=np.int64)
     for i, new in enumerate(tab.new_degs):
         for c in new:
-            moves[:, i, c] += 1
-    k, i = np.arange(P)[:, None], np.arange(m)
-    moves[k, i, k + 1] -= 1
-    moves[k, i, k + 1 + tab.d_a] += 1
-    # clamped: a run reaching a weight past ACTIVITY_LIMIT is refused, and
-    # a huge S must not overflow the conversion
-    w = [min(tab.chi_s * c + tab.rho_s, ACTIVITY_LIMIT) for c in range(1, P + 1)]
-    step = np.zeros(((P + 1) * m, P + 1))
-    np.cumsum(moves[:, :, 1 : P + 1] * w, axis=2, out=step.reshape(P + 1, m, P + 1)[:, :, :P])
-    arrive = moves[:, :, P + 1 :].reshape((P + 1) * m, top - P).astype(np.int64)
+            moves[i, :, c] += 1
+    i, k = np.arange(m)[:, None], np.arange(P)
+    moves[i, k, k + 1] -= 1
+    moves[i, k, k + 1 + tab.d_a[:, None]] += 1
+    # clamped, so that a huge S fits an int64: a row whose step reaches a
+    # weight of ACTIVITY_LIMIT would lift the total past it, and such a run
+    # is refused before its first step, so no run reads a clamped row
+    w = np.array([min(tab.chi_s * c + tab.rho_s, ACTIVITY_LIMIT) for c in range(1, P + 1)])
+    step = np.zeros((m * (P + 1), P + 1), dtype=np.int64)
+    np.cumsum(moves[:, :, 1 : P + 1] * w, axis=2, out=step.reshape(m, P + 1, P + 1)[:, :, :P])
+    arrive = moves[:, :, P + 1 :].reshape(m * (P + 1), top - P).copy()
     return LockStep(step, arrive)
 
 
@@ -197,20 +212,30 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
 
     The step loop scans only the prefix, degrees 1..P, where P is the
     width of the step table ``lock.step``.  Any P >= 1 yields the same
-    states, by the argument below; only the time moves with it.  Each
-    replicate's P partial sums, followed by an ``inf`` sentinel that no
-    target reaches, are one row of ``sums``.  A step's
-    class index k is the count of sums <= its target: the latch at degree
-    k + 1, or past the prefix when k = P.  Every weight is positive, since
-    chi >= 0 and chi + rho > 0, so the sums never decrease, and the count
-    of sums <= the target is the index of the first sum > the target, the
-    class the scalar loop's strict ``<`` picks.  With the block choice i
-    of the model's m blocks, the step reads row k * m + i of the step
-    table, the exact change that this latch and the block's new vertices
-    make to the sums, and adds it.  Every sum is an integer below
-    ``ACTIVITY_LIMIT`` at every step and every change an integer, so each
-    comparison and each addition is exact in binary64, and the partial
-    sums are those of the scalar loop.
+    states, by the argument below; only the time moves with it.  At most
+    ``MAX_REPLICATES`` replicates fit one call.
+
+    Each replicate's P partial sums are exact int64 integers in one flat
+    sorted array, ``keys``: replicate r's row holds its sums plus
+    r * ``ROW_SPAN``, then the sentinel r * ROW_SPAN + ROW_SPAN - 1, which
+    lies above every sum and target of the row and below the next row.
+    Each step's class target t = u0 * (S * total) is held floored, as
+    floor(t) + r * ROW_SPAN.  One ``keys.searchsorted(targets, "right")``
+    over the R targets of a step gives each replicate r * (P + 1) + k,
+    where k counts the sums of its own row that are <= floor(t).  For an
+    integer sum s and a target t below 2**52, s <= t exactly when
+    s <= floor(t), so k also counts the sums <= t.  Every weight is
+    positive, since chi >= 0 and chi + rho > 0, so the sums never
+    decrease, and k is the index of the first sum > t: the class that the
+    scalar loop's strict ``<`` picks, the latch at degree k + 1, or past
+    the prefix when k = P.  Adding (i - r) * (P + 1) for the step's block
+    choice i gives row i * (P + 1) + k of the block-major step table, the
+    exact change that this latch and the block's new vertices make to the
+    sums; one gather and one add apply the R rows.  Every sum stays an
+    integer below ``ACTIVITY_LIMIT``, so the partial sums are those of the
+    scalar loop.  The gather skips numpy's index check (``mode="clip"``);
+    after the loop the row block checks the stored rows once, and raises
+    ``IndexError`` if any lies outside the step table.
 
     Everything past the prefix is held degree-major as float64,
     ``work[row, r]``: the trash rows 0..dmax, where the master's class is
@@ -229,9 +254,11 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
     scan past the prefix from the last prefix sum at its step (``last``,
     the sum before the row block plus the changes of the earlier steps) and
     latches to the master if the target is not below the last sum either.
-    It scans in blocks of P degrees: one ``matmul`` gives each block's
-    weighted sum, and only the first block whose end passes the target is
-    scanned row by row.  This is exact:
+    It reads the floored targets, which pick as the targets do against
+    integer sums: t < s exactly when floor(t) < s.  It scans in blocks of
+    P degrees: one ``matmul`` gives each block's weighted sum, and only the
+    first block whose end passes the target is scanned row by row.  This
+    is exact:
 
     * a deferred latch moves only degree rows past the prefix, or trash
       rows, and the prefix sums count neither, so every prefix outcome of
@@ -251,21 +278,26 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
       target holds the first degree that does.
     """
     R, L = u.shape[0], u.shape[1]
+    if R > MAX_REPLICATES:
+        raise ValueError(f"census_batch takes at most {MAX_REPLICATES} replicates, got {R}")
     step, arrive = lock
     P = step.shape[1] - 1
-    blocks = len(tab.block_d)
-    # Total activity before each step, and each step's class target.
+    # Total activity before each step, and each step's class target, floored
+    # (u0 * total >= 0 casts to its floor) and moved into its replicate's span.
     totals = np.empty((R, L + 1))
     totals[:, 0] = state_f
     totals[:, 1:] = tab.s_a[b]
     np.cumsum(totals, axis=1, out=totals)
-    target = np.empty((L, R))
-    np.multiply(u[:, :, 0].T, totals[:, :L].T, out=target)
+    target = np.empty((L, R), dtype=np.int64)
+    np.multiply(u[:, :, 0].T, totals[:, :L].T, out=target, casting="unsafe")
+    span = np.arange(R, dtype=np.int64) * ROW_SPAN
+    target += span
     state_f[:] = totals[:, L]
     del totals
-    # Each step's block choice, and once the step is taken, its row
-    # k * m + b of the step tables.
-    moved = b.T.copy()
+    # Each step's offset (i - r) * (P + 1) from its search index to its row
+    # i * (P + 1) + k of the step tables, which the loop stores in its place.
+    moved = b.T - np.arange(R)
+    moved *= P + 1
 
     dmax = max(tab.block_d)
     base = dmax + 1  # row of degree 0, after the trash rows
@@ -280,36 +312,40 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
     weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s  # by degree
 
     W = base + P + 1  # row of the first degree past the prefix
-    sums = np.empty((R, P + 1))
-    np.cumsum(work[base + 1 : W].T * weight[1 : P + 1], axis=1, out=sums[:, :P])
-    sums[:, P] = np.inf
-    first = sums[:, P - 1].copy()  # the last prefix sum before the row block
-    below = np.empty((R, P + 1))
-    k = np.empty(R)
-    by_m = np.full(P + 1, float(blocks))
-    tcol = target[:, :, None]
+    sums = np.empty((R, P + 1), dtype=np.int64)
+    sums[:, :P] = np.cumsum(work[base + 1 : W].T * weight[1 : P + 1], axis=1)
+    sums[:, P] = ROW_SPAN - 1
+    sums += span[:, None]
+    first = sums[:, P - 1] - span  # the last prefix sum before the row block
+    keys = sums.reshape(-1)
+    change = np.empty_like(sums)
 
     for j in range(L):
-        np.less_equal(sums, tcol[j], out=below)
-        np.matmul(below, by_m, out=k)
         row = moved[j]
-        np.add(row, k, out=row, casting="unsafe")
-        sums += step[row]
+        row += keys.searchsorted(target[j], side="right")
+        step.take(row, axis=0, out=change, mode="clip")
+        sums += change
 
+    # Every gather of the stored rows, in the loop and after it, skips
+    # numpy's index check (mode="clip"); this one check covers them all.
+    if moved.min() < 0 or moved.max() >= len(step):
+        raise IndexError("a lock-step row lies outside the step table")
     # The census of the prefix, exact: each difference of exact integer sums
     # is a count times its weight.
-    work[base + 1 : W] = (np.diff(sums[:, :P], axis=1, prepend=0.0) / weight[1 : P + 1]).T
+    sums -= span[:, None]
+    work[base + 1 : W] = (np.diff(sums[:, :P], axis=1, prepend=0) / weight[1 : P + 1]).T
     # arrivals[j, r, a]: what the steps before step j of replicate r add
     # at degree P + 1 + a.  The rounds read it, and the end adds row L to
     # the degree rows.
     A = arrive.shape[1]
     arrivals = np.zeros((L + 1, R, A), dtype=np.min_scalar_type(L * int(arrive.max(initial=0))))
-    np.take(arrive.astype(arrivals.dtype), moved, axis=0, out=arrivals[1:])
+    np.take(arrive.astype(arrivals.dtype), moved, axis=0, out=arrivals[1:], mode="clip")
     np.cumsum(arrivals, axis=0, out=arrivals)
     arrived = arrivals[L].T.copy()
 
-    # The deferred steps as flat indices j * R + r in step order.
-    deferred = np.flatnonzero(moved >= P * blocks)
+    # The deferred steps, whose row is the last of its block's (k = P), as
+    # flat indices j * R + r in step order.
+    deferred = np.flatnonzero((np.arange(len(step)) % (P + 1) == P)[moved])
     if len(deferred):
         # Round t takes each replicate's t-th deferred step.
         j, r = np.divmod(deferred, R)
@@ -322,12 +358,13 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
         came = arrivals[j, r]
         del arrivals
         # The last prefix sum before each step.
-        last = np.empty((L, R))
+        last = np.empty((L, R), dtype=np.int64)
         last[0] = first
-        np.take(step[:, P - 1], moved[:-1], out=last[1:])
+        np.take(step[:, P - 1], moved[:-1], out=last[1:], mode="clip")
         np.cumsum(last, axis=0, out=last)
-        tj, kept, move = target[j, r], last[j, r], tab.d_a[b[r, j]] * R
-        del target, tcol, last, moved  # the rounds read none of the step tables
+        tj = (target[j, r] - span[r]).astype(np.float64)
+        kept, move = last[j, r], tab.d_a[b[r, j]] * R
+        del target, last, moved  # the rounds read none of the step tables
         sizes = np.bincount(nth)
         ends = np.cumsum(sizes)
         for lo, hi in zip(ends - sizes, ends):

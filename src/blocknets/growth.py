@@ -637,7 +637,8 @@ def simulate_batch(
     the same census, degrees, vertex count, total activity and stream
     position.  Nothing is recorded.  The replicates grow in lock step
     through ``_kernels.census_batch``, over the tables of the prefix width
-    that ``_scan_prefix`` picks for ``bs``.
+    that ``_scan_prefix`` picks for ``bs``, in groups of at most
+    ``_kernels.MAX_REPLICATES``, the most that one kernel call holds.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -646,13 +647,24 @@ def simulate_batch(
     if not states:
         return states
     _check_activity_limit(t, max(s.activity for s in states), n)
+    lock = _kernels.lock_step_tables(t, _scan_prefix(bs))
+    group = _kernels.MAX_REPLICATES
+    for lo in range(0, len(states), group):
+        _grow_in_lock_step(states[lo : lo + group], t, lock, n, max_vertices)
+    return states
+
+
+def _grow_in_lock_step(
+    states: list, t: _Tables, lock: _kernels.LockStep, n: int, max_vertices: int
+) -> None:
+    """Advance each census state by n steps, in one lock-step row block of
+    ``census_batch`` per BATCH_ROWS steps."""
     counts = np.zeros((len(states), max(s.counts.shape[0] for s in states)), dtype=np.int64)
     for r, s in enumerate(states):
         counts[r, : s.counts.shape[0]] = s.counts
     state_i = np.array([[s.max_deg, s.master_degree] for s in states], dtype=np.int64)
     state_f = np.array([s.activity for s in states], dtype=np.float64)
     n_vertices = np.array([s.n_vertices for s in states], dtype=np.int64)
-    lock = _kernels.lock_step_tables(t, _scan_prefix(bs))
 
     draws = np.empty((len(states), min(n, BATCH_ROWS), t.ncols))
     for step in range(0, n, BATCH_ROWS):
@@ -671,7 +683,6 @@ def simulate_batch(
         s.n_vertices = int(n_vertices[r])
         s.activity = int(state_f[r])
         s.step = n
-    return states
 
 
 def _scan_prefix(bs: BlockSet) -> int:

@@ -11,12 +11,13 @@ import types
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blocknets
-from blocknets import cli, load_blockset
+from blocknets import _kernels, build_profile, census_vector, cli, load_blockset, simulate
 from blocknets import urn as urn_module
 from blocknets import verify as verify_mod
 from blocknets.cli import main
@@ -396,6 +397,32 @@ def test_verify_single_class_model(tmp_path, capsys):
     p = _write_model(tmp_path / "path.json", path)
     args = ["verify", "--input", p, "--steps", "2000", "--replicates", "20", "--jobs", "1"]
     assert main(args) == 0, capsys.readouterr()
+
+
+def test_verify_grows_more_replicates_than_one_kernel_call_holds(
+    example_paths, monkeypatch, capsys
+):
+    """``verify --replicates 1100 --jobs 1`` grows all its replicates in one
+    process, more than the 1023 that one ``census_batch`` call holds, so
+    ``simulate_batch`` grows them in two groups; each sample is still the
+    census of one ``simulate`` per seed."""
+    sizes, samples = [], []
+    batch = _kernels.census_batch
+    run = verify_mod.run_replicates
+    monkeypatch.setattr(
+        _kernels, "census_batch", lambda counts, *a: sizes.append(len(counts)) or batch(counts, *a)
+    )
+    monkeypatch.setattr(
+        verify_mod, "run_replicates", lambda *a, **k: samples.append(run(*a, **k)) or samples[-1]
+    )
+    n, R, seed = 20, 1100, 9
+    args = ["verify", "--input", example_paths["fig3"], "--steps", str(n), "--replicates", str(R)]
+    assert main([*args, "--seed", str(seed), "--jobs", "1"]) == 2, capsys.readouterr()
+    assert sizes == [1023, R - 1023]
+    bs = load_blockset(example_paths["fig3"])
+    track = build_profile(bs).essential
+    seeds = [np.random.SeedSequence((seed, k)) for k in range(R)]
+    assert np.array_equal(samples[0], [census_vector(simulate(bs, n, seed=s), track)[0] for s in seeds])
 
 
 def test_decimal_point_mass_analyzes_as_its_fraction_twin(tmp_path):

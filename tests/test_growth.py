@@ -678,17 +678,18 @@ def test_batch_matches_scalar_inside_a_wide_prefix(name, monkeypatch, fig1, fig3
 
 @pytest.mark.parametrize("prefix", [1, 2, 3, 4, 16])
 def test_prefix_step_table_is_the_change_of_one_step(prefix, fig1, fig3, k2):
-    """Row k * m + i of ``lock_step_tables(tab, P).step`` is the change in
-    the partial sums of degrees 1..P when block i latches at degree k + 1
-    (k = P: past the prefix), recounted from a census before and after that
-    one step of the scalar loop, and 0 in the sentinel's column."""
+    """Row i * (P + 1) + k of ``lock_step_tables(tab, P).step`` is the
+    change in the partial sums of degrees 1..P when block i latches at
+    degree k + 1 (k = P: past the prefix), recounted from a census before
+    and after that one step of the scalar loop, and 0 in the sentinel's
+    column."""
     models = _batch_models(fig1, fig3, k2)
     named = [models[k] for k in ("fig1", "fig3", "k2", "star-17", "fig1-fractional", "k2-half")]
     for bs in named + [random_blockset(seed) for seed in (3, 11, 504, 7001)]:
         tab = growth_mod._build_tables(bs)
         lock = _kernels.lock_step_tables(tab, prefix)
         m, w = len(bs.blocks), tab.weight
-        assert lock.step.shape == ((prefix + 1) * m, prefix + 1)
+        assert lock.step.shape == (m * (prefix + 1), prefix + 1)
         # one vertex of each degree 1..P + 1 and a master of degree 2
         counts0 = np.zeros(64, dtype=np.int64)
         counts0[1 : prefix + 2] = 1
@@ -704,7 +705,7 @@ def test_prefix_step_table_is_the_change_of_one_step(prefix, fig1, fig3, k2):
                 state = [prefix + 1, 2, total]
                 after, cls = _kernels.census_chunk(counts0, state, tab, np.array([target / total]), np.array([i]))
                 assert cls[0] == (c if c <= prefix + 1 else -1), (bs, i, c)
-                row = lock.step[min(c - 1, prefix) * m + i]
+                row = lock.step[i * (prefix + 1) + min(c - 1, prefix)]
                 assert np.array_equal(row[:prefix], np.cumsum(after[1 : prefix + 1] * weights) - before), (bs, i, c)
                 assert row[prefix] == 0
 
@@ -754,6 +755,35 @@ def test_batch_random_initial_blocks_differ(fig1):
     assert len(starts) > 1  # the batch really starts from different blocks
     for seed, b in zip(seeds, simulate_batch(bs, 2 * BATCH_ROWS, seeds)):
         _assert_same_state(simulate(bs, 2 * BATCH_ROWS, seed=seed), b)
+
+
+def test_batch_grows_past_the_replicate_bound_in_groups(fig1, monkeypatch):
+    """One ``census_batch`` call holds at most ``MAX_REPLICATES``
+    replicates, since replicate r's prefix sums sit at r * 2**53 in one
+    int64 array, and it refuses more.  ``simulate_batch`` grows a longer
+    seed list in groups under the bound, here patched to 3 over 7 seeds,
+    and every state still equals ``simulate``'s."""
+    assert _kernels.ROW_SPAN == 2 * _kernels.ACTIVITY_LIMIT == 2**53
+    assert _kernels.MAX_REPLICATES == 1023
+    monkeypatch.setattr(_kernels, "MAX_REPLICATES", 3)
+    sizes = []
+    batch = _kernels.census_batch
+    monkeypatch.setattr(
+        _kernels, "census_batch", lambda counts, *a: sizes.append(len(counts)) or batch(counts, *a)
+    )
+    seeds = [np.random.SeedSequence((43, k)) for k in range(7)]
+    n = BATCH_ROWS + 44
+    for seed, b in zip(seeds, simulate_batch(fig1, n, seeds)):
+        _assert_same_state(simulate(fig1, n, seed=seed), b)
+    assert sizes == [3, 3, 3, 3, 1, 1]  # two row blocks per group
+
+    tab = growth_mod._build_tables(fig1)
+    lock = _kernels.lock_step_tables(tab, 8)
+    R = 4
+    u, b = np.zeros((R, 1, tab.ncols)), np.zeros((R, 1), dtype=np.int64)
+    state_i, state_f = np.ones((R, 2), dtype=np.int64), np.ones(R)
+    with pytest.raises(ValueError, match="at most 3 replicates, got 4"):
+        batch(np.zeros((R, 8), dtype=np.int64), state_i, state_f, tab, lock, u, b)
 
 
 def test_batch_capacity_growth_mid_run(k2):
@@ -810,7 +840,15 @@ _TIES = [
     # chi = 1/3, rho = 1/7, S = 21: degree k weighs 7k + 3, so classes 1, 2
     # and 3 weigh 20, 17 and 24 and the master (degree 5) 38
     (21, 7, 3, {1: 2, 2: 1, 3: 1}, 5, [20, 37, 61, 0], [2, 3, -1, 1]),
-]
+    # The same weights: classes 1, 2, 16 and 20 weigh 20, 17, 115 and 143
+    # and the master (degree 5) 38.  Half a unit each side of the partial
+    # sum 37, 36.5 picks class 2 and 37.5, as 37 does, the next occupied
+    # class, 16.  152 is the last column of a 16-column prefix: 151.5 picks
+    # class 16, while 152 and 152.5 defer past the prefix and pick 20, as
+    # 294.5 does; 295, the sum of every class, picks the master.
+    (21, 7, 3, {1: 2, 2: 1, 16: 1, 20: 1}, 5,
+     [36.5, 37, 37.5, 151.5, 152, 152.5, 294.5, 295], [2, 16, 16, 16, 20, 20, 20, -1]),
+]  # fmt: skip
 
 
 def _ties_model(scale, chi_s, rho_s):
@@ -836,7 +874,8 @@ def test_batch_breaks_ties_like_scalar_loop():
     probability sum picks the next block: the lock-step scan compares the
     same integer partial sums with the strict ``<`` of the scalar loop, and
     ``block_choice``, whose choices both kernels take, does the same on the
-    block probability sums.
+    block probability sums.  A target between two integers picks what the
+    scalar loop picks, though the lock-step scan reads its floor.
 
     The tables are ``_ties_model``'s: block 0 adds one vertex of degree 1
     and moves the latch up 1, block 1 adds two and moves it up 2.  Each
