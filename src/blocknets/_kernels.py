@@ -11,15 +11,17 @@ verification.  Two kernels advance it:
   and ``growth._record_rows`` rebuilds a recorded trajectory in numpy.
 * ``census_batch`` advances a block of replicates in lock step on one
   degrees-by-replicates array, in numpy; ``verify`` uses it through
-  ``simulate_batch``.  Everything that does not depend on the census (the
-  running total activity, the new vertices, the master degree and the
-  maximum degree) is computed once per row block.  Per step it only
-  advances each replicate's partial sums over the low degree classes,
-  held as exact int64 integers in one sorted array: one ``searchsorted``
-  of the floored targets finds every replicate's class, and one gather
-  and one add apply the matching rows of the model's step table.  The
-  latches that lie past those classes are resolved after the row block,
-  in a few rounds that each serve every replicate at once.
+  ``simulate_batch``.  Each replicate keeps the state row of the scalar
+  loop, [max degree, master degree, S * total activity].  Everything that
+  does not depend on the census (the running total activity, the new
+  vertices and the maximum degree) is computed once per row block.  Per
+  step it only advances each replicate's partial sums over the low degree
+  classes, held as exact int64 integers in one sorted array: one
+  ``searchsorted`` of the floored targets finds every replicate's class,
+  and one gather and one add apply the matching rows of the model's step
+  table.  The latches that lie past those classes, and those that reach
+  the master, are resolved after the row block, in a few rounds that
+  each serve every replicate at once.
   ``growth._scan_prefix`` sizes the prefix per model from its limit law:
   the fewest multiple of 8 degrees past which fewer than 2% of the steps
   are predicted to defer, at most 64.  That is 48 degrees on fig1 and 8
@@ -196,19 +198,19 @@ def block_choice(tab, ub):
     return choice
 
 
-def census_batch(counts, state_i, state_f, tab, lock, u, b):
+def census_batch(counts, state, tab, lock, u, b):
     """Advance R replicates by ``u.shape[1]`` steps each, in lock step:
     every replicate takes step j before any takes j+1.
 
-    ``counts`` is (R, D) int64, ``state_i`` (R, 2) int64 holding the max
-    degree and the master degree, ``state_f`` (R,) float64 the scaled
-    total activity (an exact integer below ``ACTIVITY_LIMIT``), ``u``
-    (R, L, ncols) the next L rows of each replicate's stream and ``b``
-    (R, L) their block choices (``block_choice``).  Degree k weighs
-    ``tab.chi_s * k + tab.rho_s`` and block i adds ``tab.s_a[i]`` to the
-    total.  ``lock`` is ``lock_step_tables(tab, P)`` for some P >= 1.
-    ``state_i`` and ``state_f`` are updated in place; the counts are
-    returned in a new array.  Nothing is recorded.
+    ``counts`` is (R, D) int64, ``state`` (R, 3) int64 holding each
+    replicate's [max degree, master degree, S * total activity], the row
+    that ``census_chunk`` keeps in its ``state`` list, ``u`` (R, L, ncols)
+    the next L rows of each replicate's stream and ``b`` (R, L) their block
+    choices (``block_choice``).  Degree k weighs ``tab.chi_s * k +
+    tab.rho_s`` and block i adds ``tab.s_a[i]`` to the total, which lies
+    below ``ACTIVITY_LIMIT``.  ``lock`` is ``lock_step_tables(tab, P)`` for
+    some P >= 1.  ``state`` is updated in place; the counts are returned in
+    a new array.  Nothing is recorded.
 
     The step loop scans only the prefix, degrees 1..P, where P is the
     width of the step table ``lock.step``.  Any P >= 1 yields the same
@@ -237,31 +239,33 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
     after the loop the row block checks the stored rows once, and raises
     ``IndexError`` if any lies outside the step table.
 
-    Everything past the prefix is held degree-major as float64,
-    ``work[row, r]``: the trash rows 0..dmax, where the master's class is
-    the first, so its move is the same -1/+1 as any latch's and its degree
-    is read off these rows at the end; then the degrees 0, 1, 2, ... from
-    row ``base`` on.  The step loop does not touch it.  After the loop each
-    degree k <= P takes the count (sum_k - sum_{k-1}) / weight_k from the
-    final sums.  The vertices that the steps add past the prefix, new ones
-    and latches that a prefix hit moves there, are the ``arrivals``: per
-    step, the row of ``lock.arrive`` that matches its step table
-    row.  The row block's end adds their totals to the degree rows.
+    After the loop the census is held by degree as float64, ``work[k, r]``
+    for degree k, sized once.  The rounds below read whole blocks of P
+    degrees up to the highest class, which starts at most at ``width``, and
+    each round lifts a latch, and so that class, by at most
+    dmax = max(``tab.block_d``) degrees, so width + P + dmax * rounds rows
+    cover every read and every move.  Each degree k <= P takes the count
+    (sum_k - sum_{k-1}) / weight_k from the final sums; the degrees past
+    the prefix start from ``counts``.  The vertices that the steps add past
+    the prefix, new ones and latches that a prefix hit moves there, are the
+    ``arrivals``: per step, the row of ``lock.arrive`` that matches its step
+    table row.  The row block's end adds their totals to the census.
 
     The steps that reached the sentinel are deferred: their latches are
     resolved after the loop, in rounds.  Round t takes every replicate's
     t-th deferred step, in lock step over the replicates.  It continues the
     scan past the prefix from the last prefix sum at its step (``last``,
     the sum before the row block plus the changes of the earlier steps) and
-    latches to the master if the target is not below the last sum either.
+    latches to the master if the target is not below the last sum either,
+    adding the block's latch increment to the master degree at once.
     It reads the floored targets, which pick as the targets do against
     integer sums: t < s exactly when floor(t) < s.  It scans in blocks of
     P degrees: one ``matmul`` gives each block's weighted sum, and only the
     first block whose end passes the target is scanned row by row.  This
     is exact:
 
-    * a deferred latch moves only degree rows past the prefix, or trash
-      rows, and the prefix sums count neither, so every prefix outcome of
+    * a deferred latch moves only degrees past the prefix, or the master
+      degree, and the prefix sums count neither, so every prefix outcome of
       the loop stands;
     * a round sees the degrees past the prefix as they stood at its step.
       The rows hold the row block's start and the replicate's earlier
@@ -285,35 +289,25 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
     # Total activity before each step, and each step's class target, floored
     # (u0 * total >= 0 casts to its floor) and moved into its replicate's span.
     totals = np.empty((R, L + 1))
-    totals[:, 0] = state_f
+    totals[:, 0] = state[:, 2]
     totals[:, 1:] = tab.s_a[b]
     np.cumsum(totals, axis=1, out=totals)
     target = np.empty((L, R), dtype=np.int64)
     np.multiply(u[:, :, 0].T, totals[:, :L].T, out=target, casting="unsafe")
     span = np.arange(R, dtype=np.int64) * ROW_SPAN
     target += span
-    state_f[:] = totals[:, L]
+    state[:, 2] = totals[:, L]
     del totals
     # Each step's offset (i - r) * (P + 1) from its search index to its row
     # i * (P + 1) + k of the step tables, which the loop stores in its place.
     moved = b.T - np.arange(R)
     moved *= P + 1
 
-    dmax = max(tab.block_d)
-    base = dmax + 1  # row of degree 0, after the trash rows
-    # No class lies above width.  It covers every degree a prefix hit or a
-    # new vertex can reach, and at least one past the prefix.
-    width = max(int(state_i[:, 0].max()), tab.new_max, P + dmax + 1)
-    # The rounds read whole blocks of P degrees, up to width.
-    D = base + max(counts.shape[1], width + P)
-    work = np.zeros((D, R))
-    work[base : base + counts.shape[1]] = counts.T
-    flat = work.reshape(-1)
-    weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s  # by degree
-
-    W = base + P + 1  # row of the first degree past the prefix
+    # The census of degrees 1..P (zero past the end of ``counts``).
+    low = np.zeros((R, P))
+    low[:, : counts.shape[1] - 1] = counts[:, 1 : P + 1]
     sums = np.empty((R, P + 1), dtype=np.int64)
-    sums[:, :P] = np.cumsum(work[base + 1 : W].T * weight[1 : P + 1], axis=1)
+    sums[:, :P] = np.cumsum(low * (tab.chi_s * np.arange(1.0, P + 1) + tab.rho_s), axis=1)
     sums[:, P] = ROW_SPAN - 1
     sums += span[:, None]
     first = sums[:, P - 1] - span  # the last prefix sum before the row block
@@ -330,31 +324,44 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
     # numpy's index check (mode="clip"); this one check covers them all.
     if moved.min() < 0 or moved.max() >= len(step):
         raise IndexError("a lock-step row lies outside the step table")
+    # The deferred steps, whose row is the last of its block's (k = P), as
+    # flat indices j * R + r in step order.  Round t takes each replicate's
+    # t-th deferred step.
+    deferred = np.flatnonzero((np.arange(len(step)) % (P + 1) == P)[moved])
+    j, r = np.divmod(deferred, R)
+    order = np.argsort(r, kind="stable")
+    nth = np.arange(len(order)) - np.searchsorted(r[order], r[order])
+    order = order[np.argsort(nth, kind="stable")]
+    j, r = j[order], r[order]
+    sizes = np.bincount(nth)
+
+    # The census by degree, work[k, r].  No class lies above width: it covers
+    # every degree that a prefix hit or a new vertex can reach, and at least
+    # one past the prefix.  The rounds read whole blocks of P degrees up to
+    # width, and each round lifts a latch, and width, by at most dmax.
+    dmax = max(tab.block_d)
+    width = max(int(state[:, 0].max()), tab.new_max, P + dmax + 1)
+    D = max(counts.shape[1], width + P + len(sizes) * dmax)
+    work = np.zeros((D, R))
+    work[: counts.shape[1]] = counts.T
+    weight = tab.chi_s * np.arange(D, dtype=np.float64) + tab.rho_s  # by degree
     # The census of the prefix, exact: each difference of exact integer sums
     # is a count times its weight.
+    W = P + 1  # the first degree past the prefix
     sums -= span[:, None]
-    work[base + 1 : W] = (np.diff(sums[:, :P], axis=1, prepend=0) / weight[1 : P + 1]).T
+    work[1:W] = (np.diff(sums[:, :P], axis=1, prepend=0) / weight[1:W]).T
     # arrivals[j, r, a]: what the steps before step j of replicate r add
     # at degree P + 1 + a.  The rounds read it, and the end adds row L to
-    # the degree rows.
+    # the census.
     A = arrive.shape[1]
     arrivals = np.zeros((L + 1, R, A), dtype=np.min_scalar_type(L * int(arrive.max(initial=0))))
     np.take(arrive.astype(arrivals.dtype), moved, axis=0, out=arrivals[1:], mode="clip")
     np.cumsum(arrivals, axis=0, out=arrivals)
     arrived = arrivals[L].T.copy()
 
-    # The deferred steps, whose row is the last of its block's (k = P), as
-    # flat indices j * R + r in step order.
-    deferred = np.flatnonzero((np.arange(len(step)) % (P + 1) == P)[moved])
-    if len(deferred):
-        # Round t takes each replicate's t-th deferred step.
-        j, r = np.divmod(deferred, R)
-        order = np.argsort(r, kind="stable")
-        nth = np.arange(len(order)) - np.searchsorted(r[order], r[order])
-        order = order[np.argsort(nth, kind="stable")]
-        j, r = j[order], r[order]
-        # Per deferred step, in round order: the arrivals before it, then
-        # its target, kept prefix sum and latch move.
+    if len(sizes):
+        # Per deferred step, in round order: the arrivals before it, then its
+        # target, kept prefix sum and latch increment.
         came = arrivals[j, r]
         del arrivals
         # The last prefix sum before each step.
@@ -363,9 +370,8 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
         np.take(step[:, P - 1], moved[:-1], out=last[1:], mode="clip")
         np.cumsum(last, axis=0, out=last)
         tj = (target[j, r] - span[r]).astype(np.float64)
-        kept, move = last[j, r], tab.d_a[b[r, j]] * R
+        kept, lift = last[j, r], tab.d_a[b[r, j]]
         del target, last, moved  # the rounds read none of the step tables
-        sizes = np.bincount(nth)
         ends = np.cumsum(sizes)
         for lo, hi in zip(ends - sizes, ends):
             m, rm = slice(lo, hi), r[lo:hi]
@@ -375,7 +381,7 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
             seg = work[W : W + nb * P, rm]
             seg[:A] += came[m].T
             seg = seg.reshape(nb, P, -1)
-            wb = weight[P + 1 : P + 1 + nb * P].reshape(nb, 1, -1)
+            wb = weight[W : W + nb * P].reshape(nb, 1, -1)
             # Partial sums at each block's start and at the last one's end,
             # then the first block that passes the target, scanned row by row.
             sums = np.empty((nb + 1, hi - lo))
@@ -387,26 +393,19 @@ def census_batch(counts, state_i, state_f, tab, lock, u, b):
             inner = seg[i, :, col] * wb[i, 0]
             inner[:, 0] += sums[i, col]
             hit = tj[m, None] < np.cumsum(inner, axis=1, out=inner)
-            # the degree row of the hit, or the master's class row, 0
-            at = np.where(hit[:, -1], W + i * P + hit.argmax(axis=1), 0) * R + rm
-            flat[at] -= 1.0
-            at += move[m]
-            top = int(at.max()) // R - base
-            if top > width:
-                width = top
-                if base + width + P > D:
-                    grown = np.zeros((max(base + width + P, 2 * D - base), R))
-                    grown[:D] = work
-                    work, D = grown, grown.shape[0]
-                    flat = work.reshape(-1)
-                    weight = tab.chi_s * np.arange(D - base, dtype=np.float64) + tab.rho_s
-            flat[at] += 1.0
+            # A latch moves up lift[m] degrees; the master gains them.
+            latched = hit[:, -1]
+            at = W + i * P + hit.argmax(axis=1)
+            work[at, rm] -= latched
+            at += lift[m]
+            work[at, rm] += latched
+            state[rm, 1] += np.where(latched, 0, lift[m])
+            width = max(width, int(at.max()))
 
     # Bookkeeping that the scan does not read, for the whole row block.
     work[W : W + A] += arrived
-    state_i[:, 1] += (np.arange(dmax + 1) @ work[:base]).astype(np.int64)
-    census = np.ascontiguousarray(work[base:].T, dtype=np.int64)
+    census = np.ascontiguousarray(work.T, dtype=np.int64)
     occupied = census[:, ::-1] != 0  # the highest degree first
     top = np.where(occupied.any(axis=1), census.shape[1] - 1 - occupied.argmax(axis=1), 0)
-    np.maximum(state_i[:, 0], top, out=state_i[:, 0])
+    np.maximum(state[:, 0], top, out=state[:, 0])
     return census

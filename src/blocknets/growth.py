@@ -658,12 +658,14 @@ def _grow_in_lock_step(
     states: list, t: _Tables, lock: _kernels.LockStep, n: int, max_vertices: int
 ) -> None:
     """Advance each census state by n steps, in one lock-step row block of
-    ``census_batch`` per BATCH_ROWS steps."""
+    ``census_batch`` per BATCH_ROWS steps.  Replicate r is row r of the
+    census ``counts`` and of ``state``, its [max degree, master degree,
+    S * total activity] in int64, the list that ``census_chunk`` keeps; the
+    vertex counts follow from the block choices alone."""
     counts = np.zeros((len(states), max(s.counts.shape[0] for s in states)), dtype=np.int64)
     for r, s in enumerate(states):
         counts[r, : s.counts.shape[0]] = s.counts
-    state_i = np.array([[s.max_deg, s.master_degree] for s in states], dtype=np.int64)
-    state_f = np.array([s.activity for s in states], dtype=np.float64)
+    state = np.array([[s.max_deg, s.master_degree, s.activity] for s in states], dtype=np.int64)
     n_vertices = np.array([s.n_vertices for s in states], dtype=np.int64)
 
     draws = np.empty((len(states), min(n, BATCH_ROWS), t.ncols))
@@ -674,14 +676,13 @@ def _grow_in_lock_step(
         b = _kernels.block_choice(t, u[:, :, 2])
         nv = _vertex_counts(n_vertices, t, b)
         _check_vertex_limit(nv, step + 1, max_vertices)
-        counts = _kernels.census_batch(counts, state_i, state_f, t, lock, u, b)
+        counts = _kernels.census_batch(counts, state, t, lock, u, b)
         n_vertices = nv[:, -1]
 
     for r, s in enumerate(states):
         s.counts = counts[r].copy()
-        s.max_deg, s.master_degree = (int(v) for v in state_i[r])
+        s.max_deg, s.master_degree, s.activity = (int(v) for v in state[r])
         s.n_vertices = int(n_vertices[r])
-        s.activity = int(state_f[r])
         s.step = n
 
 

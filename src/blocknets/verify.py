@@ -22,7 +22,7 @@ from .model_io import BlockSet, format_json
 from .urn import build_urn
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     """Gate constants; defaults are deliberately loose because the limit
     theorems come without convergence rates."""
@@ -47,8 +47,10 @@ class Tolerances:
         if bad:
             raise ValueError(f"unknown tolerance keys: {sorted(bad)}")
         for key, value in doc.items():
-            # a NaN gate passes every comparison, so it is refused too
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+            # a NaN gate passes every comparison and an infinite one every
+            # error, and neither is valid JSON in a report, so both are refused
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
                 raise ValueError(f"tolerance {key!r} must be a number, got {value!r}")
         return cls(**{**asdict(base), **doc})
 
@@ -179,23 +181,18 @@ def mean_check(
         return CheckResult("mean", None, 0.0, 0.0, "needs R >= 30")
     emp = samples.mean(axis=0) / n
     bias = tol.mean_bias_factor * max_weight * max_block_size / n
-    worst_ratio = 0.0
-    detail = []
-    passed = True
-    for i in range(samples.shape[1]):
-        sii = float(sigma[i, i])
-        if sii > 0:
-            gate = tol.mean_z * math.sqrt(sii / (n * R)) + bias
-        else:
-            gate = tol.mean_abs_fallback / math.sqrt(n * R)
-        err = abs(float(emp[i]) - float(predicted[i]))
-        worst_ratio = max(worst_ratio, err / gate if gate > 0 else math.inf)
-        if err > gate:
-            passed = False
-            detail.append(f"coord {i}: |{emp[i]:.6g} - {predicted[i]:.6g}| > {gate:.3g}")
-    return CheckResult(
-        "mean", passed, worst_ratio, 1.0, "; ".join(detail) or "max |err|/gate"
+    sii = np.diagonal(sigma).astype(np.float64)
+    gate = np.full_like(sii, tol.mean_abs_fallback / math.sqrt(n * R))
+    spread = sii > 0
+    gate[spread] = tol.mean_z * np.sqrt(sii[spread] / (n * R)) + bias
+    err = np.abs(emp - predicted)
+    ratio = np.divide(err, gate, out=np.full_like(err, math.inf), where=gate > 0)
+    fails = np.flatnonzero(err > gate)
+    detail = "; ".join(
+        f"coord {i}: |{emp[i]:.6g} - {predicted[i]:.6g}| > {gate[i]:.3g}" for i in fails
     )
+    worst_ratio = float(ratio.max(initial=0.0))
+    return CheckResult("mean", len(fails) == 0, worst_ratio, 1.0, detail or "max |err|/gate")
 
 
 def _jackknife_cov_se(samples: np.ndarray) -> np.ndarray:
@@ -300,6 +297,33 @@ def normality_check(
     ]
 
 
+def gate_checks(
+    samples: np.ndarray,
+    predicted: np.ndarray,
+    n: int,
+    sigma: np.ndarray,
+    max_weight: float,
+    max_block_size: int,
+    tol: Tolerances = Tolerances(),
+) -> tuple[list[CheckResult], np.ndarray]:
+    """Every gate of a verification run on the census ``samples`` after n
+    steps, and the whitened scores: the mean gate, then the covariance,
+    whitening and normality gates, or two SKIPs when the limit covariance
+    is zero."""
+    checks = [mean_check(samples, predicted, n, sigma, max_weight, max_block_size, tol)]
+    if np.any(sigma):
+        checks.append(covariance_check(samples, sigma, n, tol))
+        scores = whiten_scores(samples, predicted, n, sigma, tol.whiten_floor)
+        checks.extend(normality_check(scores, tol))
+    else:
+        # a deterministic census: the limit law is a point mass at the mean
+        why = "limit covariance is zero: no fluctuations to compare"
+        checks.append(CheckResult("covariance", None, 0.0, 0.0, why))
+        checks.append(CheckResult("normality", None, 0.0, 0.0, why))
+        scores = np.empty((samples.shape[0], 0))
+    return checks, scores
+
+
 def verify_model(
     bs: BlockSet,
     n: int,
@@ -344,19 +368,7 @@ def verify_model(
 
     max_weight = max([float(prof.w(k)) for k in track] + [1.0])
     max_block = max(b.n_vertices for b in bs.blocks)
-
-    checks = [mean_check(samples, predicted, n, sigma, max_weight, max_block, tol)]
-    if np.any(sigma):
-        checks.append(covariance_check(samples, sigma, n, tol))
-        scores = whiten_scores(samples, predicted, n, sigma, tol.whiten_floor)
-        checks.extend(normality_check(scores, tol))
-    else:
-        # a deterministic census: the limit law is a point mass at the mean
-        why = "limit covariance is zero: no fluctuations to compare"
-        checks.append(CheckResult("covariance", None, 0.0, 0.0, why))
-        checks.append(CheckResult("normality", None, 0.0, 0.0, why))
-        scores = np.empty((samples.shape[0], 0))
-
+    checks, scores = gate_checks(samples, predicted, n, sigma, max_weight, max_block, tol)
     return VerificationReport(
         config=bs.to_dict(),
         n=n,

@@ -16,17 +16,14 @@ import pytest
 from blocknets import (
     build_profile,
     build_urn,
-    covariance_check,
     essential_degrees,
-    mean_check,
-    normality_check,
     run_replicates,
     simulate,
-    whiten_scores,
 )
 from blocknets.model_io import blockset_from_dict
 from blocknets.profile import _clear
 from blocknets.urn import validate_spectrum
+from blocknets.verify import gate_checks
 
 from conftest import (
     brute_force_essential,
@@ -165,15 +162,12 @@ def test_monte_carlo_clt(name, request):
 
     max_w = max([float(prof.w(k)) for k in prof.essential] + [1.0])
     max_b = max(b.n_vertices for b in bs.blocks)
-    mres = mean_check(samples, predicted, n, sigma, max_w, max_b)
-    cres = covariance_check(samples, sigma, n)
-    scores = whiten_scores(samples, predicted, n, sigma)
-    nres = normality_check(scores)
+    (mres, cres, *nres), _ = gate_checks(samples, predicted, n, sigma, max_w, max_b)
     all_ok = bool(mres.passed and cres.passed and all(r.passed for r in nres))
 
     # negative controls on the same samples: each fault must trip its gate
-    bad_mean = mean_check(samples, predicted * 1.05, n, sigma, max_w, max_b)
-    bad_cov = covariance_check(samples, sigma * 2.0, n)
+    (bad_mean, *_), _ = gate_checks(samples, predicted * 1.05, n, sigma, max_w, max_b)
+    (_, bad_cov, *_), _ = gate_checks(samples, predicted, n, sigma * 2.0, max_w, max_b)
     controls_fail = (bad_mean.passed is False) and (bad_cov.passed is False)
 
     dt = time.time() - t0

@@ -300,6 +300,8 @@ def test_closed_stdout_ends_quietly(example_paths):
     "text, message",
     [
         ('{"mean_z": "x"}', "tolerance 'mean_z' must be a number, got 'x'"),
+        ('{"mean_z": 1e999}', "tolerance 'mean_z' must be a number, got inf"),
+        ('{"cov_frobenius": Infinity}', "tolerance 'cov_frobenius' must be a number, got inf"),
         ("[1]", "tolerances must be a JSON object, got list"),
     ],
 )
@@ -534,6 +536,22 @@ def test_analysis_json_is_pinned(name, digest, example_paths, tmp_path):
         model.write_text(json.dumps(K2_PREFERENTIAL_R12))
     out = tmp_path / "analysis.json"
     assert main(["analyze", "--input", str(model), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [("fig1", "2cce02df1868164f"), ("fig3", "3c52ab1ea4d99841")],
+    ids=["fig1", "fig3"],
+)
+def test_verify_report_is_pinned(name, digest, example_paths, tmp_path):
+    """Every byte of a verification report: the census of 200 replicates
+    grown in lock step over two processes, the gates' statistics and the
+    whitened scores.  The digests were taken with CPython 3.11 on x86-64
+    (see test_analysis_json_is_pinned), whose Sigma the report holds."""
+    out = tmp_path / "report.json"
+    args = ["verify", "--input", example_paths[name], "--steps", "10000", "--replicates", "200"]
+    assert main([*args, "--seed", "42", "--jobs", "2", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 

@@ -781,9 +781,9 @@ def test_batch_grows_past_the_replicate_bound_in_groups(fig1, monkeypatch):
     lock = _kernels.lock_step_tables(tab, 8)
     R = 4
     u, b = np.zeros((R, 1, tab.ncols)), np.zeros((R, 1), dtype=np.int64)
-    state_i, state_f = np.ones((R, 2), dtype=np.int64), np.ones(R)
+    state = np.ones((R, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="at most 3 replicates, got 4"):
-        batch(np.zeros((R, 8), dtype=np.int64), state_i, state_f, tab, lock, u, b)
+        batch(np.zeros((R, 8), dtype=np.int64), state, tab, lock, u, b)
 
 
 def test_batch_capacity_growth_mid_run(k2):
@@ -897,10 +897,9 @@ def test_batch_breaks_ties_like_scalar_loop():
 
         b = _kernels.block_choice(tab, u[:, :, 2])
         assert b[:, 0].tolist() == ([1, 0] * R)[:R]
-        state_i = np.tile([top, master], (R, 1))
-        state_f = np.full(R, float(total))
+        state = np.tile([top, master, total], (R, 1))
         lock = _kernels.lock_step_tables(tab, 16)
-        counts = _kernels.census_batch(np.tile(counts0, (R, 1)), state_i, state_f, tab, lock, u, b)
+        counts = _kernels.census_batch(np.tile(counts0, (R, 1)), state, tab, lock, u, b)
 
         for r in range(R):
             ref_state = [top, master, total]
@@ -908,8 +907,7 @@ def test_batch_breaks_ties_like_scalar_loop():
             assert cls[0] == classes[r], (census, r)
             assert np.array_equal(counts[r, :64], ref), (census, r)
             assert not counts[r, 64:].any()
-            assert state_i[r].tolist() == ref_state[:2], (census, r)
-            assert state_f[r] == ref_state[2], (census, r)
+            assert state[r].tolist() == ref_state, (census, r)
 
 
 # (census, master degree, [(target, block) per step], classes the targets pick),
@@ -940,8 +938,7 @@ def test_batch_resolves_deferred_latches_in_step_order(cases):
     tab = growth_mod._build_tables(_ties_model(1, 1, 0))
     R, L = len(cases), 3
     counts0 = np.zeros((R, 64), dtype=np.int64)
-    state_i = np.zeros((R, 2), dtype=np.int64)
-    state_f = np.zeros(R)
+    state = np.zeros((R, 3), dtype=np.int64)
     u = np.zeros((R, L, 3))
     start = []
     for r, case in enumerate(cases):
@@ -949,8 +946,7 @@ def test_batch_resolves_deferred_latches_in_step_order(cases):
         counts0[r, list(census)] = list(census.values())
         total = tab.weight(master) + sum(tab.weight(k) * c for k, c in census.items())
         start.append([max(census), master, total])
-        state_i[r] = start[r][:2]
-        state_f[r] = total
+        state[r] = start[r]
         for j, (t, block) in enumerate(steps):
             u[r, j] = t / total, 0.5, [0.1, 0.5][block]
             assert u[r, j, 0] * total == t  # the target is exact
@@ -958,7 +954,7 @@ def test_batch_resolves_deferred_latches_in_step_order(cases):
     b = _kernels.block_choice(tab, u[:, :, 2])
     assert b.tolist() == [[block for _, block in _DEFERRED[c][2]] for c in cases]
     lock = _kernels.lock_step_tables(tab, 16)
-    counts = _kernels.census_batch(counts0, state_i, state_f, tab, lock, u, b)
+    counts = _kernels.census_batch(counts0, state, tab, lock, u, b)
 
     for r, case in enumerate(cases):
         ref_state = start[r]
@@ -966,5 +962,4 @@ def test_batch_resolves_deferred_latches_in_step_order(cases):
         assert cls.tolist() == _DEFERRED[case][3]
         assert np.array_equal(counts[r, :64], ref), case
         assert not counts[r, 64:].any()
-        assert state_i[r].tolist() == ref_state[:2], case
-        assert state_f[r] == ref_state[2], case
+        assert state[r].tolist() == ref_state, case

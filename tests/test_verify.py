@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -220,6 +221,8 @@ def test_balanced_model_has_deterministic_activity_direction(k2):
 def test_tolerances_from_dict():
     t = Tolerances.from_dict({"mean_z": 6.0})
     assert t.mean_z == 6.0 and t.cov_frobenius == 0.20
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.mean_z = 1.0  # one default instance is shared by every gate's signature
     with pytest.raises(ValueError):
         Tolerances.from_dict({"nope": 1})
     for doc, message in [
@@ -227,6 +230,8 @@ def test_tolerances_from_dict():
         ({"skew_limit": True}, "tolerance 'skew_limit' must be a number, got True"),
         ({"kurt_limit": None}, "tolerance 'kurt_limit' must be a number, got None"),
         ({"mean_z": float("nan")}, "tolerance 'mean_z' must be a number, got nan"),
+        ({"mean_z": float("inf")}, "tolerance 'mean_z' must be a number, got inf"),
+        ({"cov_frobenius": -float("inf")}, "tolerance 'cov_frobenius' must be a number, got -inf"),
         ([1], "tolerances must be a JSON object, got list"),
     ]:
         with pytest.raises(ValueError) as err:
