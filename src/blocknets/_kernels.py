@@ -9,19 +9,22 @@ verification.  Two kernels advance it:
   modes.  It advances the counts and returns the latch class it chose at
   each step, from which graph mode replays the steps on the multigraph
   and ``growth._record_rows`` rebuilds a recorded trajectory in numpy.
-* ``census_batch`` advances a block of replicates in lock step on one
+* ``LockStepRun`` advances a group of replicates in lock step on one
   degrees-by-replicates array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Each replicate keeps the state row of the scalar
-  loop, [max degree, master degree, S * total activity].  Everything that
-  does not depend on the census (the running total activity, the new
-  vertices and the maximum degree) is computed once per row block.  Per
-  step it only advances each replicate's partial sums over the low degree
-  classes, held as exact int64 integers in one sorted array: one
+  loop, [max degree, master degree, S * total activity].  What does not
+  depend on the census, the running total activity and the block
+  choices, is computed once per row block, and the maximum degree once,
+  from the final census.  Per step it only advances each replicate's
+  partial sums over the low degree classes, held as exact int64 integers
+  in one sorted array that carries over from row block to row block: one
   ``searchsorted`` of the floored targets finds every replicate's class,
   and one gather and one add apply the matching rows of the model's step
   table.  The latches that lie past those classes, and those that reach
-  the master, are resolved after the row block, in a few rounds that
-  each serve every replicate at once.
+  the master, are only logged with the vertices that the steps add past
+  them.  ``resolve`` settles the log in a few rounds that each serve every
+  replicate at once: at the end of the run, or earlier when the log
+  outgrows the run's own arrays.
   ``growth._scan_prefix`` sizes the prefix per model from its limit law:
   the fewest multiple of 8 degrees past which fewer than 2% of the steps
   are predicted to defer, at most 64.  That is 48 degrees on fig1 and 8
@@ -63,8 +66,9 @@ Step layout of the pre-drawn uniforms (one row per step):
     col 3  out-arc index (bipolar graph mode's replay only)
 
 A latch class is the degree of the latch, or -1 for the master vertex.
-Both kernels grow the counts array when a step would reach past its end,
-so no caller has to.
+The scalar loop grows its counts when a step would reach past their end,
+and the lock-step run sizes its census from its log before it resolves
+the log, so no caller has to.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ ACTIVITY_LIMIT = 2**52
 # on; every sum and target lies below ACTIVITY_LIMIT, so each span ends
 # above them with room for its sentinel.
 ROW_SPAN = 2 * ACTIVITY_LIMIT
-# The most replicates one ``census_batch`` call holds: every span must fit
-# an int64.
+# The most replicates one ``LockStepRun`` holds: every span must fit an
+# int64.
 MAX_REPLICATES = np.iinfo(np.int64).max // ROW_SPAN
 
 
@@ -97,21 +101,24 @@ class LockStep(NamedTuple):
     # int64 (m * (P + 1), P + 1): the change that the row's step makes to
     # the partial sums of degrees 1..P, then a 0 for the kernel's sentinel
     step: np.ndarray
-    # int64 (m * (P + 1), A): the vertices that the row's step adds at
-    # degree P + 1 + a past the prefix: its new vertices there and, for
-    # k < P, a latch that it moves there.  P + A is the highest degree
-    # that any row adds to, or A = 0 if none does.
+    # int64 (m * (P + 1) + 1,): the vertices that row q's step adds past
+    # the prefix (its new vertices there and, for k < P, a latch that it
+    # moves there) are entries arrive[q] .. arrive[q + 1] - 1 of degree
+    # and count
     arrive: np.ndarray
+    # int64: each entry's degree past the prefix and its count of vertices
+    degree: np.ndarray
+    count: np.ndarray
 
 
 def lock_step_tables(tab, P: int) -> LockStep:
-    """The tables ``census_batch`` reads for the model table ``tab``, when
+    """The tables ``LockStepRun`` reads for the model table ``tab``, when
     its step loop scans degrees 1..P."""
     m = len(tab.block_d)
     top = max(P, tab.new_max, P + max(tab.block_d))
     # moves[i, k, c]: the change in the count of degree c when block i
     # latches at degree k + 1; past the prefix (k = P) the latch's move
-    # is left to the rounds
+    # is left to ``LockStepRun.resolve``
     moves = np.zeros((m, P + 1, top + 1), dtype=np.int64)
     for i, new in enumerate(tab.new_degs):
         for c in new:
@@ -125,8 +132,9 @@ def lock_step_tables(tab, P: int) -> LockStep:
     w = np.array([min(tab.chi_s * c + tab.rho_s, ACTIVITY_LIMIT) for c in range(1, P + 1)])
     step = np.zeros((m * (P + 1), P + 1), dtype=np.int64)
     np.cumsum(moves[:, :, 1 : P + 1] * w, axis=2, out=step.reshape(m, P + 1, P + 1)[:, :, :P])
-    arrive = moves[:, :, P + 1 :].reshape(m * (P + 1), top - P).copy()
-    return LockStep(step, arrive)
+    past = moves.reshape(m * (P + 1), top + 1)[:, P + 1 :]
+    q, a = np.nonzero(past)
+    return LockStep(step, np.searchsorted(q, np.arange(m * (P + 1) + 1)), P + 1 + a, past[q, a])
 
 
 def _grow(counts, weight, tab, need):
@@ -198,189 +206,234 @@ def block_choice(tab, ub):
     return choice
 
 
-def census_batch(counts, state, tab, lock, u, b):
-    """Advance R replicates by ``u.shape[1]`` steps each, in lock step:
-    every replicate takes step j before any takes j+1.
+class LockStepRun:
+    """R replicates grown in lock step: every replicate takes step j before
+    any takes j + 1.  ``advance`` takes a row block of steps, ``resolve``
+    settles what they left past the prefix, and ``census`` resolves the
+    rest and returns the census.
 
-    ``counts`` is (R, D) int64, ``state`` (R, 3) int64 holding each
+    ``counts`` is (R, D) int64 and ``state`` (R, 3) int64 holding each
     replicate's [max degree, master degree, S * total activity], the row
-    that ``census_chunk`` keeps in its ``state`` list, ``u`` (R, L, ncols)
-    the next L rows of each replicate's stream and ``b`` (R, L) their block
-    choices (``block_choice``).  Degree k weighs ``tab.chi_s * k +
+    that ``census_chunk`` keeps in its ``state`` list.  ``state`` is updated
+    in place: its total by ``advance``, its master degree by ``resolve`` and
+    its max degree by ``census``.  Degree k weighs ``tab.chi_s * k +
     tab.rho_s`` and block i adds ``tab.s_a[i]`` to the total, which lies
     below ``ACTIVITY_LIMIT``.  ``lock`` is ``lock_step_tables(tab, P)`` for
-    some P >= 1.  ``state`` is updated in place; the counts are returned in
-    a new array.  Nothing is recorded.
+    some P >= 1.  Any P yields the same states, by the arguments of
+    ``advance`` and ``resolve``; only the time moves with it.  At most
+    ``MAX_REPLICATES`` replicates fit one run.  Nothing is recorded.
 
-    The step loop scans only the prefix, degrees 1..P, where P is the
-    width of the step table ``lock.step``.  Any P >= 1 yields the same
-    states, by the argument below; only the time moves with it.  At most
-    ``MAX_REPLICATES`` replicates fit one call.
+    The run holds each replicate's partial sums over degrees 1..P, the
+    prefix, and ``work[k, r]``, its census by degree past the prefix as it
+    stood at the last resolution, as float64.  Between resolutions the log
+    holds what the steps did past the prefix: each deferred step (its step,
+    replicate, floored target, last prefix sum and latch increment) and
+    each arrival (its step, replicate, degree past the prefix and count of
+    vertices).  ``pending`` counts the log's entries."""
 
-    Each replicate's P partial sums are exact int64 integers in one flat
-    sorted array, ``keys``: replicate r's row holds its sums plus
-    r * ``ROW_SPAN``, then the sentinel r * ROW_SPAN + ROW_SPAN - 1, which
-    lies above every sum and target of the row and below the next row.
-    Each step's class target t = u0 * (S * total) is held floored, as
-    floor(t) + r * ROW_SPAN.  One ``keys.searchsorted(targets, "right")``
-    over the R targets of a step gives each replicate r * (P + 1) + k,
-    where k counts the sums of its own row that are <= floor(t).  For an
-    integer sum s and a target t below 2**52, s <= t exactly when
-    s <= floor(t), so k also counts the sums <= t.  Every weight is
-    positive, since chi >= 0 and chi + rho > 0, so the sums never
-    decrease, and k is the index of the first sum > t: the class that the
-    scalar loop's strict ``<`` picks, the latch at degree k + 1, or past
-    the prefix when k = P.  Adding (i - r) * (P + 1) for the step's block
-    choice i gives row i * (P + 1) + k of the block-major step table, the
-    exact change that this latch and the block's new vertices make to the
-    sums; one gather and one add apply the R rows.  Every sum stays an
-    integer below ``ACTIVITY_LIMIT``, so the partial sums are those of the
-    scalar loop.  The gather skips numpy's index check (``mode="clip"``);
-    after the loop the row block checks the stored rows once, and raises
-    ``IndexError`` if any lies outside the step table.
+    def __init__(self, counts, state, tab, lock: LockStep):
+        R = counts.shape[0]
+        if R > MAX_REPLICATES:
+            raise ValueError(f"a lock-step run takes at most {MAX_REPLICATES} replicates, got {R}")
+        self.state, self.tab, self.lock = state, tab, lock
+        P = lock.step.shape[1] - 1
+        self.span = np.arange(R, dtype=np.int64) * ROW_SPAN
+        # The census of degrees 1..P (zero past the end of ``counts``), as
+        # exact partial sums.
+        low = np.zeros((R, P))
+        low[:, : counts.shape[1] - 1] = counts[:, 1 : P + 1]
+        self.sums = np.empty((R, P + 1), dtype=np.int64)
+        self.sums[:, :P] = np.cumsum(low * (tab.chi_s * np.arange(1.0, P + 1) + tab.rho_s), axis=1)
+        self.sums[:, P] = ROW_SPAN - 1
+        self.sums += self.span[:, None]
+        # No class lies above width: it covers the census, every degree that
+        # a prefix hit or a new vertex can reach, and one past the prefix.
+        self.width = max(int(state[:, 0].max()), tab.new_max, P + max(tab.block_d) + 1)
+        self.work = np.zeros((max(counts.shape[1], self.width + P), R))
+        self.work[: counts.shape[1]] = counts.T
+        # The step table rows whose step is logged: deferred (k = P), or
+        # adding vertices past the prefix.
+        self.logged = (np.arange(len(lock.step)) % (P + 1) == P) | (np.diff(lock.arrive) > 0)
+        self.steps = 0  # the steps taken so far
+        self.log = []
+        self.pending = 0
 
-    After the loop the census is held by degree as float64, ``work[k, r]``
-    for degree k, sized once.  The rounds below read whole blocks of P
-    degrees up to the highest class, which starts at most at ``width``, and
-    each round lifts a latch, and so that class, by at most
-    dmax = max(``tab.block_d``) degrees, so width + P + dmax * rounds rows
-    cover every read and every move.  Each degree k <= P takes the count
-    (sum_k - sum_{k-1}) / weight_k from the final sums; the degrees past
-    the prefix start from ``counts``.  The vertices that the steps add past
-    the prefix, new ones and latches that a prefix hit moves there, are the
-    ``arrivals``: per step, the row of ``lock.arrive`` that matches its step
-    table row.  The row block's end adds their totals to the census.
+    def advance(self, u, b):
+        """Take the next L steps of every replicate.  ``u`` (R, L, ncols)
+        holds the next L rows of each replicate's stream and ``b`` (R, L)
+        their block choices (``block_choice``).
 
-    The steps that reached the sentinel are deferred: their latches are
-    resolved after the loop, in rounds.  Round t takes every replicate's
-    t-th deferred step, in lock step over the replicates.  It continues the
-    scan past the prefix from the last prefix sum at its step (``last``,
-    the sum before the row block plus the changes of the earlier steps) and
-    latches to the master if the target is not below the last sum either,
-    adding the block's latch increment to the master degree at once.
-    It reads the floored targets, which pick as the targets do against
-    integer sums: t < s exactly when floor(t) < s.  It scans in blocks of
-    P degrees: one ``matmul`` gives each block's weighted sum, and only the
-    first block whose end passes the target is scanned row by row.  This
-    is exact:
+        The step loop scans only the prefix.  Replicate r's row of ``sums``
+        holds its P partial sums plus r * ``ROW_SPAN``, then the sentinel
+        r * ROW_SPAN + ROW_SPAN - 1, which lies above every sum and target
+        of the row and below the next row, so that the rows make one sorted
+        int64 array.  Each step's class target t = u0 * (S * total) is held
+        floored, as floor(t) + r * ROW_SPAN.  One ``searchsorted(targets,
+        "right")`` over the R targets of a step gives each replicate
+        r * (P + 1) + k, where k counts the sums of its own row that are
+        <= floor(t).  For an integer sum s and a target t below 2**52,
+        s <= t exactly when s <= floor(t), so k also counts the sums <= t.
+        Every weight is positive, since chi >= 0 and chi + rho > 0, so the
+        sums never decrease, and k is the index of the first sum > t: the
+        class that the scalar loop's strict ``<`` picks, the latch at degree
+        k + 1, or past the prefix when k = P.  Adding (i - r) * (P + 1) for
+        the step's block choice i gives row i * (P + 1) + k of the
+        block-major step table, the exact change that this latch and the
+        block's new vertices make to the sums; one gather and one add apply
+        the R rows.  Every sum stays an integer below ``ACTIVITY_LIMIT``, so
+        the partial sums are those of the scalar loop.  The gather skips
+        numpy's index check (``mode="clip"``); after the loop the stored
+        rows are checked once, and ``IndexError`` is raised if any lies
+        outside the step table.
 
-    * a deferred latch moves only degrees past the prefix, or the master
-      degree, and the prefix sums count neither, so every prefix outcome of
-      the loop stands;
-    * a round sees the degrees past the prefix as they stood at its step.
-      The rows hold the row block's start and the replicate's earlier
-      deferred latches, applied by the earlier rounds; the round adds the
-      arrivals of the steps before its own, cumulated over the row block.
-      A deferred latch may take a vertex that arrived earlier in the row
-      block, before the end adds it, so a row can go negative between
-      rounds; the segment that a round scans, rows plus arrivals, holds
-      true counts all the same;
-    * so every term past the prefix is a count times a weight, a
-      non-negative integer, and every sum, in whatever order ``matmul``
-      adds it, an integer below ``ACTIVITY_LIMIT``.  The partial sums
-      grow with the degree, so the first block whose end passes the
-      target holds the first degree that does.
-    """
-    R, L = u.shape[0], u.shape[1]
-    if R > MAX_REPLICATES:
-        raise ValueError(f"census_batch takes at most {MAX_REPLICATES} replicates, got {R}")
-    step, arrive = lock
-    P = step.shape[1] - 1
-    # Total activity before each step, and each step's class target, floored
-    # (u0 * total >= 0 casts to its floor) and moved into its replicate's span.
-    totals = np.empty((R, L + 1))
-    totals[:, 0] = state[:, 2]
-    totals[:, 1:] = tab.s_a[b]
-    np.cumsum(totals, axis=1, out=totals)
-    target = np.empty((L, R), dtype=np.int64)
-    np.multiply(u[:, :, 0].T, totals[:, :L].T, out=target, casting="unsafe")
-    span = np.arange(R, dtype=np.int64) * ROW_SPAN
-    target += span
-    state[:, 2] = totals[:, L]
-    del totals
-    # Each step's offset (i - r) * (P + 1) from its search index to its row
-    # i * (P + 1) + k of the step tables, which the loop stores in its place.
-    moved = b.T - np.arange(R)
-    moved *= P + 1
+        The loop reads nothing past the prefix, neither the census there
+        nor the master degree.  The steps that reached the sentinel, and
+        the vertices that the steps add past the prefix (new ones, and
+        latches that a prefix hit moves there), are logged for
+        ``resolve``."""
+        R, L = b.shape
+        tab, state, span, sums = self.tab, self.state, self.span, self.sums
+        lock = self.lock
+        P = lock.step.shape[1] - 1
+        # Total activity before each step, and each step's class target,
+        # floored (u0 * total >= 0 casts to its floor) and moved into its
+        # replicate's span.
+        totals = np.empty((R, L + 1))
+        totals[:, 0] = state[:, 2]
+        totals[:, 1:] = tab.s_a[b]
+        np.cumsum(totals, axis=1, out=totals)
+        target = np.empty((L, R), dtype=np.int64)
+        np.multiply(u[:, :, 0].T, totals[:, :L].T, out=target, casting="unsafe")
+        target += span
+        state[:, 2] = totals[:, L]
+        del totals
+        # Each step's offset (i - r) * (P + 1) from its search index to its
+        # row i * (P + 1) + k of the step tables, which the loop stores in
+        # its place.
+        moved = b.T - np.arange(R)
+        moved *= P + 1
+        first = sums[:, P - 1] - span  # the last prefix sum before the row block
+        keys = sums.reshape(-1)
+        change = np.empty_like(sums)
 
-    # The census of degrees 1..P (zero past the end of ``counts``).
-    low = np.zeros((R, P))
-    low[:, : counts.shape[1] - 1] = counts[:, 1 : P + 1]
-    sums = np.empty((R, P + 1), dtype=np.int64)
-    sums[:, :P] = np.cumsum(low * (tab.chi_s * np.arange(1.0, P + 1) + tab.rho_s), axis=1)
-    sums[:, P] = ROW_SPAN - 1
-    sums += span[:, None]
-    first = sums[:, P - 1] - span  # the last prefix sum before the row block
-    keys = sums.reshape(-1)
-    change = np.empty_like(sums)
+        for j in range(L):
+            row = moved[j]
+            row += keys.searchsorted(target[j], side="right")
+            lock.step.take(row, axis=0, out=change, mode="clip")
+            sums += change
 
-    for j in range(L):
-        row = moved[j]
-        row += keys.searchsorted(target[j], side="right")
-        step.take(row, axis=0, out=change, mode="clip")
-        sums += change
-
-    # Every gather of the stored rows, in the loop and after it, skips
-    # numpy's index check (mode="clip"); this one check covers them all.
-    if moved.min() < 0 or moved.max() >= len(step):
-        raise IndexError("a lock-step row lies outside the step table")
-    # The deferred steps, whose row is the last of its block's (k = P), as
-    # flat indices j * R + r in step order.  Round t takes each replicate's
-    # t-th deferred step.
-    deferred = np.flatnonzero((np.arange(len(step)) % (P + 1) == P)[moved])
-    j, r = np.divmod(deferred, R)
-    order = np.argsort(r, kind="stable")
-    nth = np.arange(len(order)) - np.searchsorted(r[order], r[order])
-    order = order[np.argsort(nth, kind="stable")]
-    j, r = j[order], r[order]
-    sizes = np.bincount(nth)
-
-    # The census by degree, work[k, r].  No class lies above width: it covers
-    # every degree that a prefix hit or a new vertex can reach, and at least
-    # one past the prefix.  The rounds read whole blocks of P degrees up to
-    # width, and each round lifts a latch, and width, by at most dmax.
-    dmax = max(tab.block_d)
-    width = max(int(state[:, 0].max()), tab.new_max, P + dmax + 1)
-    D = max(counts.shape[1], width + P + len(sizes) * dmax)
-    work = np.zeros((D, R))
-    work[: counts.shape[1]] = counts.T
-    weight = tab.chi_s * np.arange(D, dtype=np.float64) + tab.rho_s  # by degree
-    # The census of the prefix, exact: each difference of exact integer sums
-    # is a count times its weight.
-    W = P + 1  # the first degree past the prefix
-    sums -= span[:, None]
-    work[1:W] = (np.diff(sums[:, :P], axis=1, prepend=0) / weight[1:W]).T
-    # arrivals[j, r, a]: what the steps before step j of replicate r add
-    # at degree P + 1 + a.  The rounds read it, and the end adds row L to
-    # the census.
-    A = arrive.shape[1]
-    arrivals = np.zeros((L + 1, R, A), dtype=np.min_scalar_type(L * int(arrive.max(initial=0))))
-    np.take(arrive.astype(arrivals.dtype), moved, axis=0, out=arrivals[1:], mode="clip")
-    np.cumsum(arrivals, axis=0, out=arrivals)
-    arrived = arrivals[L].T.copy()
-
-    if len(sizes):
-        # Per deferred step, in round order: the arrivals before it, then its
-        # target, kept prefix sum and latch increment.
-        came = arrivals[j, r]
-        del arrivals
+        # Every gather of the stored rows, in the loop and after it, skips
+        # numpy's index check (mode="clip"); this one check covers them all.
+        if moved.min() < 0 or moved.max() >= len(lock.step):
+            raise IndexError("a lock-step row lies outside the step table")
+        # The logged steps, as flat indices j * R + r in step order.
+        hits = np.flatnonzero(self.logged[moved])
+        rows = moved.reshape(-1)[hits]
+        j, r = np.divmod(hits, R)
+        j += self.steps
+        self.steps += L
+        defer = rows % (P + 1) == P
+        at, dr = hits[defer], r[defer]
         # The last prefix sum before each step.
         last = np.empty((L, R), dtype=np.int64)
-        last[0] = first
-        np.take(step[:, P - 1], moved[:-1], out=last[1:], mode="clip")
-        np.cumsum(last, axis=0, out=last)
-        tj = (target[j, r] - span[r]).astype(np.float64)
-        kept, lift = last[j, r], tab.d_a[b[r, j]]
-        del target, last, moved  # the rounds read none of the step tables
+        if len(at):
+            last[0] = first
+            np.take(lock.step[:, P - 1], moved[:-1], out=last[1:], mode="clip")
+            np.cumsum(last, axis=0, out=last)
+        deferred = (
+            j[defer],
+            dr,
+            (target.reshape(-1)[at] - span[dr]).astype(np.float64),
+            last.reshape(-1)[at],
+            tab.d_a[rows[defer] // (P + 1)],
+        )
+        # Each logged step's entries of ``lock.degree`` and ``lock.count``.
+        start = lock.arrive[rows]
+        n = lock.arrive[rows + 1] - start
+        entry = np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
+        arrived = (np.repeat(j, n), np.repeat(r, n), lock.degree[entry], lock.count[entry])
+        self.log.append(deferred + arrived)
+        self.pending += len(at) + len(entry)
+
+    def resolve(self):
+        """Settle every logged step, then empty the log.
+
+        The deferred latches are resolved in rounds.  Round t takes every
+        replicate's t-th logged deferred step, in lock step over the
+        replicates.  Before it, ``work`` gains the arrivals of each
+        replicate's steps before that step; after the last round, the rest.
+        The round continues the scan past the prefix from the last prefix
+        sum at its step and latches to the master if the target is not
+        below the last sum either, adding the block's latch increment to the
+        master degree at once.  It reads the floored targets, which pick as
+        the targets do against integer sums: t < s exactly when floor(t) < s.
+        It scans in blocks of P degrees: one ``matmul`` gives each block's
+        weighted sum, and only the first block whose end passes the target
+        is scanned row by row.  This is exact, however many row blocks have
+        run since the logged steps:
+
+        * a deferred latch moves only degrees past the prefix, or the master
+          degree.  The step loop reads neither, and every target depends on
+          the block choices alone, so every prefix outcome of every later
+          step stands;
+        * a round sees the degrees past the prefix as they stood at its
+          step: the census at the last resolution, the replicate's earlier
+          deferred latches, which the earlier rounds applied, and the
+          vertices that its earlier steps added there;
+        * so every term past the prefix is a count times a weight, a
+          non-negative integer, and every sum, in whatever order ``matmul``
+          adds it, an integer below ``ACTIVITY_LIMIT``.  The partial sums
+          grow with the degree, so the first block whose end passes the
+          target holds the first degree that does.
+
+        ``work`` is sized before the rounds.  They read whole blocks of P
+        degrees up to the highest class, which starts at most at ``width``,
+        and each round lifts one latch of a replicate, and so that
+        replicate's highest class, by its latch increment.  So width + P
+        rows, plus the largest sum of one replicate's logged increments,
+        cover every read and every move."""
+        if not self.log:
+            return
+        log, self.log, self.pending = self.log, [], 0
+        j, r, target, kept, lift, aj, ar, degree, count = (np.concatenate(c) for c in zip(*log))
+        del log
+        P = self.lock.step.shape[1] - 1
+        W = P + 1  # the first degree past the prefix
+        state = self.state
+        # Round t takes each replicate's t-th deferred step.  The log is in
+        # step order, so a stable sort by replicate keeps each one's steps
+        # in step order.
+        by_r = np.argsort(r, kind="stable")
+        rs = r[by_r]
+        nth = np.arange(len(rs)) - np.searchsorted(rs, rs)
+        order = by_r[np.argsort(nth, kind="stable")]
+        sizes = np.bincount(nth)
+        # An arrival is due before its replicate's first deferred step after
+        # it, whose round is the count of the replicate's deferred steps up
+        # to its own step; due[t]:due[t + 1] are those due before round t.
+        key = rs * self.steps + j[by_r]
+        late = np.searchsorted(key, ar * self.steps + aj, side="right")
+        late -= np.searchsorted(key, ar * self.steps)
+        a = np.argsort(late, kind="stable")
+        ar, degree, count = ar[a], degree[a], count[a]
+        due = np.searchsorted(late[a], np.arange(len(sizes) + 2))
+        r, target, kept, lift = r[order], target[order], kept[order], lift[order]
+
+        width = self.width
+        D = width + P + int(np.bincount(r, lift).max(initial=0))
+        if len(self.work) < D:
+            self.work = np.concatenate([self.work, np.zeros((D - len(self.work), len(self.span)))])
+        work = self.work
+        weight = self.tab.chi_s * np.arange(len(work), dtype=np.float64) + self.tab.rho_s
         ends = np.cumsum(sizes)
-        for lo, hi in zip(ends - sizes, ends):
+        for t, (lo, hi) in enumerate(zip(ends - sizes, ends)):
+            now = slice(due[t], due[t + 1])
+            np.add.at(work, (degree[now], ar[now]), count[now])
             m, rm = slice(lo, hi), r[lo:hi]
             # The counts past the prefix at each one's step, in nb blocks of
             # P degrees (rows past width are zero).
             nb = -(-(width - P) // P)
-            seg = work[W : W + nb * P, rm]
-            seg[:A] += came[m].T
-            seg = seg.reshape(nb, P, -1)
+            seg = work[W : W + nb * P, rm].reshape(nb, P, -1)
             wb = weight[W : W + nb * P].reshape(nb, 1, -1)
             # Partial sums at each block's start and at the last one's end,
             # then the first block that passes the target, scanned row by row.
@@ -388,11 +441,11 @@ def census_batch(counts, state, tab, lock, u, b):
             sums[0] = kept[m]
             np.matmul(wb, seg, out=sums[1:, None])
             np.cumsum(sums, axis=0, out=sums)
-            i = (tj[m] < sums[1:]).argmax(axis=0)
+            i = (target[m] < sums[1:]).argmax(axis=0)
             col = np.arange(hi - lo)
             inner = seg[i, :, col] * wb[i, 0]
             inner[:, 0] += sums[i, col]
-            hit = tj[m, None] < np.cumsum(inner, axis=1, out=inner)
+            hit = target[m, None] < np.cumsum(inner, axis=1, out=inner)
             # A latch moves up lift[m] degrees; the master gains them.
             latched = hit[:, -1]
             at = W + i * P + hit.argmax(axis=1)
@@ -401,11 +454,23 @@ def census_batch(counts, state, tab, lock, u, b):
             work[at, rm] += latched
             state[rm, 1] += np.where(latched, 0, lift[m])
             width = max(width, int(at.max()))
+        now = slice(due[-2], None)
+        np.add.at(work, (degree[now], ar[now]), count[now])
+        self.width = width
 
-    # Bookkeeping that the scan does not read, for the whole row block.
-    work[W : W + A] += arrived
-    census = np.ascontiguousarray(work.T, dtype=np.int64)
-    occupied = census[:, ::-1] != 0  # the highest degree first
-    top = np.where(occupied.any(axis=1), census.shape[1] - 1 - occupied.argmax(axis=1), 0)
-    np.maximum(state[:, 0], top, out=state[:, 0])
-    return census
+    def census(self):
+        """Resolve the log and return the census, (R, max degree + 1) int64,
+        and raise each replicate's max degree to its highest occupied
+        degree."""
+        self.resolve()
+        P = self.lock.step.shape[1] - 1
+        work, state = self.work, self.state
+        # The census of the prefix, exact: each difference of exact integer
+        # sums is a count times its weight.
+        sums = self.sums[:, :P] - self.span[:, None]
+        weight = self.tab.chi_s * np.arange(1.0, P + 1) + self.tab.rho_s
+        work[1 : P + 1] = (np.diff(sums, axis=1, prepend=0) / weight).T
+        occupied = work[::-1] != 0  # the highest degree first
+        top = np.where(occupied.any(axis=0), len(work) - 1 - occupied.argmax(axis=0), 0)
+        np.maximum(state[:, 0], top, out=state[:, 0])
+        return np.ascontiguousarray(work[: state[:, 0].max() + 1].T, dtype=np.int64)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Sequence
@@ -316,12 +316,30 @@ def init_state(
     excluded from the census."""
     if mode not in (GRAPH, CENSUS):
         raise ValueError(f"mode must be 'graph' or 'census', got {mode!r}")
-    return _new_state(bs, _build_tables(bs), mode, seed, max_vertices)
+    tables = _build_tables(bs)
+    stream = _Stream(seed)
+    return _new_state(bs, tables, mode, stream, _initial_block(bs, tables, stream), max_vertices)
 
 
-def _new_state(bs: BlockSet, tables: _Tables, mode: str, seed, max_vertices: int) -> GrowthState:
+def _initial_block(bs: BlockSet, tables: _Tables, stream: _Stream) -> int:
+    """The index of the initial block; a random one takes the stream's one
+    pre-loop uniform."""
+    if bs.initial_block == "random":
+        return int(_kernels.block_choice(tables, np.array([stream.initial_uniform()]))[0])
+    return bs.initial_block
+
+
+def _new_state(
+    bs: BlockSet,
+    tables: _Tables,
+    mode: str,
+    stream: Optional[_Stream],
+    block: int,
+    max_vertices: int,
+) -> GrowthState:
     """``init_state`` on the model table ``tables`` of ``bs``, which states
-    grown together share.
+    grown together share, with the stream ``stream`` (None for a state that
+    is only copied) and the initial block ``block``.
 
     The initial block is attached like any later block, by one step of the
     census kernel and, in graph mode, of the replay.  It latches at the
@@ -330,11 +348,7 @@ def _new_state(bs: BlockSet, tables: _Tables, mode: str, seed, max_vertices: int
     class scan finds no class, so the master is the latch whatever the
     class uniform.  The master is vertex 0, the block's new vertices follow
     in their listed order, and a south pole comes last."""
-    stream = _Stream(seed)
-    if bs.initial_block == "random":
-        b = _kernels.block_choice(tables, np.array([stream.initial_uniform()]))
-    else:
-        b = np.array([bs.initial_block])
+    b = np.array([block])
     bipolar = bs.kind == BIPOLAR
     nv = _vertex_counts(1 + bipolar, tables, b)
     _check_vertex_limit(nv, 0, max_vertices)
@@ -636,14 +650,19 @@ def simulate_batch(
     Each returned state equals ``simulate(bs, n, seed=s)`` for its seed:
     the same census, degrees, vertex count, total activity and stream
     position.  Nothing is recorded.  The replicates grow in lock step
-    through ``_kernels.census_batch``, over the tables of the prefix width
+    through ``_kernels.LockStepRun``, over the tables of the prefix width
     that ``_scan_prefix`` picks for ``bs``, in groups of at most
-    ``_kernels.MAX_REPLICATES``, the most that one kernel call holds.
+    ``_kernels.MAX_REPLICATES``, the most that one run holds.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     t = _build_tables(bs)
-    states = [_new_state(bs, t, CENSUS, s, max_vertices) for s in seeds]
+    # Each distinct initial block is attached once, and its state copied:
+    # the states share its census until ``_grow_in_lock_step`` replaces it.
+    streams = [_Stream(s) for s in seeds]
+    blocks = [_initial_block(bs, t, s) for s in streams]
+    attached = {b: _new_state(bs, t, CENSUS, None, b, max_vertices) for b in dict.fromkeys(blocks)}
+    states = [replace(attached[b], stream=s) for s, b in zip(streams, blocks)]
     if not states:
         return states
     _check_activity_limit(t, max(s.activity for s in states), n)
@@ -657,16 +676,23 @@ def simulate_batch(
 def _grow_in_lock_step(
     states: list, t: _Tables, lock: _kernels.LockStep, n: int, max_vertices: int
 ) -> None:
-    """Advance each census state by n steps, in one lock-step row block of
-    ``census_batch`` per BATCH_ROWS steps.  Replicate r is row r of the
-    census ``counts`` and of ``state``, its [max degree, master degree,
-    S * total activity] in int64, the list that ``census_chunk`` keeps; the
-    vertex counts follow from the block choices alone."""
+    """Advance each census state by n steps in one ``_kernels.LockStepRun``,
+    one row block of BATCH_ROWS steps at a time.  Replicate r is row r of
+    the census ``counts`` and of ``state``, its [max degree, master degree,
+    S * total activity] in int64, the list that ``census_chunk`` keeps.
+
+    The run logs the latches that it defers past its prefix, and resolves
+    them when the run ends, or at the end of the first row block after
+    which its log holds more entries than the row block's R x BATCH_ROWS
+    arrays, so that the log stays as small as those.  The vertex counts
+    follow from the block choices alone, and never decrease, so a row
+    block's end count bounds each of its steps'."""
     counts = np.zeros((len(states), max(s.counts.shape[0] for s in states)), dtype=np.int64)
     for r, s in enumerate(states):
         counts[r, : s.counts.shape[0]] = s.counts
     state = np.array([[s.max_deg, s.master_degree, s.activity] for s in states], dtype=np.int64)
     n_vertices = np.array([s.n_vertices for s in states], dtype=np.int64)
+    run = _kernels.LockStepRun(counts, state, t, lock)
 
     draws = np.empty((len(states), min(n, BATCH_ROWS), t.ncols))
     for step in range(0, n, BATCH_ROWS):
@@ -674,11 +700,15 @@ def _grow_in_lock_step(
         for r, s in enumerate(states):
             s.stream.fill(u[r])
         b = _kernels.block_choice(t, u[:, :, 2])
-        nv = _vertex_counts(n_vertices, t, b)
-        _check_vertex_limit(nv, step + 1, max_vertices)
-        counts = _kernels.census_batch(counts, state, t, lock, u, b)
-        n_vertices = nv[:, -1]
+        end = n_vertices + t.block_nv[b].sum(axis=1)
+        if end.max() > max_vertices:
+            _check_vertex_limit(_vertex_counts(n_vertices, t, b), step + 1, max_vertices)
+        run.advance(u, b)
+        if run.pending > len(states) * BATCH_ROWS:
+            run.resolve()
+        n_vertices = end
 
+    counts = run.census()
     for r, s in enumerate(states):
         s.counts = counts[r].copy()
         s.max_deg, s.master_degree, s.activity = (int(v) for v in state[r])

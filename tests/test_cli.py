@@ -405,14 +405,14 @@ def test_verify_grows_more_replicates_than_one_kernel_call_holds(
     example_paths, monkeypatch, capsys
 ):
     """``verify --replicates 1100 --jobs 1`` grows all its replicates in one
-    process, more than the 1023 that one ``census_batch`` call holds, so
+    process, more than the 1023 that one ``LockStepRun`` holds, so
     ``simulate_batch`` grows them in two groups; each sample is still the
     census of one ``simulate`` per seed."""
     sizes, samples = [], []
-    batch = _kernels.census_batch
+    advance = _kernels.LockStepRun.advance
     run = verify_mod.run_replicates
     monkeypatch.setattr(
-        _kernels, "census_batch", lambda counts, *a: sizes.append(len(counts)) or batch(counts, *a)
+        _kernels.LockStepRun, "advance", lambda kernel, u, b: sizes.append(len(b)) or advance(kernel, u, b)
     )
     monkeypatch.setattr(
         verify_mod, "run_replicates", lambda *a, **k: samples.append(run(*a, **k)) or samples[-1]

@@ -396,6 +396,27 @@ def test_initial_block_is_held_to_the_vertex_limit(k2, fig3):
         assert simulate(bs, 0, max_vertices=size).n_vertices == size
 
 
+def test_batch_names_the_step_that_crosses_the_vertex_limit(fig1):
+    """fig1's blocks add different numbers of vertices, so its replicates
+    reach different counts.  Under a limit that one replicate in the
+    middle of the batch crosses, in the third row block, ``simulate_batch``
+    raises the message that ``simulate`` raises for that replicate, which
+    names the step."""
+    seeds = [np.random.SeedSequence((47, k)) for k in range(4)]
+    n = 3 * BATCH_ROWS
+    ends = [simulate(fig1, n, seed=s).n_vertices for s in seeds]
+    limit = sorted(ends)[-2]
+    over = ends.index(max(ends))
+    assert 0 < over < len(seeds) - 1 and ends.count(limit) == 1
+    with pytest.raises(ResourceLimitError) as raised:
+        simulate(fig1, n, seed=seeds[over], max_vertices=limit)
+    message = str(raised.value)
+    assert 2 * BATCH_ROWS < int(message.rsplit(" ", 1)[1]) <= n
+    with pytest.raises(ResourceLimitError) as raised:
+        simulate_batch(fig1, n, seeds, max_vertices=limit)
+    assert str(raised.value) == message
+
+
 def test_fractional_weights_do_not_drift(fig1):
     """With chi = 1/3 and rho = 1/7 the kernel weighs degree k by the
     integer 21 * (chi * k + rho), so its running total is exactly the
@@ -731,6 +752,42 @@ def test_batch_matches_scalar_on_random_models(seed, prefix, replicates, n):
         _assert_same_state(simulate(bs, n, seed=s), b)
 
 
+@pytest.mark.parametrize("every_block", [False, True], ids=["at-the-bound", "every-row-block"])
+@pytest.mark.parametrize("prefix", [1, 2])
+@pytest.mark.parametrize("name", ["fig1", "k2-preferential", "star-17", "star-100-uniform"])
+def test_batch_defers_latches_across_row_blocks(name, prefix, every_block, monkeypatch, fig1, fig3, k2):
+    """With a prefix of 1 or 2 columns most latches are deferred, and they
+    wait in the run's log over several row blocks: until the run ends, or
+    until the log holds more than R x BATCH_ROWS entries.  Each
+    resolution starts from the census of the one before.  Every state
+    equals ``simulate``'s, with the bound as it is and with a resolution
+    after every row block.  At these prefixes every model's log outgrows
+    the bound; the uniform star of 100 leaves adds a vertex of degree 100,
+    past the prefix, at half of its steps."""
+    models = _batch_models(fig1, fig3, k2)
+    models["star-100-uniform"] = replace(_star_model(100), chi=F(0), rho=F(1))
+    bs = models[name]
+    built = _force_prefix(monkeypatch, prefix)
+    pending = []  # the log's size at each resolution
+    resolve = _kernels.LockStepRun.resolve
+    monkeypatch.setattr(_kernels.LockStepRun, "resolve", lambda run: pending.append(run.pending) or resolve(run))
+    if every_block:
+        advance = _kernels.LockStepRun.advance
+        monkeypatch.setattr(
+            _kernels.LockStepRun, "advance", lambda run, u, b: advance(run, u, b) or run.resolve()
+        )
+    seeds = [np.random.SeedSequence((53, k)) for k in range(4)]
+    n = 3 * BATCH_ROWS + 7
+    for seed, b in zip(seeds, simulate_batch(bs, n, seeds)):
+        _assert_same_state(simulate(bs, n, seed=seed), b)
+    assert [t.step.shape for t in built] == _step_table_shapes(bs, prefix)
+    if every_block:
+        assert len(pending) == 4 + 1 and all(pending[:4])  # one per row block, then the end's
+    else:
+        assert len(pending) > 1  # the bound is crossed before the end
+        assert all(p > len(seeds) * BATCH_ROWS for p in pending[:-1])
+
+
 @pytest.mark.parametrize(
     "name, width", [("fig1", 48), ("fig3", 8), ("k2", 8), ("k2-preferential", 64), ("path", 8)]
 )
@@ -758,18 +815,18 @@ def test_batch_random_initial_blocks_differ(fig1):
 
 
 def test_batch_grows_past_the_replicate_bound_in_groups(fig1, monkeypatch):
-    """One ``census_batch`` call holds at most ``MAX_REPLICATES``
-    replicates, since replicate r's prefix sums sit at r * 2**53 in one
-    int64 array, and it refuses more.  ``simulate_batch`` grows a longer
-    seed list in groups under the bound, here patched to 3 over 7 seeds,
-    and every state still equals ``simulate``'s."""
+    """One ``LockStepRun`` holds at most ``MAX_REPLICATES`` replicates,
+    since replicate r's prefix sums sit at r * 2**53 in one int64 array,
+    and it refuses more.  ``simulate_batch`` grows a longer seed list in
+    groups under the bound, here patched to 3 over 7 seeds, and every state
+    still equals ``simulate``'s."""
     assert _kernels.ROW_SPAN == 2 * _kernels.ACTIVITY_LIMIT == 2**53
     assert _kernels.MAX_REPLICATES == 1023
     monkeypatch.setattr(_kernels, "MAX_REPLICATES", 3)
     sizes = []
-    batch = _kernels.census_batch
+    advance = _kernels.LockStepRun.advance
     monkeypatch.setattr(
-        _kernels, "census_batch", lambda counts, *a: sizes.append(len(counts)) or batch(counts, *a)
+        _kernels.LockStepRun, "advance", lambda run, u, b: sizes.append(len(b)) or advance(run, u, b)
     )
     seeds = [np.random.SeedSequence((43, k)) for k in range(7)]
     n = BATCH_ROWS + 44
@@ -780,10 +837,9 @@ def test_batch_grows_past_the_replicate_bound_in_groups(fig1, monkeypatch):
     tab = growth_mod._build_tables(fig1)
     lock = _kernels.lock_step_tables(tab, 8)
     R = 4
-    u, b = np.zeros((R, 1, tab.ncols)), np.zeros((R, 1), dtype=np.int64)
     state = np.ones((R, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="at most 3 replicates, got 4"):
-        batch(np.zeros((R, 8), dtype=np.int64), state, tab, lock, u, b)
+        _kernels.LockStepRun(np.zeros((R, 8), dtype=np.int64), state, tab, lock)
 
 
 def test_batch_capacity_growth_mid_run(k2):
@@ -809,9 +865,25 @@ def test_batch_builds_the_model_table_once(fig1, monkeypatch):
     assert built == [states[0].tables]
 
 
+def test_batch_attaches_each_initial_block_once(fig1, monkeypatch):
+    """``simulate_batch`` attaches each distinct initial block by one step
+    of the scalar kernel and copies the state to every seed that starts
+    from it; each returned state holds its own census."""
+    calls = []
+    chunk = _kernels.census_chunk
+    monkeypatch.setattr(_kernels, "census_chunk", lambda *a: calls.append(a[-1][0]) or chunk(*a))
+    states = simulate_batch(fig1, 0, list(range(8)))
+    assert calls == [fig1.initial_block]
+    assert len({id(s.counts) for s in states}) == len(states)
+    calls.clear()
+    seeds = [np.random.SeedSequence((31, k)) for k in range(12)]
+    simulate_batch(replace(fig1, initial_block="random"), 0, seeds)
+    assert 1 < len(calls) == len(set(calls)) < len(seeds)
+
+
 def test_only_the_lock_step_kernel_builds_its_tables(fig1, fig3, monkeypatch):
     """``simulate`` in either mode and ``init_state`` neither size the
-    lock-step prefix nor build its tables: only ``census_batch`` reads them."""
+    lock-step prefix nor build its tables: only ``LockStepRun`` reads them."""
     built = []
     lock_step = _kernels.lock_step_tables
     monkeypatch.setattr(_kernels, "lock_step_tables", lambda tab, P: built.append(tab) or lock_step(tab, P))
@@ -868,6 +940,14 @@ def _ties_model(scale, chi_s, rho_s):
     })  # fmt: skip
 
 
+def _run_lock_step(counts, state, tab, lock, u, b):
+    """The census after one row block of a ``LockStepRun``, which resolves
+    its log at the end."""
+    run = _kernels.LockStepRun(counts, state, tab, lock)
+    run.advance(u, b)
+    return run.census()
+
+
 def test_batch_breaks_ties_like_scalar_loop():
     """A uniform whose target lands exactly on a partial sum picks the next
     class, or the master past the last one, and a uniform on a block
@@ -899,14 +979,14 @@ def test_batch_breaks_ties_like_scalar_loop():
         assert b[:, 0].tolist() == ([1, 0] * R)[:R]
         state = np.tile([top, master, total], (R, 1))
         lock = _kernels.lock_step_tables(tab, 16)
-        counts = _kernels.census_batch(np.tile(counts0, (R, 1)), state, tab, lock, u, b)
+        counts = _run_lock_step(np.tile(counts0, (R, 1)), state, tab, lock, u, b)
 
         for r in range(R):
             ref_state = [top, master, total]
             ref, cls = _kernels.census_chunk(counts0, ref_state, tab, u[r, :, 0], b[r])
             assert cls[0] == classes[r], (census, r)
-            assert np.array_equal(counts[r, :64], ref), (census, r)
-            assert not counts[r, 64:].any()
+            assert np.array_equal(counts[r], ref[: counts.shape[1]]), (census, r)
+            assert not ref[counts.shape[1] :].any()
             assert state[r].tolist() == ref_state, (census, r)
 
 
@@ -954,12 +1034,12 @@ def test_batch_resolves_deferred_latches_in_step_order(cases):
     b = _kernels.block_choice(tab, u[:, :, 2])
     assert b.tolist() == [[block for _, block in _DEFERRED[c][2]] for c in cases]
     lock = _kernels.lock_step_tables(tab, 16)
-    counts = _kernels.census_batch(counts0, state, tab, lock, u, b)
+    counts = _run_lock_step(counts0, state, tab, lock, u, b)
 
     for r, case in enumerate(cases):
         ref_state = start[r]
         ref, cls = _kernels.census_chunk(counts0[r], ref_state, tab, u[r, :, 0], b[r])
         assert cls.tolist() == _DEFERRED[case][3]
-        assert np.array_equal(counts[r, :64], ref), case
-        assert not counts[r, 64:].any()
+        assert np.array_equal(counts[r], ref[: counts.shape[1]]), case
+        assert not ref[counts.shape[1] :].any()
         assert state[r].tolist() == ref_state, case
