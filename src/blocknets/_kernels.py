@@ -24,7 +24,11 @@ verification.  Two kernels advance it:
   the master, are only logged with the vertices that the steps add past
   them.  ``resolve`` settles the log in a few rounds that each serve every
   replicate at once: at the end of the run, or earlier when the log
-  outgrows the run's own arrays.
+  outgrows the run's own arrays.  A round starts its scan past the prefix
+  from the step's total activity, less the master's weight and the weight
+  past the prefix, which leaves the sum of the prefix: the total is the
+  sum of every vertex's weight, as ``growth.census_vector`` and
+  ``growth._record_rows`` use it too, and all three are exact integers.
   ``growth._scan_prefix`` sizes the prefix per model from its limit law:
   the fewest multiple of 8 degrees past which fewer than 2% of the steps
   are predicted to defer, at most 64.  That is 48 degrees on fig1 and 8
@@ -227,9 +231,9 @@ class LockStepRun:
     prefix, and ``work[k, r]``, its census by degree past the prefix as it
     stood at the last resolution, as float64.  Between resolutions the log
     holds what the steps did past the prefix: each deferred step (its step,
-    replicate, floored target, last prefix sum and latch increment) and
-    each arrival (its step, replicate, degree past the prefix and count of
-    vertices).  ``pending`` counts the log's entries."""
+    replicate, floored target, the total activity before it and its latch
+    increment) and each arrival (its step, replicate, degree past the
+    prefix and count of vertices).  ``pending`` counts the log's entries."""
 
     def __init__(self, counts, state, tab, lock: LockStep):
         R = counts.shape[0]
@@ -287,10 +291,10 @@ class LockStepRun:
         outside the step table.
 
         The loop reads nothing past the prefix, neither the census there
-        nor the master degree.  The steps that reached the sentinel, and
-        the vertices that the steps add past the prefix (new ones, and
-        latches that a prefix hit moves there), are logged for
-        ``resolve``."""
+        nor the master degree.  The steps that reached the sentinel, with
+        the total activity before each, and the vertices that the steps add
+        past the prefix (new ones, and latches that a prefix hit moves
+        there), are logged for ``resolve``."""
         R, L = b.shape
         tab, state, span, sums = self.tab, self.state, self.span, self.sums
         lock = self.lock
@@ -306,13 +310,11 @@ class LockStepRun:
         np.multiply(u[:, :, 0].T, totals[:, :L].T, out=target, casting="unsafe")
         target += span
         state[:, 2] = totals[:, L]
-        del totals
         # Each step's offset (i - r) * (P + 1) from its search index to its
         # row i * (P + 1) + k of the step tables, which the loop stores in
         # its place.
         moved = b.T - np.arange(R)
         moved *= P + 1
-        first = sums[:, P - 1] - span  # the last prefix sum before the row block
         keys = sums.reshape(-1)
         change = np.empty_like(sums)
 
@@ -330,30 +332,24 @@ class LockStepRun:
         hits = np.flatnonzero(self.logged[moved])
         rows = moved.reshape(-1)[hits]
         j, r = np.divmod(hits, R)
-        j += self.steps
-        self.steps += L
         defer = rows % (P + 1) == P
-        at, dr = hits[defer], r[defer]
-        # The last prefix sum before each step.
-        last = np.empty((L, R), dtype=np.int64)
-        if len(at):
-            last[0] = first
-            np.take(lock.step[:, P - 1], moved[:-1], out=last[1:], mode="clip")
-            np.cumsum(last, axis=0, out=last)
+        dj, dr = j[defer], r[defer]
         deferred = (
-            j[defer],
+            dj + self.steps,
             dr,
-            (target.reshape(-1)[at] - span[dr]).astype(np.float64),
-            last.reshape(-1)[at],
+            (target[dj, dr] - span[dr]).astype(np.float64),
+            totals[dr, dj],
             tab.d_a[rows[defer] // (P + 1)],
         )
+        j += self.steps
+        self.steps += L
         # Each logged step's entries of ``lock.degree`` and ``lock.count``.
         start = lock.arrive[rows]
         n = lock.arrive[rows + 1] - start
         entry = np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
         arrived = (np.repeat(j, n), np.repeat(r, n), lock.degree[entry], lock.count[entry])
         self.log.append(deferred + arrived)
-        self.pending += len(at) + len(entry)
+        self.pending += len(dr) + len(entry)
 
     def resolve(self):
         """Settle every logged step, then empty the log.
@@ -362,29 +358,35 @@ class LockStepRun:
         replicate's t-th logged deferred step, in lock step over the
         replicates.  Before it, ``work`` gains the arrivals of each
         replicate's steps before that step; after the last round, the rest.
-        The round continues the scan past the prefix from the last prefix
-        sum at its step and latches to the master if the target is not
-        below the last sum either, adding the block's latch increment to the
-        master degree at once.  It reads the floored targets, which pick as
-        the targets do against integer sums: t < s exactly when floor(t) < s.
-        It scans in blocks of P degrees: one ``matmul`` gives each block's
-        weighted sum, and only the first block whose end passes the target
-        is scanned row by row.  This is exact, however many row blocks have
-        run since the logged steps:
+        The round continues the scan past the prefix from the sum of the
+        prefix at its step, which is what the master's weight and the
+        weight past the prefix leave of the step's total activity (the
+        total is the sum of every vertex's weight), and latches to the
+        master if the target is not below the last sum either, adding the
+        block's latch increment to the master degree at once.  It reads the
+        floored targets, which pick as the targets do against integer sums:
+        t < s exactly when floor(t) < s.  It scans in blocks of P degrees:
+        one ``matmul`` gives each block's weighted sum, and only the first
+        block whose end passes the target is scanned row by row.  This is
+        exact, however many row blocks have run since the logged steps:
 
         * a deferred latch moves only degrees past the prefix, or the master
           degree.  The step loop reads neither, and every target depends on
           the block choices alone, so every prefix outcome of every later
           step stands;
-        * a round sees the degrees past the prefix as they stood at its
-          step: the census at the last resolution, the replicate's earlier
-          deferred latches, which the earlier rounds applied, and the
-          vertices that its earlier steps added there;
+        * a round sees the degrees past the prefix and the master degree as
+          they stood at its step: the census at the last resolution, the
+          replicate's earlier deferred latches, which the earlier rounds
+          applied, and the vertices that its earlier steps added there.  Only
+          a deferred latch moves the master degree;
         * so every term past the prefix is a count times a weight, a
           non-negative integer, and every sum, in whatever order ``matmul``
-          adds it, an integer below ``ACTIVITY_LIMIT``.  The partial sums
-          grow with the degree, so the first block whose end passes the
-          target holds the first degree that does.
+          adds it, an integer below ``ACTIVITY_LIMIT``.  So are the step's
+          total, logged by ``advance``, and the master's weight, and the
+          start, their difference less the blocks' sums, is the sum of the
+          prefix exactly.  The partial sums grow with the degree, so the
+          first block whose end passes the target holds the first degree
+          that does.
 
         ``work`` is sized before the rounds.  They read whole blocks of P
         degrees up to the highest class, which starts at most at ``width``,
@@ -395,11 +397,11 @@ class LockStepRun:
         if not self.log:
             return
         log, self.log, self.pending = self.log, [], 0
-        j, r, target, kept, lift, aj, ar, degree, count = (np.concatenate(c) for c in zip(*log))
+        j, r, target, total, lift, aj, ar, degree, count = (np.concatenate(c) for c in zip(*log))
         del log
         P = self.lock.step.shape[1] - 1
         W = P + 1  # the first degree past the prefix
-        state = self.state
+        tab, state = self.tab, self.state
         # Round t takes each replicate's t-th deferred step.  The log is in
         # step order, so a stable sort by replicate keeps each one's steps
         # in step order.
@@ -417,14 +419,14 @@ class LockStepRun:
         a = np.argsort(late, kind="stable")
         ar, degree, count = ar[a], degree[a], count[a]
         due = np.searchsorted(late[a], np.arange(len(sizes) + 2))
-        r, target, kept, lift = r[order], target[order], kept[order], lift[order]
+        r, target, total, lift = r[order], target[order], total[order], lift[order]
 
         width = self.width
         D = width + P + int(np.bincount(r, lift).max(initial=0))
         if len(self.work) < D:
             self.work = np.concatenate([self.work, np.zeros((D - len(self.work), len(self.span)))])
         work = self.work
-        weight = self.tab.chi_s * np.arange(len(work), dtype=np.float64) + self.tab.rho_s
+        weight = tab.chi_s * np.arange(len(work), dtype=np.float64) + tab.rho_s
         ends = np.cumsum(sizes)
         for t, (lo, hi) in enumerate(zip(ends - sizes, ends)):
             now = slice(due[t], due[t + 1])
@@ -436,10 +438,12 @@ class LockStepRun:
             seg = work[W : W + nb * P, rm].reshape(nb, P, -1)
             wb = weight[W : W + nb * P].reshape(nb, 1, -1)
             # Partial sums at each block's start and at the last one's end,
-            # then the first block that passes the target, scanned row by row.
+            # from the prefix's sum: what the master's weight and the blocks'
+            # leave of the step's total.  Then the first block that passes
+            # the target, scanned row by row.
             sums = np.empty((nb + 1, hi - lo))
-            sums[0] = kept[m]
             np.matmul(wb, seg, out=sums[1:, None])
+            sums[0] = total[m] - (tab.chi_s * state[rm, 1] + tab.rho_s) - sums[1:].sum(axis=0)
             np.cumsum(sums, axis=0, out=sums)
             i = (target[m] < sums[1:]).argmax(axis=0)
             col = np.arange(hi - lo)

@@ -235,8 +235,8 @@ class BlockSet:
             doc["blocks"].append(entry)
         return doc
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return format_json(self.to_dict())
 
 
 def _check_connected(block: Block) -> None:
@@ -435,8 +435,14 @@ def degree_of(block: Block, v: str) -> int:
 def reverse_bipolar(bs: BlockSet) -> BlockSet:
     """Reverse every arc and swap the poles of each block.
 
-    Analyzing the outdegrees of the reversed model is the same as analyzing
-    the indegrees of the original.
+    The outdegree law of the reversed model is the indegree law of the
+    original only when rho = 0.  Then the latch step picks a vertex with
+    weight chi * outdegree and one of its out-arcs uniformly, which picks an
+    arc uniformly, and an arc picked uniformly stays so when every arc is
+    reversed.  With rho != 0 a vertex's chance to gain an in-arc depends on
+    the outdegrees of its in-neighbours, so its indegree census follows no
+    urn over indegree classes, and the reversed model mispredicts it; fig3,
+    with chi = 0 and rho = 1, is such a model.
     """
     if bs.kind != BIPOLAR:
         raise BlockSetError("param-domain", "reverse_bipolar needs a bipolar block set")

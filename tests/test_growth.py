@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from blocknets import (
     ResourceLimitError,
     build_profile,
+    build_urn,
     census_vector,
     export_dot,
     export_edge_list,
     grow_step,
     grow_step_scripted,
     init_state,
+    reverse_bipolar,
     simulate,
     simulate_batch,
     write_trajectory_csv,
@@ -266,6 +268,28 @@ def test_bipolar_graph_invariants(fig3):
     assert np.bincount(heads, minlength=len(g.deg))[growth_mod.MASTER] == 0
     assert g.recount_degrees().tolist() == g.deg
     assert len(tails) == sum(len(a) for a in g.out) == sum(g.deg)
+
+
+@pytest.mark.parametrize("chi, rho, agrees", [(1, 0, True), (0, 1, False)], ids=["rho0", "fig3"])
+def test_reverse_bipolar_predicts_indegrees_only_at_rho_0(fig3, chi, rho, agrees):
+    """Over 12 graph-mode runs of 2000 steps, the count of non-pole
+    vertices of each tracked indegree k, per step, is lambda1 * nu_k of
+    ``reverse_bipolar(bs)`` to within 4 standard errors, each taken from
+    the reversed model's limit covariance, when rho = 0: the latch step
+    picks an arc uniformly.  fig3's own chi = 0, rho = 1 misses the same
+    gate by far (|z| reaches 46 here)."""
+    bs = replace(fig3, chi=F(chi), rho=F(rho))
+    urn = build_urn(reverse_bipolar(bs))
+    n, runs = 2000, 12
+    counts = np.zeros(urn.r)
+    for seed in range(runs):
+        g = simulate(bs, n, mode="graph", seed=seed).graph
+        indeg = np.bincount(g.edges()[1], minlength=len(g.deg))
+        indeg[[growth_mod.MASTER, g.master_sink]] = 0
+        counts += [np.count_nonzero(indeg == k) for k in urn.profile.essential]
+    predicted = np.array([float(urn.profile.lambda1 * v) for v in urn.profile.limit])
+    z = (counts / (n * runs) - predicted) / np.sqrt(np.diag(urn.sigma_census()) / (n * runs))
+    assert (np.abs(z).max() < 4) == agrees, z
 
 
 def test_bipolar_dot_export(fig3):

@@ -291,6 +291,8 @@ def test_decimal_inputs_are_read_as_written(fig1):
 
 def test_roundtrip_identity(fig1, fig3, k2):
     for bs in (fig1, fig3, k2, blockset_from_dict(DECIMAL_K2)):
+        # written by format_json, the package's one JSON writer
+        assert bs.to_json() == json.dumps(bs.to_dict(), indent=2)
         again = parse_blockset(bs.to_json())
         assert again == bs
         assert parse_blockset(again.to_json()) == again
