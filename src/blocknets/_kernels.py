@@ -10,7 +10,7 @@ verification.  Two kernels advance it:
   each step, from which graph mode replays the steps on the multigraph
   and ``growth._record_rows`` rebuilds a recorded trajectory in numpy.
 * ``LockStepRun`` advances a group of replicates in lock step on one
-  degrees-by-replicates array, in numpy; ``verify`` uses it through
+  replicates-by-degrees array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Each replicate keeps the state row of the scalar
   loop, [max degree, master degree, S * total activity].  What does not
   depend on the census, the running total activity and the block
@@ -22,13 +22,16 @@ verification.  Two kernels advance it:
   and one gather and one add apply the matching rows of the model's step
   table.  The latches that lie past those classes, and those that reach
   the master, are only logged with the vertices that the steps add past
-  them.  ``resolve`` settles the log in a few rounds that each serve every
-  replicate at once: at the end of the run, or earlier when the log
-  outgrows the run's own arrays.  A round starts its scan past the prefix
-  from the step's total activity, less the master's weight and the weight
-  past the prefix, which leaves the sum of the prefix: the total is the
-  sum of every vertex's weight, as ``growth.census_vector`` and
-  ``growth._record_rows`` use it too, and all three are exact integers.
+  them, each deferred step with its round.  ``resolve`` settles the log in
+  a few rounds that each serve every replicate at once: at the end of the
+  run, or earlier when the log outgrows the run's own arrays.  It holds
+  one copy of the log, and its census grows only with the degrees that
+  the rounds reach.  A round compares each step's target less its total
+  activity with the partial sums less that total, so its scan past the
+  prefix starts from minus the master's weight and the weight past the
+  prefix: the total is the sum of every vertex's weight, as
+  ``growth.census_vector`` and ``growth._record_rows`` use it too, and all
+  of these are exact integers.
   ``growth._scan_prefix`` sizes the prefix per model from its limit law:
   the fewest multiple of 8 degrees past which fewer than 2% of the steps
   are predicted to defer, at most 64.  That is 48 degrees on fig1 and 8
@@ -71,8 +74,8 @@ Step layout of the pre-drawn uniforms (one row per step):
 
 A latch class is the degree of the latch, or -1 for the master vertex.
 The scalar loop grows its counts when a step would reach past their end,
-and the lock-step run sizes its census from its log before it resolves
-the log, so no caller has to.
+and the lock-step run grows its census in the rounds that resolve its
+log, as far as each round can reach, so no caller has to.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class LockStep(NamedTuple):
     # moves there) are entries arrive[q] .. arrive[q + 1] - 1 of degree
     # and count
     arrive: np.ndarray
-    # int64: each entry's degree past the prefix and its count of vertices
+    # int32: each entry's degree past the prefix and its count of vertices
     degree: np.ndarray
     count: np.ndarray
 
@@ -138,7 +141,8 @@ def lock_step_tables(tab, P: int) -> LockStep:
     np.cumsum(moves[:, :, 1 : P + 1] * w, axis=2, out=step.reshape(m, P + 1, P + 1)[:, :, :P])
     past = moves.reshape(m * (P + 1), top + 1)[:, P + 1 :]
     q, a = np.nonzero(past)
-    return LockStep(step, np.searchsorted(q, np.arange(m * (P + 1) + 1)), P + 1 + a, past[q, a])
+    arrive = np.searchsorted(q, np.arange(m * (P + 1) + 1))
+    return LockStep(step, arrive, (P + 1 + a).astype(np.int32), past[q, a].astype(np.int32))
 
 
 def _grow(counts, weight, tab, need):
@@ -210,17 +214,25 @@ def block_choice(tab, ub):
     return choice
 
 
+def _drain(chunks):
+    """One column of a ``LockStepRun`` log as one array; empties ``chunks``."""
+    column = np.concatenate(chunks)
+    chunks.clear()
+    return column
+
+
 class LockStepRun:
     """R replicates grown in lock step: every replicate takes step j before
     any takes j + 1.  ``advance`` takes a row block of steps, ``resolve``
     settles what they left past the prefix, and ``census`` resolves the
     rest and returns the census.
 
-    ``counts`` is (R, D) int64 and ``state`` (R, 3) int64 holding each
-    replicate's [max degree, master degree, S * total activity], the row
-    that ``census_chunk`` keeps in its ``state`` list.  ``state`` is updated
-    in place: its total by ``advance``, its master degree by ``resolve`` and
-    its max degree by ``census``.  Degree k weighs ``tab.chi_s * k +
+    ``counts`` is (R, D) int64, zero past each replicate's max degree, and
+    ``state`` (R, 3) int64 holding each replicate's [max degree, master
+    degree, S * total activity], the row that ``census_chunk`` keeps in its
+    ``state`` list.  ``state`` is updated in place: its total by
+    ``advance``, its master degree by ``resolve`` and its max degree by
+    ``census``.  Degree k weighs ``tab.chi_s * k +
     tab.rho_s`` and block i adds ``tab.s_a[i]`` to the total, which lies
     below ``ACTIVITY_LIMIT``.  ``lock`` is ``lock_step_tables(tab, P)`` for
     some P >= 1.  Any P yields the same states, by the arguments of
@@ -228,12 +240,17 @@ class LockStepRun:
     ``MAX_REPLICATES`` replicates fit one run.  Nothing is recorded.
 
     The run holds each replicate's partial sums over degrees 1..P, the
-    prefix, and ``work[k, r]``, its census by degree past the prefix as it
+    prefix, and ``work[r, k]``, its census by degree past the prefix as it
     stood at the last resolution, as float64.  Between resolutions the log
-    holds what the steps did past the prefix: each deferred step (its step,
-    replicate, floored target, the total activity before it and its latch
-    increment) and each arrival (its step, replicate, degree past the
-    prefix and count of vertices).  ``pending`` counts the log's entries."""
+    holds what the steps did past the prefix: each deferred step (its round,
+    which counts its replicate's deferred steps before it since the last
+    resolution, then its replicate, its floored target less the total
+    activity before it, and its latch increment) and each arrival (the round that it
+    is due before, its replicate, degree past the prefix and count of
+    vertices).  Rounds are int64; replicates, degrees, counts and
+    increments are int32, which holds every replicate index below
+    ``MAX_REPLICATES`` and every degree and count that one block adds.
+    ``pending`` counts the log's entries."""
 
     def __init__(self, counts, state, tab, lock: LockStep):
         R = counts.shape[0]
@@ -253,13 +270,19 @@ class LockStepRun:
         # No class lies above width: it covers the census, every degree that
         # a prefix hit or a new vertex can reach, and one past the prefix.
         self.width = max(int(state[:, 0].max()), tab.new_max, P + max(tab.block_d) + 1)
-        self.work = np.zeros((max(counts.shape[1], self.width + P), R))
-        self.work[: counts.shape[1]] = counts.T
+        # ``resolve`` grows the census past the prefix as the rounds need.
+        D = min(counts.shape[1], self.width + 1)
+        self.work = np.zeros((R, self.width + P))
+        self.work[:, :D] = counts[:, :D]
         # The step table rows whose step is logged: deferred (k = P), or
         # adding vertices past the prefix.
         self.logged = (np.arange(len(lock.step)) % (P + 1) == P) | (np.diff(lock.arrive) > 0)
-        self.steps = 0  # the steps taken so far
-        self.log = []
+        # Each replicate's deferred steps since the last resolution.
+        self.rounds = np.zeros(R, dtype=np.int64)
+        # The log, one list of chunks per column: each deferred step's round,
+        # replicate, floored target less the total before it and latch
+        # increment, then each arrival's round, replicate, degree and count.
+        self.log = [[] for _ in range(8)]
         self.pending = 0
 
     def advance(self, u, b):
@@ -292,9 +315,12 @@ class LockStepRun:
 
         The loop reads nothing past the prefix, neither the census there
         nor the master degree.  The steps that reached the sentinel, with
-        the total activity before each, and the vertices that the steps add
+        their floored targets less the total activity before each (an exact
+        integer of magnitude below 2**52), and the vertices that the steps add
         past the prefix (new ones, and latches that a prefix hit moves
-        there), are logged for ``resolve``."""
+        there), are logged for ``resolve``: a deferred step with the round
+        that will settle it, and an arrival with the round that it must
+        precede."""
         R, L = b.shape
         tab, state, span, sums = self.tab, self.state, self.span, self.sums
         lock = self.lock
@@ -328,27 +354,34 @@ class LockStepRun:
         # numpy's index check (mode="clip"); this one check covers them all.
         if moved.min() < 0 or moved.max() >= len(lock.step):
             raise IndexError("a lock-step row lies outside the step table")
-        # The logged steps, as flat indices j * R + r in step order.
-        hits = np.flatnonzero(self.logged[moved])
-        rows = moved.reshape(-1)[hits]
-        j, r = np.divmod(hits, R)
+        # The logged steps, as flat indices r * L + j: each replicate's steps
+        # together, in step order.
+        hits = np.flatnonzero(self.logged[moved.T])
+        r, j = np.divmod(hits, L)
+        rows = moved[j, r]
         defer = rows % (P + 1) == P
         dj, dr = j[defer], r[defer]
+        # Each logged step's count of its replicate's deferred steps since the
+        # last resolution, itself included: the count over the log, less the
+        # replicates' before it.  A deferred step's round is one less, and
+        # the vertices that a step adds are due before that count's round.
+        ndefer = np.bincount(dr, minlength=R)
+        nth = np.cumsum(defer) + (self.rounds - np.cumsum(ndefer) + ndefer)[r]
+        self.rounds += ndefer
+        r = r.astype(np.int32)
         deferred = (
-            dj + self.steps,
-            dr,
-            (target[dj, dr] - span[dr]).astype(np.float64),
-            totals[dr, dj],
-            tab.d_a[rows[defer] // (P + 1)],
+            nth[defer] - 1,
+            r[defer],
+            (target[dj, dr] - span[dr]) - totals[dr, dj],
+            tab.d_a[rows[defer] // (P + 1)].astype(np.int32),
         )
-        j += self.steps
-        self.steps += L
         # Each logged step's entries of ``lock.degree`` and ``lock.count``.
         start = lock.arrive[rows]
         n = lock.arrive[rows + 1] - start
         entry = np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
-        arrived = (np.repeat(j, n), np.repeat(r, n), lock.degree[entry], lock.count[entry])
-        self.log.append(deferred + arrived)
+        arrived = (np.repeat(nth, n), np.repeat(r, n), lock.degree[entry], lock.count[entry])
+        for column, chunk in zip(self.log, deferred + arrived):
+            column.append(chunk)
         self.pending += len(dr) + len(entry)
 
     def resolve(self):
@@ -358,16 +391,17 @@ class LockStepRun:
         replicate's t-th logged deferred step, in lock step over the
         replicates.  Before it, ``work`` gains the arrivals of each
         replicate's steps before that step; after the last round, the rest.
-        The round continues the scan past the prefix from the sum of the
-        prefix at its step, which is what the master's weight and the
-        weight past the prefix leave of the step's total activity (the
-        total is the sum of every vertex's weight), and latches to the
-        master if the target is not below the last sum either, adding the
-        block's latch increment to the master degree at once.  It reads the
-        floored targets, which pick as the targets do against integer sums:
-        t < s exactly when floor(t) < s.  It scans in blocks of P degrees:
-        one ``matmul`` gives each block's weighted sum, and only the first
-        block whose end passes the target is scanned row by row.  This is
+        The round compares the step's target less its total activity with
+        the partial sums less that total.  So it continues the scan past
+        the prefix from the sum of the prefix less the total, which is
+        minus the master's weight and the weight past the prefix (the total
+        is the sum of every vertex's weight), and latches to the master if
+        the target is not below the last sum either, adding the block's
+        latch increment to the master degree at once.  It reads the floored
+        targets, which pick as the targets do against integer sums: t < s
+        exactly when floor(t) < s.  It scans in blocks of P degrees: one
+        ``einsum`` gives each block's weighted sum, and only the first block
+        whose end passes the target is scanned degree by degree.  This is
         exact, however many row blocks have run since the logged steps:
 
         * a deferred latch moves only degrees past the prefix, or the master
@@ -380,86 +414,95 @@ class LockStepRun:
           applied, and the vertices that its earlier steps added there.  Only
           a deferred latch moves the master degree;
         * so every term past the prefix is a count times a weight, a
-          non-negative integer, and every sum, in whatever order ``matmul``
-          adds it, an integer below ``ACTIVITY_LIMIT``.  So are the step's
-          total, logged by ``advance``, and the master's weight, and the
-          start, their difference less the blocks' sums, is the sum of the
-          prefix exactly.  The partial sums grow with the degree, so the
-          first block whose end passes the target holds the first degree
-          that does.
+          non-negative integer, and every sum, in whatever order ``einsum``
+          adds it, an integer below ``ACTIVITY_LIMIT``.  So is the master's
+          weight, and the start, minus it and the blocks' sums, is the sum
+          of the prefix less the step's total exactly, as is the floored
+          target less that total, which ``advance`` logs: the two compare
+          as the target and the sum do.  The partial sums grow with the
+          degree, so the first block whose end passes the target holds the
+          first degree that does.
 
-        ``work`` is sized before the rounds.  They read whole blocks of P
-        degrees up to the highest class, which starts at most at ``width``,
-        and each round lifts one latch of a replicate, and so that
-        replicate's highest class, by its latch increment.  So width + P
-        rows, plus the largest sum of one replicate's logged increments,
-        cover every read and every move."""
-        if not self.log:
+        ``work`` grows between rounds, only as far as the next round can
+        reach.  No class lies above ``width``, which each round raises to
+        the degrees that it moves latches to, and no arrival does from the
+        start.  A round reads whole blocks of P degrees, from the first past
+        the prefix through the one that holds ``width``, so degrees below
+        width + P, and moves a latch that it finds there up by at most the
+        log's largest latch increment.  So width + P + that
+        increment degrees cover every read and move of the round.  When
+        ``work`` has fewer, it grows to P more than that, zero past its old
+        end, and ``weight`` with it.  No vertex has reached a grown degree,
+        so zero is its count at the round's step and at every earlier one:
+        every read and move, and so every state, is the one that a ``work``
+        sized before the rounds would give.
+
+        ``advance`` logs each step's round, so the rounds need one sort of
+        the log by round.  Their order among the replicates does not matter:
+        a round takes each replicate at most once, and the arrivals add
+        exact integers.  The log is concatenated one column at a time, each
+        column's chunks released as it goes, so a resolution holds one copy
+        of it."""
+        if not self.log[0]:
             return
-        log, self.log, self.pending = self.log, [], 0
-        j, r, target, total, lift, aj, ar, degree, count = (np.concatenate(c) for c in zip(*log))
-        del log
+        # ``target`` holds each deferred step's floored target less its total.
+        rnd, r, target, lift, late, ar, degree, count = (_drain(c) for c in self.log)
+        self.rounds[:] = 0
+        self.pending = 0
         P = self.lock.step.shape[1] - 1
         W = P + 1  # the first degree past the prefix
         tab, state = self.tab, self.state
-        # Round t takes each replicate's t-th deferred step.  The log is in
-        # step order, so a stable sort by replicate keeps each one's steps
-        # in step order.
-        by_r = np.argsort(r, kind="stable")
-        rs = r[by_r]
-        nth = np.arange(len(rs)) - np.searchsorted(rs, rs)
-        order = by_r[np.argsort(nth, kind="stable")]
-        sizes = np.bincount(nth)
-        # An arrival is due before its replicate's first deferred step after
-        # it, whose round is the count of the replicate's deferred steps up
-        # to its own step; due[t]:due[t + 1] are those due before round t.
-        key = rs * self.steps + j[by_r]
-        late = np.searchsorted(key, ar * self.steps + aj, side="right")
-        late -= np.searchsorted(key, ar * self.steps)
-        a = np.argsort(late, kind="stable")
-        ar, degree, count = ar[a], degree[a], count[a]
-        due = np.searchsorted(late[a], np.arange(len(sizes) + 2))
-        r, target, total, lift = r[order], target[order], total[order], lift[order]
+        # The deferred steps by round, and the arrivals by the round that they
+        # are due before: due[t]:due[t + 1] are those due before round t.
+        sizes = np.bincount(rnd)
+        order = np.argsort(rnd, kind="stable")
+        due = np.zeros(len(sizes) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(late, minlength=len(sizes) + 1), out=due[1:])
+        arrivals = np.argsort(late, kind="stable")
+        del rnd, late
+        reach = P + int(lift.max(initial=0))
 
-        width = self.width
-        D = width + P + int(np.bincount(r, lift).max(initial=0))
-        if len(self.work) < D:
-            self.work = np.concatenate([self.work, np.zeros((D - len(self.work), len(self.span)))])
-        work = self.work
-        weight = tab.chi_s * np.arange(len(work), dtype=np.float64) + tab.rho_s
+        width, work = self.width, self.work
+        weight = tab.chi_s * np.arange(work.shape[1], dtype=np.float64) + tab.rho_s
         ends = np.cumsum(sizes)
         for t, (lo, hi) in enumerate(zip(ends - sizes, ends)):
-            now = slice(due[t], due[t + 1])
-            np.add.at(work, (degree[now], ar[now]), count[now])
-            m, rm = slice(lo, hi), r[lo:hi]
+            now = arrivals[due[t] : due[t + 1]]
+            np.add.at(work, (ar[now], degree[now]), count[now])
+            if width + reach > work.shape[1]:
+                grown = np.zeros((len(work), width + reach + P))
+                grown[:, : work.shape[1]] = work
+                self.work = work = grown
+                weight = tab.chi_s * np.arange(work.shape[1], dtype=np.float64) + tab.rho_s
+            m = order[lo:hi]
+            rm, tm, lm = r[m], target[m], lift[m]
             # The counts past the prefix at each one's step, in nb blocks of
-            # P degrees (rows past width are zero).
+            # P degrees (zero past width).
             nb = -(-(width - P) // P)
-            seg = work[W : W + nb * P, rm].reshape(nb, P, -1)
-            wb = weight[W : W + nb * P].reshape(nb, 1, -1)
-            # Partial sums at each block's start and at the last one's end,
-            # from the prefix's sum: what the master's weight and the blocks'
-            # leave of the step's total.  Then the first block that passes
-            # the target, scanned row by row.
+            seg = work[rm, W : W + nb * P].reshape(-1, nb, P)
+            wb = weight[W : W + nb * P].reshape(nb, P)
+            # Partial sums less the step's total at each block's start and
+            # at the last one's end, from the prefix's: minus the master's
+            # weight and the blocks'.  Then the first block that passes the
+            # target, scanned degree by degree.
             sums = np.empty((nb + 1, hi - lo))
-            np.matmul(wb, seg, out=sums[1:, None])
-            sums[0] = total[m] - (tab.chi_s * state[rm, 1] + tab.rho_s) - sums[1:].sum(axis=0)
+            np.einsum("mbp,bp->bm", seg, wb, out=sums[1:])
+            sums[0] = -(tab.chi_s * state[rm, 1] + tab.rho_s) - sums[1:].sum(axis=0)
             np.cumsum(sums, axis=0, out=sums)
-            i = (target[m] < sums[1:]).argmax(axis=0)
+            i = (tm < sums[1:]).argmax(axis=0)
             col = np.arange(hi - lo)
-            inner = seg[i, :, col] * wb[i, 0]
+            inner = seg[col, i] * wb[i]
             inner[:, 0] += sums[i, col]
-            hit = target[m, None] < np.cumsum(inner, axis=1, out=inner)
-            # A latch moves up lift[m] degrees; the master gains them.
+            hit = tm[:, None] < np.cumsum(inner, axis=1, out=inner)
+            # A latch moves up lm degrees; the master gains them.
             latched = hit[:, -1]
             at = W + i * P + hit.argmax(axis=1)
-            work[at, rm] -= latched
-            at += lift[m]
-            work[at, rm] += latched
-            state[rm, 1] += np.where(latched, 0, lift[m])
+            work[rm, at] -= latched
+            at += lm
+            work[rm, at] += latched
+            state[rm, 1] += np.where(latched, 0, lm)
             width = max(width, int(at.max()))
-        now = slice(due[-2], None)
-        np.add.at(work, (degree[now], ar[now]), count[now])
+        now = arrivals[due[-2] :]
+        np.add.at(work, (ar[now], degree[now]), count[now])
         self.width = width
 
     def census(self):
@@ -473,8 +516,8 @@ class LockStepRun:
         # sums is a count times its weight.
         sums = self.sums[:, :P] - self.span[:, None]
         weight = self.tab.chi_s * np.arange(1.0, P + 1) + self.tab.rho_s
-        work[1 : P + 1] = (np.diff(sums, axis=1, prepend=0) / weight).T
-        occupied = work[::-1] != 0  # the highest degree first
-        top = np.where(occupied.any(axis=0), len(work) - 1 - occupied.argmax(axis=0), 0)
+        work[:, 1 : P + 1] = np.diff(sums, axis=1, prepend=0) / weight
+        occupied = work[:, ::-1] != 0  # the highest degree first
+        top = np.where(occupied.any(axis=1), work.shape[1] - 1 - occupied.argmax(axis=1), 0)
         np.maximum(state[:, 0], top, out=state[:, 0])
-        return np.ascontiguousarray(work[: state[:, 0].max() + 1].T, dtype=np.int64)
+        return work[:, : state[:, 0].max() + 1].astype(np.int64)

@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--steps", type=int, default=100_000)
     pv.add_argument("--replicates", type=int, default=400)
     pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--jobs", type=int, default=1)
+    pv.add_argument("--jobs", type=int, default=1, help="worker processes, at most the usable CPUs")
     pv.add_argument("--out", default=None, help="report JSON path")
     pv.add_argument("--tolerances", default=None, help="JSON file overriding gates")
     pv.add_argument(

@@ -708,6 +708,7 @@ def _grow_in_lock_step(
             run.resolve()
         n_vertices = end
 
+    draws = u = b = None  # spent: released before the last resolution
     counts = run.census()
     for r, s in enumerate(states):
         s.counts = counts[r].copy()

@@ -11,6 +11,7 @@ and all thresholds are configurable.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
@@ -138,6 +139,14 @@ def _replicate_batch(args) -> np.ndarray:
     return np.array([census_vector(s, track)[0] for s in states], dtype=np.int64)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_replicates(
     bs: BlockSet,
     n: int,
@@ -149,11 +158,12 @@ def run_replicates(
 ) -> np.ndarray:
     """R independent census simulations; replicate k uses the stream seeded
     by SeedSequence((seed, k)), so results do not depend on scheduling.
-    The replicates are split into ``jobs`` >= 1 contiguous batches, each
-    grown in lock step by one process."""
+    The replicates are split into ``jobs`` >= 1 contiguous batches, at most
+    one per CPU that this process may use, each grown in lock step by one
+    process."""
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    size = -(-replicates // jobs)
+    size = -(-replicates // min(jobs, _usable_cpus()))
     args = [
         (bs, n, seed, range(lo, min(lo + size, replicates)), tuple(track), max_vertices)
         for lo in range(0, replicates, size)

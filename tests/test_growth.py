@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -788,9 +789,7 @@ def test_batch_defers_latches_across_row_blocks(name, prefix, every_block, monke
     after every row block.  At these prefixes every model's log outgrows
     the bound; the uniform star of 100 leaves adds a vertex of degree 100,
     past the prefix, at half of its steps."""
-    models = _batch_models(fig1, fig3, k2)
-    models["star-100-uniform"] = replace(_star_model(100), chi=F(0), rho=F(1))
-    bs = models[name]
+    bs = _grow_models(fig1, fig3, k2)[name]
     built = _force_prefix(monkeypatch, prefix)
     pending = []  # the log's size at each resolution
     resolve = _kernels.LockStepRun.resolve
@@ -873,6 +872,106 @@ def test_batch_capacity_growth_mid_run(k2):
     assert max(b.max_deg for b in batch) > 64  # initial capacity
     for seed, b in zip(seeds, batch):
         _assert_same_state(simulate(pa, 20_000, seed=seed), b)
+
+
+def _grow_models(fig1, fig3, k2):
+    """``_batch_models`` and the star of 100 leaves, uniform and
+    degree-proportional, whose vertices of degree 100 lie far past a short
+    prefix."""
+    models = _batch_models(fig1, fig3, k2)
+    models["star-100-uniform"] = replace(_star_model(100), chi=F(0), rho=F(1))
+    models["star-100"] = _star_model(100)
+    return models
+
+
+@pytest.mark.parametrize("name", ["star-100-uniform", "star-100", "k2-preferential"])
+def test_batch_grows_work_between_rounds(name, monkeypatch, fig1, fig3, k2):
+    """With a prefix of 1, the rounds of a resolution lift latches past
+    every degree that ``work`` held when it began, and ``work`` grows
+    between rounds, only as far as the next round can reach.  On the
+    uniform star it grows at the first round; on the degree-proportional
+    models after a resolution's first round too, which grows ``work`` to at
+    most width + 2P + the largest latch increment.  Every state equals
+    ``simulate``'s, and ``work`` ends within 2P + the largest latch
+    increment of the highest degree reached.  ``width`` never passes that
+    degree: each of these runs reaches the degrees that ``width`` starts
+    from, its largest new vertex and P + 2 (every latch increment is 1)."""
+    bs = _grow_models(fig1, fig3, k2)[name]
+    prefix = 1
+    _force_prefix(monkeypatch, prefix)
+    runs, sizes = [], []  # each resolution's width and degrees of work before it, and degrees after
+    resolve = _kernels.LockStepRun.resolve
+
+    def spy(run):
+        before = (run.width, run.work.shape[1])
+        resolve(run)
+        runs.append(run)
+        sizes.append(before + (run.work.shape[1],))
+
+    monkeypatch.setattr(_kernels.LockStepRun, "resolve", spy)
+    seeds = [np.random.SeedSequence((53, k)) for k in range(4)]
+    n = 3 * BATCH_ROWS + 7
+    batch = simulate_batch(bs, n, seeds)
+    for seed, b in zip(seeds, batch):
+        _assert_same_state(simulate(bs, n, seed=seed), b)
+    lift = max(growth_mod._build_tables(bs).block_d)
+    assert any(after > before for _, before, after in sizes)
+    after_first = [after > max(before, width + 2 * prefix + lift) for width, before, after in sizes]
+    assert any(after_first) == (name != "star-100-uniform")
+    top = max(b.max_deg for b in batch)
+    assert runs[-1].work.shape[1] <= top + 2 * prefix + lift
+
+
+@pytest.mark.parametrize("name", ["star-100", "k2-preferential"])
+def test_batch_census_between_row_blocks(name, monkeypatch, fig1, fig3, k2):
+    """``LockStepRun.census`` can be taken after any row block, and the run
+    goes on from it: advance, census, advance, census gives the final
+    census and states that advance, advance, census gives, and each census
+    and state row is the scalar loop's at its step.  With a prefix of 1,
+    ``work`` grows after the first census."""
+    bs = _grow_models(fig1, fig3, k2)[name]
+    _force_prefix(monkeypatch, 1)
+    seeds = [np.random.SeedSequence((59, k)) for k in range(4)]
+    n = 3 * BATCH_ROWS + 7
+    plain = simulate_batch(bs, n, seeds)
+    taken, degrees = [], []  # each census with its state rows, and the degrees of work after it
+    advance = _kernels.LockStepRun.advance
+
+    def advance_then_census(run, u, b):
+        advance(run, u, b)
+        taken.append((run.census(), run.state.copy()))
+        degrees.append(run.work.shape[1])
+
+    monkeypatch.setattr(_kernels.LockStepRun, "advance", advance_then_census)
+    for a, b in zip(plain, simulate_batch(bs, n, seeds)):
+        _assert_same_state(a, b)
+    assert degrees[-1] > degrees[0]
+    assert len(taken) == 4
+    for k, (counts, state) in enumerate(taken):
+        for r, seed in enumerate(seeds):
+            ref = simulate(bs, min((k + 1) * BATCH_ROWS, n), seed=seed)
+            top = ref.max_deg
+            assert np.array_equal(counts[r, : top + 1], ref.counts[: top + 1]), (k, r)
+            assert not counts[r, top + 1 :].any()
+            assert state[r].tolist() == [top, ref.master_degree, ref.activity], (k, r)
+
+
+def test_batch_memory_peak_is_bounded(fig1):
+    """A lock-step run holds its row block's arrays, one copy of its log
+    and a census as wide as the degrees reached.  The tracemalloc peak of
+    100 replicates of fig1 over 10^4 steps reads 2.24 MiB (CPython 3.11,
+    numpy 2.4), and read 3.72 MiB when ``work`` was sized from the sum of
+    the logged latch increments and the log was held twice; the bound
+    leaves 0.76 MiB of headroom over the first."""
+    seeds = [np.random.SeedSequence((42, k)) for k in range(100)]
+    simulate_batch(fig1, BATCH_ROWS, seeds[:2])  # one-time allocations
+    tracemalloc.start()
+    try:
+        simulate_batch(fig1, 10_000, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 2**20, peak / 2**20
 
 
 def test_batch_builds_the_model_table_once(fig1, monkeypatch):

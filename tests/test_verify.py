@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from blocknets import (
     verify_model,
     whiten_scores,
 )
+from blocknets import verify as verify_mod
 from blocknets.verify import _jackknife_cov_se, _ks_statistic
 
 
@@ -46,7 +48,8 @@ def test_replicates_are_reproducible_and_schedule_free(k2):
 
 def test_replicates_match_scalar_runs_for_any_jobs(fig3):
     """Replicate k equals a lone simulate() on SeedSequence((seed, k)), however
-    the replicates are split into batches (7 = 4 + 3 = 3 + 3 + 1)."""
+    the replicates are split into batches (7 = 4 + 3, and 3 + 3 + 1 where
+    the process may use 3 CPUs or more)."""
     track = build_profile(fig3).essential
     ref = np.array([
         census_vector(simulate(fig3, 300, seed=np.random.SeedSequence((3, k))), track)[0]
@@ -56,6 +59,46 @@ def test_replicates_match_scalar_runs_for_any_jobs(fig3):
         got = run_replicates(fig3, 300, 7, seed=3, track=track, jobs=jobs)
         assert got.dtype == np.int64
         assert np.array_equal(got, ref), jobs
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["sched_getaffinity", "cpu_count"])
+def test_jobs_are_capped_at_the_usable_cpus(affinity, fig3, monkeypatch):
+    """However many jobs it is given, ``run_replicates`` splits the
+    replicates into at most one batch per CPU that the process may use:
+    its affinity set, or every CPU where the platform has none.  Here that
+    is 3 CPUs, so 400 jobs over 7 replicates run as 3 + 3 + 1, and the
+    samples are those of one job.  The pool is a stand-in that records its
+    size and each batch, and maps in this process."""
+    pools, batches = [], []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            batches.append([len(a[3]) for a in args])
+            return map(fn, args)
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Pool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert verify_mod._usable_cpus() == 3
+    track = build_profile(fig3).essential
+    ref = run_replicates(fig3, 300, 7, seed=3, track=track, jobs=1)
+    for jobs in (2, 3, 400):
+        assert np.array_equal(run_replicates(fig3, 300, 7, seed=3, track=track, jobs=jobs), ref), jobs
+    assert pools == [2, 3, 3]
+    assert batches == [[4, 3], [3, 3, 1], [3, 3, 1]]
 
 
 def test_replicates_differ_across_indices(k2):
