@@ -28,7 +28,6 @@ from .growth import (
     DEFAULT_MAX_VERTICES,
     GRAPH,
     ResourceLimitError,
-    backend_name,
     export_dot,
     simulate,
     write_trajectory_csv,
@@ -158,7 +157,7 @@ def cmd_simulate(args) -> int:
     )
     x, star = state.trajectory_x[-1], state.trajectory_star[-1]
     print(
-        f"{mode} simulation: n={args.steps} seed={args.seed} kernel={backend_name()}\n"
+        f"{mode} simulation: n={args.steps} seed={args.seed}\n"
         f"final census over {list(state.track)}: {x.tolist()}  "
         f"overflow activity: {star:.6g}  vertices: {state.n_vertices}"
     )

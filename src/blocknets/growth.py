@@ -616,19 +616,18 @@ def simulate(
     mode: str = CENSUS,
     seed=0,
     record: bool = False,
-    track: Optional[Sequence[int]] = None,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> GrowthState:
     """Run n growth steps; deterministic given (bs, n, mode, seed).
 
-    With record=True the census vector of the tracked classes (by default
-    the model's r essential degrees) is stored after every step.
+    With record=True the census vector of the tracked classes, the model's
+    r essential degrees, is stored after every step.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     state = init_state(bs, mode, seed, max_vertices=max_vertices)
     if record:
-        ess = tuple(track) if track is not None else essential_degrees(bs, bs.r)
+        ess = essential_degrees(bs, bs.r)
         state.track = ess
         state.trajectory_x = np.zeros((n + 1, len(ess)), dtype=np.int64)
         state.trajectory_star = np.zeros(n + 1, dtype=np.float64)

@@ -433,7 +433,9 @@ def degree_of(block: Block, v: str) -> int:
 
 
 def reverse_bipolar(bs: BlockSet) -> BlockSet:
-    """Reverse every arc and swap the poles of each block.
+    """Reverse every arc and swap the poles of each block of a bipolar
+    block set with rho = 0; any other block set is refused with a
+    param-domain ``BlockSetError``.
 
     The outdegree law of the reversed model is the indegree law of the
     original only when rho = 0.  Then the latch step picks a vertex with
@@ -441,11 +443,13 @@ def reverse_bipolar(bs: BlockSet) -> BlockSet:
     arc uniformly, and an arc picked uniformly stays so when every arc is
     reversed.  With rho != 0 a vertex's chance to gain an in-arc depends on
     the outdegrees of its in-neighbours, so its indegree census follows no
-    urn over indegree classes, and the reversed model mispredicts it; fig3,
-    with chi = 0 and rho = 1, is such a model.
+    urn over indegree classes, and the reversed model would mispredict it;
+    fig3, with chi = 0 and rho = 1, is such a model.
     """
     if bs.kind != BIPOLAR:
         raise BlockSetError("param-domain", "reverse_bipolar needs a bipolar block set")
+    if bs.rho != 0:
+        raise BlockSetError("param-domain", f"reverse_bipolar needs rho = 0, got rho = {bs.rho}")
     blocks = tuple(
         replace(
             b,

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocknets import (
+    BlockSetError,
     ResourceLimitError,
     build_profile,
     build_urn,
@@ -108,12 +109,15 @@ def test_graph_census_coupling(name, request):
 
 
 def test_track_beyond_counts_capacity(k2):
-    # class 100 lies past the initial 64 counters and is never reached
-    a = simulate(k2, 100, mode="census", seed=0, record=True, track=(1, 2, 100))
-    b = simulate(k2, 100, mode="graph", seed=0, record=True, track=(1, 2, 100))
+    # at r = 64 the top class, 64, lies past the initial 64 counters
+    # (degrees 0..63) and is never reached
+    bs = replace(k2, r=64)
+    a = simulate(bs, 100, mode="census", seed=0, record=True)
+    b = simulate(bs, 100, mode="graph", seed=0, record=True)
+    assert a.track[-1] == len(a.counts) == 64
     assert np.array_equal(a.trajectory_x, b.trajectory_x)
     assert np.array_equal(a.trajectory_star, b.trajectory_star)
-    assert not a.trajectory_x[:, 2].any()
+    assert not a.trajectory_x[:, -1].any()
 
 
 @pytest.mark.parametrize("mode", ["census", "graph"])
@@ -128,12 +132,14 @@ def test_recorded_trajectory_across_chunks(name, chi, rho, mode, request):
     a prefix of a longer one's, and each last row is ``census_vector`` of
     the final state, whose star activity divides the exact integer once.
     S = 21 makes that division inexact; S past 2**53 is not a binary64
-    integer.  Class 10**4 is tracked and never reached."""
-    bs = replace(request.getfixturevalue(name), chi=chi, rho=rho)
-    track = essential_degrees(bs, bs.r) + (10**4,)
+    integer.  The run tracks r = 64 classes: the model's own three are
+    reached, and the top one (127 on fig1, 64 on fig3) never is."""
+    base = request.getfixturevalue(name)
+    bs = replace(base, chi=chi, rho=rho, r=64)
+    track = essential_degrees(bs, bs.r)
     n1, n2 = CHUNK_ROWS + 1000, 2 * CHUNK_ROWS + 300
-    a = simulate(bs, n1, mode=mode, seed=17, record=True, track=track)
-    b = simulate(bs, n2, mode=mode, seed=17, record=True, track=track)
+    a = simulate(bs, n1, mode=mode, seed=17, record=True)
+    b = simulate(bs, n2, mode=mode, seed=17, record=True)
     assert np.array_equal(a.trajectory_x, b.trajectory_x[: n1 + 1])
     assert np.array_equal(a.trajectory_star, b.trajectory_star[: n1 + 1])
     for st in (a, b):
@@ -141,7 +147,7 @@ def test_recorded_trajectory_across_chunks(name, chi, rho, mode, request):
         assert np.array_equal(st.trajectory_x[-1], x)
         assert st.trajectory_star[-1] == star
     assert not b.trajectory_x[:, -1].any()
-    assert b.trajectory_x[:, :-1].any(axis=0).all()
+    assert b.trajectory_x[:, : base.r].any(axis=0).all()
 
 
 def test_capacity_growth_mid_run(k2, tmp_path):
@@ -278,9 +284,15 @@ def test_reverse_bipolar_predicts_indegrees_only_at_rho_0(fig3, chi, rho, agrees
     ``reverse_bipolar(bs)`` to within 4 standard errors, each taken from
     the reversed model's limit covariance, when rho = 0: the latch step
     picks an arc uniformly.  fig3's own chi = 0, rho = 1 misses the same
-    gate by far (|z| reaches 46 here)."""
+    gate by far (|z| reaches 46 here): ``reverse_bipolar`` refuses it, so
+    its prediction is taken from the reversal of its rho = 0 twin, with
+    fig3's chi and rho put back."""
     bs = replace(fig3, chi=F(chi), rho=F(rho))
-    urn = build_urn(reverse_bipolar(bs))
+    if rho != 0:
+        with pytest.raises(BlockSetError, match="param-domain"):
+            reverse_bipolar(bs)
+    twin = reverse_bipolar(replace(bs, chi=F(1), rho=F(0)))
+    urn = build_urn(replace(twin, chi=bs.chi, rho=bs.rho))
     n, runs = 2000, 12
     counts = np.zeros(urn.r)
     for seed in range(runs):
@@ -660,7 +672,7 @@ def _assert_same_state(a, b):
         "path",
     ],
 )
-@pytest.mark.parametrize("n", [0, 1, BATCH_ROWS + 44])
+@pytest.mark.parametrize("n", [0, 1, BATCH_ROWS + 44, 10_000])
 def test_batch_matches_scalar(name, n, fig1, fig3, k2):
     bs = _batch_models(fig1, fig3, k2)[name]
     if name == "random-fractional":

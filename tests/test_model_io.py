@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -312,11 +313,12 @@ def test_handshake_and_arc_balance(seed):
 
 
 def test_reverse_bipolar_is_involution(fig3):
-    assert reverse_bipolar(reverse_bipolar(fig3)) == fig3
+    bs = replace(fig3, chi=F(1), rho=F(0))
+    assert reverse_bipolar(reverse_bipolar(bs)) == bs
 
 
 def test_reverse_bipolar_swaps_poles_and_degrees(fig3):
-    rev = reverse_bipolar(fig3)
+    rev = reverse_bipolar(replace(fig3, chi=F(1), rho=F(0)))
     b2 = rev.block_named("B2")
     assert b2.north == "s2" and b2.south == "n2"
     # the old sink's indegree becomes the new source's outdegree
@@ -341,7 +343,7 @@ def test_reverse_single_arc_block():
         ],
     }
     bs = blockset_from_dict(doc)
-    rev = reverse_bipolar(bs)
+    rev = reverse_bipolar(replace(bs, chi=F(1), rho=F(0)))
     assert rev.blocks[0].edges == (("s", "n"),)
     assert rev.blocks[0].north == "s"
 
