@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence, Union
 
@@ -419,6 +418,9 @@ def load_blockset(path) -> BlockSet:
 
 def load_example(name: str) -> BlockSet:
     """Load one of the bundled example block sets: fig1, fig3 or k2."""
+    # imported here, its only use, so that no command pays for it
+    from importlib import resources
+
     fname = name if name.endswith(".json") else f"{name}.json"
     data = resources.files("blocknets.data").joinpath(fname).read_text("utf-8")
     return parse_blockset(data)

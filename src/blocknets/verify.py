@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -147,6 +146,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures.ProcessPoolExecutor(max_workers)``, imported at
+    the first call.  Only a run that forks needs the pool module, which
+    loads ``multiprocessing`` with it, so no other command imports either."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def run_replicates(
     bs: BlockSet,
     n: int,
@@ -160,7 +168,8 @@ def run_replicates(
     by SeedSequence((seed, k)), so results do not depend on scheduling.
     The replicates are split into ``jobs`` >= 1 contiguous batches, at most
     one per CPU that this process may use, each grown in lock step by one
-    process."""
+    process.  One batch is grown in this process; two or more fork a
+    process pool, whose module is imported at the first fork."""
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     size = -(-replicates // min(jobs, _usable_cpus()))

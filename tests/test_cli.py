@@ -664,18 +664,58 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_commands_load_no_numpy_ma(example_paths, tmp_path):
-    """``analyze``, graph-mode ``simulate`` and ``verify`` leave ``numpy.ma``
-    unloaded: numpy's first ``np.unique`` or ``np.union1d`` imports it, which
-    adds about 2.4 MiB to a command's peak memory."""
+def test_commands_load_no_process_pool(example_paths, tmp_path):
+    """With no ``.pth`` file preloading anything (``python -S``, numpy found
+    through ``PYTHONPATH``), ``analyze`` leaves ``numpy.random`` unloaded,
+    which costs about 5.8 MiB and 10 ms, and ``analyze``, graph-mode
+    ``simulate`` and ``verify --jobs 1`` never load the process pool
+    (``concurrent.futures``, ``multiprocessing``) or ``importlib.resources``:
+    only a ``verify`` that forks imports the pool, and only ``load_example``
+    reads the bundled files."""
+    analyze, *rest = _footprint_commands(example_paths, tmp_path)
+    code = """if True:
+        import json, sys
+        seen = set()
+        class Seen:  # records every module imported from here on
+            def find_spec(self, name, path=None, target=None):
+                seen.add(name)
+        sys.meta_path.insert(0, Seen())
+        import blocknets, blocknets.cli
+        analyze, rest = json.loads(sys.argv[1])
+        codes = [blocknets.cli.main(analyze)]
+        random = "numpy.random" in sys.modules
+        codes += [blocknets.cli.main(c) for c in rest]
+        roots = ("concurrent", "multiprocessing", "importlib.resources")
+        pool = sorted(m for m in seen | set(sys.modules) if m.startswith(roots))
+        print(json.dumps([codes, random, pool]))
+    """
+    src = os.path.dirname(os.path.dirname(blocknets.__file__))
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, site]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps([analyze, rest])],
+        capture_output=True, text=True, check=True, env=env,
+    )  # fmt: skip
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0, 0], False, []]
+
+
+def _footprint_commands(example_paths, tmp_path):
+    """``analyze``, graph-mode ``simulate`` and one-job ``verify``, small."""
     fig1, fig3 = example_paths["fig1"], example_paths["fig3"]
-    commands = [
+    return [
         ["analyze", "--input", fig1, "--out", str(tmp_path / "a.json")],
         ["simulate", "--input", fig3, "--steps", "500", "--mode", "graph",
          "--out", str(tmp_path / "t.csv"), "--export-dot", str(tmp_path / "g.dot")],
         ["verify", "--input", fig3, "--steps", "500", "--replicates", "8", "--jobs", "1",
          "--out", str(tmp_path / "v.json")],
     ]  # fmt: skip
+
+
+def test_commands_load_no_numpy_ma(example_paths, tmp_path):
+    """``analyze``, graph-mode ``simulate`` and ``verify`` leave ``numpy.ma``
+    unloaded: numpy's first ``np.unique`` or ``np.union1d`` imports it, which
+    adds about 2.4 MiB to a command's peak memory."""
+    commands = _footprint_commands(example_paths, tmp_path)
     code = (
         "import json, sys; from blocknets import cli; "
         "print(json.dumps([cli.main(c) for c in json.loads(sys.argv[1])])); "
