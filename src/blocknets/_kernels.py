@@ -5,10 +5,12 @@ operations per step and dominates the runtime of Monte-Carlo
 verification.  Two kernels advance it:
 
 * ``census_chunk`` runs one replicate through the scalar loop, in pure
-  Python over lists.  ``simulate`` and ``grow_step`` use it in both
-  modes.  It advances the counts and returns the latch class it chose at
-  each step, from which graph mode replays the steps on the multigraph
-  and ``growth._record_rows`` rebuilds a recorded trajectory in numpy.
+  Python over lists.  Its one caller is ``growth._step_rows``, the step
+  function that, in both modes, attaches the initial block, each chunk
+  of drawn steps and each scripted step.  It advances the counts and
+  returns the latch class it chose at each step, from which graph mode
+  replays the steps on the multigraph and ``growth._record_rows``
+  rebuilds a recorded trajectory in numpy.
 * ``LockStepRun`` advances a group of replicates in lock step on one
   replicates-by-degrees array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Each replicate keeps the state row of the scalar
@@ -65,7 +67,10 @@ the count of sums at most the target.  It counts them against the
 target's floor, in int64: an integer sum is at most the target exactly
 when it is at most its floor.
 
-Step layout of the pre-drawn uniforms (one row per step):
+Step layout of the pre-drawn uniforms (one row per step; step j takes
+the j-th row of ncols consecutive doubles of its replicate's
+``numpy.random.Generator``, whatever the size of the blocks they were
+drawn in):
 
     col 0  latch class selection (the kernels' class scan)
     col 1  index inside the class (graph mode's replay only)

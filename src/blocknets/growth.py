@@ -16,9 +16,11 @@ produce identical census trajectories from the same seed:
   modes agree by construction; a recount of the census from the graph
   every ``SPOT_CHECK_INTERVAL`` steps guards the replay.
 
-A recorded trajectory is rebuilt after each chunk of steps from the
-latch classes that the kernel returns and the chunk's block choices, in a
-few numpy operations on whole columns (``_record_rows``), in either mode.
+One step function, ``_step_rows``, attaches every block: the initial
+block, each drawn chunk and each scripted step.  A recorded trajectory is
+rebuilt after each chunk from the latch classes that the kernel returns
+and the chunk's block choices, in a few numpy operations on whole columns
+(``_record_rows``), in either mode.
 
 Both rules of growth change the census through three facts of each block:
 the latch's degree increment, the degrees of its new vertices and its
@@ -43,18 +45,22 @@ vectorised pass.  The writers sort the edges only at export, hooking
 edges as (min, max) pairs and bipolar arcs as (tail, head), and format
 whole blocks of rows with one ``%`` template.
 
-Per step the stream supplies one row of uniforms: class, intra-class
-index, block, and (bipolar) arc index, drawn by ``_Stream.fill`` straight
-into the driver's array.  When the initial block is chosen
-at random, a single extra uniform is drawn before the step loop.  Every
-block choice, the initial one included, is ``_kernels.block_choice``.
-Replicate streams are derived as ``SeedSequence((seed, replicate))``.
+The stream is ``numpy.random.default_rng(seed)``.  Step j consumes its
+j-th row of ncols consecutive doubles (class, intra-class index, block
+and, bipolar, arc index), whatever the size of the blocks they were drawn
+in (PCG64 doubles come out one after another, so ``random((4096, 3))``
+equals eight ``random((512, 3))``), by ``random(out=...)`` straight into
+the driver's array.  When the initial block is chosen at random, a
+single extra uniform is drawn before the step loop.  Every block choice,
+the initial one included, is ``_kernels.block_choice``.  Replicate
+streams are derived as ``SeedSequence((seed, replicate))``.
 ``grow_step`` is the same driver for one step; ``simulate_batch`` grows
 many replicates at once and leaves each in the state ``simulate`` would.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -181,34 +187,6 @@ def _check_activity_limit(t: _Tables, activity: int, n: int) -> None:
         )
 
 
-class _Stream:
-    """Uniform stream with a documented draw order.
-
-    The contract is the row order: step j consumes the j-th row of ncols
-    consecutive doubles from the generator, whatever the size of the
-    blocks they were drawn in (PCG64 doubles come out one after another,
-    so ``random((4096, 3))`` equals eight ``random((512, 3))``).  Every
-    step's row is drawn by ``fill`` into the caller's array: ``simulate``
-    and ``grow_step`` reuse one of at most CHUNK_ROWS rows, and
-    ``simulate_batch`` one of BATCH_ROWS rows per replicate.
-    """
-
-    def __init__(self, seed):
-        if isinstance(seed, np.random.SeedSequence):
-            ss = seed
-        else:
-            ss = np.random.SeedSequence(seed)
-        self.gen = np.random.Generator(np.random.PCG64(ss))
-
-    def initial_uniform(self) -> float:
-        """The single pre-loop draw for a random initial block."""
-        return float(self.gen.random())
-
-    def fill(self, out: np.ndarray) -> None:
-        """Draw the next out.shape[0] rows into ``out``."""
-        self.gen.random(out=out)
-
-
 @dataclass
 class _GraphData:
     """Materialized multigraph (graph mode only).  Vertex ids are 0..n-1 in
@@ -263,7 +241,7 @@ class GrowthState:
     activity: int  # S * total attachment weight, S = tables.scale
     n_vertices: int
     tables: _Tables
-    stream: _Stream
+    stream: np.random.Generator
     graph: Optional[_GraphData] = None
     track: Optional[tuple[int, ...]] = None
     trajectory_x: Optional[np.ndarray] = None
@@ -297,15 +275,6 @@ class GrowthState:
         return self.recount_activity() / self.tables.scale
 
 
-def _counts_array(census: dict[int, int]) -> tuple[np.ndarray, int]:
-    """The kernels' counts array for a census, and its maximum degree."""
-    max_deg = max(census) if census else 0
-    counts = np.zeros(max(64, max_deg + 2), dtype=np.int64)
-    for k, c in census.items():
-        counts[k] = c
-    return counts, max_deg
-
-
 def init_state(
     bs: BlockSet,
     mode: str = CENSUS,
@@ -317,15 +286,15 @@ def init_state(
     if mode not in (GRAPH, CENSUS):
         raise ValueError(f"mode must be 'graph' or 'census', got {mode!r}")
     tables = _build_tables(bs)
-    stream = _Stream(seed)
+    stream = np.random.default_rng(seed)
     return _new_state(bs, tables, mode, stream, _initial_block(bs, tables, stream), max_vertices)
 
 
-def _initial_block(bs: BlockSet, tables: _Tables, stream: _Stream) -> int:
+def _initial_block(bs: BlockSet, tables: _Tables, stream: np.random.Generator) -> int:
     """The index of the initial block; a random one takes the stream's one
     pre-loop uniform."""
     if bs.initial_block == "random":
-        return int(_kernels.block_choice(tables, np.array([stream.initial_uniform()]))[0])
+        return int(_kernels.block_choice(tables, np.array([stream.random()]))[0])
     return bs.initial_block
 
 
@@ -333,7 +302,7 @@ def _new_state(
     bs: BlockSet,
     tables: _Tables,
     mode: str,
-    stream: Optional[_Stream],
+    stream: Optional[np.random.Generator],
     block: int,
     max_vertices: int,
 ) -> GrowthState:
@@ -341,46 +310,44 @@ def _new_state(
     grown together share, with the stream ``stream`` (None for a state that
     is only copied) and the initial block ``block``.
 
-    The initial block is attached like any later block, by one step of the
-    census kernel and, in graph mode, of the replay.  It latches at the
-    master alone: a hook vertex of degree 0, or a north pole with one arc
-    to the south pole, which the block replaces.  With an empty census the
-    class scan finds no class, so the master is the latch whatever the
-    class uniform.  The master is vertex 0, the block's new vertices follow
-    in their listed order, and a south pole comes last."""
+    The initial block is attached like any later block, by ``_step_rows``
+    on a state one step before step 0 that holds the master alone: a hook
+    vertex of degree 0, or a north pole with one arc to the south pole,
+    which the block replaces.  With an empty census the class scan finds no
+    class, so the master is the latch whatever the class uniform.  The
+    master is vertex 0, the block's new vertices follow in their listed
+    order, and a south pole comes last."""
     b = np.array([block])
     bipolar = bs.kind == BIPOLAR
-    nv = _vertex_counts(1 + bipolar, tables, b)
-    _check_vertex_limit(nv, 0, max_vertices)
-    si = [0, int(bipolar), tables.weight(int(bipolar))]
-    counts, cls = _kernels.census_chunk(_counts_array({})[0], si, tables, np.zeros(1), b)
-
+    _check_vertex_limit(_vertex_counts(1 + bipolar, tables, b), 0, max_vertices)
     graph = None
     if mode == GRAPH:
         graph = _GraphData(kind=bs.kind, deg=[int(bipolar)], mpos=[-1])
         if bipolar:
-            graph.master_sink = int(nv[-1]) - 1
+            graph.master_sink = 1 + int(tables.block_nv[block])
             graph.out = [[graph.master_sink]]
-        _replay(graph, tables, np.zeros((1, tables.ncols)), b, cls, np.array([1]))
-        if bipolar:
-            graph.deg.append(0)
-            graph.mpos.append(-1)
-            graph.out.append([])
-
-    return GrowthState(
+    state = GrowthState(
         bs=bs,
         mode=mode,
-        step=0,
-        counts=counts,
-        max_deg=si[0],
-        master_degree=si[1],
-        activity=si[2],
-        n_vertices=int(nv[-1]),
+        step=-1,
+        counts=np.zeros(64, dtype=np.int64),
+        max_deg=0,
+        master_degree=int(bipolar),
+        activity=tables.weight(int(bipolar)),
+        n_vertices=1,
         tables=tables,
         stream=stream,
         graph=graph,
         max_vertices=max_vertices,
     )
+    _step_rows(state, np.zeros((1, tables.ncols)), b, record=False)
+    if bipolar:  # the south pole
+        state.n_vertices += 1
+        if graph is not None:
+            graph.deg.append(0)
+            graph.mpos.append(-1)
+            graph.out.append([])
+    return state
 
 
 def _replay(
@@ -480,9 +447,12 @@ def grow_step_scripted(
     """Deterministic step with explicit choices (graph mode; consumes no
     randomness).  Intended for building reference networks in tests.
 
-    The choices go through ``_replay`` as the class and the uniforms that
-    pick them: member position i of L as (i + 1/2) / L, whose product with
-    L floors back to i."""
+    The choices go through ``_step_rows``, like a drawn step, as the
+    uniforms that pick them.  Column 0 is the midpoint of the latch class's
+    share of the total weight (the master's share for the master), moved
+    by ``math.nextafter`` until the kernel's binary64 target lies inside
+    the share; column 1 is member position i of L as (i + 1/2) / L, whose
+    product with L floors back to i, and column 3 the out-arc likewise."""
     if state.mode != GRAPH:
         raise ValueError("scripted growth needs graph mode")
     t, g = state.tables, state.graph
@@ -490,8 +460,7 @@ def grow_step_scripted(
         raise IndexError(f"vertex {latch} cannot be a latch")
     if not 0 <= block_index < len(t.block_d):
         raise IndexError(f"block {block_index} is not one of blocks 0..{len(t.block_d) - 1}")
-    b = np.array([block_index])
-    _check_vertex_limit(_vertex_counts(state.n_vertices, t, b), state.step + 1, state.max_vertices)
+    _check_activity_limit(t, state.activity, 1)
     row = np.zeros((1, t.ncols))
     c = -1 if latch == MASTER else g.deg[latch]
     if c != -1:
@@ -500,12 +469,17 @@ def grow_step_scripted(
         if not 0 <= arc_index < g.deg[latch]:
             raise IndexError(f"vertex {latch} has no out-arc {arc_index}")
         row[0, 3] = (arc_index + 0.5) / g.deg[latch]
-    _replay(g, t, row, b, np.array([c]), np.array([state.n_vertices]))
-    state.counts, state.max_deg = _counts_array(g.census())
-    state.master_degree = g.deg[MASTER]
-    state.n_vertices = len(g.deg)
-    state.activity += t.block_s[block_index]
-    state.step += 1
+    # each class's share of the scaled total, in scan order, the master's last
+    counts, total = state.counts[: state.max_deg + 1].tolist(), state.activity
+    shares = [t.weight(k) * n for k, n in enumerate(counts)]
+    shares.append(total - sum(shares))
+    lo = sum(shares[:c])
+    hi = lo + shares[c]
+    u0 = (lo + hi) / (2 * total)
+    while not lo <= u0 * total < hi:  # the kernel's target, as it forms it
+        u0 = math.nextafter(u0, 1.0 if u0 * total < lo else 0.0)
+    row[0, 0] = u0
+    _step_rows(state, row, np.array([block_index]), record=False)
     return state
 
 
@@ -530,39 +504,41 @@ def _check_vertex_limit(nv, first: int, limit: int) -> None:
 
 
 def _advance(state: GrowthState, n: int, record: bool) -> None:
-    """Advance ``state`` by n steps through the chunked census kernel and,
-    if ``record``, store the tracked census after each step.
-
-    The kernel returns each step's latch class, from which ``_replay``
-    applies the steps to the graph in graph mode and ``_record_rows``
-    rebuilds the chunk's trajectory rows when recording.  Graph-mode
-    chunks end at every multiple of ``SPOT_CHECK_INTERVAL``, where
-    ``_spot_check`` runs."""
+    """Advance ``state`` by n steps, drawn in chunks of at most CHUNK_ROWS
+    rows, each taken by ``_step_rows``; if ``record``, store the tracked
+    census after each step.  Graph-mode chunks end at every multiple of
+    ``SPOT_CHECK_INTERVAL``, where ``_spot_check`` runs."""
     t, g = state.tables, state.graph
     _check_activity_limit(t, state.activity, n)
-    si = [state.max_deg, state.master_degree, state.activity]
     draws = np.empty((min(n, CHUNK_ROWS), t.ncols))
-
     end = state.step + n
     while state.step < end:
         want = min(end - state.step, CHUNK_ROWS)
         if g is not None:
             want = min(want, SPOT_CHECK_INTERVAL - state.step % SPOT_CHECK_INTERVAL)
-        rows = draws[:want]
-        state.stream.fill(rows)
-        b = _kernels.block_choice(t, rows[:, 2])
-        nv = _vertex_counts(state.n_vertices, t, b)
-        _check_vertex_limit(nv, state.step + 1, state.max_vertices)
-        state.counts, cls = _kernels.census_chunk(state.counts, si, t, rows[:, 0], b)
-        if g is not None:
-            _replay(g, t, rows, b, cls, nv - t.block_nv[b])
-        if record:
-            _record_rows(state, cls, b)
-        state.step += rows.shape[0]
-        state.max_deg, state.master_degree, state.activity = si
-        state.n_vertices = int(nv[-1])
+        rows = state.stream.random(out=draws[:want])
+        _step_rows(state, rows, _kernels.block_choice(t, rows[:, 2]), record)
         if g is not None and state.step % SPOT_CHECK_INTERVAL == 0:
             _spot_check(state)
+
+
+def _step_rows(state: GrowthState, rows: np.ndarray, b: np.ndarray, record: bool) -> None:
+    """Take the steps of the uniform ``rows`` with block choices ``b``:
+    the vertex limit, the census kernel and, in graph mode, the replay of
+    the latch class that the kernel returns for each step; if ``record``,
+    ``_record_rows`` writes their trajectory rows."""
+    t, g = state.tables, state.graph
+    nv = _vertex_counts(state.n_vertices, t, b)
+    _check_vertex_limit(nv, state.step + 1, state.max_vertices)
+    si = [state.max_deg, state.master_degree, state.activity]
+    state.counts, cls = _kernels.census_chunk(state.counts, si, t, rows[:, 0], b)
+    if g is not None:
+        _replay(g, t, rows, b, cls, nv - t.block_nv[b])
+    if record:
+        _record_rows(state, cls, b)
+    state.step += rows.shape[0]
+    state.max_deg, state.master_degree, state.activity = si
+    state.n_vertices = int(nv[-1])
 
 
 def _record_rows(state: GrowthState, cls: np.ndarray, b: np.ndarray) -> None:
@@ -658,7 +634,7 @@ def simulate_batch(
     t = _build_tables(bs)
     # Each distinct initial block is attached once, and its state copied:
     # the states share its census until ``_grow_in_lock_step`` replaces it.
-    streams = [_Stream(s) for s in seeds]
+    streams = [np.random.default_rng(s) for s in seeds]
     blocks = [_initial_block(bs, t, s) for s in streams]
     attached = {b: _new_state(bs, t, CENSUS, None, b, max_vertices) for b in dict.fromkeys(blocks)}
     states = [replace(attached[b], stream=s) for s, b in zip(streams, blocks)]
@@ -697,7 +673,7 @@ def _grow_in_lock_step(
     for step in range(0, n, BATCH_ROWS):
         u = draws[:, : min(BATCH_ROWS, n - step)]
         for r, s in enumerate(states):
-            s.stream.fill(u[r])
+            s.stream.random(out=u[r])
         b = _kernels.block_choice(t, u[:, :, 2])
         end = n_vertices + t.block_nv[b].sum(axis=1)
         if end.max() > max_vertices:

@@ -38,6 +38,8 @@ from .model_io import BlockSet, BlockSetError, Num
 Scale = int
 # A vector as int numerators over one scale: x[i] == ns[i] / d.
 Cleared = tuple[list[int], Scale]
+# The most tracked degree classes any command accepts.
+MAX_TRACKED_TYPES = 64
 
 
 def _clear(xs: Sequence[Num]) -> Cleared:
@@ -181,9 +183,15 @@ def _closure(bs: BlockSet) -> Iterator[int]:
 
 def essential_degrees(bs: BlockSet, r: int) -> tuple[int, ...]:
     """The r smallest degrees attainable by two or more non-master vertices
-    (``_closure``); exactly the first r are generated."""
+    (``_closure``); exactly the first r are generated.  An r past
+    MAX_TRACKED_TYPES is refused before any is."""
     if r < 1:
         raise BlockSetError("param-domain", f"r must be >= 1, got {r}")
+    if r > MAX_TRACKED_TYPES:
+        raise BlockSetError(
+            "param-domain",
+            f"tracked-class count {r} exceeds the supported maximum {MAX_TRACKED_TYPES}",
+        )
     out = tuple(itertools.islice(_closure(bs), r))
     if len(out) < r:
         raise BlockSetError(

@@ -43,7 +43,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model_io import BlockSet, BlockSetError, InternalConsistencyError, Num
+from .model_io import BlockSet, InternalConsistencyError, Num
 from .profile import Cleared, DegreeProfile, Scale, _over, build_profile
 
 STAR = "*"
@@ -52,7 +52,6 @@ UrnType = Union[int, str]
 ClearedMatrix = tuple[list[list[int]], Scale]
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
-MAX_TRACKED_TYPES = 64
 
 
 def _over_matrix(m: Sequence[Sequence[int]], d: Scale) -> tuple[tuple[Num, ...], ...]:
@@ -569,11 +568,6 @@ def build_urn(bs: BlockSet, profile: DegreeProfile | None = None) -> UrnModel:
     them as (numerators, scale) pairs; A and B stay pairs in the returned
     ``UrnModel``."""
     profile = profile or build_profile(bs)
-    if profile.r > MAX_TRACKED_TYPES:
-        raise BlockSetError(
-            "param-domain",
-            f"tracked-class count {profile.r} exceeds the supported maximum {MAX_TRACKED_TYPES}",
-        )
     law = build_replacement_law(bs, profile)
     a, v, eigs = _activities(profile), _right_eigenvector(profile), _eigenvalues(profile)
     lam = eigs[0][0], eigs[1]

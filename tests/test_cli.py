@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 from importlib import resources
@@ -313,6 +314,24 @@ def test_verify_rejects_bad_tolerances(example_paths, tmp_path, capsys, monkeypa
     args = ["verify", "--input", example_paths["k2"], "--tolerances", str(tolfile)]
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["verify", "--steps", "10", "--replicates", "2"], ["simulate", "--steps", "10"]],
+    ids=lambda c: c[0],
+)
+def test_tracked_class_cap_is_checked_first(tmp_path, capsys, command):
+    """r = 8000 is refused before any degree class is generated: analyze
+    once took minutes to build the profile first, and simulate recorded an
+    (n + 1) x r trajectory."""
+    model = _write_model(tmp_path / "wide.json", _example_doc("fig1"), r=8000)
+    start = time.perf_counter()
+    assert main([*command, "--input", model]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: param-domain: ")
+    assert "tracked-class count 8000 exceeds the supported maximum 64" in err
 
 
 def test_internal_consistency_exit_code(example_paths, capsys, monkeypatch):

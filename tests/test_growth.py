@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -239,6 +240,29 @@ def test_scripted_step_refuses_a_block_outside_the_model(fig3, block_index):
     assert (export_edge_list(st), st.census(), st.step, st.n_vertices, st.activity) == before
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig3"])
+def test_scripted_and_drawn_steps_interleave(name, request):
+    """Scripted steps go through the census kernel like drawn ones: the
+    kernel's class scan must land on the scripted latch's class, so after
+    every step the census equals the recount from the graph, and the
+    scripted latch has moved by its block's increment."""
+    bs = request.getfixturevalue(name)
+    st = init_state(bs, "graph", seed=6)
+    g, pick = st.graph, random.Random(6)
+    for step in range(400):
+        if step % 3:
+            grow_step(st)
+        else:
+            latch = pick.choice([v for v in range(st.n_vertices) if v != g.master_sink])
+            block = pick.randrange(len(bs.blocks))
+            old = g.deg[latch]
+            grow_step_scripted(st, latch, block, arc_index=pick.randrange(old))
+            assert g.deg[latch] == old + bs.blocks[block].latch_increment()
+        _assert_census_is_graph_recount(st)
+        assert st.activity == st.recount_activity()
+    assert st.step == 400
+
+
 def test_census_vector_identity(fig1, fig3):
     for bs in (fig1, fig3):
         prof = build_profile(bs)
@@ -469,11 +493,15 @@ def test_fractional_weights_do_not_drift(fig1):
     assert st.total_activity == float(recount / S)
 
 
-def _forbid_draws(monkeypatch):
-    def drawn(*args):
+class _NoDraws:
+    """A stream that refuses every draw."""
+
+    def random(self, *args, **kwargs):
         raise AssertionError("a step was drawn")
 
-    monkeypatch.setattr(growth_mod._Stream, "fill", drawn)
+
+def _forbid_draws(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _NoDraws())
 
 
 def test_activity_limit_rejects_before_drawing(fig1, monkeypatch):
@@ -484,7 +512,7 @@ def test_activity_limit_rejects_before_drawing(fig1, monkeypatch):
         "total activity scaled by S, the least common denominator of chi and rho, "
         "could reach 2**1007 in 100 steps; exact latch weights need it below 2**52"
     )
-    st = init_state(bs, seed=0)
+    st, sg = init_state(bs, seed=0), init_state(bs, "graph", seed=0)
     _forbid_draws(monkeypatch)
     for run in (
         lambda: simulate(bs, 100, seed=0),
@@ -494,9 +522,15 @@ def test_activity_limit_rejects_before_drawing(fig1, monkeypatch):
         with pytest.raises(ResourceLimitError) as err:
             run()
         assert str(err.value) == message
+    before = st.stream.bit_generator.state
     with pytest.raises(ResourceLimitError, match="in 1 steps"):
         grow_step(st)
     assert st.step == 0
+    assert st.stream.bit_generator.state == before
+    edges = export_edge_list(sg)
+    with pytest.raises(ResourceLimitError, match="in 1 steps"):
+        grow_step_scripted(sg, latch=0, block_index=0)
+    assert (sg.step, export_edge_list(sg)) == (0, edges)
 
 
 def test_activity_limit_counts_scaled_weights(k2):
@@ -652,8 +686,8 @@ def _assert_same_state(a, b):
     assert a.total_activity.hex() == b.total_activity.hex()
     assert a.step == b.step
     rows_a, rows_b = np.empty((5, a.tables.ncols)), np.empty((5, b.tables.ncols))
-    a.stream.fill(rows_a)
-    b.stream.fill(rows_b)
+    a.stream.random(out=rows_a)
+    b.stream.random(out=rows_b)
     assert np.array_equal(rows_a, rows_b)
 
 
