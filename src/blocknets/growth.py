@@ -42,8 +42,10 @@ position, and both lists change by swap-remove and append, so their order
 is part of the decision procedure.  Hooking edges are never read while the
 network grows: each chunk appends its edges to an int64 edge log in one
 vectorised pass.  The writers sort the edges only at export, hooking
-edges as (min, max) pairs and bipolar arcs as (tail, head), and format
-whole blocks of rows with one ``%`` template.
+edges as (min, max) pairs and bipolar arcs as (tail, head).  Each block of
+lines they write is one byte table (``_formatted``): the template's text
+broadcast into its columns and the integers' digits from a few whole-column
+divisions.
 
 The stream is ``numpy.random.default_rng(seed)``.  Step j consumes its
 j-th row of ncols consecutive doubles (class, intra-class index, block
@@ -61,6 +63,7 @@ many replicates at once and leaves each in the state ``simulate`` would.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -79,7 +82,7 @@ CHUNK_ROWS = 4096
 # batch of a hundred replicates holds well under a megabyte of draws.
 BATCH_ROWS = 256
 SPOT_CHECK_INTERVAL = 1 << 16
-# Rows the writers format per template, to bound their temporaries.
+# Rows the writers format per table, to bound their temporaries.
 WRITE_ROWS = 1 << 16
 DEFAULT_MAX_VERTICES = 10_000_000
 # The lock-step kernel scans degrees 1..P in its step loop and defers the
@@ -270,9 +273,6 @@ class GrowthState:
         w = self.tables.weight
         counts = self.counts.tolist()
         return w(self.master_degree) + sum(w(k) * counts[k] for k in range(1, self.max_deg + 1))
-
-    def recount_total_activity(self) -> float:
-        return self.recount_activity() / self.tables.scale
 
 
 def init_state(
@@ -576,8 +576,10 @@ def _record_rows(state: GrowthState, cls: np.ndarray, b: np.ndarray) -> None:
 
 
 def census_vector(state: GrowthState, essential: Sequence[int]) -> tuple[np.ndarray, float]:
-    """Counts of the tracked degree classes plus the aggregate attachment
-    weight carried by everything else (overflow degrees and the master)."""
+    """Counts of the tracked degree classes plus the star: the aggregate
+    attachment weight of the census's other vertices, those of the overflow
+    degrees.  The master's weight is left out, as in the trajectory's
+    ``star_activity`` and ``blocknets simulate``'s overflow activity."""
     x = np.array([int(state.counts[k]) if k <= state.max_deg else 0 for k in essential])
     w = state.tables.weight
     star = state.activity - w(state.master_degree)
@@ -708,11 +710,56 @@ def _scan_prefix(bs: BlockSet) -> int:
 
 def _formatted(fmt: str, *cols: np.ndarray) -> Iterator[str]:
     """``fmt`` % row for each row of the equal-length columns ``cols``, one
-    string per ``WRITE_ROWS`` rows."""
+    string per ``WRITE_ROWS`` rows.
+
+    Each block is one uint8 table, assembled with a column per row and
+    turned to a line per row: the template's literal text broadcast across,
+    each ``%d`` field from ``_digits`` and any other field from
+    ``_rendered``.  Fields are padded to their widest value with NUL, which
+    the text leaves out."""
+    pieces = re.split(r"(%[^a-zA-Z]*[a-zA-Z])", fmt)  # text, field, ..., field, text
+    text = [np.frombuffer(s.encode("ascii"), np.uint8)[:, None] for s in pieces[::2]]
     n = cols[0].shape[0]
     for i in range(0, n, WRITE_ROWS):
-        rows = zip(*(c[i : i + WRITE_ROWS].tolist() for c in cols))
-        yield fmt * min(WRITE_ROWS, n - i) % tuple(chain.from_iterable(rows))
+        m = min(WRITE_ROWS, n - i)
+        parts = [np.broadcast_to(text[0], (text[0].shape[0], m))]
+        for spec, c, t in zip(pieces[1::2], cols, text[1:]):
+            c = c[i : i + WRITE_ROWS]
+            parts.append(_digits(c) if spec == "%d" else _rendered(spec, c))
+            parts.append(np.broadcast_to(t, (t.shape[0], m)))
+        rows = np.concatenate(parts).T.copy()
+        yield rows[rows != 0].tobytes().decode("ascii")
+
+
+def _digits(v: np.ndarray) -> np.ndarray:
+    """The decimal digits of the integers ``v`` in ASCII, one column per
+    value, right-aligned in the width of the largest, with NUL in each
+    position above a value's first digit.  A negative value raises
+    ValueError."""
+    if v.min() < 0:
+        raise ValueError(f"%d fields take values >= 0, got {v.min()}")
+    # floor division by a scalar is several times faster in 32 bits than in 64
+    v = v.astype(np.promote_types(np.min_scalar_type(v.max()), np.uint32))
+    w = len(str(v.max()))
+    out = np.empty((w, v.shape[0]), np.uint8)
+    for j in range(w - 1, -1, -1):  # v holds the digits of positions 0..j
+        q = v // 10
+        out[j] = v - 10 * q + 48
+        if j < w - 1:
+            out[j] *= v > 0
+        v = q
+    return out
+
+
+def _rendered(spec: str, v: np.ndarray) -> np.ndarray:
+    """``spec`` % x for each x of ``v`` in ASCII, one column per value,
+    left-aligned in the width of the longest and padded with NUL; ``%``
+    renders the whole column as one string of lines."""
+    text = np.frombuffer(((spec + "\n") * v.shape[0] % tuple(v.tolist())).encode("ascii"), np.uint8)
+    lens = np.diff(np.flatnonzero(text == 10), prepend=-1) - 1
+    out = np.zeros((v.shape[0], lens.max()), np.uint8)
+    out[np.arange(out.shape[1]) < lens[:, None]] = text[text != 10]
+    return out.T
 
 
 def write_trajectory_csv(path, state: GrowthState) -> None:

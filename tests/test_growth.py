@@ -43,7 +43,7 @@ def test_init_census_fig1(fig1):
     assert st.census() == {1: 2, 3: 2}
     assert st.master_degree == 2
     assert st.n_vertices == 5
-    assert st.total_activity == st.recount_total_activity() == 10.0
+    assert st.total_activity == st.recount_activity() / st.tables.scale == 10.0
 
 
 def test_init_census_fig3(fig3):
@@ -379,7 +379,7 @@ def test_trajectory_csv_is_pinned(name, digest, tmp_path, request):
 
 @pytest.mark.parametrize("name", ["fig1", "fig3"])
 def test_writers_do_not_depend_on_write_rows(name, monkeypatch, tmp_path, request):
-    """The writers format WRITE_ROWS rows per template; the bytes must not
+    """The writers format WRITE_ROWS rows per table; the bytes must not
     depend on where those blocks end."""
     st = simulate(request.getfixturevalue(name), 50, mode="graph", seed=5, record=True)
 
@@ -390,6 +390,52 @@ def test_writers_do_not_depend_on_write_rows(name, monkeypatch, tmp_path, reques
     whole = outputs(tmp_path / "whole.csv")
     monkeypatch.setattr(growth_mod, "WRITE_ROWS", 7)
     assert outputs(tmp_path / "blocks.csv") == whole
+
+
+def _per_row(fmt, *cols):
+    """The reference ``_formatted`` must match: ``fmt`` % row, row by row."""
+    return "".join(fmt % row for row in zip(*(c.tolist() for c in cols)))
+
+
+@pytest.mark.parametrize("write_rows", [growth_mod.WRITE_ROWS, 7])
+def test_formatted_matches_per_row_template(write_rows, monkeypatch):
+    """``_formatted`` builds each block of lines as a byte table; its text
+    equals the template applied row by row, for %d columns that cross every
+    digit-count boundary up to 10**7, and 2**40, and for %.12g columns from
+    1e-6 to 1e15, in blocks of any size.  A negative %d value is refused."""
+    monkeypatch.setattr(growth_mod, "WRITE_ROWS", write_rows)
+    rng = np.random.default_rng(31)
+    bounds = [0, 2**40] + [v for k in range(1, 8) for v in (10**k - 1, 10**k)]
+    ints = [
+        rng.permutation(np.concatenate([bounds, rng.integers(0, 10 ** rng.integers(1, 9, 300))]))
+        for _ in range(2)
+    ]
+    floats = np.concatenate([[1e-6, 1e15, 0.0, -0.5, 0.1 + 0.2, 1 / 3], 10 ** rng.uniform(-6, 15, 310)])
+    floats[rng.random(floats.shape[0]) < 0.3] //= 1  # whole numbers too
+    for fmt, cols in [
+        ("%d,%d,%.12g\n", (*ints, floats)),
+        ("  v%d -- v%d;\n", ints),
+        ("%d %d\n", ints),
+        ("  v%d;\n", ints[:1]),
+    ]:
+        assert "".join(growth_mod._formatted(fmt, *cols)) == _per_row(fmt, *cols)
+    with pytest.raises(ValueError):
+        list(growth_mod._formatted("%d\n", np.array([3, -1])))
+
+
+@pytest.mark.parametrize(
+    "chi, rho", [(F(1, 3), F(1, 7)), (F(1, 2**53 + 1), F(0))], ids=["fractional", "S-past-2**53"]
+)
+def test_trajectory_csv_matches_per_row_template(chi, rho, fig1, tmp_path):
+    """The CSV rows of a star that is not a whole number: S = 21 and S past
+    2**53, whose star goes through int / int."""
+    st = simulate(replace(fig1, chi=chi, rho=rho), 3000, mode="census", seed=4, record=True)
+    x, star = st.trajectory_x, st.trajectory_star
+    assert (star != np.floor(star)).any()
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, st)
+    row = "%d," + ",".join(["%d"] * x.shape[1]) + ",%.12g\n"
+    assert path.read_text().split("\n", 1)[1] == _per_row(row, np.arange(x.shape[0]), *x.T, star)
 
 
 def test_trajectory_csv(tmp_path, fig1):
