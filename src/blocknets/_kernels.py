@@ -10,7 +10,11 @@ verification.  Two kernels advance it:
   of drawn steps and each scripted step.  It advances the counts and
   returns the latch class it chose at each step, from which graph mode
   replays the steps on the multigraph and ``growth._record_rows``
-  rebuilds a recorded trajectory in numpy.
+  rebuilds a recorded trajectory in numpy.  The loop holds each class's
+  weight, its count times the degree's weight, and changes it by that
+  weight as the count changes, so its scan costs one add and one compare
+  per class; the counts themselves change after the loop, from the latch
+  classes and block choices, in numpy.
 * ``LockStepRun`` advances a group of replicates in lock step on one
   replicates-by-degrees array, in numpy; ``verify`` uses it through
   ``simulate_batch``.  Each replicate keeps the state row of the scalar
@@ -43,12 +47,13 @@ Both kernels, ``block_choice`` and graph mode's replay read one model
 table, ``tab``, which ``growth._build_tables`` builds once per
 ``simulate`` or ``simulate_batch`` call.  It holds each per-block fact
 once: the latch increment, the scaled activity increment, the new-vertex
-count and degrees.  The scalar loop reads lists; numpy arrays serve only
-numpy code that indexes them by block choices.  The lock-step kernel
-also reads its own tables (``LockStep``: the step table, the change that
-each block, latching at each low degree class, makes to the partial sums
-of those classes, and what it adds past them), which ``lock_step_tables``
-builds for a given prefix width.
+count and degrees, the last also as a count per degree.  The scalar loop
+reads lists; numpy arrays serve only numpy code that indexes them by
+block choices.  The lock-step kernel also reads its own tables
+(``LockStep``: the step table, the change that each block, latching at
+each low degree class, makes to the partial sums of those classes, and
+what it adds past them), which ``lock_step_tables`` builds for a given
+prefix width.
 
 Both kernels take the block choices precomputed by ``block_choice``
 (one compare per block and row block), which is also how the initial
@@ -132,9 +137,7 @@ def lock_step_tables(tab, P: int) -> LockStep:
     # latches at degree k + 1; past the prefix (k = P) the latch's move
     # is left to ``LockStepRun.resolve``
     moves = np.zeros((m, P + 1, top + 1), dtype=np.int64)
-    for i, new in enumerate(tab.new_degs):
-        for c in new:
-            moves[i, :, c] += 1
+    moves[:, :, : tab.new_max + 1] += tab.new_hist[:, None]
     i, k = np.arange(m)[:, None], np.arange(P)
     moves[i, k, k + 1] -= 1
     moves[i, k, k + 1 + tab.d_a[:, None]] += 1
@@ -150,13 +153,16 @@ def lock_step_tables(tab, P: int) -> LockStep:
     return LockStep(step, arrive, (P + 1 + a).astype(np.int32), past[q, a].astype(np.int32))
 
 
-def _grow(counts, weight, tab, need):
-    """Double the counts list in place until degree ``need`` fits, and
-    extend ``weight`` to its length.  Returns the new length."""
-    while need >= len(counts):
-        counts.extend([0] * len(counts))
-    weight.extend(float(tab.chi_s * k + tab.rho_s) for k in range(len(weight), len(counts)))
-    return len(counts)
+def _grow(weight, wc, tab, need):
+    """Double the length of ``weight`` and ``wc`` until degree ``need``
+    fits: ``weight`` with the weights of the new degrees, ``wc`` with zeros.
+    Returns the new length."""
+    cap = len(weight)
+    while need >= cap:
+        cap *= 2
+    weight.extend(float(tab.chi_s * k + tab.rho_s) for k in range(len(weight), cap))
+    wc.extend([0.0] * (cap - len(wc)))
+    return cap
 
 
 def census_chunk(counts, state, tab, u0, b_in):
@@ -165,22 +171,35 @@ def census_chunk(counts, state, tab, u0, b_in):
     degree, S * total activity], updated in place.  Returns the counts as a
     new array, grown if a step reached past their end, and each step's
     latch class.  The loop runs on lists: element access on numpy arrays
-    costs several times more."""
-    counts = counts.tolist()
-    weight = []  # float(S * (chi * k + rho)) for k < len(counts)
+    costs several times more.
+
+    The loop holds each class's weight, ``wc[k]``: float(S * (chi * k +
+    rho)) times its count, changed by that float weight, or by the weight
+    of a block's new vertices of degree k, whenever the count changes.  So
+    the scan costs one add and one compare per class.  For k >= 1 each such
+    weight is an integer no larger than the total, which lies below
+    ``ACTIVITY_LIMIT``, so it, every value it passes through and every
+    partial sum is an exact binary64 integer, as each product would be.
+    The counts themselves are not read in the loop; the steps' changes to
+    them, from each latch class and block choice, are applied after it, in
+    numpy."""
+    weight = [float(tab.chi_s * k + tab.rho_s) for k in range(len(counts))]
+    wc = [w * c for w, c in zip(weight, counts.tolist())]
     max_deg, master_deg, total = state
     block_d, block_s, new_degs = tab.block_d, tab.block_s, tab.new_degs
-    cap = _grow(counts, weight, tab, tab.new_max)  # every new vertex fits from here on
+    cap = _grow(weight, wc, tab, tab.new_max)  # every new vertex fits from here on
+    # block -> (degree, weight of its new vertices of that degree) pairs, and
+    # the highest degree of its new vertices
+    adds = [[(c, n * weight[c]) for c, n in enumerate(h) if n] for h in tab.new_hist.tolist()]
+    tops = [max(nd, default=0) for nd in new_degs]
     classes = []
 
     for u, b in zip(u0.tolist(), b_in.tolist()):
-        # The partial sums are integers below ACTIVITY_LIMIT, so adding
-        # them in binary64 is exact, and faster than on Python ints.
         target = u * total
         cls = -1
         acc = 0.0
         for k in range(1, max_deg + 1):
-            acc += weight[k] * counts[k]
+            acc += wc[k]
             if target < acc:
                 cls = k
                 break
@@ -191,20 +210,27 @@ def census_chunk(counts, state, tab, u0, b_in):
         elif d > 0:
             k = cls + d
             if k >= cap:
-                cap = _grow(counts, weight, tab, k)
-            counts[cls] -= 1
-            counts[k] += 1
+                cap = _grow(weight, wc, tab, k)
+            wc[cls] -= weight[cls]
+            wc[k] += weight[k]
             if k > max_deg:
                 max_deg = k
-        for c in new_degs[b]:
-            counts[c] += 1
-            if c > max_deg:
-                max_deg = c
+        for c, w in adds[b]:
+            wc[c] += w
+        if tops[b] > max_deg:
+            max_deg = tops[b]
         total += block_s[b]
         classes.append(cls)
 
     state[:] = max_deg, master_deg, total
-    return np.array(counts, dtype=np.int64), np.array(classes, dtype=np.int64)
+    cls = np.array(classes, dtype=np.int64)
+    hit = cls >= 0
+    out = np.zeros(cap, dtype=np.int64)
+    out[: len(counts)] = counts
+    out -= np.bincount(cls[hit], minlength=cap)
+    out += np.bincount(cls[hit] + tab.d_a[b_in[hit]], minlength=cap)
+    out[: tab.new_max + 1] += np.bincount(b_in, minlength=len(new_degs)) @ tab.new_hist
+    return out, cls
 
 
 def block_choice(tab, ub):

@@ -37,7 +37,10 @@ follow in their listed order, a south pole comes next, and each later
 step's new vertices follow in their block's listed order.  A vertex's
 tracked degree, its position in its degree class and (bipolar) its
 out-arcs sit in lists indexed by id; each degree class is a list of its
-members.  Column 1 picks a class member and column 3 an out-arc by
+members.  A chunk's new vertices and their degrees at creation follow from
+its block choices alone, so the replay extends the degree and position
+columns once per chunk, and sets each new vertex's position as it joins
+its class.  Column 1 picks a class member and column 3 an out-arc by
 position, and both lists change by swap-remove and append, so their order
 is part of the decision procedure.  Hooking edges are never read while the
 network grows: each chunk appends its edges to an int64 edge log in one
@@ -45,7 +48,9 @@ vectorised pass.  The writers sort the edges only at export, hooking
 edges as (min, max) pairs and bipolar arcs as (tail, head).  Each block of
 lines they write is one byte table (``_formatted``): the template's text
 broadcast into its columns and the integers' digits from a few whole-column
-divisions.
+divisions.  A ``%.12g`` block whose values are all whole, non-negative and
+below 10**12 (the star column of fig1 and fig3, whose S is 1) takes the
+same digits, as ``%.12g`` prints those values as ``%d`` does.
 
 The stream is ``numpy.random.default_rng(seed)``.  Step j consumes its
 j-th row of ncols consecutive doubles (class, intra-class index, block
@@ -68,7 +73,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -126,13 +131,16 @@ class _Tables:
     block_nv: np.ndarray  # int64[m], new vertices per block
     new_degs: list  # block -> [degree of each new vertex]
     new_max: int  # the largest new-vertex degree, 0 if none
+    new_hist: np.ndarray  # int64 (m, new_max + 1), new vertices per block and degree
     d_a: np.ndarray  # int64 block_d
     s_a: np.ndarray  # float64 block_s
     # Edge endpoints of the replay, coded 0 for the latch (hook or north
     # pole), 1 for the head of the replaced arc (south pole) and 2 + j for
-    # the block's j-th new vertex.  bipolar: block -> (heads of the north
-    # pole's arcs, [heads of each new vertex's arcs]), in block-edge order;
-    # hooking: block -> its edges, padded with rows of -1 to the longest.
+    # the block's j-th new vertex.  bipolar: block -> (heads, north, spans):
+    # the heads of the north pole's arcs, then of each new vertex's, in
+    # block-edge order, the slice of the north pole's and one slice per new
+    # vertex; hooking: block -> its edges, padded with rows of -1 to the
+    # longest.
     heads: list
     ends: np.ndarray  # int64 (m, max edges, 2)
 
@@ -146,6 +154,11 @@ def _build_tables(bs: BlockSet) -> _Tables:
     d = [b.latch_increment() for b in bs.blocks]
     new_degs = [b.new_degrees() for b in bs.blocks]
     block_s = activity_increments(bs, chi_s, rho_s)
+    new_max = max((c for nd in new_degs for c in nd), default=0)
+    hist = np.zeros((len(d), new_max + 1), dtype=np.int64)
+    for i, nd in enumerate(new_degs):
+        for c in nd:
+            hist[i, c] += 1
     heads = []
     ends = np.full((len(d), max(len(b.edges) for b in bs.blocks), 2), -1, dtype=np.int64)
     for i, b in enumerate(bs.blocks):
@@ -156,7 +169,10 @@ def _build_tables(bs: BlockSet) -> _Tables:
             out: dict[str, list] = {v: [] for v in b.vertices}
             for x, y in b.edges:
                 out[x].append(code[y])
-            heads.append((out[b.north], [out[v] for v in b.new_vertices()]))
+            lists = [out[b.north]] + [out[v] for v in b.new_vertices()]
+            ends_at = list(accumulate(map(len, lists), initial=0))
+            spans = [slice(a, z) for a, z in zip(ends_at, ends_at[1:])]
+            heads.append((list(chain.from_iterable(lists)), spans[0], spans[1:]))
     return _Tables(
         ncols=4 if bs.kind == BIPOLAR else 3,
         scale=scale,
@@ -167,7 +183,8 @@ def _build_tables(bs: BlockSet) -> _Tables:
         block_s=block_s,
         block_nv=np.array([len(nd) for nd in new_degs], dtype=np.int64),
         new_degs=new_degs,
-        new_max=max((c for nd in new_degs for c in nd), default=0),
+        new_max=new_max,
+        new_hist=hist,
         d_a=np.array(d, dtype=np.int64),
         # clamped: _check_activity_limit refuses a larger increment before
         # any step, and a huge S must not overflow the conversion
@@ -359,57 +376,71 @@ def _replay(
     out-arc picked by column 3.  ``before[j]`` is the vertex count before
     step j.
 
-    In each step the new vertices join their classes first, then the latch
+    The chunk's new vertices, and their degrees at creation, follow from
+    the block choices alone, so ``deg`` and ``mpos`` are extended once, before
+    the loop; each new vertex's ``mpos`` is set as it joins its class.  In
+    each step the new vertices join their classes first, then the latch
     moves to its new class; both lists change by swap-remove and append, so
     member positions are those column 1 indexes.  Bipolar arcs go to the
-    out-arc lists as each step is applied (column 3 indexes them); hooking
-    edges go to the edge log in one pass after the loop."""
+    out-arc lists as each step is applied (column 3 indexes them): the
+    step's heads are one list, cut into the north pole's arcs and each new
+    vertex's by the block's slices.  Hooking edges go to the edge log in one
+    pass after the loop."""
     deg, mpos, members, out = g.deg, g.mpos, g.members, g.out
+    new_degs, block_d, heads = t.new_degs, t.block_d, t.heads
     bipolar = g.kind == BIPOLAR
+    blocks = b.tolist()
+    v = len(deg)
+    deg.extend(chain.from_iterable(map(new_degs.__getitem__, blocks)))
+    mpos.extend([-1] * (len(deg) - v))
     picks = rows[:, 1].tolist()
     arc_picks = rows[:, 3].tolist() if bipolar else picks  # unused by hooking
     latches = []
-    v = len(deg)
-    for u, ua, bj, c in zip(picks, arc_picks, b.tolist(), cls.tolist()):
+    for u, ua, bj, c in zip(picks, arc_picks, blocks, cls.tolist()):
         if c == -1:
             latch = MASTER
         else:
             lst = members[c]
-            latch = lst[min(int(u * len(lst)), len(lst) - 1)]
+            n = len(lst)
+            i = int(u * n)
+            latch = lst[i] if i < n else lst[-1]
         old = deg[latch]
         if bipolar:
             arcs = out[latch]
-            i = min(int(ua * old), old - 1)
+            i = int(ua * old)
+            if i >= old:
+                i = old - 1
             vm = [latch, arcs[i]]
             last = arcs.pop()
-            if i < len(arcs):
+            if i < old - 1:
                 arcs[i] = last
-        for k in t.new_degs[bj]:
+        for k in new_degs[bj]:
             lst = members[k]
-            mpos.append(len(lst))
+            mpos[v] = len(lst)
             lst.append(v)
-            deg.append(k)
             if bipolar:
                 vm.append(v)
             v += 1
         if bipolar:
-            north, new = t.heads[bj]
-            arcs.extend([vm[h] for h in north])
-            out.extend([[vm[h] for h in hs] for hs in new])
+            codes, north, spans = heads[bj]
+            hv = [vm[h] for h in codes]
+            arcs += hv[north]
+            out.extend(map(hv.__getitem__, spans))
         else:
             latches.append(latch)
-        d = t.block_d[bj]
-        deg[latch] = old + d
-        if d and latch != MASTER:
-            lst = members[old]
-            i = mpos[latch]
-            last = lst.pop()
-            if i < len(lst):
-                lst[i] = last
-                mpos[last] = i
-            lst = members[old + d]
-            mpos[latch] = len(lst)
-            lst.append(latch)
+        d = block_d[bj]
+        if d:
+            deg[latch] = old + d
+            if latch != MASTER:
+                lst = members[old]
+                i = mpos[latch]
+                last = lst.pop()
+                if i < len(lst):
+                    lst[i] = last
+                    mpos[last] = i
+                lst = members[old + d]
+                mpos[latch] = len(lst)
+                lst.append(latch)
     if not bipolar:
         code = t.ends[b]  # (step, edge, endpoint)
         ends = np.where(
@@ -715,8 +746,10 @@ def _formatted(fmt: str, *cols: np.ndarray) -> Iterator[str]:
     Each block is one uint8 table, assembled with a column per row and
     turned to a line per row: the template's literal text broadcast across,
     each ``%d`` field from ``_digits`` and any other field from
-    ``_rendered``.  Fields are padded to their widest value with NUL, which
-    the text leaves out."""
+    ``_rendered``, except a ``%.12g`` field whose block is whole: ``%.12g``
+    prints a whole number that is non-negative, not -0.0 and below 10**12
+    as ``%d`` does, so such a block goes to ``_digits`` too.  Fields are
+    padded to their widest value with NUL, which the text leaves out."""
     pieces = re.split(r"(%[^a-zA-Z]*[a-zA-Z])", fmt)  # text, field, ..., field, text
     text = [np.frombuffer(s.encode("ascii"), np.uint8)[:, None] for s in pieces[::2]]
     n = cols[0].shape[0]
@@ -725,10 +758,19 @@ def _formatted(fmt: str, *cols: np.ndarray) -> Iterator[str]:
         parts = [np.broadcast_to(text[0], (text[0].shape[0], m))]
         for spec, c, t in zip(pieces[1::2], cols, text[1:]):
             c = c[i : i + WRITE_ROWS]
-            parts.append(_digits(c) if spec == "%d" else _rendered(spec, c))
+            if spec == "%d" or spec == "%.12g" and _whole(c):
+                parts.append(_digits(c.astype(np.int64, copy=False)))
+            else:
+                parts.append(_rendered(spec, c))
             parts.append(np.broadcast_to(t, (t.shape[0], m)))
         rows = np.concatenate(parts).T.copy()
         yield rows[rows != 0].tobytes().decode("ascii")
+
+
+def _whole(v: np.ndarray) -> bool:
+    """Whether every float of ``v`` is a whole number in [0, 10**12) and
+    none is -0.0 (NaN is none of these)."""
+    return bool(np.all((v < 1e12) & (np.floor(v) == v) & ~np.signbit(v)))
 
 
 def _digits(v: np.ndarray) -> np.ndarray:

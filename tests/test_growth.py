@@ -438,6 +438,29 @@ def test_trajectory_csv_matches_per_row_template(chi, rho, fig1, tmp_path):
     assert path.read_text().split("\n", 1)[1] == _per_row(row, np.arange(x.shape[0]), *x.T, star)
 
 
+@pytest.mark.parametrize("write_rows", [growth_mod.WRITE_ROWS, 7])
+def test_formatted_writes_whole_stars_as_digits(write_rows, monkeypatch):
+    """A %.12g block whose values are all whole, non-negative, not -0.0 and
+    below 10**12 is written by ``_digits``; every other block is rendered by
+    %.  Either way the text is the template applied row by row: on the
+    edges 0, -0.0, 1, 10**12 - 1, 10**12, 2**53 and 1e15, in a column that is
+    all whole, one that holds a single 0.5 and one that takes the digits
+    route in every block."""
+    monkeypatch.setattr(growth_mod, "WRITE_ROWS", write_rows)
+    rendered = []
+    render = growth_mod._rendered
+    monkeypatch.setattr(growth_mod, "_rendered", lambda spec, v: rendered.append(v) or render(spec, v))
+    rng = np.random.default_rng(8)
+    digits = np.concatenate([[0.0, 1.0, 1e12 - 1], np.floor(10 ** rng.uniform(0, 12, 40))])
+    whole = np.concatenate([digits, [-0.0, 1e12, 2.0**53, 1e15], digits])
+    half = whole.copy()
+    half[len(digits) + 2] = 0.5
+    for col in (whole, half, digits):
+        assert "".join(growth_mod._formatted("%.12g\n", col)) == _per_row("%.12g\n", col)
+    # rendered: the one block of whole, and of half, that holds the edges
+    assert len(rendered) == 2 and all(1e12 in v for v in rendered)
+
+
 def test_trajectory_csv(tmp_path, fig1):
     st = simulate(fig1, 100, mode="census", seed=6, record=True)
     path = tmp_path / "traj.csv"
@@ -666,6 +689,190 @@ def test_initial_block_numbering(doc, poles, edges):
     # the labels stay on the master and the initial block's last vertex
     labels = [line for line in export_dot(b).splitlines() if "label" in line]
     assert labels == [line for line in poles.splitlines() if "label" in line]
+
+
+# ------------------------------------------------ the step loops against their references
+
+
+def _reference_grow(counts, weight, tab, need):
+    while need >= len(counts):
+        counts.extend([0] * len(counts))
+    weight.extend(float(tab.chi_s * k + tab.rho_s) for k in range(len(weight), len(counts)))
+    return len(counts)
+
+
+def _reference_census_chunk(counts, state, tab, u0, b_in):
+    """``_kernels.census_chunk`` as it was before it held each class's
+    weight: the scan multiplies each class's weight by its count, and the
+    loop keeps the counts itself."""
+    counts = counts.tolist()
+    weight = []
+    max_deg, master_deg, total = state
+    block_d, block_s, new_degs = tab.block_d, tab.block_s, tab.new_degs
+    cap = _reference_grow(counts, weight, tab, tab.new_max)
+    classes = []
+    for u, b in zip(u0.tolist(), b_in.tolist()):
+        target = u * total
+        cls = -1
+        acc = 0.0
+        for k in range(1, max_deg + 1):
+            acc += weight[k] * counts[k]
+            if target < acc:
+                cls = k
+                break
+        d = block_d[b]
+        if cls == -1:
+            master_deg += d
+        elif d > 0:
+            k = cls + d
+            if k >= cap:
+                cap = _reference_grow(counts, weight, tab, k)
+            counts[cls] -= 1
+            counts[k] += 1
+            if k > max_deg:
+                max_deg = k
+        for c in new_degs[b]:
+            counts[c] += 1
+            if c > max_deg:
+                max_deg = c
+        total += block_s[b]
+        classes.append(cls)
+    state[:] = max_deg, master_deg, total
+    return np.array(counts, dtype=np.int64), np.array(classes, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "name, chi, rho",
+    [
+        ("fig1", None, None),
+        ("fig3", None, None),
+        ("k2", None, None),
+        ("fig1", F(1, 3), F(1, 7)),
+        ("fig1", F(1, 2**53 + 1), F(0)),
+        # degree-proportional latching outgrows the 64 initial counters
+        ("k2", F(1), F(0)),
+    ],
+    ids=["fig1", "fig3", "k2", "fig1-fractional", "fig1-S-past-2**53", "k2-grows"],
+)
+def test_census_chunk_matches_reference(name, chi, rho, request):
+    """Over three drawn chunks, each taken from the counts and state that the
+    last one left, the scalar loop returns the counts, the latch classes and
+    [max degree, master degree, activity] of the loop that multiplied count
+    by weight at every class it scanned.  On k2-grows the counts grow in the
+    middle of a chunk (as fig1's do)."""
+    bs = request.getfixturevalue(name)
+    if chi is not None:
+        bs = replace(bs, chi=chi, rho=rho)
+    st = init_state(bs, "census", seed=11)
+    t = st.tables
+    counts, state = st.counts, [st.max_deg, st.master_degree, st.activity]
+    grown = False
+    for _ in range(3):
+        rows = st.stream.random((CHUNK_ROWS, t.ncols))
+        b = _kernels.block_choice(t, rows[:, 2])
+        ref_state = list(state)
+        ref, ref_cls = _reference_census_chunk(counts, ref_state, t, rows[:, 0], b)
+        got, cls = _kernels.census_chunk(counts, state, t, rows[:, 0], b)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(cls, ref_cls)
+        assert state == ref_state
+        grown |= len(got) > len(counts)
+        counts = got
+    if (name, chi) == ("k2", F(1)):
+        assert grown
+
+
+def _reference_replay(g, t, rows, b, cls, before):
+    """``growth._replay`` as it was before it extended ``deg`` and ``mpos``
+    once per chunk: each new vertex is appended as its step adds it."""
+    deg, mpos, members, out = g.deg, g.mpos, g.members, g.out
+    bipolar = g.kind == growth_mod.BIPOLAR
+    picks = rows[:, 1].tolist()
+    arc_picks = rows[:, 3].tolist() if bipolar else picks
+    latches = []
+    v = len(deg)
+    for u, ua, bj, c in zip(picks, arc_picks, b.tolist(), cls.tolist()):
+        if c == -1:
+            latch = growth_mod.MASTER
+        else:
+            lst = members[c]
+            latch = lst[min(int(u * len(lst)), len(lst) - 1)]
+        old = deg[latch]
+        if bipolar:
+            arcs = out[latch]
+            i = min(int(ua * old), old - 1)
+            vm = [latch, arcs[i]]
+            last = arcs.pop()
+            if i < len(arcs):
+                arcs[i] = last
+        for k in t.new_degs[bj]:
+            lst = members[k]
+            mpos.append(len(lst))
+            lst.append(v)
+            deg.append(k)
+            if bipolar:
+                vm.append(v)
+            v += 1
+        if bipolar:
+            codes, north, spans = t.heads[bj]
+            arcs.extend([vm[h] for h in codes[north]])
+            out.extend([[vm[h] for h in codes[s]] for s in spans])
+        else:
+            latches.append(latch)
+        d = t.block_d[bj]
+        deg[latch] = old + d
+        if d and latch != growth_mod.MASTER:
+            lst = members[old]
+            i = mpos[latch]
+            last = lst.pop()
+            if i < len(lst):
+                lst[i] = last
+                mpos[last] = i
+            lst = members[old + d]
+            mpos[latch] = len(lst)
+            lst.append(latch)
+    if not bipolar:
+        code = t.ends[b]
+        ends = np.where(code == 0, np.array(latches)[:, None, None], code + (before[:, None, None] - 2))
+        ends = ends[code[:, :, 0] >= 0]
+        g.ends.frombytes(ends.astype(np.int64, copy=False).tobytes())
+
+
+def _replayed_store(bs, seed):
+    """The graph store after drawn chunks, scripted steps and chunks whose
+    member and arc uniforms are 1.0 in every third row, which the stream
+    never draws but which the replay takes to the last member and arc."""
+    st = init_state(bs, "graph", seed=seed)
+    g, t, pick = st.graph, st.tables, random.Random(seed)
+    for _ in range(3):
+        growth_mod._advance(st, 700, record=False)
+        for _ in range(30):
+            latch = pick.choice([v for v in range(st.n_vertices) if v != g.master_sink])
+            grow_step_scripted(st, latch, pick.randrange(len(bs.blocks)), pick.randrange(g.deg[latch]))
+        rows = st.stream.random((90, t.ncols))
+        rows[::3, 1::2] = 1.0  # columns 1 and, bipolar, 3
+        growth_mod._step_rows(st, rows, _kernels.block_choice(t, rows[:, 2]), record=False)
+    _assert_census_is_graph_recount(st)
+    members = {k: v for k, v in g.members.items() if v}
+    return g.deg, g.mpos, members, g.out, g.ends.tolist()
+
+
+@pytest.mark.parametrize(
+    "name", ["fig1", "fig3", "k2", "random-hooking", "random-bipolar"]
+)
+def test_replay_matches_reference(name, monkeypatch, request):
+    """The replay leaves the graph store (``deg``, ``mpos``, the class
+    members, the out-arc lists and the edge log) as the replay that appended
+    each new vertex in its step did, after drawn and scripted steps."""
+    if name.startswith("random-"):
+        kind = name.split("-")[1]
+        bs = random_blockset({"hooking": 21, "bipolar": 22}[kind], kind=kind)
+        assert bs.kind == kind
+    else:
+        bs = request.getfixturevalue(name)
+    got = _replayed_store(bs, 5)
+    monkeypatch.setattr(growth_mod, "_replay", _reference_replay)
+    assert got == _replayed_store(bs, 5)
 
 
 # ------------------------------------------------ batched = scalar kernel
