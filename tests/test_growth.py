@@ -442,23 +442,23 @@ def test_trajectory_csv_matches_per_row_template(chi, rho, fig1, tmp_path):
 def test_formatted_writes_whole_stars_as_digits(write_rows, monkeypatch):
     """A %.12g block whose values are all whole, non-negative, not -0.0 and
     below 10**12 is written by ``_digits``; every other block is rendered by
-    %.  Either way the text is the template applied row by row: on the
-    edges 0, -0.0, 1, 10**12 - 1, 10**12, 2**53 and 1e15, in a column that is
-    all whole, one that holds a single 0.5 and one that takes the digits
-    route in every block."""
+    %.  Either way the text is the template applied row by row: in a column
+    of whole values, alone and with each of 0, -0.0, 1, 10**12 - 1, 10**12,
+    2**53, 1e15 and 0.5 among them, and in one that holds all the whole
+    ones."""
     monkeypatch.setattr(growth_mod, "WRITE_ROWS", write_rows)
     rendered = []
     render = growth_mod._rendered
     monkeypatch.setattr(growth_mod, "_rendered", lambda spec, v: rendered.append(v) or render(spec, v))
     rng = np.random.default_rng(8)
-    digits = np.concatenate([[0.0, 1.0, 1e12 - 1], np.floor(10 ** rng.uniform(0, 12, 40))])
-    whole = np.concatenate([digits, [-0.0, 1e12, 2.0**53, 1e15], digits])
-    half = whole.copy()
-    half[len(digits) + 2] = 0.5
-    for col in (whole, half, digits):
+    whole = np.floor(10 ** rng.uniform(0, 12, 40))
+    edges = [0.0, -0.0, 1.0, 1e12 - 1, 1e12, 2.0**53, 1e15, 0.5]
+    cols = [whole, np.insert(whole, 20, edges[:-1])] + [np.insert(whole, 20, e) for e in edges]
+    for col in cols:
         assert "".join(growth_mod._formatted("%.12g\n", col)) == _per_row("%.12g\n", col)
-    # rendered: the one block of whole, and of half, that holds the edges
-    assert len(rendered) == 2 and all(1e12 in v for v in rendered)
+    # rendered: only the block that holds -0.0, 10**12 and past, or 0.5
+    assert len(rendered) == 6
+    assert all((np.signbit(v) | (v >= 1e12) | (v == 0.5)).any() for v in rendered)
 
 
 def test_trajectory_csv(tmp_path, fig1):
