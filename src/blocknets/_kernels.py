@@ -47,7 +47,8 @@ Both kernels, ``block_choice`` and graph mode's replay read one model
 table, ``tab``, which ``growth._build_tables`` builds once per
 ``simulate`` or ``simulate_batch`` call.  It holds each per-block fact
 once: the latch increment, the scaled activity increment, the new-vertex
-count and degrees, the last also as a count per degree.  The scalar loop
+count and degrees, the last also as a count per degree, as the scalar
+loop's (degree, weight) pairs and as the highest degree.  The scalar loop
 reads lists; numpy arrays serve only numpy code that indexes them by
 block choices.  The lock-step kernel also reads its own tables
 (``LockStep``: the step table, the change that each block, latching at
@@ -186,12 +187,8 @@ def census_chunk(counts, state, tab, u0, b_in):
     weight = [float(tab.chi_s * k + tab.rho_s) for k in range(len(counts))]
     wc = [w * c for w, c in zip(weight, counts.tolist())]
     max_deg, master_deg, total = state
-    block_d, block_s, new_degs = tab.block_d, tab.block_s, tab.new_degs
+    block_d, block_s, adds, tops = tab.block_d, tab.block_s, tab.new_adds, tab.new_top
     cap = _grow(weight, wc, tab, tab.new_max)  # every new vertex fits from here on
-    # block -> (degree, weight of its new vertices of that degree) pairs, and
-    # the highest degree of its new vertices
-    adds = [[(c, n * weight[c]) for c, n in enumerate(h) if n] for h in tab.new_hist.tolist()]
-    tops = [max(nd, default=0) for nd in new_degs]
     classes = []
 
     for u, b in zip(u0.tolist(), b_in.tolist()):
@@ -229,7 +226,7 @@ def census_chunk(counts, state, tab, u0, b_in):
     out[: len(counts)] = counts
     out -= np.bincount(cls[hit], minlength=cap)
     out += np.bincount(cls[hit] + tab.d_a[b_in[hit]], minlength=cap)
-    out[: tab.new_max + 1] += np.bincount(b_in, minlength=len(new_degs)) @ tab.new_hist
+    out[: tab.new_max + 1] += np.bincount(b_in, minlength=len(block_d)) @ tab.new_hist
     return out, cls
 
 

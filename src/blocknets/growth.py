@@ -132,6 +132,10 @@ class _Tables:
     new_degs: list  # block -> [degree of each new vertex]
     new_max: int  # the largest new-vertex degree, 0 if none
     new_hist: np.ndarray  # int64 (m, new_max + 1), new vertices per block and degree
+    # block -> [(degree, float S-scaled weight of its new vertices of that
+    # degree)], for each degree it adds, and its highest new degree (0 if none)
+    new_adds: list
+    new_top: list
     d_a: np.ndarray  # int64 block_d
     s_a: np.ndarray  # float64 block_s
     # Edge endpoints of the replay, coded 0 for the latch (hook or north
@@ -159,6 +163,7 @@ def _build_tables(bs: BlockSet) -> _Tables:
     for i, nd in enumerate(new_degs):
         for c in nd:
             hist[i, c] += 1
+    adds = [[(c, n * float(chi_s * c + rho_s)) for c, n in enumerate(h) if n] for h in hist.tolist()]
     heads = []
     ends = np.full((len(d), max(len(b.edges) for b in bs.blocks), 2), -1, dtype=np.int64)
     for i, b in enumerate(bs.blocks):
@@ -185,6 +190,8 @@ def _build_tables(bs: BlockSet) -> _Tables:
         new_degs=new_degs,
         new_max=new_max,
         new_hist=hist,
+        new_adds=adds,
+        new_top=[max(nd, default=0) for nd in new_degs],
         d_a=np.array(d, dtype=np.int64),
         # clamped: _check_activity_limit refuses a larger increment before
         # any step, and a huge S must not overflow the conversion
@@ -587,7 +594,9 @@ def _record_rows(state: GrowthState, cls: np.ndarray, b: np.ndarray) -> None:
     each row is rounded once, by the division."""
     t, s = state.tables, state.step
     ess = np.array(state.track, dtype=np.int64)
-    new_x = np.array([[nd.count(k) for k in state.track] for nd in t.new_degs], dtype=np.int64)
+    new_x = np.zeros((len(t.block_d), len(ess)), dtype=np.int64)
+    fits = ess <= t.new_max
+    new_x[:, fits] = t.new_hist[:, ess[fits]]
     w_ess = np.array([t.weight(k) for k in state.track], dtype=np.float64)
     d = t.d_a[b]
     x = state.trajectory_x[s + 1 : s + 1 + b.shape[0]]

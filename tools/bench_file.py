@@ -1,15 +1,15 @@
 """Write a ``BENCH_<label>.json`` file from runs of the benchmark command.
 
-    python3 tools/bench_file.py --seeds 1 2 3 [--workloads verify analyze simulate]
-        [--seconds 20] [--trace-seed 7] LABEL=CHECKOUT [LABEL=CHECKOUT ...]
+    python3 tools/bench_file.py --seeds 1 2 3 LABEL=CHECKOUT [LABEL=CHECKOUT ...]
 
 Each CHECKOUT is the root of a source tree with ``perfbench/``: this one
 (``.``) or, to compare with a parent commit, a clone of it checked out
-there.  For every workload and seed, ``python3 perfbench/run.py --workload W
---seed N --seconds S --trace 0`` runs once in each checkout, the checkouts
-taking turns to go first from one seed to the next, so that a drift of the
-host's speed falls on both sides alike.  Then one ``--trace 1`` run per
-workload and checkout, at the trace seed, gives the per-layer metrics.
+there.  The workloads and the run length S are those of ``BENCHMARK.json``.
+For every workload and seed, ``python3 perfbench/run.py --workload W --seed
+N --seconds S --trace 0`` runs once in each checkout, the checkouts taking
+turns to go first from one seed to the next, so that a drift of the host's
+speed falls on both sides alike.  Then one ``--trace 1`` run per workload
+and checkout, at seed ``TRACE_SEED``, gives the per-layer metrics.
 
 For each LABEL the file ``BENCH_<LABEL>.json`` is written at the root of
 this repository.  It holds, per workload, the median and quartiles of each
@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("verify", "analyze", "simulate")
+TRACE_SEED = 7
 
 
 def run(label: str, checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -70,32 +70,32 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("sides", nargs="+", metavar="LABEL=CHECKOUT")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--trace-seed", type=int, default=7)
     args = ap.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     sides = dict(side.split("=", 1) for side in args.sides)
     for label, checkout in sides.items():
         if not os.path.isfile(os.path.join(checkout, "perfbench", "run.py")):
             ap.error(f"{label}: no perfbench/run.py under {checkout}")
 
-    plain = {label: {w: [] for w in args.workloads} for label in sides}
+    plain = {label: {w: [] for w in workloads} for label in sides}
     traced = {label: {} for label in sides}
     order = list(sides)
-    for w in args.workloads:
+    for w in workloads:
         for i, seed in enumerate(args.seeds):
             for label in order if i % 2 == 0 else order[::-1]:
-                plain[label][w].append(run(label, sides[label], w, seed, args.seconds, 0))
+                plain[label][w].append(run(label, sides[label], w, seed, seconds, 0))
         for label in order if len(args.seeds) % 2 == 0 else order[::-1]:
-            traced[label][w] = run(label, sides[label], w, args.trace_seed, args.seconds, 1)
+            traced[label][w] = run(label, sides[label], w, TRACE_SEED, seconds, 1)
 
     host = {"cores": os.cpu_count(), "platform": platform.platform(), "machine": platform.machine()}
     for label, checkout in sides.items():
-        workloads = {}
-        for w in args.workloads:
+        summaries = {}
+        for w in workloads:
             results = plain[label][w] + [traced[label][w]]
             names = plain[label][w][0]["metrics"]
-            workloads[w] = {
+            summaries[w] = {
                 "end_to_end": {
                     k: {"unit": m["unit"], **summary([r["metrics"][k]["value"] for r in plain[label][w]])}
                     for k, m in sorted(names.items())
@@ -109,14 +109,14 @@ def main() -> int:
             "label": label,
             **revision(checkout),
             "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1",
-            "seconds": args.seconds,
+            "seconds": seconds,
             "seeds": args.seeds,
-            "trace_seed": args.trace_seed,
+            "trace_seed": TRACE_SEED,
             "alternated_with": [other for other in sides if other != label],
             "host": host,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "workloads": workloads,
+            "workloads": summaries,
         }
         path = os.path.join(ROOT, f"BENCH_{label}.json")
         with open(path, "w", encoding="utf-8") as fh:
