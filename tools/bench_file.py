@@ -1,6 +1,6 @@
 """Write a ``BENCH_<label>.json`` file from runs of the benchmark command.
 
-    python3 tools/bench_file.py --seeds 1 2 3 LABEL=CHECKOUT [LABEL=CHECKOUT ...]
+    python3 tools/bench_file.py LABEL=CHECKOUT [LABEL=CHECKOUT ...] --seeds 1 2 3
 
 Each CHECKOUT is the root of a source tree with ``perfbench/``: this one
 (``.``) or, to compare with a parent commit, a clone of it checked out
