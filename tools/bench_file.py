@@ -79,6 +79,8 @@ def main() -> int:
         if not os.path.isfile(os.path.join(checkout, "perfbench", "run.py")):
             ap.error(f"{label}: no perfbench/run.py under {checkout}")
 
+    # before any BENCH file is written, which would make this checkout dirty
+    revisions = {label: revision(checkout) for label, checkout in sides.items()}
     plain = {label: {w: [] for w in workloads} for label in sides}
     traced = {label: {} for label in sides}
     order = list(sides)
@@ -90,7 +92,7 @@ def main() -> int:
             traced[label][w] = run(label, sides[label], w, TRACE_SEED, seconds, 1)
 
     host = {"cores": os.cpu_count(), "platform": platform.platform(), "machine": platform.machine()}
-    for label, checkout in sides.items():
+    for label in sides:
         summaries = {}
         for w in workloads:
             results = plain[label][w] + [traced[label][w]]
@@ -107,7 +109,7 @@ def main() -> int:
             }
         doc = {
             "label": label,
-            **revision(checkout),
+            **revisions[label],
             "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1",
             "seconds": seconds,
             "seeds": args.seeds,
