@@ -25,7 +25,6 @@ from .model_io import (
 from .profile import (
     BalanceInfo,
     DegreeProfile,
-    balance_check,
     build_profile,
     essential_degrees,
 )
@@ -37,7 +36,6 @@ from .urn import (
     covariance,
     intensity_matrix,
     irreducibility_check,
-    replacement_vector,
     second_moment_matrix,
 )
 from .growth import (
@@ -88,7 +86,6 @@ __all__ = [
     "UrnModel",
     "VerificationReport",
     "backend_name",
-    "balance_check",
     "build_profile",
     "build_urn",
     "census_vector",
@@ -108,7 +105,6 @@ __all__ = [
     "mean_check",
     "normality_check",
     "parse_blockset",
-    "replacement_vector",
     "reverse_bipolar",
     "run_replicates",
     "second_moment_matrix",

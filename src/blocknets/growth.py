@@ -109,7 +109,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def backend_name() -> str:
-    """The census kernel in use: always the Python loop of ``_kernels``."""
+    """The census kernels in use, always those of ``_kernels``: the scalar
+    Python loop (``simulate``) and the numpy lock-step kernel (``verify``)."""
     return "python"
 
 
@@ -278,11 +279,6 @@ class GrowthState:
     @property
     def kind(self) -> str:
         return self.bs.kind
-
-    @property
-    def total_activity(self) -> float:
-        """Total attachment weight, the exact ``activity / S`` rounded once."""
-        return self.activity / self.tables.scale
 
     def census(self) -> dict[int, int]:
         """Degree census of the non-master vertices as a plain dict."""

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import reprlib
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -51,14 +54,32 @@ def parse_number(value) -> Num:
     Integers and "a/b" strings are read exactly.  A JSON decimal is read
     through its shortest round-trip repr, so 0.1 is 1/10, as written; the
     reprs of NaN, the infinities and booleans are not numbers and fail.
+
+    So does a number that no report could write out, with more than
+    ``sys.get_int_max_str_digits()`` digits in its reduced numerator or
+    denominator.  A longer run of digits is refused from the text, as is an
+    exponent with |exp| >= the limit plus the length of the text before it:
+    that takes a nonzero value past the limit, and 10^|exp| takes seconds to
+    build when |exp| runs to millions, so it is refused on a zero too.
     """
     text = value if isinstance(value, str) else repr(value)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise BlockSetError(
-            "schema", f"expected a finite number or an 'a/b' string, got {value!r}"
-        ) from None
+    limit = sys.get_int_max_str_digits() or math.inf
+    # a run of more digits than the limit, and an exponent as Fraction reads it
+    long_run = len(text) > limit and re.search(r"\d{%d}" % (limit + 1), text.replace("_", ""))
+    m = "e" in text.lower() and re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if not long_run and not (m and abs(int(m[1])) >= limit + m.start()):
+        try:
+            x = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise BlockSetError(
+                "schema", f"expected a finite number or an 'a/b' string, got {value!r}"
+            ) from None
+        top = max(abs(x.numerator), x.denominator)
+        if top.bit_length() <= 3 * limit or top < 10**limit:  # 10**limit has > 3*limit bits
+            return x
+    raise BlockSetError(
+        "schema", f"{reprlib.repr(value)} has over {limit} digits as a fraction or power of ten"
+    )
 
 
 def format_number(x: Num):
@@ -406,7 +427,7 @@ def parse_blockset(text: str) -> BlockSet:
     """Parse a UTF-8 JSON document into a validated BlockSet."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-string limit
         raise BlockSetError("schema", f"invalid JSON: {exc}")
     return blockset_from_dict(doc)
 

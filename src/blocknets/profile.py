@@ -258,18 +258,11 @@ def activity_increments(bs: BlockSet, chi: int, rho: int) -> list[int]:
     ]
 
 
-def balance_check(bs: BlockSet) -> BalanceInfo:
-    """Per-block change of total attachment weight, and whether it is the
-    same for every block (a balanced model concentrates the total weight
-    on a deterministic line, and the limit law then holds in all moments).
-    """
-    (chi, rho), dw = _clear((bs.chi, bs.rho))
-    s = activity_increments(bs, chi, rho)
-    return BalanceInfo(increments=(s, dw), balanced=all(x == s[0] for x in s))
-
-
 def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
-    """Assemble the full profile and assert its structural invariants."""
+    """Assemble the full profile and assert its structural invariants.  A
+    model is balanced when every block changes the total attachment weight
+    alike: the total then lies on a deterministic line, and the limit law
+    holds in all moments."""
     (chi, rho), dw = _clear((bs.chi, bs.rho))
     probs, dp = _clear(bs.probabilities)
     f, g = (dict(sorted(m.items())) for m in _degree_numerators(bs, probs))
@@ -289,7 +282,9 @@ def build_profile(bs: BlockSet, r: int | None = None) -> DegreeProfile:
         lambda1=lam,
         limit=_limit(f, g, dp, ess, lam, chi, rho, dw),
     )
-    prof = DegreeProfile(kind=bs.kind, essential=ess, balance=balance_check(bs), pairs=pairs)
+    s = activity_increments(bs, chi, rho)
+    balance = BalanceInfo(increments=(s, dw), balanced=all(x == s[0] for x in s))
+    prof = DegreeProfile(kind=bs.kind, essential=ess, balance=balance, pairs=pairs)
     _assert_profile_invariants(prof)
     return prof
 

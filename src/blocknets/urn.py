@@ -21,7 +21,7 @@ certificate, B, and the Lyapunov data M and C with their images T and C~
 in a triangular basis) takes and returns such pairs, so the exact checks
 are integer equalities.  The ``UrnModel`` holds the pairs, and Fractions
 are built only on first access to its views (activities, eigenvalues, v1,
-A and B) and by ``replacement_vector`` and ``ReplacementLaw.expected``.
+A and B) and by ``ReplacementLaw.expected``.
 The spectrum is proved, not computed: one change of basis that mixes
 only the overflow row and column makes A triangular (see
 ``validate_spectrum``), and the same basis makes Sigma's Lyapunov
@@ -152,7 +152,12 @@ def _block_vectors(
 ) -> list[tuple]:
     """Replacement vectors of one block for every urn type, in the order
     ``profile.essential + (STAR,)``, scaled by ``one``: chi and rho are the
-    attachment parameters times that scale."""
+    attachment parameters times that scale.
+
+    Each new non-hook (non-pole) vertex adds a ball of its degree type, or
+    w_k overflow balls past the tracked range.  The latch moves from type t
+    to t+d (d = the block's latch increment), overflowing alike; a drawn
+    overflow ball comes back with chi*d more, the weight its vertex gains."""
     ess = profile.essential
     r = len(ess)
     kr = ess[-1]
@@ -189,24 +194,6 @@ def _block_vectors(
     base[r] += chi * d
     vecs.append(tuple(base))
     return vecs
-
-
-def replacement_vector(
-    bs: BlockSet, profile: DegreeProfile, t: UrnType, block_index: int
-) -> tuple[Num, ...]:
-    """Replacement vector when a ball of type t is drawn and the given block
-    is attached.
-
-    New non-hook (non-pole) vertices add one ball of their degree type, or
-    w_k overflow balls when their degree k exceeds the tracked range.  The
-    latch moves from type t to t+d (d = the block's latch increment), again
-    overflowing to w_{t+d} special balls when t+d is untracked; a drawn
-    overflow ball is returned along with chi*d new overflow balls, the
-    weight growth of the big vertex it represents.
-    """
-    x = profile.pairs
-    vecs = _block_vectors(bs, profile, block_index, *x.weights, x.dw)
-    return _over(vecs[(profile.essential + (STAR,)).index(t)], x.dw)
 
 
 def build_replacement_law(bs: BlockSet, profile: DegreeProfile) -> ReplacementLaw:

@@ -3,9 +3,13 @@
 Replicated census-mode simulations are compared against the urn model's
 predictions: the mean census should track n * lambda1 * nu, the scaled
 fluctuations should match the limit covariance, and the whitened scores
-should look normal.  Every gate is derived from the model's own Sigma,
-lambda1*nu and the replicate count -- no free-standing magic constants --
-and all thresholds are configurable.
+should look normal.  The mean gate (z standard errors sqrt(Sigma_ii/(nR))
+plus an O(1/n) bias allowance), the covariance's per-entry gate (z
+jackknife standard errors) and the KS gate (c/sqrt(R)) scale with Sigma,
+R and n.  Fixed numbers that do not shrink as R or n grow: the relative
+Frobenius error of the covariance (``cov_frobenius``), the skewness and
+excess-kurtosis limits, and the least R each gate runs at (30, 100 and
+200, the only thresholds outside ``Tolerances``).
 """
 
 from __future__ import annotations

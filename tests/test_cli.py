@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import glob
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -759,24 +762,85 @@ def test_public_names_resolve():
     assert all(getattr(blocknets, name, None) is not None for name in blocknets.__all__)
     gone = {
         blocknets: ("degree_profile", "lambda1", "limit_vector", "eigen_closed_form",
-                    "right_eigenvector", "activity_vector"),
-        profile: ("degree_profile", "lambda1", "limit_vector", "_split"),
-        urn: ("activity_vector", "eigen_closed_form", "right_eigenvector"),
+                    "right_eigenvector", "activity_vector", "replacement_vector",
+                    "balance_check"),
+        profile: ("degree_profile", "lambda1", "limit_vector", "_split", "balance_check"),
+        urn: ("activity_vector", "eigen_closed_form", "right_eigenvector", "replacement_vector"),
         profile.DegreeProfile: ("g0",),
         urn.UrnModel: ("A_float", "v1_float", "activities_float"),
+        blocknets.GrowthState: ("total_activity",),
     }
     assert not [(owner, n) for owner, names in gone.items() for n in names if hasattr(owner, n)]
 
 
-def _load_benchmark_tracing():
-    """The benchmark's ``perfbench/tracing.py``, compiled from its text into a
-    fresh module, so that nothing is written beside it."""
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_source(*parts):
+    """The repository's file ``parts``, compiled from its text into a fresh
+    module, so that nothing is written beside it."""
+    path = os.path.join(REPO, *parts)
     with open(path, encoding="utf-8") as fh:
         code = compile(fh.read(), path, "exec")
-    mod = types.ModuleType("perfbench_tracing")
+    mod = types.ModuleType("_".join(parts).removesuffix(".py"))
+    mod.__file__ = path
     exec(code, mod.__dict__)
     return mod
+
+
+def _resolve(owner, chain):
+    """``owner.a.b...`` for the names of ``chain``, importing a submodule
+    where a package has no such attribute yet; None when one is missing."""
+    for name in chain:
+        if not hasattr(owner, name) and hasattr(owner, "__path__"):
+            try:
+                importlib.import_module(f"{owner.__name__}.{name}")
+            except ModuleNotFoundError:
+                return None
+        owner = getattr(owner, name, None)
+        if owner is None:
+            return None
+    return owner
+
+
+def test_benchmark_package_names_resolve():
+    """Every ``blocknets.<name>`` chain and every name of a ``from
+    blocknets[.<module>] import ...`` line in ``perfbench/*.py`` resolves.
+    The files are read as text, not run.  A trim of the public names that
+    dropped one of these (``backend_name``, say) would fail the benchmark
+    and no other test."""
+    chains = set()
+    for path in glob.glob(os.path.join(REPO, "perfbench", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        chains |= {tuple(m[1:].split(".")) for m in re.findall(r"\bblocknets((?:\.\w+)+)", text)}
+        imports = r"^\s*from blocknets((?:\.\w+)*) import (\([^)]*\)|[\w, ]+)"
+        for mod, names in re.findall(imports, text, re.M):
+            chains |= {tuple(mod[1:].split(".") if mod else ()) + (n.split()[0],)
+                       for n in names.strip("()").split(",") if n.strip()}  # fmt: skip
+    assert ("backend_name",) in chains and ("model_io", "blockset_from_dict") in chains
+    assert not sorted(c for c in chains if _resolve(blocknets, c) is None)
+
+
+@pytest.mark.parametrize(
+    "sides, message",
+    [
+        (["base"], "'base' is not LABEL=CHECKOUT"),
+        (["=DIR"], "'=DIR' is not LABEL=CHECKOUT"),
+        (["base="], "'base=' is not LABEL=CHECKOUT"),
+        (["a=DIR", "b=DIR", "a=DIR"], "label 'a' is given twice"),
+    ],
+)
+def test_bench_file_refuses_malformed_sides(sides, message, tmp_path, monkeypatch, capsys):
+    """A side without a label, an '=' or a checkout, and a label given twice,
+    are usage errors, found before any run."""
+    bench_file = _load_source("tools", "bench_file.py")
+    sides = [side.replace("DIR", str(tmp_path)) for side in sides]
+    monkeypatch.setattr(sys, "argv", ["bench_file.py", *sides, "--seeds", "1"])
+    with pytest.raises(SystemExit) as done:
+        bench_file.main()
+    assert done.value.code == 2
+    assert message.replace("DIR", str(tmp_path)) in capsys.readouterr().err
 
 
 def test_benchmark_trace_sites_resolve_and_record_every_stage(example_paths, capsys):
@@ -785,7 +849,7 @@ def test_benchmark_trace_sites_resolve_and_record_every_stage(example_paths, cap
     around its module global, would read 0 there without any error.  So
     every site must resolve, and one analyze of fig1 under the wrappers must
     record a span at each layer it passes through."""
-    tracing = _load_benchmark_tracing()
+    tracing = _load_source("perfbench", "tracing.py")
     for mod, attr, _, _ in tracing._sites():
         assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr} is gone"
     tracer = tracing.Tracer()

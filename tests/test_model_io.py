@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -18,7 +21,13 @@ from blocknets import (
     reverse_bipolar,
 )
 from blocknets.cli import main
-from blocknets.model_io import blockset_from_dict, format_json, format_number, format_ratio
+from blocknets.model_io import (
+    blockset_from_dict,
+    format_json,
+    format_number,
+    format_ratio,
+    parse_number,
+)
 
 from conftest import random_blockset
 
@@ -288,6 +297,60 @@ def test_decimal_inputs_are_read_as_written(fig1):
     off = [floats[0] - 1e-6] + floats[1:]
     with pytest.raises(BlockSetError, match="prob-sum"):
         blockset_from_dict(_with_probabilities(fig1, off))
+
+
+def test_numbers_past_the_int_string_limit_are_refused(k2, tmp_path, capsys):
+    """A number whose numerator or denominator would have more digits than
+    Python writes out (``sys.get_int_max_str_digits()``) is a schema error
+    that names it.  An exponent in the millions is refused from the text,
+    on a zero too, without building its power of ten, which takes seconds;
+    so is an exponent just past the limit, before an analysis that could
+    not write its result runs.  Numbers at the limit are read."""
+    limit = sys.get_int_max_str_digits()
+    fits = {
+        f"1e{limit - 1}": F(10 ** (limit - 1)),
+        f"5e-{limit}": F(1, 2 * 10 ** (limit - 1)),
+        "0." + "0" * (limit - 2) + "1": F(1, 10 ** (limit - 1)),
+        f"0e-{limit - 1}": F(0),
+        "2.5e-3": F(1, 400),
+    }
+    start = time.perf_counter()
+    for text, value in fits.items():
+        assert parse_number(text) == value
+    too_long = [
+        "1e10000000",
+        "-2.5e-10000000",
+        f"1e{limit}",
+        f"1e-{limit}",
+        "1e-5000",
+        "1" * (limit + 1),
+        "1/" + "3" * (limit + 1),
+        "0." + "0" * (limit - 1) + "1",
+        "1" * (limit - 1) + "." + "1" * 2,
+        "1e" + "9" * (limit + 1),
+        "0e-10000000",
+    ]
+    for text in too_long:
+        with pytest.raises(BlockSetError, match=f"has over {limit} digits as a") as err:
+            parse_number(text)
+        assert err.value.rule == "schema" and reprlib.repr(text) in str(err.value)
+    assert time.perf_counter() - start < 1.0
+
+    doc = json.loads(k2.to_json())
+    for field in ("chi", "rho"):
+        with pytest.raises(BlockSetError, match=f"'1e-5000' has over {limit} digits"):
+            blockset_from_dict({**doc, field: "1e-5000"})
+    # JSON reads an integer itself, and refuses one past the limit
+    with pytest.raises(BlockSetError, match="invalid JSON: Exceeds the limit") as err:
+        parse_blockset(json.dumps(doc).replace('"chi": 0', '"chi": 1' + "0" * limit))
+    assert err.value.rule == "schema"
+    path = tmp_path / "tiny_chi.json"
+    path.write_text(json.dumps({**doc, "chi": "1e-5000"}))
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: schema: '1e-5000' has over {limit} digits as a fraction or "
+        "power of ten\n"
+    )
 
 
 def test_roundtrip_identity(fig1, fig3, k2):

@@ -15,7 +15,6 @@ from blocknets import (
     STAR,
     build_profile,
     build_urn,
-    replacement_vector,
 )
 from blocknets import urn as urn_module
 from blocknets.cli import analyze_dict, main
@@ -49,25 +48,32 @@ def urn3(fig3):
     return build_urn(fig3)
 
 
+def _replacement(law, t, block_index):
+    """The replacement vector when a ball of type t is drawn and the given
+    block is attached, read from the law's cleared pairs."""
+    _, vec = law.scaled[law.types.index(t)][block_index]
+    return tuple(F(x, law.vec_scale) for x in vec)
+
+
 def test_replacement_vectors_fig1(fig1):
-    p = build_profile(fig1)
+    law = build_replacement_law(fig1, build_profile(fig1))
     # star block G2 attached to a degree-1 latch: four new leaves, latch 1->5
-    assert replacement_vector(fig1, p, 1, 1) == (F(3), F(0), F(1), F(0))
+    assert _replacement(law, 1, 1) == (F(3), F(0), F(1), F(0))
     # G2 attached to a degree-5 latch: latch overflows to degree 9 = 9 balls
-    assert replacement_vector(fig1, p, 5, 1) == (F(4), F(0), F(-1), F(9))
+    assert _replacement(law, 5, 1) == (F(4), F(0), F(-1), F(9))
     # G1 attached to a degree-3 latch
-    assert replacement_vector(fig1, p, 3, 0) == (F(2), F(-1), F(1), F(0))
+    assert _replacement(law, 3, 0) == (F(2), F(-1), F(1), F(0))
     # overflow latch: chi * hook-degree new overflow balls
-    assert replacement_vector(fig1, p, STAR, 3) == (F(0), F(4), F(0), F(4))
+    assert _replacement(law, STAR, 3) == (F(0), F(4), F(0), F(4))
 
 
 def test_replacement_vectors_fig3(fig3):
-    p = build_profile(fig3)
+    law = build_replacement_law(fig3, build_profile(fig3))
     # B1's source has outdegree 1: the latch keeps its degree
-    assert replacement_vector(fig3, p, 2, 0) == (F(2), F(0), F(1), F(0))
+    assert _replacement(law, 2, 0) == (F(2), F(0), F(1), F(0))
     # B2 bumps the latch by one
-    assert replacement_vector(fig3, p, 2, 1) == (F(0), F(1), F(1), F(0))
-    assert replacement_vector(fig3, p, 3, 1) == (F(0), F(2), F(-1), F(1))
+    assert _replacement(law, 2, 1) == (F(0), F(1), F(1), F(0))
+    assert _replacement(law, 3, 1) == (F(0), F(2), F(-1), F(1))
 
 
 def test_expected_replacements_fig1(fig1):
@@ -218,7 +224,7 @@ def test_single_outcome_second_moment_is_outer_product(k2):
     for ti, t in enumerate(law.types):
         ((prob, _),) = law.scaled[ti]
         assert prob == law.prob_scale
-        assert law.expected(t) == replacement_vector(k2, p, t, 0)
+        assert law.expected(t) == _replacement(law, t, 0)
     urn = build_urn(k2, p)
     q = len(urn.types)
     exp = [law.expected(t) for t in urn.types]

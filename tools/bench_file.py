@@ -71,10 +71,17 @@ def main() -> int:
     ap.add_argument("sides", nargs="+", metavar="LABEL=CHECKOUT")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     args = ap.parse_args()
+    sides = {}
+    for side in args.sides:
+        label, eq, checkout = side.partition("=")
+        if not (label and eq and checkout):
+            ap.error(f"{side!r} is not LABEL=CHECKOUT")
+        if label in sides:
+            ap.error(f"label {label!r} is given twice")
+        sides[label] = checkout
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
-    sides = dict(side.split("=", 1) for side in args.sides)
     for label, checkout in sides.items():
         if not os.path.isfile(os.path.join(checkout, "perfbench", "run.py")):
             ap.error(f"{label}: no perfbench/run.py under {checkout}")
